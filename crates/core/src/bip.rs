@@ -132,124 +132,51 @@ pub struct BipSolution {
     pub total_requester_utility: f64,
 }
 
-impl BipSolution {
-    /// The solution covering worker `worker_index`, if any.
-    pub fn for_worker(&self, worker_index: usize) -> Option<&SubproblemSolution> {
-        self.solutions
-            .iter()
-            .find(|s| s.members.contains(&worker_index))
-    }
-}
-
 /// Solves every subproblem of the decomposition (§IV-B) and assembles the
 /// requester's total utility.
 ///
 /// The subproblems are independent by construction — the requester's
 /// objective separates across non-collusive workers and communities — so
-/// with `parallel = true` they are solved on scoped threads
-/// (`std::thread::scope`), one chunk per available core.
+/// they are fanned out across `pool` scoped threads
+/// (`std::thread::scope`), each taking one contiguous chunk of the input.
+/// Chunk results are concatenated in input order, so `solutions[i]`
+/// solves `subproblems[i]` and the output is **bit-identical** for every
+/// pool size: each subproblem's arithmetic is self-contained and the
+/// total is summed in input order. `pool` is clamped to
+/// `[1, subproblems.len()]`; `pool <= 1` solves on the calling thread.
 ///
-/// Equivalent to [`solve_subproblems_with`] under
-/// [`FailurePolicy::Abort`].
+/// `policy` decides what happens when an individual subproblem cannot be
+/// designed: abort everything, fall back to a fixed-payment baseline for
+/// that worker, or exclude the worker. Degradations are itemized in the
+/// returned [`DegradationReport`] (empty when every subproblem solved
+/// optimally).
 ///
-/// # Errors
-///
-/// Propagates the first per-subproblem error (invalid ψ, parameters, …),
-/// identified by the subproblem id in the message.
-pub fn solve_subproblems(
-    subproblems: &[Subproblem],
-    params: &ModelParams,
-    parallel: bool,
-) -> Result<BipSolution, CoreError> {
-    solve_subproblems_with(subproblems, params, parallel, FailurePolicy::Abort)
-        .map(|(solution, _)| solution)
-}
-
-/// [`solve_subproblems`] with a [`FailurePolicy`] deciding what happens
-/// when an individual subproblem cannot be designed: abort everything,
-/// fall back to a fixed-payment baseline for that worker, or exclude the
-/// worker. Degradations are itemized in the returned
-/// [`DegradationReport`] (empty when every subproblem solved optimally).
-///
-/// `parallel = true` resolves the pool size from
-/// [`std::thread::available_parallelism`]; use
-/// [`solve_subproblems_pooled`] to pin an exact worker count.
+/// With an enabled recorder, per-subproblem solve times, candidate
+/// counts, and degradation counters flow into `metrics` (see
+/// `dcc_obs::names`). Worker threads only *measure*; all recording
+/// happens on the calling thread after the merge, in input order, so the
+/// metric stream is the same for every pool size. A disabled recorder
+/// reads no clock and builds no attributes.
 ///
 /// # Errors
 ///
 /// Under [`FailurePolicy::Abort`], the first per-subproblem error in
-/// input order; under the other policies, solver errors are absorbed
-/// into the report and only panics in the worker threads propagate.
-pub fn solve_subproblems_with(
-    subproblems: &[Subproblem],
-    params: &ModelParams,
-    parallel: bool,
-    policy: FailurePolicy,
-) -> Result<(BipSolution, DegradationReport), CoreError> {
-    let pool = if parallel {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        1
-    };
-    solve_subproblems_pooled(subproblems, params, pool, policy)
-}
-
-/// [`solve_subproblems_with`] with an explicit worker-pool size.
-///
-/// The §IV-B decomposition makes subproblems independent, so they are
-/// fanned out across `pool` scoped threads (`std::thread::scope`), each
-/// taking one contiguous chunk of the input. The merge order is
-/// deterministic — chunk results are concatenated in input order and
-/// re-zipped with the subproblems — so the output is **bit-identical**
-/// to the sequential path (`pool = 1`) for every pool size: each
-/// subproblem's arithmetic is self-contained and no reduction reorders
-/// floating-point operations.
-///
-/// `pool` is clamped to `[1, subproblems.len()]`; `pool <= 1` solves on
-/// the calling thread without spawning.
-///
-/// # Errors
-///
-/// Same as [`solve_subproblems_with`].
-pub fn solve_subproblems_pooled(
-    subproblems: &[Subproblem],
-    params: &ModelParams,
-    pool: usize,
-    policy: FailurePolicy,
-) -> Result<(BipSolution, DegradationReport), CoreError> {
-    let workers = clamp_pool(pool, subproblems.len());
-    let results = fan_out(subproblems, workers, |sp| solve_one(sp, params));
-    assemble_solutions(subproblems, results, params, policy)
-}
-
-/// [`solve_subproblems_pooled`] with per-subproblem observability: solve
-/// wall-clock time, candidate-evaluation counts, and degradation events
-/// flow into `metrics` (see `dcc_obs::names`).
-///
-/// Determinism is preserved under threading by construction — worker
-/// threads only *measure*; all recording happens post-merge on the
-/// calling thread, in input order, so the metric stream is identical for
-/// every pool size. When `metrics` is disabled this delegates to the
-/// uninstrumented path (no clock reads, no attribute construction), so
-/// the hot path stays zero-cost with a `NoopRecorder`.
-///
-/// # Errors
-///
-/// Same as [`solve_subproblems_pooled`]. Under [`FailurePolicy::Abort`]
-/// a failing solve records nothing.
-pub fn solve_subproblems_recorded(
+/// input order (invalid ψ, parameters, …), identified by the subproblem
+/// id in the message; nothing is recorded. Under the other policies,
+/// solver errors are absorbed into the report and only panics in the
+/// worker threads propagate.
+pub fn solve_subproblems(
     subproblems: &[Subproblem],
     params: &ModelParams,
     pool: usize,
     policy: FailurePolicy,
     metrics: &Metrics,
 ) -> Result<(BipSolution, DegradationReport), CoreError> {
-    if !metrics.enabled() {
-        return solve_subproblems_pooled(subproblems, params, pool, policy);
-    }
     let workers = clamp_pool(pool, subproblems.len());
+    if !metrics.enabled() {
+        let results = fan_out(subproblems, workers, |sp| solve_one(sp, params));
+        return assemble_solutions(subproblems, results, params, policy);
+    }
     let timed = fan_out(subproblems, workers, |sp| {
         // dcc-lint: allow(wall-clock, reason = "per-subproblem timing fed to metrics.span_at below")
         let start = Instant::now();
@@ -300,13 +227,14 @@ fn solve_one(sp: &Subproblem, params: &ModelParams) -> Result<SubproblemSolution
 }
 
 /// `pool` clamped to `[1, n]` (with `n = 0` treated as 1).
-pub(crate) fn clamp_pool(pool: usize, n: usize) -> usize {
+fn clamp_pool(pool: usize, n: usize) -> usize {
     pool.max(1).min(n.max(1))
 }
 
 /// The deterministic chunked fan-out shared by the plain and recorded
-/// solves: `workers` scoped threads each take one contiguous chunk and
-/// the per-chunk outputs are concatenated back in input order.
+/// paths of [`solve_subproblems`]: `workers` scoped threads each take
+/// one contiguous chunk and the per-chunk outputs are concatenated back
+/// in input order.
 fn fan_out<T, F>(subproblems: &[Subproblem], workers: usize, per_item: F) -> Vec<T>
 where
     T: Send,
@@ -332,7 +260,7 @@ where
 
 /// Attempt count a solver error carries: a retried-then-degraded error
 /// knows how many tries were made; everything else failed on its first.
-pub(crate) fn attempts_of(err: &CoreError) -> usize {
+fn attempts_of(err: &CoreError) -> usize {
     match err {
         CoreError::Degraded { attempts, .. } => (*attempts).max(1),
         _ => 1,
@@ -416,7 +344,7 @@ fn feedback_domain(sp: &Subproblem) -> (f64, f64) {
 /// worker with no marginal incentive best-responds with zero effort, so
 /// the requester books `w·ψ(0) − μ·amount` (with non-finite `w` or ψ(0)
 /// conservatively treated as 0).
-pub(crate) fn fallback_solution(
+fn fallback_solution(
     sp: &Subproblem,
     params: &ModelParams,
     amount: f64,
@@ -462,7 +390,7 @@ pub(crate) fn fallback_solution(
 
 /// Builds the exclusion (zero-contract) substitute for a failed
 /// subproblem: the worker is out of the system — no pay, no benefit.
-pub(crate) fn skip_solution(sp: &Subproblem) -> SubproblemSolution {
+fn skip_solution(sp: &Subproblem) -> SubproblemSolution {
     let (d_lo, d_hi) = feedback_domain(sp);
     #[allow(clippy::expect_used)] // unit-domain zero contract has no failing input
     let contract = Contract::zero(d_lo, d_hi)
@@ -485,7 +413,7 @@ pub(crate) fn skip_solution(sp: &Subproblem) -> SubproblemSolution {
 
 /// The degraded utility minus the Theorem 4.1 upper bound, when the
 /// bound is computable for this subproblem.
-pub(crate) fn utility_delta(sp: &Subproblem, params: &ModelParams, achieved: f64) -> Option<f64> {
+fn utility_delta(sp: &Subproblem, params: &ModelParams, achieved: f64) -> Option<f64> {
     if !sp.weight.is_finite() {
         return None;
     }
@@ -504,6 +432,8 @@ pub(crate) fn utility_delta(sp: &Subproblem, params: &ModelParams, achieved: f64
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use dcc_obs::JsonRecorder;
+    use std::sync::Arc;
 
     fn sample_subproblems(n: usize) -> Vec<Subproblem> {
         let disc = Discretization::new(12, 0.75).unwrap();
@@ -526,42 +456,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serial_and_parallel_agree() {
-        let sps = sample_subproblems(23);
-        let p = params();
-        let serial = solve_subproblems(&sps, &p, false).unwrap();
-        let parallel = solve_subproblems(&sps, &p, true).unwrap();
-        assert_eq!(serial.solutions.len(), parallel.solutions.len());
-        assert!(
-            (serial.total_requester_utility - parallel.total_requester_utility).abs() < 1e-9
-        );
-        for (s, q) in serial.solutions.iter().zip(&parallel.solutions) {
-            assert_eq!(s.id, q.id);
-            assert!((s.built.requester_utility() - q.built.requester_utility()).abs() < 1e-9);
-        }
+    /// The quiet serial solve most tests compare against.
+    fn solve(
+        sps: &[Subproblem],
+        policy: FailurePolicy,
+    ) -> Result<(BipSolution, DegradationReport), CoreError> {
+        solve_subproblems(sps, &params(), 1, policy, &Metrics::noop())
     }
 
     #[test]
     fn total_is_sum_of_parts() {
         let sps = sample_subproblems(7);
-        let sol = solve_subproblems(&sps, &params(), false).unwrap();
+        let (sol, _) = solve(&sps, FailurePolicy::Abort).unwrap();
         let sum: f64 = sol
             .solutions
             .iter()
             .map(|s| s.built.requester_utility())
             .sum();
         assert!((sol.total_requester_utility - sum).abs() < 1e-12);
-    }
-
-    #[test]
-    fn worker_lookup() {
-        let mut sps = sample_subproblems(3);
-        sps[2].members = vec![2, 9, 11];
-        let sol = solve_subproblems(&sps, &params(), false).unwrap();
-        assert_eq!(sol.for_worker(9).unwrap().id, 2);
-        assert_eq!(sol.for_worker(0).unwrap().id, 0);
-        assert!(sol.for_worker(99).is_none());
     }
 
     #[test]
@@ -584,16 +496,18 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_solution() {
-        let sol = solve_subproblems(&[], &params(), true).unwrap();
+        let (sol, report) =
+            solve_subproblems(&[], &params(), 4, FailurePolicy::Abort, &Metrics::noop()).unwrap();
         assert!(sol.solutions.is_empty());
         assert_eq!(sol.total_requester_utility, 0.0);
+        assert!(report.is_empty());
     }
 
     #[test]
     fn error_identifies_subproblem() {
         let mut sps = sample_subproblems(2);
         sps[1].psi = Quadratic::new(0.1, 1.0, 0.0); // convex: invalid
-        let err = solve_subproblems(&sps, &params(), false).unwrap_err();
+        let err = solve(&sps, FailurePolicy::Abort).unwrap_err();
         assert!(err.to_string().contains("subproblem 1"));
     }
 
@@ -606,15 +520,8 @@ mod tests {
     #[test]
     fn fallback_policy_isolates_the_failure() {
         let sps = corrupted(6, 2);
-        let p = params();
-        assert!(solve_subproblems(&sps, &p, false).is_err(), "abort fails");
-        let (sol, report) = solve_subproblems_with(
-            &sps,
-            &p,
-            false,
-            FailurePolicy::FallbackBaseline { amount: 0.5 },
-        )
-        .unwrap();
+        assert!(solve(&sps, FailurePolicy::Abort).is_err(), "abort fails");
+        let (sol, report) = solve(&sps, FailurePolicy::FallbackBaseline { amount: 0.5 }).unwrap();
         assert_eq!(sol.solutions.len(), 6, "every subproblem gets a contract");
         assert_eq!(report.len(), 1);
         let d = report.for_subproblem(2).expect("subproblem 2 degraded");
@@ -622,7 +529,7 @@ mod tests {
         assert!(d.reason.contains("subproblem 2"));
         assert!(matches!(d.action, DegradationAction::Fallback { amount } if amount >= 0.0));
         // The healthy subproblems match the clean solve exactly.
-        let clean = solve_subproblems(&sample_subproblems(6), &p, false).unwrap();
+        let (clean, _) = solve(&sample_subproblems(6), FailurePolicy::Abort).unwrap();
         for (got, want) in sol.solutions.iter().zip(&clean.solutions) {
             if got.id != 2 {
                 assert_eq!(got.built.contract(), want.built.contract());
@@ -634,13 +541,7 @@ mod tests {
     fn fallback_contract_is_monotone_fixed_pay_within_bounds() {
         let sps = corrupted(3, 1);
         let p = params();
-        let (sol, _) = solve_subproblems_with(
-            &sps,
-            &p,
-            false,
-            FailurePolicy::FallbackBaseline { amount: 1_000.0 },
-        )
-        .unwrap();
+        let (sol, _) = solve(&sps, FailurePolicy::FallbackBaseline { amount: 1_000.0 }).unwrap();
         let built = &sol.solutions[1].built;
         assert!(built.contract().is_monotone());
         let cap = bounds::compensation_upper_bound(
@@ -660,56 +561,65 @@ mod tests {
     #[test]
     fn skip_policy_excludes_the_worker() {
         let sps = corrupted(4, 3);
-        let (sol, report) =
-            solve_subproblems_with(&sps, &params(), false, FailurePolicy::Skip).unwrap();
+        let (sol, report) = solve(&sps, FailurePolicy::Skip).unwrap();
         assert_eq!(report.len(), 1);
-        assert_eq!(
-            report.degraded[0].action,
-            DegradationAction::Skipped
-        );
+        assert_eq!(report.degraded[0].action, DegradationAction::Skipped);
         let built = &sol.solutions[3].built;
         assert_eq!(built.compensation(), 0.0);
         assert_eq!(built.requester_utility(), 0.0);
         assert_eq!(built.k_opt(), None);
     }
 
-    #[test]
-    fn degraded_parallel_and_serial_agree() {
-        let sps = corrupted(23, 7);
-        let p = params();
-        let policy = FailurePolicy::FallbackBaseline { amount: 0.25 };
-        let (serial, rs) = solve_subproblems_with(&sps, &p, false, policy).unwrap();
-        let (parallel, rp) = solve_subproblems_with(&sps, &p, true, policy).unwrap();
-        assert_eq!(rs, rp);
-        assert_eq!(serial.solutions.len(), parallel.solutions.len());
-        assert!(
-            (serial.total_requester_utility - parallel.total_requester_utility).abs() < 1e-9
-        );
+    /// Every policy over a decomposition with one community-sized
+    /// subproblem and, for the degraded policies, one corrupted weight.
+    fn policy_cases() -> Vec<(Vec<Subproblem>, FailurePolicy)> {
+        let mut clean = sample_subproblems(37);
+        clean[11].members = vec![11, 40, 41];
+        let mut broken = clean.clone();
+        broken[7].weight = f64::NAN;
+        vec![
+            (clean, FailurePolicy::Abort),
+            (
+                broken.clone(),
+                FailurePolicy::FallbackBaseline { amount: 0.25 },
+            ),
+            (broken, FailurePolicy::Skip),
+        ]
     }
 
     #[test]
-    fn pooled_solve_is_bit_identical_across_pool_sizes() {
-        let sps = sample_subproblems(37);
+    fn solve_is_bit_identical_across_pool_sizes() {
         let p = params();
-        let (reference, _) =
-            solve_subproblems_pooled(&sps, &p, 1, FailurePolicy::Abort).unwrap();
-        for pool in [2, 3, 4, 16, 64] {
-            let (pooled, _) =
-                solve_subproblems_pooled(&sps, &p, pool, FailurePolicy::Abort).unwrap();
-            assert_eq!(reference, pooled, "pool {pool} diverged");
-            assert_eq!(
-                reference.total_requester_utility.to_bits(),
-                pooled.total_requester_utility.to_bits(),
-                "pool {pool} total differs in bits"
-            );
+        for (sps, policy) in policy_cases() {
+            let (reference, reference_report) = solve(&sps, policy).unwrap();
+            for pool in [2, 3, 4, 16, 64] {
+                let (pooled, report) =
+                    solve_subproblems(&sps, &p, pool, policy, &Metrics::noop()).unwrap();
+                assert_eq!(reference, pooled, "{policy:?} pool {pool} diverged");
+                assert_eq!(reference_report, report, "{policy:?} pool {pool} report");
+                assert_eq!(
+                    reference.total_requester_utility.to_bits(),
+                    pooled.total_requester_utility.to_bits(),
+                    "{policy:?} pool {pool} total differs in bits"
+                );
+            }
+        }
+        // Abort reports the same first failure at every pool size.
+        let broken = corrupted(23, 7);
+        let want = solve(&broken, FailurePolicy::Abort)
+            .unwrap_err()
+            .to_string();
+        for pool in [2, 5, 16] {
+            let got = solve_subproblems(&broken, &p, pool, FailurePolicy::Abort, &Metrics::noop())
+                .unwrap_err();
+            assert_eq!(got.to_string(), want, "pool {pool}");
         }
     }
 
     #[test]
     fn clean_solve_has_empty_report() {
         let sps = sample_subproblems(5);
-        let (_, report) =
-            solve_subproblems_with(&sps, &params(), false, FailurePolicy::Skip).unwrap();
+        let (_, report) = solve(&sps, FailurePolicy::Skip).unwrap();
         assert!(report.is_empty());
         assert_eq!(report.len(), 0);
     }
@@ -721,24 +631,19 @@ mod tests {
         // reported as a nonpositive delta.
         let mut sps = sample_subproblems(2);
         sps[0].psi = Quadratic::new(0.1, 1.0, 0.0);
-        let (_, report) = solve_subproblems_with(
-            &sps,
-            &params(),
-            false,
-            FailurePolicy::FallbackBaseline { amount: 0.5 },
-        )
-        .unwrap();
+        let (_, report) = solve(&sps, FailurePolicy::FallbackBaseline { amount: 0.5 }).unwrap();
         assert_eq!(report.len(), 1);
         let delta = report.degraded[0]
             .utility_delta
             .expect("bound computable for a finite psi and weight");
-        assert!(delta <= 1e-9, "fallback cannot beat the upper bound: {delta}");
+        assert!(
+            delta <= 1e-9,
+            "fallback cannot beat the upper bound: {delta}"
+        );
 
         // A NaN weight makes the bound itself meaningless.
-        let (_, report2) = solve_subproblems_with(
+        let (_, report2) = solve(
             &corrupted(2, 0),
-            &params(),
-            false,
             FailurePolicy::FallbackBaseline { amount: 0.5 },
         )
         .unwrap();
@@ -746,36 +651,29 @@ mod tests {
     }
 
     #[test]
-    fn recorded_solve_is_bit_identical_to_plain() {
-        use dcc_obs::JsonRecorder;
-        use std::sync::Arc;
-        let sps = corrupted(19, 4);
+    fn recorded_and_noop_runs_give_identical_output() {
         let p = params();
-        let policy = FailurePolicy::FallbackBaseline { amount: 0.4 };
-        let (plain, plain_report) = solve_subproblems_pooled(&sps, &p, 3, policy).unwrap();
-        for metrics in [
-            Metrics::noop(),
-            Metrics::new(Arc::new(JsonRecorder::new())),
-        ] {
-            let (recorded, report) =
-                solve_subproblems_recorded(&sps, &p, 3, policy, &metrics).unwrap();
-            assert_eq!(recorded, plain);
-            assert_eq!(report, plain_report);
+        for (sps, policy) in policy_cases() {
+            let (quiet, quiet_report) =
+                solve_subproblems(&sps, &p, 3, policy, &Metrics::noop()).unwrap();
+            let metrics = Metrics::new(Arc::new(JsonRecorder::new()));
+            let (recorded, report) = solve_subproblems(&sps, &p, 3, policy, &metrics).unwrap();
+            assert_eq!(recorded, quiet, "{policy:?}");
+            assert_eq!(report, quiet_report, "{policy:?}");
             assert_eq!(
                 recorded.total_requester_utility.to_bits(),
-                plain.total_requester_utility.to_bits()
+                quiet.total_requester_utility.to_bits()
             );
         }
     }
 
     #[test]
     fn recorded_solve_emits_per_subproblem_spans_and_degradation_counters() {
-        use dcc_obs::{names, JsonRecorder};
-        use std::sync::Arc;
+        use dcc_obs::names;
         let sps = corrupted(9, 2);
         let recorder = Arc::new(JsonRecorder::new());
         let metrics = Metrics::new(recorder.clone());
-        let (_, report) = solve_subproblems_recorded(
+        let (_, report) = solve_subproblems(
             &sps,
             &params(),
             4,
@@ -793,27 +691,33 @@ mod tests {
         assert_eq!(recorder.counter(names::COUNTER_SOLVE_DEGRADED_SKIPPED), 0);
         let json = recorder.to_json();
         assert!(json.contains("\"degraded\":true"), "victim span flagged");
-        assert!(json.contains("\"iterations\":"), "candidate counts attached");
+        assert!(
+            json.contains("\"iterations\":"),
+            "candidate counts attached"
+        );
     }
 
     #[test]
-    fn recorded_solve_metric_stream_is_pool_invariant() {
-        use dcc_obs::JsonRecorder;
-        use std::sync::Arc;
-        let sps = sample_subproblems(17);
+    fn redacted_metric_stream_is_pool_invariant() {
         let p = params();
-        let render = |pool: usize| {
-            let recorder = Arc::new(JsonRecorder::new());
-            let metrics = Metrics::new(recorder.clone());
-            solve_subproblems_recorded(&sps, &p, pool, FailurePolicy::Abort, &metrics).unwrap();
-            // The pool gauge legitimately differs; compare everything else.
-            recorder
-                .to_json_redacted()
-                .replace(&format!("\"solve.pool\":{pool}"), "\"solve.pool\":_")
-        };
-        let reference = render(1);
-        for pool in [2, 5, 16] {
-            assert_eq!(render(pool), reference, "pool {pool} metric stream diverged");
+        for (sps, policy) in policy_cases() {
+            let render = |pool: usize| {
+                let recorder = Arc::new(JsonRecorder::new());
+                let metrics = Metrics::new(recorder.clone());
+                solve_subproblems(&sps, &p, pool, policy, &metrics).unwrap();
+                // The pool gauge legitimately differs; compare everything else.
+                recorder
+                    .to_json_redacted()
+                    .replace(&format!("\"solve.pool\":{pool}"), "\"solve.pool\":_")
+            };
+            let reference = render(1);
+            for pool in [2, 5, 16] {
+                assert_eq!(
+                    render(pool),
+                    reference,
+                    "{policy:?} pool {pool} metric stream diverged"
+                );
+            }
         }
     }
 }

@@ -1,10 +1,11 @@
 use crate::effort::{fit_effort_function, EffortFit};
 use crate::{
-    solve_subproblems_columns_with, BipSolution, Contract, CoreError, DegradationReport,
-    Discretization, FailurePolicy, ModelParams, Subproblem, SubproblemColumns,
+    solve_subproblems, BipSolution, Contract, CoreError, DegradationReport, Discretization,
+    FailurePolicy, ModelParams, Subproblem,
 };
 use dcc_detect::DetectionResult;
 use dcc_numerics::{percentile, Quadratic};
+use dcc_obs::Metrics;
 use dcc_trace::{ReviewerId, TraceDataset};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -18,8 +19,6 @@ pub struct DesignConfig {
     /// Quantile (0–100) of a class's observed efforts used as the end of
     /// its effort region (clamped below the fitted ψ's peak).
     pub effort_quantile: f64,
-    /// Solve subproblems in parallel.
-    pub parallel: bool,
     /// When set, non-suspected workers with at least this many reviews
     /// get an *individual* effort function fitted from their own
     /// per-review `(effort, feedback)` history instead of the class-level
@@ -40,7 +39,6 @@ impl Default for DesignConfig {
             },
             intervals: 20,
             effort_quantile: 95.0,
-            parallel: true,
             per_worker_fit_min_reviews: None,
             failure_policy: FailurePolicy::Abort,
         }
@@ -118,7 +116,9 @@ pub struct AgentContract {
 /// The full output of the §IV design flow.
 #[derive(Debug, Clone)]
 pub struct ContractDesign {
-    /// Per-worker contract assignments, indexable by worker.
+    /// Per-worker contract assignments: one entry per designed worker,
+    /// sorted by worker id. [`ContractDesign::for_worker`] binary-searches
+    /// this order, so code that edits the list must keep it.
     pub agents: Vec<AgentContract>,
     /// The underlying decomposition solution.
     pub solution: BipSolution,
@@ -133,20 +133,24 @@ pub struct ContractDesign {
 }
 
 impl ContractDesign {
-    /// The assignment for one worker.
+    /// The assignment for one worker (a binary search over the sorted
+    /// [`ContractDesign::agents`]); `None` for a worker without reviews.
     pub fn for_worker(&self, worker: ReviewerId) -> Option<&AgentContract> {
-        self.agents.iter().find(|a| a.worker == worker)
+        let at = self
+            .agents
+            .binary_search_by_key(&worker, |a| a.worker)
+            .ok()?;
+        self.agents.get(at)
     }
 
     /// Compensations of the given workers, in order (missing workers are
     /// skipped).
     pub fn compensations_of(&self, workers: &[ReviewerId]) -> Vec<f64> {
-        let by_id: BTreeMap<ReviewerId, f64> = self
-            .agents
+        workers
             .iter()
-            .map(|a| (a.worker, a.compensation))
-            .collect();
-        workers.iter().filter_map(|w| by_id.get(w).copied()).collect()
+            .filter_map(|&w| self.for_worker(w))
+            .map(|a| a.compensation)
+            .collect()
     }
 }
 
@@ -523,7 +527,8 @@ pub fn prepare_design(
 /// the community's contract and split its payment equally.
 ///
 /// `solution` must come from solving `prep.subproblems` (any pool size —
-/// the solve is bit-identical across pool sizes).
+/// the solve is bit-identical across pool sizes): `solution.solutions[i]`
+/// pairs with `prep.subproblems[i]` by position.
 pub fn assemble_design(
     detection: &DetectionResult,
     prep: &DesignPrep,
@@ -532,15 +537,8 @@ pub fn assemble_design(
 ) -> ContractDesign {
     let suspected: BTreeSet<ReviewerId> = detection.suspected.iter().copied().collect();
     let partner_counts = detection.collusion.partner_counts();
-    let delta_of = |sp_id: usize| {
-        prep.subproblems
-            .iter()
-            .find(|sp| sp.id == sp_id)
-            .map(|sp| sp.disc.delta())
-            .unwrap_or(0.0)
-    };
     let mut agents = Vec::with_capacity(solution.solutions.len());
-    for sol in &solution.solutions {
+    for (sol, sp) in solution.solutions.iter().zip(&prep.subproblems) {
         let share = sol.members.len().max(1) as f64;
         let is_community = sol.id >= prep.first_community_subproblem;
         for &member in &sol.members {
@@ -552,7 +550,7 @@ pub fn assemble_design(
                 induced_effort: sol.built.induced_effort() / share,
                 subproblem: sol.id,
                 k_opt: sol.built.k_opt(),
-                delta: delta_of(sol.id),
+                delta: sp.disc.delta(),
                 suspected: is_community || suspected.contains(&worker),
                 partners: partner_counts.get(&worker).copied().unwrap_or(0),
             });
@@ -575,7 +573,9 @@ pub fn assemble_design(
 /// 1. [`prepare_design`] — split workers by the detection result, fit
 ///    each group's effort function, and decompose into subproblems with
 ///    per-worker Eq. 5 weights (§IV-B),
-/// 2. solve the subproblems (in parallel) with the §IV-C algorithm,
+/// 2. [`solve_subproblems`] — solve the subproblems with the §IV-C
+///    algorithm, on a pool sized from the machine's available
+///    parallelism,
 /// 3. [`assemble_design`] — assign contracts back to workers; community
 ///    members share the community's contract and split its payment
 ///    equally.
@@ -590,15 +590,13 @@ pub fn design_contracts(
     config: &DesignConfig,
 ) -> Result<ContractDesign, CoreError> {
     let prep = prepare_design(trace, detection, config)?;
-    // The struct-of-arrays kernel is bit-identical to the struct path
-    // (tests/differential.rs), so routing the one-shot flow through it
-    // keeps every integration test exercising the columnar solve.
-    let columns = SubproblemColumns::from_subproblems(&prep.subproblems);
-    let (solution, degradation) = solve_subproblems_columns_with(
-        columns.view(),
+    let pool = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let (solution, degradation) = solve_subproblems(
+        &prep.subproblems,
         &config.params,
-        config.parallel,
+        pool,
         config.failure_policy,
+        &Metrics::noop(),
     )?;
     Ok(assemble_design(detection, &prep, solution, degradation))
 }
@@ -885,11 +883,12 @@ mod tests {
         let one_shot = design_contracts(&trace, &detection, &config).unwrap();
 
         let prep = prepare_design(&trace, &detection, &config).unwrap();
-        let (solution, degradation) = crate::solve_subproblems_pooled(
+        let (solution, degradation) = solve_subproblems(
             &prep.subproblems,
             &config.params,
             4,
             config.failure_policy,
+            &Metrics::noop(),
         )
         .unwrap();
         let staged = assemble_design(&detection, &prep, solution, degradation);
@@ -908,5 +907,47 @@ mod tests {
             assert_eq!(a.suspected, b.suspected);
             assert_eq!(a.partners, b.partners);
         }
+        // Each agent carries its own subproblem's interval width.
+        for a in &staged.agents {
+            let sp = prep
+                .subproblems
+                .iter()
+                .find(|sp| sp.id == a.subproblem)
+                .expect("every agent's subproblem exists");
+            assert_eq!(
+                a.delta.to_bits(),
+                sp.disc.delta().to_bits(),
+                "{:?}",
+                a.worker
+            );
+        }
+    }
+
+    #[test]
+    fn for_worker_finds_every_agent_and_only_reviewers() {
+        let (trace, design) = designed();
+        for a in &design.agents {
+            let found = design.for_worker(a.worker).expect("agent found");
+            assert_eq!(found.worker, a.worker);
+            assert_eq!(found.subproblem, a.subproblem);
+        }
+        let silent = trace
+            .reviewers()
+            .iter()
+            .map(|r| r.id)
+            .filter(|id| trace.reviews_by(*id).is_empty())
+            .chain([ReviewerId(trace.reviewers().len() + 7)])
+            .collect::<Vec<_>>();
+        for id in &silent {
+            assert!(design.for_worker(*id).is_none(), "{id:?} has no reviews");
+        }
+        let mut asked: Vec<ReviewerId> = design.agents.iter().map(|a| a.worker).collect();
+        asked.extend(&silent);
+        let comps: Vec<f64> = design.agents.iter().map(|a| a.compensation).collect();
+        assert_eq!(
+            design.compensations_of(&asked),
+            comps,
+            "missing workers are skipped"
+        );
     }
 }

@@ -13,7 +13,6 @@
 //! | `unwrap-in-lib` | no `.unwrap()`/`.expect(…)`/`panic!` in non-test code |
 //! | `nondet-iter` | no `HashMap`/`HashSet` (iteration order is nondeterministic) |
 //! | `wall-clock` | no `Instant`/`SystemTime` outside `dcc-obs` |
-//! | `hot-loop-alloc` | no per-element allocation in the struct-of-arrays solve kernels |
 //! | `metric-registry` | metric names in code ↔ `docs/observability.md` stay in sync |
 //! | `determinism-taint` | no source→sink nondeterminism flow through the call graph |
 //! | `taint-policy` | the taint policy file contains no stale entries |
@@ -263,7 +262,6 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
             tokens: &lexed.tokens,
             test_regions: &regions,
             wall_clock_exempt: wall_clock_exempt(&rel),
-            hot_loop_scope: hot_loop_scope(&rel),
         };
         rules::run_token_rules(&ctx, findings);
 
@@ -362,7 +360,6 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
         tokens: &lexed.tokens,
         test_regions: &regions,
         wall_clock_exempt: wall_clock_exempt(rel_path),
-        hot_loop_scope: hot_loop_scope(rel_path),
     };
     rules::run_token_rules(&ctx, &mut findings);
     let mut kept = suppress::apply(rel_path, &mut sup, findings);
@@ -376,13 +373,6 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
 /// sleep belongs there, visible to review).
 fn wall_clock_exempt(rel: &str) -> bool {
     rel.starts_with("crates/obs/") || rel == "crates/faults/src/retry.rs"
-}
-
-/// Files where the advisory `hot-loop-alloc` rule applies: the
-/// struct-of-arrays solve kernels, whose contract is allocation-free
-/// column access on the per-subproblem path.
-fn hot_loop_scope(rel: &str) -> bool {
-    rel == "crates/core/src/soa.rs"
 }
 
 fn rel_path(root: &Path, file: &Path) -> String {

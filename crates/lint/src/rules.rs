@@ -13,7 +13,6 @@ pub const RULE_IDS: &[&str] = &[
     "unwrap-in-lib",
     "nondet-iter",
     "wall-clock",
-    "hot-loop-alloc",
     "metric-registry",
     "determinism-taint",
     "taint-policy",
@@ -32,9 +31,6 @@ pub struct FileCtx<'a> {
     /// Whether the wall-clock rule exempts this file (the `dcc-obs`
     /// timing layer itself).
     pub wall_clock_exempt: bool,
-    /// Whether this file is a sanctioned struct-of-arrays solve kernel,
-    /// where the advisory `hot-loop-alloc` rule applies.
-    pub hot_loop_scope: bool,
 }
 
 impl FileCtx<'_> {
@@ -49,7 +45,6 @@ pub fn run_token_rules(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     unwrap_in_lib(ctx, findings);
     nondet_iter(ctx, findings);
     wall_clock(ctx, findings);
-    hot_loop_alloc(ctx, findings);
 }
 
 /// Identifiers that make a `==`/`!=` operand float-typed on its face.
@@ -211,61 +206,6 @@ fn wall_clock(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     }
 }
 
-/// `hot-loop-alloc`: advisory — in the sanctioned struct-of-arrays
-/// solve kernels (whose whole point is allocation-free column access),
-/// flags the per-element allocators `Vec::new(…)`, `vec![…]`,
-/// `.to_vec()`, and `.clone()`. These are exactly the calls that
-/// silently reintroduce the per-subproblem heap traffic the columnar
-/// path exists to remove; each surviving use must carry a reasoned
-/// suppression (e.g. a degraded-path materialization that runs at most
-/// once per failure).
-fn hot_loop_alloc(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if !ctx.hot_loop_scope {
-        return;
-    }
-    let toks = ctx.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.in_test(t.line) {
-            continue;
-        }
-        let prev = i.checked_sub(1).and_then(|j| toks.get(j));
-        let next = toks.get(i + 1);
-        let next2 = toks.get(i + 2);
-        let next3 = toks.get(i + 3);
-        let method_call = |name: &str| {
-            t.text == name
-                && matches!(prev, Some(p) if p.text == ".")
-                && matches!(next, Some(n) if n.text == "(")
-        };
-        let what = if t.text == "Vec"
-            && matches!(next, Some(n) if n.text == "::")
-            && matches!(next2, Some(n) if n.text == "new")
-            && matches!(next3, Some(n) if n.text == "(")
-        {
-            Some("`Vec::new()`")
-        } else if t.text == "vec" && matches!(next, Some(n) if n.text == "!") {
-            Some("`vec![…]`")
-        } else if method_call("to_vec") {
-            Some("`.to_vec()`")
-        } else if method_call("clone") {
-            Some("`.clone()`")
-        } else {
-            None
-        };
-        if let Some(what) = what {
-            findings.push(Finding::new(
-                "hot-loop-alloc",
-                ctx.path,
-                t.line,
-                format!(
-                    "{what} in a struct-of-arrays solve kernel; borrow from the \
-                     column view or hoist the buffer, or suppress with a reason"
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,18 +213,10 @@ mod tests {
     use crate::lexer::lex;
 
     fn run(src: &str) -> Vec<Finding> {
-        run_with(src, false, false)
+        run_on(src, false)
     }
 
     fn run_on(src: &str, wall_clock_exempt: bool) -> Vec<Finding> {
-        run_with(src, wall_clock_exempt, false)
-    }
-
-    fn run_hot(src: &str) -> Vec<Finding> {
-        run_with(src, false, true)
-    }
-
-    fn run_with(src: &str, wall_clock_exempt: bool, hot_loop_scope: bool) -> Vec<Finding> {
         let lexed = lex(src);
         let regions = test_regions(&lexed.tokens);
         let ctx = FileCtx {
@@ -292,7 +224,6 @@ mod tests {
             tokens: &lexed.tokens,
             test_regions: &regions,
             wall_clock_exempt,
-            hot_loop_scope,
         };
         let mut findings = Vec::new();
         run_token_rules(&ctx, &mut findings);
@@ -354,22 +285,6 @@ mod tests {
         // Other `sleep` identifiers are not wall-clock reads.
         assert!(run("fn f() { scheduler.sleep(); }\n").is_empty());
         assert!(run("fn sleep() {}\n").is_empty());
-    }
-
-    #[test]
-    fn hot_loop_alloc_flags_all_four_forms_only_in_scope() {
-        let src = "fn f(xs: &[u64]) { let a = Vec::new(); let b = vec![0]; \
-                   let c = xs.to_vec(); let d = xs.clone(); }\n";
-        let f = run_hot(src);
-        assert_eq!(f.len(), 4, "{f:?}");
-        assert!(f.iter().all(|x| x.rule == "hot-loop-alloc"));
-        // Outside the sanctioned kernels the rule is silent.
-        assert!(run(src).is_empty());
-        // Non-allocating lookalikes are fine even in scope.
-        assert!(run_hot("fn f() { let v = Vec::with_capacity(4); m.clone_from(&n); }\n")
-            .is_empty());
-        // Test regions are exempt, as with every token rule.
-        assert!(run_hot("#[test]\nfn t(xs: &[u64]) { let _ = xs.to_vec(); }\n").is_empty());
     }
 
     #[test]

@@ -19,6 +19,14 @@
 
 use std::fmt::Write as _;
 
+/// The deepest `[`/`{` nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a limit one line of 200,000 `[`
+/// overflows the stack and aborts the process; past this depth it
+/// returns a [`JsonError`] instead. Every document the workspace writes
+/// nests far less (the deepest committed one, a SARIF report, nests 14
+/// levels).
+const MAX_DEPTH: usize = 128;
+
 /// A JSON parse failure: byte offset plus a short description.
 ///
 /// Deliberately self-contained (no dependency on any workspace error
@@ -189,11 +197,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on malformed input.
+    /// Returns [`JsonError`] on malformed input, including arrays and
+    /// objects nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err(pos, "trailing characters after JSON value"));
@@ -252,8 +261,15 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value that sits inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if depth >= MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(err(
+            *pos,
+            &format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
@@ -269,7 +285,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -294,7 +310,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -397,6 +413,24 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_an_abort() {
+        // 200,000 levels used to overflow the stack.
+        for open in ["[", "{\"k\":"] {
+            let err = Json::parse(&open.repeat(200_000)).unwrap_err();
+            assert!(err.message.contains("nest deeper than 128"), "{err}");
+        }
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.pos, MAX_DEPTH, "points at the first bracket too deep");
+        // Objects and arrays count toward the same depth.
+        let mixed = format!("{}1{}", "{\"a\":[".repeat(64), "]}".repeat(64));
+        assert!(Json::parse(&mixed).is_ok());
+        let deeper = format!("[{mixed}]");
+        assert!(Json::parse(&deeper).is_err());
+    }
 
     #[test]
     fn round_trips_structures() {

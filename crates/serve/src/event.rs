@@ -262,6 +262,14 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_a_typed_error() {
+        // One line of 200,000 `[` once overflowed the parser's stack.
+        let err = ServeEvent::parse_line(&"[".repeat(200_000)).expect_err("too deep");
+        assert!(matches!(err, CoreError::InvalidInput(_)), "{err:?}");
+        assert!(err.to_string().contains("nest deeper than 128"), "{err}");
+    }
+
+    #[test]
     fn replay_stream_has_one_round_marker_per_round() {
         let trace = SyntheticConfig::small(5).generate();
         let events = events_from_trace(&trace);

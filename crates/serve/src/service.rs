@@ -239,6 +239,10 @@ impl ServeService {
                 "incremental_ratio".to_string(),
                 Json::num(s.incremental_ratio()),
             ),
+            ("miss_no_entry".to_string(), Json::idx(s.miss_no_entry)),
+            ("miss_params".to_string(), Json::idx(s.miss_params)),
+            ("miss_psi".to_string(), Json::idx(s.miss_psi)),
+            ("miss_weight".to_string(), Json::idx(s.miss_weight)),
         ])
         .to_string()
     }

@@ -17,9 +17,11 @@
 //!   changed, through streaming normal-equation sums
 //!   ([`IncrementalQuadraticFit`]) feeding the shared acceptance logic
 //!   ([`fit_effort_function_with_candidate`]);
-//! - subproblems re-solve only when their bitwise input fingerprint
-//!   (members, ω, weight, ψ, discretization, model parameters) changed;
-//!   cached solutions are reused with their positional ids re-patched.
+//! - subproblems re-solve only when their bitwise inputs (members, ω,
+//!   weight, ψ, discretization, model parameters) changed; cached
+//!   solutions are reused with their positional ids re-patched, and
+//!   each re-solve is counted by the first input that changed
+//!   ([`ServeStats`]).
 //!
 //! Every per-item computation is the *same function* the batch path
 //! runs (shared via `dcc-detect`/`dcc-core`), so equality is by
@@ -28,9 +30,9 @@
 
 use dcc_core::{
     assemble_design, decompose_design, effort_region, fit_effort_function,
-    fit_effort_function_with_candidate, solve_subproblems_pooled, BipSolution, ClassModel,
-    ClassModels, ClassPoints, ContractDesign, CoreError, DegradationReport, DegradedSubproblem,
-    DesignConfig, DesignPrep, Discretization, EffortFit, SubproblemSolution,
+    fit_effort_function_with_candidate, solve_subproblems, BipSolution, ClassModel, ClassModels,
+    ClassPoints, ContractDesign, CoreError, DegradationReport, DegradedSubproblem, DesignConfig,
+    DesignPrep, Discretization, EffortFit, Subproblem, SubproblemSolution,
 };
 use dcc_detect::{
     CollusionReport, ConsensusMap, DetectionResult, FeedbackWeights, MaliciousEstimates,
@@ -38,6 +40,7 @@ use dcc_detect::{
 };
 use dcc_graph::UnionFind;
 use dcc_numerics::IncrementalQuadraticFit;
+use dcc_obs::Metrics;
 use dcc_trace::{
     Campaign, Product, ProductId, Reviewer, ReviewerId, TraceDataset, WorkerClass,
 };
@@ -65,6 +68,16 @@ pub struct ServeStats {
     pub solve_resolved: usize,
     /// Subproblems whose cached solution was reused unchanged.
     pub solve_reused: usize,
+    /// Re-solves with no cached entry for their member set (a new
+    /// worker, a changed community, or the first round).
+    pub miss_no_entry: usize,
+    /// Re-solves whose cached entry was made under other model
+    /// parameters (μ, β, ω, κ, γ, ρ).
+    pub miss_params: usize,
+    /// Re-solves whose ψ or discretization changed: a class refit.
+    pub miss_psi: usize,
+    /// Re-solves whose own ω or Eq. 5 weight changed.
+    pub miss_weight: usize,
 }
 
 impl ServeStats {
@@ -150,11 +163,46 @@ impl ClassAccumulator {
     }
 }
 
+/// The bitwise inputs one subproblem solve reads besides its member
+/// set, grouped by what changes them so a memo miss can name its cause.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SolveInputs {
+    /// Model parameters μ, β, ω, κ, γ, ρ.
+    params: [u64; 6],
+    /// ψ's coefficients and the discretization (intervals, y_max).
+    psi: [u64; 5],
+    /// The subproblem's own ω and Eq. 5 weight.
+    weight: [u64; 2],
+}
+
+impl SolveInputs {
+    fn of(sp: &Subproblem, params: &dcc_core::ModelParams) -> Self {
+        SolveInputs {
+            params: [
+                params.mu.to_bits(),
+                params.beta.to_bits(),
+                params.omega.to_bits(),
+                params.kappa.to_bits(),
+                params.gamma.to_bits(),
+                params.rho.to_bits(),
+            ],
+            psi: [
+                sp.psi.r2().to_bits(),
+                sp.psi.r1().to_bits(),
+                sp.psi.r0().to_bits(),
+                sp.disc.intervals() as u64,
+                sp.disc.y_max().to_bits(),
+            ],
+            weight: [sp.omega.to_bits(), sp.weight.to_bits()],
+        }
+    }
+}
+
 /// A cached subproblem solution keyed by its member set, with the
-/// bitwise fingerprint of every input that feeds the solve.
+/// bitwise inputs it was solved from.
 #[derive(Debug, Clone)]
 struct CachedSolve {
-    fingerprint: Vec<u64>,
+    inputs: SolveInputs,
     solution: SubproblemSolution,
     degraded: Option<DegradedSubproblem>,
 }
@@ -688,48 +736,31 @@ impl ServeState {
         Ok(models)
     }
 
-    /// Solves only the subproblems whose bitwise input fingerprint
-    /// changed, merging cached and fresh solutions in input order.
-    /// Bit-identical to a full `solve_subproblems_pooled` over all
-    /// subproblems: each subproblem's arithmetic is self-contained, the
-    /// total is re-summed over the merged list in input order, and the
-    /// pooled solve is itself bit-identical across pool sizes.
+    /// Solves only the subproblems whose bitwise inputs changed, merging
+    /// cached and fresh solutions in input order. Bit-identical to a full
+    /// `solve_subproblems` over all subproblems: each subproblem's
+    /// arithmetic is self-contained, the total is re-summed over the
+    /// merged list in input order, and the pooled solve is itself
+    /// bit-identical across pool sizes.
+    ///
+    /// Each re-solve is counted under the first input group that
+    /// differs from the cached entry: no entry for the member set, then
+    /// model parameters, then ψ/discretization, then ω/weight.
     fn solve_incremental(
         &mut self,
         prep: &DesignPrep,
     ) -> Result<(BipSolution, DegradationReport), CoreError> {
         let params = &self.design.params;
         let policy = self.design.failure_policy;
-        let param_fp = [
-            params.mu.to_bits(),
-            params.beta.to_bits(),
-            params.omega.to_bits(),
-            params.kappa.to_bits(),
-            params.gamma.to_bits(),
-            params.rho.to_bits(),
-        ];
-        let fingerprint = |sp: &dcc_core::Subproblem| -> Vec<u64> {
-            let mut fp = Vec::with_capacity(12 + sp.members.len());
-            fp.extend_from_slice(&param_fp);
-            fp.push(sp.omega.to_bits());
-            fp.push(sp.weight.to_bits());
-            fp.push(sp.psi.r2().to_bits());
-            fp.push(sp.psi.r1().to_bits());
-            fp.push(sp.psi.r0().to_bits());
-            fp.push(sp.disc.intervals() as u64);
-            fp.push(sp.disc.y_max().to_bits());
-            fp.extend(sp.members.iter().map(|&m| m as u64));
-            fp
-        };
 
         let mut slots: Vec<Option<(SubproblemSolution, Option<DegradedSubproblem>)>> =
             vec![None; prep.subproblems.len()];
-        let mut to_solve: Vec<dcc_core::Subproblem> = Vec::new();
+        let mut to_solve: Vec<Subproblem> = Vec::new();
         let mut to_solve_at: Vec<usize> = Vec::new();
         for (i, sp) in prep.subproblems.iter().enumerate() {
-            let fp = fingerprint(sp);
+            let inputs = SolveInputs::of(sp, params);
             match self.solve_cache.get(&sp.members) {
-                Some(hit) if hit.fingerprint == fp => {
+                Some(hit) if hit.inputs == inputs => {
                     let mut solution = hit.solution.clone();
                     solution.id = sp.id;
                     let degraded = hit.degraded.clone().map(|mut d| {
@@ -739,7 +770,16 @@ impl ServeState {
                     slots[i] = Some((solution, degraded));
                     self.stats.solve_reused += 1;
                 }
-                _ => {
+                miss => {
+                    let cause = match miss {
+                        None => &mut self.stats.miss_no_entry,
+                        Some(hit) if hit.inputs.params != inputs.params => {
+                            &mut self.stats.miss_params
+                        }
+                        Some(hit) if hit.inputs.psi != inputs.psi => &mut self.stats.miss_psi,
+                        Some(_) => &mut self.stats.miss_weight,
+                    };
+                    *cause += 1;
                     to_solve.push(sp.clone());
                     to_solve_at.push(i);
                     self.stats.solve_resolved += 1;
@@ -748,8 +788,10 @@ impl ServeState {
         }
 
         if !to_solve.is_empty() {
+            // Serve's metric stream is its own `serve.*` counters; the
+            // per-subproblem solve spans stay out of it.
             let (fresh, fresh_report) =
-                solve_subproblems_pooled(&to_solve, params, self.pool, policy)?;
+                solve_subproblems(&to_solve, params, self.pool, policy, &Metrics::noop())?;
             let mut degraded_by_id: BTreeMap<usize, DegradedSubproblem> = fresh_report
                 .degraded
                 .into_iter()
@@ -773,7 +815,7 @@ impl ServeState {
             cache.insert(
                 sp.members.clone(),
                 CachedSolve {
-                    fingerprint: fingerprint(sp),
+                    inputs: SolveInputs::of(sp, params),
                     solution: solution.clone(),
                     degraded: degradation.clone(),
                 },

@@ -9,7 +9,7 @@
 use dcc_core::DesignConfig;
 use dcc_detect::{PipelineConfig, SuspectSource};
 use dcc_obs::Metrics;
-use dcc_serve::{events_from_trace, ServeService, ServeState};
+use dcc_serve::{events_from_trace, ServeService, ServeState, ServeStats};
 use dcc_trace::SyntheticConfig;
 
 fn replay_verified(seed: u64, pool: usize) -> ServeService {
@@ -71,6 +71,51 @@ fn quiet_rounds_reuse_everything() {
     assert_eq!(quiet.solve_resolved, busy.solve_resolved);
     assert_eq!(quiet.fit_refits, busy.fit_refits);
     assert!(digests.windows(2).all(|w| w[0] == w[1]));
+}
+
+#[test]
+fn resolve_causes_account_for_every_resolve() {
+    let causes = |s: &ServeStats| s.miss_no_entry + s.miss_params + s.miss_psi + s.miss_weight;
+    let trace = SyntheticConfig::small(7).generate();
+    let mut state =
+        ServeState::new(PipelineConfig::default(), DesignConfig::default(), 2).expect("config");
+    let mut psi_rounds = 0;
+    for event in &events_from_trace(&trace) {
+        let before = state.stats();
+        if state.apply(event).expect("event applies").is_none() {
+            continue;
+        }
+        let after = state.stats();
+        assert_eq!(
+            causes(&after),
+            after.solve_resolved,
+            "round {}",
+            after.rounds
+        );
+        // ψ and the discretization change only through a class refit,
+        // so ψ misses appear only in rounds that refit a class.
+        if after.miss_psi > before.miss_psi {
+            assert!(
+                after.fit_refits > before.fit_refits,
+                "round {}",
+                after.rounds
+            );
+            psi_rounds += 1;
+        }
+    }
+    let end = state.stats();
+    assert!(
+        psi_rounds > 0,
+        "some refit round re-solved under psi: {end:?}"
+    );
+    assert!(
+        end.miss_no_entry > 0,
+        "the first round has no entries: {end:?}"
+    );
+    assert_eq!(
+        end.miss_params, 0,
+        "the model parameters never change: {end:?}"
+    );
 }
 
 #[test]

@@ -17,10 +17,10 @@ use dyncontract::batch::{
     FailureKind, FaultMode, FaultPoint, ScenarioFault, ScenarioGrid, SupervisorOptions,
 };
 use dyncontract::core::{
-    solve_subproblems_columns, solve_subproblems_pooled, BipSolution, ContractDesign,
-    FailurePolicy, ModelParams, Subproblem, SubproblemColumns,
+    solve_subproblems, BipSolution, ContractDesign, FailurePolicy, ModelParams, Subproblem,
 };
 use dyncontract::engine::{Engine, EngineConfig, PoolSize, RoundContext, StageKind};
+use dyncontract::obs::Metrics;
 use dyncontract::trace::{SyntheticConfig, TraceDataset};
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -178,26 +178,43 @@ proptest! {
         prop_assert_eq!(swept.as_str(), reference(seed_idx));
     }
 
-    /// The struct-of-arrays solve (`solve_subproblems_columns`) is
-    /// byte-identical to the row-struct solver on the same decomposition,
-    /// at every pool size and μ — the guarantee that lets the engine's
-    /// hot path consume the columnar view unconditionally.
+    /// The one solve (`solve_subproblems`) is byte-identical to its
+    /// pool-1 run at every pool size and μ, under every failure policy.
+    /// One corrupted weight sends the degraded policies down their
+    /// fallback and skip paths, and Abort down its error path.
     #[test]
-    fn columnar_solve_matches_struct_solve(
+    fn pooled_solve_matches_pool_one(
         seed_idx in 0usize..SEEDS.len(),
         pool in 1usize..=16,
         mu_idx in 0usize..MUS.len(),
+        victim in 0usize..64,
     ) {
-        let sps = subproblems(seed_idx);
+        let clean = subproblems(seed_idx);
+        let mut corrupted = clean.to_vec();
+        let n = corrupted.len();
+        corrupted[victim % n].weight = f64::NAN;
         let params = ModelParams { mu: MUS[mu_idx], ..ModelParams::default() };
-        let (row, row_deg) = solve_subproblems_pooled(sps, &params, 1, FailurePolicy::Abort)
-            .expect("struct solve");
-        let columns = SubproblemColumns::from_subproblems(sps);
-        let (col, col_deg) =
-            solve_subproblems_columns(columns.view(), &params, pool, FailurePolicy::Abort)
-                .expect("columnar solve");
-        prop_assert_eq!(encode_bip(&col), encode_bip(&row));
-        prop_assert_eq!(format!("{col_deg:?}"), format!("{row_deg:?}"));
+        let solve = |sps: &[Subproblem], policy, pool| {
+            solve_subproblems(sps, &params, pool, policy, &Metrics::noop())
+        };
+
+        let (one, _) = solve(clean, FailurePolicy::Abort, 1).expect("clean pool-1 solve");
+        let (pooled, pooled_deg) =
+            solve(clean, FailurePolicy::Abort, pool).expect("clean pooled solve");
+        prop_assert_eq!(encode_bip(&pooled), encode_bip(&one));
+        prop_assert!(pooled_deg.is_empty());
+
+        let one_err = solve(&corrupted, FailurePolicy::Abort, 1).expect_err("abort fails");
+        let pooled_err = solve(&corrupted, FailurePolicy::Abort, pool).expect_err("abort fails");
+        prop_assert_eq!(pooled_err.to_string(), one_err.to_string());
+
+        for policy in [FailurePolicy::Skip, FailurePolicy::FallbackBaseline { amount: 0.5 }] {
+            let (one, one_deg) = solve(&corrupted, policy, 1).expect("degraded pool-1 solve");
+            let (pooled, pooled_deg) = solve(&corrupted, policy, pool).expect("degraded solve");
+            prop_assert_eq!(one_deg.len(), 1, "exactly the victim degrades");
+            prop_assert_eq!(encode_bip(&pooled), encode_bip(&one));
+            prop_assert_eq!(format!("{pooled_deg:?}"), format!("{one_deg:?}"));
+        }
     }
 
     /// The batch runner — any scenario-pool size, any failure policy —

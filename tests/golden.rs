@@ -594,3 +594,30 @@ fn a_1e6_perturbation_fails_the_comparison() {
     diff("table3", &pristine, &pristine, &mut clean);
     assert!(clean.is_empty());
 }
+
+/// `Json::parse` limits nesting depth; every JSON document the
+/// repository commits (these goldens, the linter's goldens, and the
+/// benchmark spec) stays well inside the limit.
+#[test]
+fn every_committed_json_document_parses() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut files = vec![root.join("BENCHMARK.json")];
+    for dir in ["tests/golden", "crates/lint/tests/golden"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("golden dir") {
+            let path = entry.expect("dir entry").path();
+            if matches!(
+                path.extension().and_then(|e| e.to_str()),
+                Some("json" | "sarif")
+            ) {
+                files.push(path);
+            }
+        }
+    }
+    assert!(files.len() >= 10, "found only {files:?}");
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("readable");
+        if let Err(e) = Json::parse(&text) {
+            panic!("{}: {e}", path.display());
+        }
+    }
+}
