@@ -1,4 +1,4 @@
-//! The `dcc-batch-ckpt/1` checkpoint: a periodic partial-results
+//! The `dcc-batch-ckpt/2` checkpoint: a periodic partial-results
 //! snapshot of a supervised batch run, keyed by the grid fingerprint.
 //!
 //! A checkpoint stores, per completed scenario, either a
@@ -8,23 +8,28 @@
 //! [`dcc_faults::Json`]'s shortest-round-trip rendering, which is what
 //! makes a resumed run's output byte-identical to an uninterrupted one.
 //!
-//! The file is written atomically (temp file + rename) every
-//! [`crate::CheckpointConfig::every`] fresh completions, and validated
-//! on load against the schema string, the grid fingerprint, and the
-//! scenario count — a checkpoint from a different grid (or a different
-//! trace seed) is rejected instead of silently mixing results.
+//! It is the shared checkpoint document of `dcc_faults::checkpoint`
+//! (`{"schema", "payload"}`), written by `save_json_atomic` every
+//! [`crate::CheckpointConfig::every`] fresh completions. On load the
+//! payload's input fingerprint must match the running grid's, so a
+//! checkpoint from a different grid (or a different trace seed) is a
+//! `CoreError::CheckpointMismatch` instead of silently mixed results.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
-use dcc_faults::Json;
+use dcc_core::CoreError;
+use dcc_faults::{
+    check_fingerprint, checkpoint_document, fingerprint_json, load_checkpoint_payload,
+    save_json_atomic, Json,
+};
 
 use crate::runner::ScenarioOutcome;
 use crate::supervisor::{FailureKind, ScenarioFailure};
 
-/// Schema tag of the batch checkpoint format.
-pub const CKPT_SCHEMA: &str = "dcc-batch-ckpt/1";
+/// Schema tag of the batch checkpoint document.
+pub const CKPT_SCHEMA: &str = "dcc-batch-ckpt/2";
 
 /// The canonical per-agent outputs of a designed scenario — everything
 /// the batch CLI and the differential suites derive per agent.
@@ -56,7 +61,7 @@ pub struct SimSummary {
 /// batch scenario: everything `dcc batch` renders and everything the
 /// byte-identity differential tests compare is derivable from it,
 /// whether the scenario was computed this run or restored from a
-/// `dcc-batch-ckpt/1` snapshot.
+/// `dcc-batch-ckpt/2` snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSummary {
     /// The designed `Σ (w q − μ c)` requester utility.
@@ -276,65 +281,57 @@ fn entry_from_json(json: &Json, total: usize) -> Result<(usize, CkptEntry), Stri
     Ok((id, CkptEntry { attempts, payload }))
 }
 
-/// Renders a checkpoint document. Entries are keyed (and rendered) in
-/// scenario-id order, so the bytes are a pure function of the results.
-pub(crate) fn render_checkpoint(
-    grid_fp: u64,
-    total: usize,
-    entries: &BTreeMap<usize, CkptEntry>,
-) -> String {
-    let doc = obj(vec![
-        ("schema", Json::Str(CKPT_SCHEMA.to_string())),
-        ("grid_fingerprint", Json::Str(format!("{grid_fp:016x}"))),
-        ("scenarios", Json::idx(total)),
-        (
-            "records",
-            Json::Arr(entries.iter().map(|(&id, e)| entry_to_json(id, e)).collect()),
-        ),
-    ]);
-    doc.to_string()
+/// The checkpoint document of a grid with fingerprint `grid_fp`.
+/// Entries are keyed (and rendered) in scenario-id order, so the bytes
+/// are a pure function of the results.
+pub(crate) fn checkpoint_doc(grid_fp: u64, entries: &BTreeMap<usize, CkptEntry>) -> Json {
+    checkpoint_document(
+        CKPT_SCHEMA,
+        obj(vec![
+            ("fingerprint", fingerprint_json(grid_fp)),
+            (
+                "records",
+                Json::Arr(entries.iter().map(|(&id, e)| entry_to_json(id, e)).collect()),
+            ),
+        ]),
+    )
 }
 
-/// Parses and validates a checkpoint document against the running
-/// grid's fingerprint and scenario count.
+/// Decodes a checkpoint payload's records against a grid of `total`
+/// scenarios.
 ///
 /// # Errors
 ///
-/// A diagnostic string on malformed JSON, schema mismatch, fingerprint
-/// mismatch (the checkpoint belongs to a different grid), scenario
-/// count mismatch, or out-of-range ids.
-pub(crate) fn parse_checkpoint(
-    text: &str,
-    grid_fp: u64,
-    total: usize,
-) -> Result<BTreeMap<usize, CkptEntry>, String> {
-    let doc = Json::parse(text).map_err(|e| format!("malformed checkpoint: {e}"))?;
-    let schema = as_str(&doc, "schema")?;
-    if schema != CKPT_SCHEMA {
-        return Err(format!("checkpoint schema {schema:?} is not {CKPT_SCHEMA:?}"));
-    }
-    let fp = as_str(&doc, "grid_fingerprint")?;
-    let expected = format!("{grid_fp:016x}");
-    if fp != expected {
-        return Err(format!(
-            "checkpoint grid fingerprint {fp} does not match this grid ({expected}); \
-             refusing to mix results across grids"
-        ));
-    }
-    let count = as_idx(&doc, "scenarios")?;
-    if count != total {
-        return Err(format!(
-            "checkpoint covers {count} scenarios but the grid has {total}"
-        ));
-    }
+/// A diagnostic string on a malformed record, an out-of-range id, or a
+/// duplicate id.
+fn parse_records(payload: &Json, total: usize) -> Result<BTreeMap<usize, CkptEntry>, String> {
     let mut entries = BTreeMap::new();
-    for record in as_arr(&doc, "records")? {
+    for record in as_arr(payload, "records")? {
         let (id, entry) = entry_from_json(record, total)?;
         if entries.insert(id, entry).is_some() {
             return Err(format!("duplicate checkpoint record for scenario {id}"));
         }
     }
     Ok(entries)
+}
+
+/// Reads the checkpoint at `path` for the running grid (fingerprint
+/// `grid_fp`, `total` scenarios).
+///
+/// # Errors
+///
+/// [`CoreError::Io`] for an unreadable file,
+/// [`CoreError::CheckpointMismatch`] for another grid's checkpoint, and
+/// [`CoreError::InvalidInput`] naming the path for anything malformed.
+pub(crate) fn load_checkpoint(
+    path: &Path,
+    grid_fp: u64,
+    total: usize,
+) -> Result<BTreeMap<usize, CkptEntry>, CoreError> {
+    let payload = load_checkpoint_payload(path, CKPT_SCHEMA)?;
+    check_fingerprint(path, &payload, grid_fp)?;
+    parse_records(&payload, total)
+        .map_err(|e| CoreError::InvalidInput(format!("checkpoint {}: {e}", path.display())))
 }
 
 // ---------------------------------------------------------------------------
@@ -347,7 +344,7 @@ struct WriterState {
     pending: usize,
     /// First I/O error, surfaced after the run (worker threads must
     /// not abort mid-scenario on a full disk).
-    error: Option<String>,
+    error: Option<CoreError>,
 }
 
 /// Thread-safe periodic checkpoint writer. `record` is called from
@@ -357,7 +354,6 @@ pub(crate) struct CkptWriter {
     path: PathBuf,
     every: usize,
     grid_fp: u64,
-    total: usize,
     state: Mutex<WriterState>,
 }
 
@@ -366,14 +362,12 @@ impl CkptWriter {
         path: &Path,
         every: usize,
         grid_fp: u64,
-        total: usize,
         restored: BTreeMap<usize, CkptEntry>,
     ) -> Self {
         CkptWriter {
             path: path.to_path_buf(),
             every: every.max(1),
             grid_fp,
-            total,
             state: Mutex::new(WriterState {
                 entries: restored,
                 pending: 0,
@@ -392,14 +386,14 @@ impl CkptWriter {
         state.entries.insert(id, entry);
         state.pending += 1;
         if state.pending >= self.every {
-            Self::write(&self.path, self.grid_fp, self.total, &mut state);
+            self.write(&mut state);
         }
     }
 
     /// Forces a write of the current entries.
     pub(crate) fn flush(&self) {
         let mut state = self.lock();
-        Self::write(&self.path, self.grid_fp, self.total, &mut state);
+        self.write(&mut state);
     }
 
     /// Scenarios with checkpointed results.
@@ -408,18 +402,15 @@ impl CkptWriter {
     }
 
     /// The first I/O error hit while writing, if any.
-    pub(crate) fn take_error(&self) -> Option<String> {
+    pub(crate) fn take_error(&self) -> Option<CoreError> {
         self.lock().error.take()
     }
 
-    fn write(path: &Path, grid_fp: u64, total: usize, state: &mut WriterState) {
+    fn write(&self, state: &mut WriterState) {
         state.pending = 0;
-        let text = render_checkpoint(grid_fp, total, &state.entries);
-        let tmp = path.with_extension("tmp");
-        let result = std::fs::write(&tmp, text.as_bytes())
-            .and_then(|()| std::fs::rename(&tmp, path));
+        let result = save_json_atomic(&self.path, &checkpoint_doc(self.grid_fp, &state.entries));
         if let (Err(e), None) = (result, &state.error) {
-            state.error = Some(format!("cannot write checkpoint {}: {e}", path.display()));
+            state.error = Some(e);
         }
     }
 }
@@ -479,8 +470,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn documents_round_trip_and_validate() {
+    fn temp_path(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("dcc-batch-ckpt-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    fn sample_entries() -> BTreeMap<usize, CkptEntry> {
         let mut entries = BTreeMap::new();
         entries.insert(
             0,
@@ -497,45 +494,54 @@ mod tests {
                 }),
             },
         );
-        let text = render_checkpoint(0xdead_beef, 6, &entries);
-        let back = parse_checkpoint(&text, 0xdead_beef, 6).unwrap();
+        entries
+    }
+
+    #[test]
+    fn documents_round_trip_and_validate() {
+        let entries = sample_entries();
+        let path = temp_path("roundtrip.ckpt");
+        save_json_atomic(&path, &checkpoint_doc(0xdead_beef, &entries)).unwrap();
+        let back = load_checkpoint(&path, 0xdead_beef, 6).unwrap();
         assert_eq!(back, entries);
         // Rendering is canonical: a round-trip reproduces the bytes.
-        assert_eq!(render_checkpoint(0xdead_beef, 6, &back), text);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(checkpoint_doc(0xdead_beef, &back).to_string(), text);
 
-        let fp_err = parse_checkpoint(&text, 0xdead_beee, 6).unwrap_err();
-        assert!(fp_err.contains("fingerprint"), "{fp_err}");
-        let count_err = parse_checkpoint(&text, 0xdead_beef, 5).unwrap_err();
-        assert!(count_err.contains("5"), "{count_err}");
-        let schema_err =
-            parse_checkpoint(&text.replace("dcc-batch-ckpt/1", "bogus/9"), 0xdead_beef, 6)
-                .unwrap_err();
-        assert!(schema_err.contains("schema"), "{schema_err}");
+        let err = load_checkpoint(&path, 0xdead_beee, 6).unwrap_err();
+        assert!(matches!(err, CoreError::CheckpointMismatch { .. }), "{err}");
+        assert!(err.to_string().contains("fingerprint"), "{err}");
+        let err = load_checkpoint(&path, 0xdead_beef, 3).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
+
+        std::fs::write(&path, text.replace(CKPT_SCHEMA, "dcc-batch-ckpt/1")).unwrap();
+        let err = load_checkpoint(&path, 0xdead_beef, 6).unwrap_err();
+        assert!(err.to_string().contains("schema"), "{err}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn out_of_range_and_duplicate_ids_are_rejected() {
-        let mut entries = BTreeMap::new();
-        entries.insert(
-            5,
-            CkptEntry { attempts: 1, payload: CkptPayload::Summary(sample_summary(false)) },
-        );
-        let text = render_checkpoint(1, 6, &entries);
-        assert!(parse_checkpoint(&text, 1, 6).is_ok());
-        // Same document declared over a 5-scenario grid: id 5 overflows
-        // (count check fires first, so patch the count too).
-        let shrunk = text.replace("\"scenarios\":6", "\"scenarios\":5");
-        let err = parse_checkpoint(&shrunk, 1, 5).unwrap_err();
+        let entry =
+            CkptEntry { attempts: 1, payload: CkptPayload::Summary(sample_summary(false)) };
+        let records = |ids: &[usize]| {
+            obj(vec![(
+                "records",
+                Json::Arr(ids.iter().map(|&id| entry_to_json(id, &entry)).collect()),
+            )])
+        };
+        assert!(parse_records(&records(&[5, 0]), 6).is_ok());
+        let err = parse_records(&records(&[6]), 6).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
+        let err = parse_records(&records(&[2, 2]), 6).unwrap_err();
+        assert!(err.contains("duplicate"), "{err}");
     }
 
     #[test]
     fn writer_batches_flushes_and_renames_atomically() {
-        let dir =
-            std::env::temp_dir().join(format!("dcc-ckpt-writer-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("batch.ckpt");
-        let writer = CkptWriter::new(&path, 2, 9, 4, BTreeMap::new());
+        let path = temp_path("writer.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let writer = CkptWriter::new(&path, 2, 9, BTreeMap::new());
         writer.record(
             1,
             CkptEntry { attempts: 1, payload: CkptPayload::Summary(sample_summary(false)) },
@@ -547,10 +553,62 @@ mod tests {
         );
         assert!(path.exists(), "threshold reached");
         assert_eq!(writer.completed(), 2);
-        let loaded =
-            parse_checkpoint(&std::fs::read_to_string(&path).unwrap(), 9, 4).unwrap();
-        assert_eq!(loaded.len(), 2);
+        assert_eq!(load_checkpoint(&path, 9, 4).unwrap().len(), 2);
         assert!(writer.take_error().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Well-formed JSON that is not a `/2` batch checkpoint: wrong
+    /// shapes, and the `/1` document of earlier releases.
+    const WRONG_SHAPES: [&str; 6] = [
+        "{}",
+        "[1,2]",
+        r#"{"schema":"dcc-batch-ckpt/2","payload":{"fingerprint":"0000000000000009"}}"#,
+        r#"{"schema":"dcc-batch-ckpt/2","payload":{"fingerprint":"0000000000000009","records":[{"id":0}]}}"#,
+        r#"{"schema":"dcc-batch-ckpt/2","payload":{"fingerprint":"0000000000000009","records":[{"id":-1,"attempts":1,"failure":{"kind":"panic","message":""}}]}}"#,
+        r#"{"schema":"dcc-batch-ckpt/1","grid_fingerprint":"0000000000000009","scenarios":6,"records":[]}"#,
+    ];
+
+    proptest::proptest! {
+        #[test]
+        fn batch_loader_is_total(
+            kind in 0u8..4,
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+            pick in proptest::prelude::any::<usize>(),
+            ids in proptest::collection::vec(0usize..12, 0..6),
+        ) {
+            let entry = CkptEntry { attempts: 1, payload: CkptPayload::Summary(sample_summary(true)) };
+            let valid = checkpoint_doc(9, &sample_entries()).to_string();
+            let input = match kind {
+                0 => bytes,
+                1 => valid.as_bytes()[..pick % valid.len()].to_vec(),
+                2 => WRONG_SHAPES[pick % WRONG_SHAPES.len()].as_bytes().to_vec(),
+                _ => checkpoint_document(
+                    CKPT_SCHEMA,
+                    obj(vec![
+                        ("fingerprint", fingerprint_json(9)),
+                        ("records", Json::Arr(ids.iter().map(|&id| entry_to_json(id, &entry)).collect())),
+                    ]),
+                )
+                .to_string()
+                .into_bytes(),
+            };
+            let path = temp_path("total.ckpt");
+            std::fs::write(&path, &input).unwrap();
+            match load_checkpoint(&path, 9, 6) {
+                Ok(loaded) => {
+                    proptest::prop_assert!(loaded.keys().all(|&id| id < 6));
+                    if kind == 3 {
+                        proptest::prop_assert_eq!(loaded.len(), ids.len());
+                    }
+                }
+                Err(CoreError::InvalidInput(m)) => {
+                    proptest::prop_assert!(m.contains(&path.display().to_string()), "{m}");
+                }
+                Err(other) => {
+                    proptest::prop_assert!(false, "unexpected error kind: {other}");
+                }
+            }
+        }
     }
 }

@@ -27,7 +27,7 @@
 //! `dcc-faults` backoff schedule, an optional logical work-budget
 //! bounds each scenario, and terminal failures are quarantined into a
 //! typed [`QuarantineReport`]. With a [`CheckpointConfig`] the runner
-//! writes versioned `dcc-batch-ckpt/1` snapshots and can resume an
+//! writes versioned `dcc-batch-ckpt/2` snapshots and can resume an
 //! interrupted sweep with output byte-identical to an uninterrupted
 //! run at every pool size — see `docs/batch.md` and
 //! `docs/robustness.md`.

@@ -25,6 +25,7 @@
 //! controls lifetime by dropping the [`StageMemo`].
 
 use dcc_detect::{DetectionResult, PipelineConfig};
+use dcc_numerics::Fnv;
 use dcc_trace::TraceDataset;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -158,41 +159,6 @@ impl StageMemo {
         value: Result<Arc<dcc_core::ContractDesign>, String>,
     ) {
         self.lock().solve.insert(key, value);
-    }
-}
-
-/// FNV-1a 64-bit — tiny, dependency-free, deterministic across runs
-/// and platforms (unlike `DefaultHasher`, whose seed is randomized).
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub(crate) fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
-        }
-    }
-
-    pub(crate) fn write_u64(&mut self, x: u64) {
-        self.write_bytes(&x.to_le_bytes());
-    }
-
-    pub(crate) fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-
-    pub(crate) fn write_f64(&mut self, x: f64) {
-        self.write_u64(x.to_bits());
-    }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0
     }
 }
 

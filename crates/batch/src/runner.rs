@@ -25,7 +25,7 @@
 //! [`dcc_faults::retry_with_backoff_on`], an optional logical
 //! work-budget, and quarantine into [`BatchReport::quarantine`] when
 //! retries exhaust. With a [`CheckpointConfig`] the runner snapshots
-//! partial results (`dcc-batch-ckpt/1`) and can resume an interrupted
+//! partial results (`dcc-batch-ckpt/2`) and can resume an interrupted
 //! sweep with output byte-identical to an uninterrupted run.
 //!
 //! Cache accounting is *deterministic by convention*: a scenario is
@@ -38,11 +38,11 @@
 //! and, because the accounting pass covers restored scenarios too,
 //! resume-independent.
 
-use crate::ckpt::{parse_checkpoint, CkptEntry, CkptPayload, CkptWriter, ScenarioSummary};
+use crate::ckpt::{load_checkpoint, CkptEntry, CkptPayload, CkptWriter, ScenarioSummary};
 use crate::grid::{strategy_label, Scenario, ScenarioGrid, TraceSpec};
 use crate::memo::{
     fit_fingerprint, pipeline_fingerprint, solve_fingerprint, trace_fingerprint, DetectKey, FitKey,
-    Fnv, MemoStats, SolveKey, StageMemo,
+    MemoStats, SolveKey, StageMemo,
 };
 use crate::supervisor::{
     panic_message, supervise_attempts, AttemptError, BatchFaultPlan, BatchOutcome, FailureKind,
@@ -50,13 +50,14 @@ use crate::supervisor::{
     WorkBudget,
 };
 use dcc_core::{
-    select_within_budget, BudgetedSelection, ContractDesign, DesignPrep, FailurePolicy,
-    SimulationOutcome,
+    select_within_budget, BudgetedSelection, ContractDesign, CoreError, DesignPrep,
+    FailurePolicy, SimulationOutcome,
 };
 use dcc_detect::{run_pipeline, DetectionResult};
 use dcc_engine::{
     Engine, EngineConfig, EngineSimOutcome, PoolSize, RoundContext, StageKind, TraceSource,
 };
+use dcc_numerics::Fnv;
 use dcc_obs::{names as obs, AttrValue, Metrics};
 use dcc_trace::{read_trace_columnar, read_trace_csv, TraceDataset};
 use std::collections::BTreeMap;
@@ -81,14 +82,16 @@ pub enum BatchError {
         /// The underlying engine/core error message.
         message: String,
     },
-    /// A checkpoint could not be read, validated, or written.
-    Checkpoint(String),
+    /// A checkpoint could not be read, validated, or written; a
+    /// checkpoint of another grid is a [`CoreError::CheckpointMismatch`].
+    Checkpoint(CoreError),
 }
 
 impl fmt::Display for BatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BatchError::Spec(msg) | BatchError::Checkpoint(msg) => write!(f, "{msg}"),
+            BatchError::Spec(msg) => write!(f, "{msg}"),
+            BatchError::Checkpoint(e) => write!(f, "{e}"),
             BatchError::Scenario { id, message } => {
                 write!(f, "scenario {id} failed: {message}")
             }
@@ -148,7 +151,7 @@ pub struct ScenarioOutcome {
 pub enum ScenarioResult {
     /// Computed this run; the full outcome is available.
     Computed(ScenarioOutcome),
-    /// Restored from a `dcc-batch-ckpt/1` checkpoint; only the
+    /// Restored from a `dcc-batch-ckpt/2` checkpoint; only the
     /// canonical [`ScenarioSummary`] survives a process boundary.
     Restored(ScenarioSummary),
 }
@@ -307,15 +310,17 @@ impl BatchRunner {
         match self.run_supervised(grid, scenarios, &SupervisorOptions::default())? {
             BatchOutcome::Completed(report) => Ok(report),
             // Unreachable: the default options set no kill threshold.
-            BatchOutcome::Killed { completed, total, .. } => Err(BatchError::Checkpoint(format!(
-                "batch killed at {completed}/{total} without a kill threshold"
-            ))),
+            BatchOutcome::Killed { completed, total, .. } => {
+                Err(BatchError::Checkpoint(CoreError::InvalidInput(format!(
+                    "batch killed at {completed}/{total} without a kill threshold"
+                ))))
+            }
         }
     }
 
     /// Runs a scenario list under full supervision: panic isolation,
     /// deterministic retries, work budgets, quarantine, and (when
-    /// configured) `dcc-batch-ckpt/1` checkpointing with kill/resume.
+    /// configured) `dcc-batch-ckpt/2` checkpointing with kill/resume.
     ///
     /// A resumed run's report — records, summaries, failures, cache
     /// flags, stats — is byte-identical to an uninterrupted run at
@@ -370,18 +375,12 @@ impl BatchRunner {
         // pass below, which keeps the cache flags resume-invariant.
         let restored: BTreeMap<usize, CkptEntry> = match (&sup.checkpoint, sup.resume) {
             (Some(config), true) => {
-                let text = std::fs::read_to_string(&config.path).map_err(|e| {
-                    BatchError::Checkpoint(format!(
-                        "cannot read checkpoint {}: {e}",
-                        config.path.display()
-                    ))
-                })?;
-                parse_checkpoint(&text, grid_fp, n).map_err(BatchError::Checkpoint)?
+                load_checkpoint(&config.path, grid_fp, n).map_err(BatchError::Checkpoint)?
             }
             _ => BTreeMap::new(),
         };
         let writer = sup.checkpoint.as_ref().map(|config| {
-            CkptWriter::new(&config.path, config.every, grid_fp, n, restored.clone())
+            CkptWriter::new(&config.path, config.every, grid_fp, restored.clone())
         });
 
         // Per-key in-flight slots, pre-seeded from the persistent memo.
@@ -589,9 +588,9 @@ impl BatchRunner {
             // where to resume from. (`stop` is only ever set when a
             // kill threshold — and therefore a checkpoint — is set.)
             let Some(writer) = &writer else {
-                return Err(BatchError::Checkpoint(
+                return Err(BatchError::Checkpoint(CoreError::InvalidInput(
                     "batch killed without a checkpoint writer".to_string(),
-                ));
+                )));
             };
             writer.flush();
             if let Some(error) = writer.take_error() {
@@ -872,7 +871,7 @@ fn scenario_solve_fp(grid: &ScenarioGrid, scenario: &Scenario) -> u64 {
 
 /// Fingerprint of the *whole run*: every scenario's grid point, its
 /// trace content, and the shared pipeline/fit/solve/sim configuration.
-/// A `dcc-batch-ckpt/1` checkpoint is only valid against the exact run
+/// A `dcc-batch-ckpt/2` checkpoint is only valid against the exact run
 /// that wrote it, so restored results can never silently mix grids.
 fn grid_fingerprint(
     grid: &ScenarioGrid,
@@ -1568,7 +1567,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(
-            matches!(&err, BatchError::Checkpoint(m) if m.contains("fingerprint")),
+            matches!(&err, BatchError::Checkpoint(CoreError::CheckpointMismatch { .. })),
             "{err:?}"
         );
         // Resume without a checkpoint path is a spec error; kill

@@ -51,7 +51,7 @@ pub struct SupervisorOptions {
     /// scenarios completed, flush the checkpoint, and return
     /// [`BatchOutcome::Killed`]. Requires [`SupervisorOptions::checkpoint`].
     pub kill_after: Option<usize>,
-    /// Periodic partial-results checkpointing (`dcc-batch-ckpt/1`).
+    /// Periodic partial-results checkpointing (`dcc-batch-ckpt/2`).
     pub checkpoint: Option<CheckpointConfig>,
     /// Restore completed scenarios from the checkpoint file before
     /// running; restored scenarios are not recomputed. Requires

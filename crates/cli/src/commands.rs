@@ -353,12 +353,12 @@ pub fn cmd_design(args: &ParsedArgs) -> CliResult {
 ///  [--checkpoint FILE [--kill-at N | --resume]]
 ///  [--policy abort|fallback|skip [--fallback-amount F]]`
 ///
-/// With `--checkpoint` the complete simulation state is persisted after
-/// every round; `--kill-at N` stops the run before round `N` (simulating
-/// a crash), and `--resume` continues from the checkpoint instead of
-/// starting over. Because the fault plan is deterministic in `(agent,
-/// round)`, a killed-and-resumed run reproduces the uninterrupted
-/// outcome bit-exactly.
+/// With `--checkpoint` the run's input fingerprint and completed round
+/// count are saved after every round; `--kill-at N` stops the run
+/// before round `N` (simulating a crash), and `--resume` replays the
+/// recorded rounds and continues. The run is a pure function of its
+/// inputs, so a killed-and-resumed run prints exactly what the
+/// uninterrupted run prints; a checkpoint of any other run is refused.
 pub fn cmd_simulate(args: &ParsedArgs) -> CliResult {
     let (mut ctx, sink) = engine_context(args)?;
     Engine::new().run(&mut ctx)?;
@@ -1519,7 +1519,9 @@ fn ascii_plot(contract: &dcc_core::Contract, width: usize, height: usize) -> Str
 /// every round boundary; `--kill-at N` stops after `N` events
 /// (simulating a crash) and `--resume` re-applies the checkpointed log
 /// — the resumed run re-emits the restored rounds, so its full output
-/// is byte-identical to an uninterrupted run (`make chaos-serve`).
+/// is byte-identical to an uninterrupted run (`make chaos-serve`). A
+/// log that is not a prefix of the input events belongs to another
+/// stream and is refused (exit 1).
 pub fn cmd_serve(args: &ParsedArgs) -> CliResult {
     let design = design_config(args)?;
     let pipeline = PipelineConfig::default();
@@ -1589,8 +1591,9 @@ pub fn cmd_serve(args: &ParsedArgs) -> CliResult {
     let mut out = String::new();
     let (mut service, restored) = match &checkpoint {
         Some(path) if resume && path.is_file() => {
-            let log = dcc_serve::load_checkpoint(path)?;
-            ServeService::restore(pipeline, design, pool, verify, metrics.clone(), &log)?
+            let n = dcc_serve::load_checkpoint(path, &events)?;
+            let log = events.get(..n).unwrap_or_default();
+            ServeService::restore(pipeline, design, pool, verify, metrics.clone(), log)?
         }
         _ => (
             ServeService::new(pipeline, design, pool, verify, metrics.clone())?,
@@ -1734,6 +1737,7 @@ pub fn dispatch(args: &ParsedArgs) -> CliResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcc_core::CoreError;
 
     fn parse(s: &str) -> ParsedArgs {
         ParsedArgs::parse(s.split_whitespace().map(String::from))
@@ -2021,12 +2025,112 @@ mod tests {
         let resumed =
             dispatch(&parse(&format!("{base} --checkpoint {cp} --resume"))).unwrap();
 
-        // The accounting line must agree exactly with the uninterrupted
-        // run; only the per-invocation fired-fault count may differ.
-        assert_eq!(
-            uninterrupted.lines().next().unwrap(),
-            resumed.lines().next().unwrap()
+        // The resume replays the recorded rounds, so it prints exactly
+        // what the uninterrupted run prints, fired-fault count included.
+        assert_eq!(uninterrupted, resumed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn simulate_resume_refuses_another_runs_checkpoint() {
+        let dir = temp_dir("simmismatch");
+        let trace = |seed: u64| {
+            let out = format!("{dir}/t{seed}");
+            dispatch(&parse(&format!("gen --seed {seed} --scale small --out {out}"))).unwrap();
+            out
+        };
+        // Seeds 11 and 12 design the same number of agents; seed 9 does not.
+        let (a, same_count, other_count) = (trace(11), trace(12), trace(9));
+        let agents = |dir: &str| {
+            let out = dispatch(&parse(&format!("design {dir}"))).unwrap();
+            out.split_whitespace().nth(1).unwrap().to_string()
+        };
+        assert_eq!(agents(&a), agents(&same_count));
+        assert_ne!(agents(&a), agents(&other_count));
+        let plan = |seed: u64| {
+            let file = format!("{dir}/plan{seed}.json");
+            dispatch(&parse(&format!(
+                "faults gen --agents 2000 --rounds 8 --dropout 0.05 --missing 0.1 --seed {seed} \
+                 --out {file}"
+            )))
+            .unwrap();
+            file
+        };
+        let (plan4, plan5) = (plan(4), plan(5));
+        let cp = format!("{dir}/sim.ckpt.json");
+        let killed = dispatch(&parse(&format!(
+            "simulate {a} --rounds 8 --fault-plan {plan4} --checkpoint {cp} --kill-at 4"
+        )))
+        .unwrap();
+        assert!(killed.contains("killed at round 4"), "{killed}");
+
+        for other in [
+            format!("simulate {same_count} --rounds 8 --fault-plan {plan4}"),
+            format!("simulate {other_count} --rounds 8 --fault-plan {plan4}"),
+            format!("simulate {a} --rounds 8 --fault-plan {plan4} --mu 1.2"),
+            format!("simulate {a} --rounds 8 --fault-plan {plan4} --seed 8"),
+            format!("simulate {a} --rounds 9 --fault-plan {plan4}"),
+            format!("simulate {a} --rounds 8 --fault-plan {plan4} --strategy exclude"),
+            format!("simulate {a} --rounds 8 --fault-plan {plan5}"),
+            format!("simulate {a} --rounds 8"),
+        ] {
+            let err = dispatch(&parse(&format!("{other} --checkpoint {cp} --resume"))).unwrap_err();
+            assert_eq!(err.exit_code(), 1, "{other}: {err}");
+            assert!(
+                matches!(err, CliError::Core(CoreError::CheckpointMismatch { .. })),
+                "{other}: {err}"
+            );
+            assert!(err.to_string().contains(&cp), "{err}");
+        }
+
+        // A checkpoint in the earlier state-snapshot format is refused by
+        // its schema.
+        std::fs::write(&cp, r#"{"version":1,"kind":"sim","next_round":4}"#).unwrap();
+        let err = dispatch(&parse(&format!(
+            "simulate {a} --rounds 8 --fault-plan {plan4} --checkpoint {cp} --resume"
+        )))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 1, "{err}");
+        assert!(err.to_string().contains("schema"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn serve_resume_refuses_a_checkpoint_of_another_stream() {
+        let dir = temp_dir("servemismatch");
+        let trace = |seed: u64| {
+            let out = format!("{dir}/t{seed}");
+            let mut cfg = dcc_trace::SyntheticConfig::small(seed);
+            cfg.n_honest = 14;
+            cfg.n_ncm = 5;
+            cfg.n_cm_target = 6;
+            cfg.n_rounds = 3;
+            cfg.n_products = 160;
+            write_trace_csv(&cfg.generate(), Path::new(&out)).unwrap();
+            out
+        };
+        let (a, b) = (trace(9), trace(11));
+        let cp = format!("{dir}/serve.ckpt");
+        let killed = dispatch(&parse(&format!(
+            "serve --replay {a} --checkpoint {cp} --kill-at 200"
+        )))
+        .unwrap();
+        assert!(killed.contains("killed after 200 events"), "{killed}");
+
+        let err = dispatch(&parse(&format!("serve --replay {b} --checkpoint {cp} --resume")))
+            .unwrap_err();
+        assert_eq!(err.exit_code(), 1, "{err}");
+        assert!(
+            matches!(err, CliError::Core(CoreError::CheckpointMismatch { .. })),
+            "{err}"
         );
+        assert!(err.to_string().contains(&cp), "{err}");
+        assert!(err.to_string().contains("event 0 "), "{err}");
+
+        // The stream the checkpoint came from resumes byte-identically.
+        let resumed =
+            dispatch(&parse(&format!("serve --replay {a} --checkpoint {cp} --resume"))).unwrap();
+        assert_eq!(resumed, dispatch(&parse(&format!("serve --replay {a}"))).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,10 +1,11 @@
+use crate::sim::gaussian;
 use crate::{
     best_response, fit_effort_function, ConductModel, Contract, ContractBuilder, CoreError,
     Discretization, ModelParams, RoundRecord,
 };
 use dcc_numerics::Quadratic;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 /// One agent of the adaptive repeated game.
@@ -89,43 +90,6 @@ pub struct AdaptiveOutcome {
     pub late_mean_utility: f64,
 }
 
-/// The complete mid-run state of an [`AdaptiveSimulation`] — the
-/// requester's beliefs, observation windows, live contracts, and
-/// accounting — exposed with public fields so external checkpointing
-/// (the `dcc-faults` crate) can serialize and restore it bit-exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveState {
-    /// The next round to simulate.
-    pub next_round: usize,
-    /// The noise RNG, positioned exactly after round `next_round - 1`.
-    pub rng: StdRng,
-    /// The requester's believed effort function per group.
-    pub group_psis: BTreeMap<usize, Quadratic>,
-    /// The requester's estimated weight per agent.
-    pub est_weights: Vec<f64>,
-    /// Pooled `(round, effort, feedback)` observations per group.
-    pub group_obs: BTreeMap<usize, Vec<(usize, f64, f64)>>,
-    /// Noisy accuracy audits `(round, audited weight)` per agent.
-    pub audit_obs: Vec<Vec<(usize, f64)>>,
-    /// The contracts currently offered, indexed like the agents.
-    pub contracts: Vec<Contract>,
-    /// Rounds at which contracts were (re)designed.
-    pub recontract_rounds: Vec<usize>,
-    /// The payment each agent is owed next round.
-    pub pending_payment: Vec<f64>,
-    /// Total compensation paid to each agent so far.
-    pub agent_compensation: Vec<f64>,
-    /// Per-round records of the completed rounds.
-    pub rounds: Vec<RoundRecord>,
-}
-
-impl AdaptiveState {
-    /// Whether all configured rounds have been simulated.
-    pub fn is_complete(&self, config: &AdaptiveConfig) -> bool {
-        self.next_round >= config.rounds
-    }
-}
-
 /// The adaptive repeated Stackelberg game: the requester observes effort
 /// proxies, feedback, and noisy accuracy audits each round, and every
 /// `recontract_every` rounds re-fits each group's effort function from
@@ -152,30 +116,11 @@ impl AdaptiveSimulation {
 
     /// Runs the adaptive loop over the agents.
     ///
-    /// Equivalent to [`AdaptiveSimulation::start`] followed by
-    /// [`AdaptiveSimulation::step`] until completion — the decomposition
-    /// exists so external checkpointing can snapshot and resume the loop
-    /// bit-exactly.
-    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParams`] for a zero-round horizon or
     /// zero intervals, and propagates design/best-response failures.
     pub fn run(&self, agents: &[AdaptiveAgent]) -> Result<AdaptiveOutcome, CoreError> {
-        let mut state = self.start(agents)?;
-        while self.step(agents, &mut state)? {}
-        self.outcome_of(&state)
-    }
-
-    /// Prepares the initial [`AdaptiveState`]: validates the
-    /// configuration, seeds the RNG, initializes beliefs from the agents'
-    /// declared parameters, and designs the round-0 contracts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParams`] for a zero-round horizon or
-    /// zero intervals, and propagates design failures.
-    pub fn start(&self, agents: &[AdaptiveAgent]) -> Result<AdaptiveState, CoreError> {
         if self.config.rounds == 0 {
             return Err(CoreError::InvalidParams(
                 "adaptive simulation needs at least one round".into(),
@@ -184,142 +129,107 @@ impl AdaptiveSimulation {
         if self.config.intervals == 0 {
             return Err(CoreError::InvalidParams("intervals must be >= 1".into()));
         }
-        let rng = StdRng::seed_from_u64(self.config.seed);
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
 
         // The requester's beliefs: per-group psi and per-agent weight.
         let mut group_psis: BTreeMap<usize, Quadratic> = BTreeMap::new();
         for a in agents {
             group_psis.entry(a.group).or_insert(a.true_psi);
         }
-        let est_weights: Vec<f64> = agents.iter().map(|a| a.base_weight).collect();
+        let mut est_weights: Vec<f64> = agents.iter().map(|a| a.base_weight).collect();
 
-        let contracts: Vec<Contract> = self.design_all(agents, &group_psis, &est_weights)?;
-        let pending_payment: Vec<f64> = agents
+        let mut contracts: Vec<Contract> = self.design_all(agents, &group_psis, &est_weights)?;
+        // The payment each agent is owed next round (Eq. 1's lag).
+        let mut pending_payment: Vec<f64> = agents
             .iter()
             .zip(&contracts)
             .map(|(a, c)| c.compensation(a.true_psi.eval(0.0)))
             .collect();
+        // Pooled `(round, effort, feedback)` observations per group, and
+        // noisy accuracy audits `(round, audited weight)` per agent.
+        let mut group_obs: BTreeMap<usize, Vec<(usize, f64, f64)>> = BTreeMap::new();
+        let mut audit_obs: Vec<Vec<(usize, f64)>> = vec![Vec::new(); agents.len()];
+        let mut recontract_rounds = vec![0usize];
+        let mut agent_compensation = vec![0.0; agents.len()];
+        let mut rounds = Vec::with_capacity(self.config.rounds);
 
-        Ok(AdaptiveState {
-            next_round: 0,
-            rng,
-            group_psis,
-            est_weights,
-            group_obs: BTreeMap::new(),
-            audit_obs: vec![Vec::new(); agents.len()],
-            contracts,
-            recontract_rounds: vec![0usize],
-            pending_payment,
-            agent_compensation: vec![0.0; agents.len()],
-            rounds: Vec::with_capacity(self.config.rounds),
-        })
-    }
-
-    /// Advances the adaptive loop by one round (re-contracting first when
-    /// the cadence says so). Returns `Ok(false)` once all configured
-    /// rounds are done.
-    ///
-    /// # Errors
-    ///
-    /// Propagates design and best-response failures.
-    pub fn step(
-        &self,
-        agents: &[AdaptiveAgent],
-        state: &mut AdaptiveState,
-    ) -> Result<bool, CoreError> {
-        if state.next_round >= self.config.rounds {
-            return Ok(false);
-        }
-        let t = state.next_round;
-
-        // Re-contract at the configured cadence (not at round 0 — the
-        // initial design already happened).
-        if self.config.recontract_every > 0 && t > 0 && t.is_multiple_of(self.config.recontract_every)
-        {
-            self.refit_groups(&mut state.group_psis, &state.group_obs, t);
-            self.reestimate_weights(&mut state.est_weights, &state.audit_obs, t);
-            state.contracts = self.design_all(agents, &state.group_psis, &state.est_weights)?;
-            state.recontract_rounds.push(t);
-        }
-
-        let mut benefit = 0.0;
-        let mut payment = 0.0;
-        for (i, agent) in agents.iter().enumerate() {
-            let omega_t = agent.conduct.omega_at(t, agent.base_omega);
-            let psi_t = agent.conduct.psi_at(t, &agent.true_psi);
-            let weight_t = agent.conduct.weight_at(t, agent.base_weight);
-
-            let worker_params = ModelParams {
-                omega: omega_t,
-                ..self.params
-            };
-            let response = best_response(&worker_params, &psi_t, &state.contracts[i])?;
-            if !agent.conduct.participates(response.utility) {
-                continue;
+        for t in 0..self.config.rounds {
+            // Re-contract at the configured cadence (not at round 0 — the
+            // initial design already happened).
+            if self.config.recontract_every > 0
+                && t > 0
+                && t.is_multiple_of(self.config.recontract_every)
+            {
+                self.refit_groups(&mut group_psis, &group_obs, t);
+                self.reestimate_weights(&mut est_weights, &audit_obs, t);
+                contracts = self.design_all(agents, &group_psis, &est_weights)?;
+                recontract_rounds.push(t);
             }
-            let noise = if self.config.feedback_noise_sd > 0.0 {
-                gaussian(&mut state.rng) * self.config.feedback_noise_sd
-            } else {
-                0.0
-            };
-            let feedback = (psi_t.eval(response.effort) + noise).max(0.0);
 
-            // True accounting.
-            benefit += weight_t * feedback;
-            payment += state.pending_payment[i];
-            state.agent_compensation[i] += state.pending_payment[i];
-            state.pending_payment[i] = state.contracts[i].compensation(feedback);
+            let mut benefit = 0.0;
+            let mut payment = 0.0;
+            for (i, agent) in agents.iter().enumerate() {
+                let omega_t = agent.conduct.omega_at(t, agent.base_omega);
+                let psi_t = agent.conduct.psi_at(t, &agent.true_psi);
+                let weight_t = agent.conduct.weight_at(t, agent.base_weight);
 
-            // The requester's observations.
-            state
-                .group_obs
-                .entry(agent.group)
-                .or_default()
-                .push((t, response.effort, feedback));
-            let audit = weight_t
-                + if self.config.audit_noise_sd > 0.0 {
-                    gaussian(&mut state.rng) * self.config.audit_noise_sd
+                let worker_params = ModelParams {
+                    omega: omega_t,
+                    ..self.params
+                };
+                let response = best_response(&worker_params, &psi_t, &contracts[i])?;
+                if !agent.conduct.participates(response.utility) {
+                    continue;
+                }
+                let noise = if self.config.feedback_noise_sd > 0.0 {
+                    gaussian(&mut rng) * self.config.feedback_noise_sd
                 } else {
                     0.0
                 };
-            state.audit_obs[i].push((t, audit));
-        }
-        state.rounds.push(RoundRecord {
-            round: t,
-            benefit,
-            payment,
-            requester_utility: benefit - self.params.mu * payment,
-        });
-        state.next_round = t + 1;
-        Ok(true)
-    }
+                let feedback = (psi_t.eval(response.effort) + noise).max(0.0);
 
-    /// Summarizes a (fully or partially) simulated state. The late-mean
-    /// window is the last quarter of the *completed* rounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if no round has completed yet.
-    pub fn outcome_of(&self, state: &AdaptiveState) -> Result<AdaptiveOutcome, CoreError> {
-        if state.rounds.is_empty() {
-            return Err(CoreError::InvalidInput(
-                "no completed rounds to summarize".into(),
-            ));
+                // True accounting.
+                benefit += weight_t * feedback;
+                payment += pending_payment[i];
+                agent_compensation[i] += pending_payment[i];
+                pending_payment[i] = contracts[i].compensation(feedback);
+
+                // The requester's observations.
+                group_obs
+                    .entry(agent.group)
+                    .or_default()
+                    .push((t, response.effort, feedback));
+                let audit = weight_t
+                    + if self.config.audit_noise_sd > 0.0 {
+                        gaussian(&mut rng) * self.config.audit_noise_sd
+                    } else {
+                        0.0
+                    };
+                audit_obs[i].push((t, audit));
+            }
+            rounds.push(RoundRecord {
+                round: t,
+                benefit,
+                payment,
+                requester_utility: benefit - self.params.mu * payment,
+            });
         }
-        let cumulative: f64 = state.rounds.iter().map(|r| r.requester_utility).sum();
-        let n = state.rounds.len();
+
+        // The late-mean window is the last quarter of the rounds.
+        let cumulative: f64 = rounds.iter().map(|r| r.requester_utility).sum();
+        let n = rounds.len();
         let late_start = n - (n / 4).max(1);
-        let late: Vec<f64> = state.rounds[late_start..]
+        let late: Vec<f64> = rounds[late_start..]
             .iter()
             .map(|r| r.requester_utility)
             .collect();
         Ok(AdaptiveOutcome {
             mean_round_utility: cumulative / n as f64,
             late_mean_utility: late.iter().sum::<f64>() / late.len() as f64,
-            rounds: state.rounds.clone(),
-            recontract_rounds: state.recontract_rounds.clone(),
-            final_estimated_weights: state.est_weights.clone(),
-            agent_compensation: state.agent_compensation.clone(),
+            rounds,
+            recontract_rounds,
+            final_estimated_weights: est_weights,
+            agent_compensation,
         })
     }
 
@@ -414,12 +324,6 @@ impl AdaptiveSimulation {
             }
         }
     }
-}
-
-fn gaussian<R: Rng>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -572,28 +476,6 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.agent_compensation[0], 0.0);
         assert!(outcome.rounds.iter().all(|r| r.benefit == 0.0));
-    }
-
-    #[test]
-    fn stepwise_snapshot_resume_is_bit_identical() {
-        let agents: Vec<AdaptiveAgent> =
-            (0..8).map(|i| honest_agent(i, 1.0 + 0.1 * (i % 4) as f64)).collect();
-        let sim = AdaptiveSimulation::new(params(), config(5, 17));
-        let direct = sim.run(&agents).unwrap();
-
-        let mut state = sim.start(&agents).unwrap();
-        for _ in 0..13 {
-            assert!(sim.step(&agents, &mut state).unwrap());
-        }
-        let snapshot = state.clone();
-        while sim.step(&agents, &mut state).unwrap() {}
-        let mut resumed = snapshot;
-        while sim.step(&agents, &mut resumed).unwrap() {}
-
-        assert_eq!(state, resumed);
-        let stepped = sim.outcome_of(&state).unwrap();
-        assert_eq!(direct, stepped);
-        assert_eq!(direct, sim.outcome_of(&resumed).unwrap());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 use dcc_numerics::NumericsError;
 use std::fmt;
+use std::path::Path;
 use std::sync::Arc;
 
 /// A cloneable, comparable wrapper around [`std::io::Error`] (which is
@@ -58,6 +59,16 @@ pub enum CoreError {
         /// The underlying I/O error.
         source: IoSource,
     },
+    /// A checkpoint was written by a different run than the one resuming
+    /// from it: its input fingerprint differs, or (for an event log) it
+    /// is not a prefix of the resuming run's input.
+    CheckpointMismatch {
+        /// The checkpoint file (boxed, so the variant is no larger than
+        /// the others and every `Result<_, CoreError>` keeps its size).
+        path: Box<Path>,
+        /// What differs.
+        detail: String,
+    },
     /// An operation gave up after exhausting its degraded-mode budget
     /// (e.g. retry-with-backoff ran out of attempts); carries the last
     /// underlying failure.
@@ -104,6 +115,11 @@ impl fmt::Display for CoreError {
                 "interval index {interval} outside the discretization (1..={intervals})"
             ),
             CoreError::Io { context, source } => write!(f, "io error: {context}: {source}"),
+            CoreError::CheckpointMismatch { path, detail } => write!(
+                f,
+                "checkpoint {} belongs to a different run ({detail}); refusing to resume from it",
+                path.display()
+            ),
             CoreError::Degraded {
                 context,
                 attempts,

@@ -74,7 +74,7 @@ mod risk;
 mod sim;
 pub mod utilities;
 
-pub use adaptive::{AdaptiveAgent, AdaptiveConfig, AdaptiveOutcome, AdaptiveSimulation, AdaptiveState};
+pub use adaptive::{AdaptiveAgent, AdaptiveConfig, AdaptiveOutcome, AdaptiveSimulation};
 pub use bandit::{BanditOutcome, LinearPricingBandit};
 pub use budget::{select_within_budget, BudgetedSelection};
 pub use baseline::{BaselineStrategy, StrategyKind};

@@ -118,10 +118,14 @@ pub struct NoFaults;
 
 impl RoundFaults for NoFaults {}
 
-/// The complete mid-run state of a [`Simulation`], exposed so external
-/// checkpointing (e.g. the `dcc-faults` crate) can serialize and restore
-/// it bit-exactly. Produced by [`Simulation::start`], advanced by
-/// [`Simulation::step`], summarized by [`Simulation::outcome_of`].
+/// The mid-run state of a [`Simulation`]: produced by
+/// [`Simulation::start`], advanced by [`Simulation::step`], summarized
+/// by [`Simulation::outcome_of`].
+///
+/// Checkpoints never store it. A run is a pure function of its agents,
+/// parameters, configuration and fault plan, so a checkpoint records
+/// only how many rounds completed, and a resume replays those rounds
+/// from a fresh `start` (see `dcc_faults::checkpoint`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimState {
     /// The next round to simulate (`rounds.len()` so far).
@@ -253,8 +257,7 @@ impl Simulation {
     /// are done.
     ///
     /// `agents` and the configuration must be the ones the state was
-    /// started (or checkpoint-restored) under; the caller owns that
-    /// pairing.
+    /// started under; the caller owns that pairing.
     pub fn step(
         &self,
         agents: &[AgentSpec],
@@ -348,7 +351,9 @@ impl Simulation {
     }
 }
 
-fn gaussian<R: Rng>(rng: &mut R) -> f64 {
+/// One standard-normal draw (Box–Muller, cosine branch): two uniforms
+/// per draw, so every caller's RNG stream advances identically.
+pub(crate) fn gaussian<R: Rng>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

@@ -58,11 +58,13 @@ impl PoolSize {
 pub struct SimOptions {
     /// Deterministic fault schedule to inject each round.
     pub fault_plan: FaultPlan,
-    /// Persist the complete [`dcc_core::SimState`] here after every round.
+    /// After every round, record here the run's input fingerprint and
+    /// the rounds completed (`dcc-sim-ckpt/2`); a resume replays them.
     pub checkpoint: Option<PathBuf>,
     /// Stop (simulating a crash) before this round; requires `checkpoint`.
     pub kill_at: Option<usize>,
-    /// Start from the checkpoint instead of round 0; requires `checkpoint`.
+    /// Replay the rounds the checkpoint records, then go on; requires
+    /// `checkpoint`.
     pub resume: bool,
 }
 

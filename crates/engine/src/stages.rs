@@ -6,7 +6,9 @@ use crate::error::EngineError;
 use crate::stage::{Stage, StageKind};
 use dcc_core::{assemble_design, prepare_design, solve_subproblems, BaselineStrategy, Simulation};
 use dcc_detect::run_pipeline;
-use dcc_faults::{load_sim_state, save_sim_state, FaultInjector};
+use dcc_faults::{
+    load_sim_checkpoint, save_json_atomic, sim_checkpoint, sim_fingerprint, FaultInjector,
+};
 use dcc_obs::{names as obs, AttrValue};
 use dcc_trace::{read_trace_columnar, read_trace_csv};
 use std::collections::BTreeSet;
@@ -175,9 +177,13 @@ impl Stage for DefaultConstruct {
 }
 
 /// Plays the repeated game under the configured strategy, fault plan,
-/// and checkpoint options — the same round loop as `dcc simulate`, so a
-/// kill-at/resume pair through the engine reproduces the uninterrupted
-/// outcome bit-exactly.
+/// and checkpoint options — the same round loop as `dcc simulate`.
+///
+/// A checkpoint records the run's input fingerprint and how many rounds
+/// completed. A resume refuses a checkpoint with another fingerprint,
+/// then replays the recorded rounds through the same loop with a fresh
+/// injector before going on, so a kill-at/resume pair reproduces the
+/// uninterrupted run bit-exactly: outcome, fault log and metrics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DefaultSimulate;
 
@@ -210,30 +216,33 @@ impl Stage for DefaultSimulate {
         )?;
         let sim = Simulation::new(config.design.params, config.sim);
         let mut injector = FaultInjector::new(&options.fault_plan);
-        let checkpoint = options.checkpoint.clone();
         let kill_at = options.kill_at;
         let sim_config = config.sim;
         let faults_scheduled = options.fault_plan.len();
         let metrics = config.metrics.clone();
 
-        let mut state = match (&checkpoint, options.resume) {
-            (Some(cp), true) => load_sim_state(cp)?,
-            _ => sim.start(&agents)?,
+        // Only a checkpointed run pays for the fingerprint.
+        let checkpoint = options.checkpoint.clone().map(|cp| {
+            let fp =
+                sim_fingerprint(&config.design.params, &sim_config, &options.fault_plan, &agents);
+            (cp, fp)
+        });
+        let replay_to = match (&checkpoint, options.resume) {
+            (Some((cp, fp)), true) => load_sim_checkpoint(cp, *fp, sim_config.rounds)?,
+            _ => 0,
         };
 
+        let mut state = sim.start(&agents)?;
         let outcome = loop {
-            if !state.is_complete(&sim_config) {
-                if let Some(k) = kill_at {
+            if state.next_round >= replay_to && !state.is_complete(&sim_config) {
+                if let (Some(k), Some((cp, fp))) = (kill_at, &checkpoint) {
                     if state.next_round >= k {
-                        // `kill_at` implies `checkpoint`, validated above.
-                        if let Some(cp) = &checkpoint {
-                            save_sim_state(cp, &state)?;
-                            break EngineSimOutcome::Killed {
-                                at_round: state.next_round,
-                                total_rounds: sim_config.rounds,
-                                checkpoint: cp.clone(),
-                            };
-                        }
+                        save_json_atomic(cp, &sim_checkpoint(*fp, state.next_round))?;
+                        break EngineSimOutcome::Killed {
+                            at_round: state.next_round,
+                            total_rounds: sim_config.rounds,
+                            checkpoint: cp.clone(),
+                        };
                     }
                 }
             }
@@ -258,8 +267,11 @@ impl Stage for DefaultSimulate {
                     );
                 }
             }
-            if let Some(cp) = &checkpoint {
-                save_sim_state(cp, &state)?;
+            // Replayed rounds are already on disk.
+            if let Some((cp, fp)) = &checkpoint {
+                if state.next_round > replay_to {
+                    save_json_atomic(cp, &sim_checkpoint(*fp, state.next_round))?;
+                }
             }
         };
         if metrics.enabled() {

@@ -10,8 +10,8 @@
 #![allow(clippy::float_cmp)]
 
 use dcc_core::{
-    design_contracts, BaselineStrategy, DesignConfig, NoFaults, Simulation, SimulationConfig,
-    StrategyKind,
+    design_contracts, BaselineStrategy, CoreError, DesignConfig, NoFaults, Simulation,
+    SimulationConfig, StrategyKind,
 };
 use dcc_detect::{
     run_pipeline, CollusionReport, DetectionResult, FeedbackWeights, PipelineConfig, WeightParams,
@@ -246,7 +246,7 @@ fn kill_and_resume_through_engine_matches_uninterrupted_run() {
     }
 
     // …then resumed: the outcome must match the reference bit-exactly.
-    let mut resumed_ctx = context(trace);
+    let mut resumed_ctx = context(trace.clone());
     resumed_ctx.set_sim_options(SimOptions {
         checkpoint: Some(checkpoint.clone()),
         resume: true,
@@ -256,6 +256,27 @@ fn kill_and_resume_through_engine_matches_uninterrupted_run() {
     match resumed_ctx.sim_outcome().unwrap() {
         EngineSimOutcome::Completed { outcome, .. } => assert_eq!(*outcome, reference),
         other => panic!("expected completion, got {other:?}"),
+    }
+
+    // A run with any other input refuses the checkpoint.
+    let mut other_mu = context(trace.clone());
+    other_mu.set_mu(other_mu.config().design.params.mu + 0.25);
+    let mut other_seed = context(trace.clone());
+    other_seed.set_sim_config(SimulationConfig { seed: 8, ..other_seed.config().sim });
+    let mut other_strategy = context(trace);
+    other_strategy.set_strategy(StrategyKind::ExcludeMalicious);
+    let other_trace = context(SyntheticConfig::small(19).generate());
+    for mut ctx in [other_mu, other_seed, other_strategy, other_trace] {
+        ctx.set_sim_options(SimOptions {
+            checkpoint: Some(checkpoint.clone()),
+            resume: true,
+            ..SimOptions::default()
+        });
+        let err = Engine::new().run(&mut ctx).unwrap_err();
+        assert!(
+            matches!(err, EngineError::Core(CoreError::CheckpointMismatch { .. })),
+            "{err:?}"
+        );
     }
 
     std::fs::remove_dir_all(&dir).ok();

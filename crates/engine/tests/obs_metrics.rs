@@ -215,3 +215,47 @@ fn metrics_never_perturb_the_pipeline_output() {
     Engine::new().run(&mut ctx).unwrap();
     assert_eq!(ctx.sim_outcome().unwrap(), &plain);
 }
+
+#[test]
+fn killed_and_resumed_run_records_the_uninterrupted_document() {
+    // `dcc run --metrics` over a faulty, checkpointed run: the resumed
+    // run replays the recorded rounds through the same loop, so its
+    // redacted document equals the uninterrupted run's.
+    let faulty = || {
+        let mut config = small_config(11);
+        config.sim_options.fault_plan = FaultPlanConfig {
+            agents: 64,
+            rounds: config.sim.rounds,
+            dropout_prob: 0.1,
+            missing_prob: 0.1,
+            delay_prob: 0.1,
+            seed: 3,
+            ..FaultPlanConfig::default()
+        }
+        .generate()
+        .unwrap();
+        config
+    };
+    let (uninterrupted, mut ctx) = recording_ctx(faulty());
+    Engine::new().run(&mut ctx).unwrap();
+
+    let dir = std::env::temp_dir().join(format!("dcc_obs_resume_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let checkpoint = dir.join("sim.ckpt.json");
+    let mut killed = faulty();
+    killed.sim_options.checkpoint = Some(checkpoint.clone());
+    killed.sim_options.kill_at = Some(3);
+    let mut killed_ctx = RoundContext::new(killed);
+    Engine::new().run(&mut killed_ctx).unwrap();
+    assert!(matches!(killed_ctx.sim_outcome().unwrap(), EngineSimOutcome::Killed { .. }));
+
+    let mut resumed = faulty();
+    resumed.sim_options.checkpoint = Some(checkpoint);
+    resumed.sim_options.resume = true;
+    let (resumed_recorder, mut resumed_ctx) = recording_ctx(resumed);
+    Engine::new().run(&mut resumed_ctx).unwrap();
+
+    assert_eq!(resumed_ctx.sim_outcome().unwrap(), ctx.sim_outcome().unwrap());
+    assert_eq!(resumed_recorder.to_json_redacted(), uninterrupted.to_json_redacted());
+    std::fs::remove_dir_all(&dir).ok();
+}

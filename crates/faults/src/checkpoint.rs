@@ -1,234 +1,46 @@
-//! Checkpoint/resume for the simulation loops: serializes the complete
-//! mid-run state of a [`dcc_core::Simulation`] ([`SimState`]) or an
-//! [`dcc_core::AdaptiveSimulation`] ([`AdaptiveState`]) to JSON and
-//! restores it bit-exactly.
+//! One checkpoint document for every resumable run, and the simulation
+//! checkpoint built on it.
 //!
-//! Bit-exactness rests on three encoding choices (see [`crate::json`]):
-//! finite `f64`s use Rust's shortest-round-trip formatting, non-finite
-//! values are string-encoded, and the RNG's four `u64` words are written
-//! as decimal strings (plain JSON numbers lose bits above `2^53`).
+//! Simulation, batch and serve checkpoints share one shape,
+//!
+//! ```text
+//! {"schema": "dcc-<sim|batch|serve>-ckpt/2", "payload": …}
+//! ```
+//!
+//! built by [`checkpoint_document`], written by [`save_json_atomic`],
+//! and read back by [`load_checkpoint_payload`], which names the path in
+//! every error, maps a missing file to [`CoreError::Io`], and refuses
+//! any other schema (the `/1` formats of earlier releases included).
+//!
+//! A checkpoint records a run's inputs, not its state. The repeated game
+//! is a pure function of its agents, parameters, configuration, noise
+//! seed and fault plan, so a simulation checkpoint is just
+//! `{"fingerprint", "rounds_done"}`: a resume rebuilds the agents,
+//! checks the fingerprint, and replays the recorded rounds with a fresh
+//! [`crate::FaultInjector`]. [`check_fingerprint`] refuses a sim or batch
+//! checkpoint of any other run with [`CoreError::CheckpointMismatch`].
 
-use dcc_numerics::Json;
-use dcc_core::{AdaptiveState, Contract, CoreError, RoundRecord, SimState};
-use dcc_numerics::Quadratic;
-use rand::rngs::StdRng;
-use std::collections::BTreeMap;
+use crate::FaultPlan;
+use dcc_core::{AgentSpec, CoreError, ModelParams, SimulationConfig};
+use dcc_numerics::{Fnv, Json};
 use std::path::Path;
 
-/// Format version written into every checkpoint document.
-pub const CHECKPOINT_VERSION: u64 = 1;
+/// Schema tag of the simulation checkpoint.
+pub const SIM_CKPT_SCHEMA: &str = "dcc-sim-ckpt/2";
 
-// ---------------------------------------------------------------------
-// Shared encoding helpers
-// ---------------------------------------------------------------------
-
-fn f64_arr(xs: &[f64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::num(x)).collect())
-}
-
-fn f64_vec(doc: &Json, name: &str) -> Result<Vec<f64>, CoreError> {
-    arr_of(doc, name)?
-        .iter()
-        .map(|x| x.as_f64().ok_or_else(|| malformed(name)))
-        .collect()
-}
-
-fn rng_to_json(rng: &StdRng) -> Json {
-    Json::Arr(rng.state().iter().map(|&w| Json::u64(w)).collect())
-}
-
-fn rng_from_json(doc: &Json, name: &str) -> Result<StdRng, CoreError> {
-    let words = arr_of(doc, name)?;
-    if words.len() != 4 {
-        return Err(malformed(name));
-    }
-    let mut s = [0u64; 4];
-    for (slot, w) in s.iter_mut().zip(words) {
-        *slot = w.as_u64().ok_or_else(|| malformed(name))?;
-    }
-    Ok(StdRng::from_state(s))
-}
-
-fn rounds_to_json(rounds: &[RoundRecord]) -> Json {
-    Json::Arr(
-        rounds
-            .iter()
-            .map(|r| {
-                Json::Obj(vec![
-                    ("round".into(), Json::idx(r.round)),
-                    ("benefit".into(), Json::num(r.benefit)),
-                    ("payment".into(), Json::num(r.payment)),
-                    ("requester_utility".into(), Json::num(r.requester_utility)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn rounds_from_json(doc: &Json, name: &str) -> Result<Vec<RoundRecord>, CoreError> {
-    arr_of(doc, name)?
-        .iter()
-        .map(|r| {
-            Ok(RoundRecord {
-                round: r.get("round").and_then(Json::as_idx).ok_or_else(|| malformed(name))?,
-                benefit: r
-                    .get("benefit")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| malformed(name))?,
-                payment: r
-                    .get("payment")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| malformed(name))?,
-                requester_utility: r
-                    .get("requester_utility")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| malformed(name))?,
-            })
-        })
-        .collect()
-}
-
-fn contract_to_json(contract: &Contract) -> Json {
+/// Wraps a payload in the shared checkpoint document.
+pub fn checkpoint_document(schema: &str, payload: Json) -> Json {
     Json::Obj(vec![
-        ("knots".into(), f64_arr(contract.feedback_knots())),
-        ("payments".into(), f64_arr(contract.payments())),
+        ("schema".into(), Json::Str(schema.into())),
+        ("payload".into(), payload),
     ])
-}
-
-fn contract_from_json(doc: &Json) -> Result<Contract, CoreError> {
-    let knots = f64_vec(doc, "knots")?;
-    let payments = f64_vec(doc, "payments")?;
-    Contract::new(knots, payments)
-}
-
-fn quadratic_to_json(psi: &Quadratic) -> Json {
-    Json::Arr(vec![
-        Json::num(psi.r2()),
-        Json::num(psi.r1()),
-        Json::num(psi.r0()),
-    ])
-}
-
-fn quadratic_from_json(doc: &Json, name: &str) -> Result<Quadratic, CoreError> {
-    let coeffs = doc.as_arr().ok_or_else(|| malformed(name))?;
-    if coeffs.len() != 3 {
-        return Err(malformed(name));
-    }
-    let mut c = [0.0f64; 3];
-    for (slot, x) in c.iter_mut().zip(coeffs) {
-        *slot = x.as_f64().ok_or_else(|| malformed(name))?;
-    }
-    Ok(Quadratic::new(c[0], c[1], c[2]))
-}
-
-fn malformed(name: &str) -> CoreError {
-    CoreError::InvalidInput(format!("checkpoint field {name:?} is missing or malformed"))
-}
-
-fn arr_of<'a>(doc: &'a Json, name: &str) -> Result<&'a [Json], CoreError> {
-    doc.get(name).and_then(Json::as_arr).ok_or_else(|| malformed(name))
-}
-
-fn check_header(doc: &Json, kind: &str) -> Result<(), CoreError> {
-    let version = doc.get("version").and_then(Json::as_u64);
-    if version != Some(CHECKPOINT_VERSION) {
-        return Err(CoreError::InvalidInput(format!(
-            "unsupported checkpoint version {version:?} (expected {CHECKPOINT_VERSION})"
-        )));
-    }
-    let found = doc.get("kind").and_then(Json::as_str);
-    if found != Some(kind) {
-        return Err(CoreError::InvalidInput(format!(
-            "checkpoint kind {found:?} does not match expected {kind:?}"
-        )));
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// SimState
-// ---------------------------------------------------------------------
-
-/// Serializes a [`SimState`] to a JSON document.
-pub fn sim_state_to_json(state: &SimState) -> Json {
-    Json::Obj(vec![
-        ("version".into(), Json::u64(CHECKPOINT_VERSION)),
-        ("kind".into(), Json::Str("sim".into())),
-        ("next_round".into(), Json::idx(state.next_round)),
-        ("rng".into(), rng_to_json(&state.rng)),
-        ("efforts".into(), f64_arr(&state.efforts)),
-        ("pending_payment".into(), f64_arr(&state.pending_payment)),
-        (
-            "delayed_payments".into(),
-            Json::Arr(
-                state
-                    .delayed_payments
-                    .iter()
-                    .map(|per_agent| {
-                        Json::Arr(
-                            per_agent
-                                .iter()
-                                .map(|&(due, amount)| {
-                                    Json::Arr(vec![Json::idx(due), Json::num(amount)])
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        ("agent_compensation".into(), f64_arr(&state.agent_compensation)),
-        ("rounds".into(), rounds_to_json(&state.rounds)),
-    ])
-}
-
-/// Restores a [`SimState`] from a JSON document.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidInput`] on a malformed document, a wrong
-/// `kind`, or an unsupported `version`.
-pub fn sim_state_from_json(doc: &Json) -> Result<SimState, CoreError> {
-    check_header(doc, "sim")?;
-    let delayed_payments = arr_of(doc, "delayed_payments")?
-        .iter()
-        .map(|per_agent| {
-            per_agent
-                .as_arr()
-                .ok_or_else(|| malformed("delayed_payments"))?
-                .iter()
-                .map(|entry| {
-                    let pair = entry.as_arr().ok_or_else(|| malformed("delayed_payments"))?;
-                    match pair {
-                        [due, amount] => Ok((
-                            due.as_idx().ok_or_else(|| malformed("delayed_payments"))?,
-                            amount.as_f64().ok_or_else(|| malformed("delayed_payments"))?,
-                        )),
-                        _ => Err(malformed("delayed_payments")),
-                    }
-                })
-                .collect::<Result<Vec<_>, CoreError>>()
-        })
-        .collect::<Result<Vec<_>, CoreError>>()?;
-    Ok(SimState {
-        next_round: doc
-            .get("next_round")
-            .and_then(Json::as_idx)
-            .ok_or_else(|| malformed("next_round"))?,
-        rng: rng_from_json(doc, "rng")?,
-        efforts: f64_vec(doc, "efforts")?,
-        pending_payment: f64_vec(doc, "pending_payment")?,
-        delayed_payments,
-        agent_compensation: f64_vec(doc, "agent_compensation")?,
-        rounds: rounds_from_json(doc, "rounds")?,
-    })
 }
 
 /// Writes a JSON document to `path` atomically: the bytes go to a
 /// sibling `.tmp` file first and are renamed into place, so a crash
 /// mid-write can never leave a truncated checkpoint where a valid one
-/// used to be. The shared persistence primitive of every crash-safe
-/// checkpoint writer (batch scheduler, streaming service).
+/// used to be. Every checkpoint writer (simulation, batch scheduler,
+/// streaming service) goes through here.
 ///
 /// # Errors
 ///
@@ -244,398 +56,256 @@ pub fn save_json_atomic(path: &Path, doc: &Json) -> Result<(), CoreError> {
     result.map_err(|e| CoreError::io(format!("write checkpoint {}", path.display()), e))
 }
 
-/// Writes a [`SimState`] checkpoint file.
+/// Reads the checkpoint document at `path` and returns its payload.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Io`] on filesystem failure.
-pub fn save_sim_state(path: &Path, state: &SimState) -> Result<(), CoreError> {
-    save_json_atomic(path, &sim_state_to_json(state))
-}
-
-/// Reads a [`SimState`] checkpoint file.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Io`] on filesystem failure and
-/// [`CoreError::InvalidInput`] on malformed content.
-pub fn load_sim_state(path: &Path) -> Result<SimState, CoreError> {
-    let text = std::fs::read_to_string(path)
+/// [`CoreError::Io`] when the file cannot be read (a missing file
+/// included), and [`CoreError::InvalidInput`] naming the path when it is
+/// not a JSON document of the given `schema` with a payload.
+pub fn load_checkpoint_payload(path: &Path, schema: &str) -> Result<Json, CoreError> {
+    let bytes = std::fs::read(path)
         .map_err(|e| CoreError::io(format!("read checkpoint {}", path.display()), e))?;
-    sim_state_from_json(&Json::parse(&text)?)
-}
-
-// ---------------------------------------------------------------------
-// AdaptiveState
-// ---------------------------------------------------------------------
-
-/// Serializes an [`AdaptiveState`] to a JSON document.
-///
-/// HashMap-backed fields are written with sorted keys, so serializing the
-/// same state twice produces identical bytes.
-pub fn adaptive_state_to_json(state: &AdaptiveState) -> Json {
-    let mut psi_keys: Vec<usize> = state.group_psis.keys().copied().collect();
-    psi_keys.sort_unstable();
-    let group_psis = Json::Obj(
-        psi_keys
-            .iter()
-            .map(|k| (k.to_string(), quadratic_to_json(&state.group_psis[k])))
-            .collect(),
-    );
-    let mut obs_keys: Vec<usize> = state.group_obs.keys().copied().collect();
-    obs_keys.sort_unstable();
-    let group_obs = Json::Obj(
-        obs_keys
-            .iter()
-            .map(|k| {
-                let entries = Json::Arr(
-                    state.group_obs[k]
-                        .iter()
-                        .map(|&(t, effort, feedback)| {
-                            Json::Arr(vec![
-                                Json::idx(t),
-                                Json::num(effort),
-                                Json::num(feedback),
-                            ])
-                        })
-                        .collect(),
-                );
-                (k.to_string(), entries)
-            })
-            .collect(),
-    );
-    Json::Obj(vec![
-        ("version".into(), Json::u64(CHECKPOINT_VERSION)),
-        ("kind".into(), Json::Str("adaptive".into())),
-        ("next_round".into(), Json::idx(state.next_round)),
-        ("rng".into(), rng_to_json(&state.rng)),
-        ("group_psis".into(), group_psis),
-        ("est_weights".into(), f64_arr(&state.est_weights)),
-        ("group_obs".into(), group_obs),
-        (
-            "audit_obs".into(),
-            Json::Arr(
-                state
-                    .audit_obs
-                    .iter()
-                    .map(|per_agent| {
-                        Json::Arr(
-                            per_agent
-                                .iter()
-                                .map(|&(t, w)| Json::Arr(vec![Json::idx(t), Json::num(w)]))
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "contracts".into(),
-            Json::Arr(state.contracts.iter().map(contract_to_json).collect()),
-        ),
-        (
-            "recontract_rounds".into(),
-            Json::Arr(state.recontract_rounds.iter().map(|&r| Json::idx(r)).collect()),
-        ),
-        ("pending_payment".into(), f64_arr(&state.pending_payment)),
-        ("agent_compensation".into(), f64_arr(&state.agent_compensation)),
-        ("rounds".into(), rounds_to_json(&state.rounds)),
-    ])
-}
-
-/// Restores an [`AdaptiveState`] from a JSON document.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidInput`] on a malformed document, a wrong
-/// `kind`, an unsupported `version`, or an invalid embedded contract.
-pub fn adaptive_state_from_json(doc: &Json) -> Result<AdaptiveState, CoreError> {
-    check_header(doc, "adaptive")?;
-    let parse_key = |key: &str| -> Result<usize, CoreError> {
-        key.parse::<usize>()
-            .map_err(|_| CoreError::InvalidInput(format!("bad group key {key:?} in checkpoint")))
-    };
-
-    let psis_doc = match doc.get("group_psis") {
-        Some(Json::Obj(entries)) => entries,
-        _ => return Err(malformed("group_psis")),
-    };
-    let mut group_psis = BTreeMap::new();
-    for (key, value) in psis_doc {
-        group_psis.insert(parse_key(key)?, quadratic_from_json(value, "group_psis")?);
+    let text = String::from_utf8(bytes).map_err(|_| malformed(path, "is not UTF-8 text"))?;
+    let doc = Json::parse(&text).map_err(|e| malformed(path, &e.to_string()))?;
+    match doc.get("schema").and_then(Json::as_str) {
+        Some(found) if found == schema => {}
+        Some(found) => {
+            return Err(malformed(path, &format!("has schema {found:?}, expected {schema:?}")))
+        }
+        None => return Err(malformed(path, &format!("has no schema (expected {schema:?})"))),
     }
-
-    let obs_doc = match doc.get("group_obs") {
-        Some(Json::Obj(entries)) => entries,
-        _ => return Err(malformed("group_obs")),
+    let Json::Obj(fields) = doc else {
+        return Err(malformed(path, "is not a JSON object"));
     };
-    let mut group_obs = BTreeMap::new();
-    for (key, value) in obs_doc {
-        let entries = value
-            .as_arr()
-            .ok_or_else(|| malformed("group_obs"))?
-            .iter()
-            .map(|entry| {
-                let triple = entry.as_arr().ok_or_else(|| malformed("group_obs"))?;
-                match triple {
-                    [t, effort, feedback] => Ok((
-                        t.as_idx().ok_or_else(|| malformed("group_obs"))?,
-                        effort.as_f64().ok_or_else(|| malformed("group_obs"))?,
-                        feedback.as_f64().ok_or_else(|| malformed("group_obs"))?,
-                    )),
-                    _ => Err(malformed("group_obs")),
-                }
-            })
-            .collect::<Result<Vec<_>, CoreError>>()?;
-        group_obs.insert(parse_key(key)?, entries);
+    fields
+        .into_iter()
+        .find_map(|(key, value)| (key == "payload").then_some(value))
+        .ok_or_else(|| malformed(path, "has no payload"))
+}
+
+/// Renders an input fingerprint as a payload value.
+pub fn fingerprint_json(fingerprint: u64) -> Json {
+    Json::Str(format!("{fingerprint:016x}"))
+}
+
+/// Checks a payload's `"fingerprint"` against the resuming run's.
+///
+/// # Errors
+///
+/// [`CoreError::CheckpointMismatch`] when the fingerprints differ, and
+/// [`CoreError::InvalidInput`] when the payload has none.
+pub fn check_fingerprint(path: &Path, payload: &Json, expected: u64) -> Result<(), CoreError> {
+    let found = payload
+        .get("fingerprint")
+        .and_then(Json::as_str)
+        .ok_or_else(|| malformed(path, "has no input fingerprint"))?;
+    let expected = format!("{expected:016x}");
+    if found != expected {
+        return Err(CoreError::CheckpointMismatch {
+            path: path.into(),
+            detail: format!("input fingerprint {found} does not match this run's {expected}"),
+        });
     }
-
-    let audit_obs = arr_of(doc, "audit_obs")?
-        .iter()
-        .map(|per_agent| {
-            per_agent
-                .as_arr()
-                .ok_or_else(|| malformed("audit_obs"))?
-                .iter()
-                .map(|entry| {
-                    let pair = entry.as_arr().ok_or_else(|| malformed("audit_obs"))?;
-                    match pair {
-                        [t, w] => Ok((
-                            t.as_idx().ok_or_else(|| malformed("audit_obs"))?,
-                            w.as_f64().ok_or_else(|| malformed("audit_obs"))?,
-                        )),
-                        _ => Err(malformed("audit_obs")),
-                    }
-                })
-                .collect::<Result<Vec<_>, CoreError>>()
-        })
-        .collect::<Result<Vec<_>, CoreError>>()?;
-
-    let contracts = arr_of(doc, "contracts")?
-        .iter()
-        .map(contract_from_json)
-        .collect::<Result<Vec<_>, CoreError>>()?;
-
-    let recontract_rounds = arr_of(doc, "recontract_rounds")?
-        .iter()
-        .map(|r| r.as_idx().ok_or_else(|| malformed("recontract_rounds")))
-        .collect::<Result<Vec<_>, CoreError>>()?;
-
-    Ok(AdaptiveState {
-        next_round: doc
-            .get("next_round")
-            .and_then(Json::as_idx)
-            .ok_or_else(|| malformed("next_round"))?,
-        rng: rng_from_json(doc, "rng")?,
-        group_psis,
-        est_weights: f64_vec(doc, "est_weights")?,
-        group_obs,
-        audit_obs,
-        contracts,
-        recontract_rounds,
-        pending_payment: f64_vec(doc, "pending_payment")?,
-        agent_compensation: f64_vec(doc, "agent_compensation")?,
-        rounds: rounds_from_json(doc, "rounds")?,
-    })
+    Ok(())
 }
 
-/// Writes an [`AdaptiveState`] checkpoint file.
+/// Fingerprint of everything a simulation run is a function of: the
+/// requester parameters, the game configuration (rounds, noise, seed),
+/// the fault plan, and every agent.
+pub fn sim_fingerprint(
+    params: &ModelParams,
+    config: &SimulationConfig,
+    plan: &FaultPlan,
+    agents: &[AgentSpec],
+) -> u64 {
+    let ModelParams { mu, beta, omega, kappa, gamma, rho } = *params;
+    let SimulationConfig { rounds, feedback_noise_sd, seed } = *config;
+    let mut h = Fnv::new();
+    for x in [mu, beta, omega, kappa, gamma, rho, feedback_noise_sd] {
+        h.write_f64(x);
+    }
+    h.write_usize(rounds);
+    h.write_u64(seed);
+    h.write_bytes(plan.to_json_string().as_bytes());
+    h.write_usize(agents.len());
+    for agent in agents {
+        let AgentSpec { id, members, omega, weight, psi, contract, in_system } = agent;
+        h.write_usize(*id);
+        h.write_usize(*members);
+        for x in [*omega, *weight, psi.r2(), psi.r1(), psi.r0()] {
+            h.write_f64(x);
+        }
+        for column in [contract.feedback_knots(), contract.payments()] {
+            h.write_usize(column.len());
+            for &x in column {
+                h.write_f64(x);
+            }
+        }
+        h.write_u64(u64::from(*in_system));
+    }
+    h.finish()
+}
+
+/// The checkpoint document of a simulation run with input `fingerprint`
+/// that has completed `rounds_done` rounds.
+pub fn sim_checkpoint(fingerprint: u64, rounds_done: usize) -> Json {
+    checkpoint_document(
+        SIM_CKPT_SCHEMA,
+        Json::Obj(vec![
+            ("fingerprint".into(), fingerprint_json(fingerprint)),
+            ("rounds_done".into(), Json::idx(rounds_done)),
+        ]),
+    )
+}
+
+/// Reads a simulation checkpoint for the run with input `fingerprint`
+/// and `rounds` configured rounds, and returns how many rounds it
+/// records as done.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Io`] on filesystem failure.
-pub fn save_adaptive_state(path: &Path, state: &AdaptiveState) -> Result<(), CoreError> {
-    std::fs::write(path, adaptive_state_to_json(state).to_string())
-        .map_err(|e| CoreError::io(format!("write checkpoint {}", path.display()), e))
+/// Those of [`load_checkpoint_payload`] and [`check_fingerprint`], and
+/// [`CoreError::InvalidInput`] when `rounds_done` is missing or exceeds
+/// `rounds`.
+pub fn load_sim_checkpoint(path: &Path, fingerprint: u64, rounds: usize) -> Result<usize, CoreError> {
+    let payload = load_checkpoint_payload(path, SIM_CKPT_SCHEMA)?;
+    check_fingerprint(path, &payload, fingerprint)?;
+    match payload.get("rounds_done").and_then(Json::as_idx) {
+        Some(done) if done <= rounds => Ok(done),
+        Some(done) => Err(malformed(
+            path,
+            &format!("records {done} rounds done but the run has {rounds}"),
+        )),
+        None => Err(malformed(path, "has no rounds_done count")),
+    }
 }
 
-/// Reads an [`AdaptiveState`] checkpoint file.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Io`] on filesystem failure and
-/// [`CoreError::InvalidInput`] on malformed content.
-pub fn load_adaptive_state(path: &Path) -> Result<AdaptiveState, CoreError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CoreError::io(format!("read checkpoint {}", path.display()), e))?;
-    adaptive_state_from_json(&Json::parse(&text)?)
+fn malformed(path: &Path, what: &str) -> CoreError {
+    CoreError::InvalidInput(format!("checkpoint {} {what}", path.display()))
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
     use super::*;
-    use crate::injector::FaultInjector;
     use crate::plan::FaultPlanConfig;
-    use dcc_core::{
-        AdaptiveAgent, AdaptiveConfig, AdaptiveSimulation, AgentSpec, ConductModel,
-        ContractBuilder, Discretization, ModelParams, Simulation, SimulationConfig,
-    };
+    use dcc_core::{ContractBuilder, Discretization};
+    use dcc_numerics::Quadratic;
+    use proptest::prelude::*;
+    use std::path::PathBuf;
 
-    fn params() -> ModelParams {
-        ModelParams {
-            mu: 1.5,
-            ..ModelParams::default()
-        }
-    }
-
-    fn agent(id: usize, omega: f64, weight: f64) -> AgentSpec {
+    fn agent(id: usize, omega: f64) -> AgentSpec {
         let psi = Quadratic::new(-0.05, 2.0, 0.5);
         let disc = Discretization::new(16, 0.625).unwrap();
-        let built = ContractBuilder::new(params(), disc, psi)
-            .malicious(omega)
-            .weight(weight)
-            .build()
-            .unwrap();
-        AgentSpec {
-            id,
-            members: 1,
-            omega,
-            weight,
-            psi,
-            contract: built.contract().clone(),
-            in_system: true,
-        }
+        let built = ContractBuilder::new(ModelParams::default(), disc, psi).malicious(omega);
+        let contract = built.build().unwrap().contract().clone();
+        AgentSpec { id, members: 1, omega, weight: 1.0, psi, contract, in_system: true }
     }
 
-    #[test]
-    fn sim_state_round_trip_is_exact_mid_run_with_faults() {
-        let agents =
-            vec![agent(0, 0.0, 1.0), agent(1, 0.5, 0.6), agent(2, 0.3, 0.8)];
-        let plan = FaultPlanConfig {
-            agents: 3,
-            rounds: 30,
-            dropout_prob: 0.05,
-            missing_prob: 0.1,
-            corrupt_prob: 0.1,
-            nan_prob: 0.05,
-            delay_prob: 0.1,
-            seed: 91,
-            ..FaultPlanConfig::default()
-        }
-        .generate()
-        .unwrap();
-        let sim = Simulation::new(
-            params(),
-            SimulationConfig {
-                rounds: 30,
-                feedback_noise_sd: 0.5,
-                seed: 23,
-            },
-        );
-
-        // Uninterrupted run under the plan.
-        let mut injector = FaultInjector::new(&plan);
-        let direct = sim.run_with_faults(&agents, &mut injector).unwrap();
-
-        // Interrupted run: stop at round 11, serialize, restore, resume
-        // with a *fresh* injector built from the same plan.
-        let mut injector = FaultInjector::new(&plan);
-        let mut state = sim.start(&agents).unwrap();
-        for _ in 0..11 {
-            assert!(sim.step(&agents, &mut state, &mut injector));
-        }
-        let text = sim_state_to_json(&state).to_string();
-        let mut restored = sim_state_from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(state, restored);
-
-        let mut fresh_injector = FaultInjector::new(&plan);
-        while sim.step(&agents, &mut restored, &mut fresh_injector) {}
-        assert_eq!(direct, sim.outcome_of(&restored).unwrap());
+    fn config() -> SimulationConfig {
+        SimulationConfig { rounds: 12, feedback_noise_sd: 0.5, seed: 3 }
     }
 
-    #[test]
-    fn adaptive_state_round_trip_is_exact_mid_run() {
-        let agents: Vec<AdaptiveAgent> = (0..6)
-            .map(|i| AdaptiveAgent {
-                id: i,
-                group: i % 2,
-                base_omega: 0.0,
-                base_weight: 1.0 + 0.1 * (i % 3) as f64,
-                true_psi: Quadratic::new(-0.15, 2.5, 1.0),
-                conduct: ConductModel::Stationary,
-            })
-            .collect();
-        let sim = AdaptiveSimulation::new(
-            ModelParams {
-                mu: 1.0,
-                ..ModelParams::default()
-            },
-            AdaptiveConfig {
-                rounds: 30,
-                recontract_every: 5,
-                seed: 19,
-                ..AdaptiveConfig::default()
-            },
-        );
-        let direct = sim.run(&agents).unwrap();
-
-        let mut state = sim.start(&agents).unwrap();
-        for _ in 0..13 {
-            assert!(sim.step(&agents, &mut state).unwrap());
-        }
-        let text = adaptive_state_to_json(&state).to_string();
-        let mut restored = adaptive_state_from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(state, restored);
-
-        while sim.step(&agents, &mut restored).unwrap() {}
-        assert_eq!(direct, sim.outcome_of(&restored).unwrap());
-    }
-
-    #[test]
-    fn serialization_is_deterministic() {
-        let agents = vec![agent(0, 0.0, 1.0), agent(1, 0.4, 0.7)];
-        let sim = Simulation::new(
-            params(),
-            SimulationConfig {
-                rounds: 10,
-                feedback_noise_sd: 0.5,
-                seed: 5,
-            },
-        );
-        let mut state = sim.start(&agents).unwrap();
-        let mut faults = dcc_core::NoFaults;
-        for _ in 0..4 {
-            sim.step(&agents, &mut state, &mut faults);
-        }
-        assert_eq!(
-            sim_state_to_json(&state).to_string(),
-            sim_state_to_json(&state).to_string()
-        );
-    }
-
-    #[test]
-    fn file_round_trip_and_error_paths() {
-        let agents = vec![agent(0, 0.0, 1.0)];
-        let sim = Simulation::new(
-            params(),
-            SimulationConfig {
-                rounds: 6,
-                feedback_noise_sd: 0.3,
-                seed: 2,
-            },
-        );
-        let mut state = sim.start(&agents).unwrap();
-        let mut faults = dcc_core::NoFaults;
-        for _ in 0..3 {
-            sim.step(&agents, &mut state, &mut faults);
-        }
-        let dir = std::env::temp_dir().join("dcc-faults-checkpoint-test");
+    fn temp_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dcc-faults-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sim.json");
-        save_sim_state(&path, &state).unwrap();
-        assert_eq!(load_sim_state(&path).unwrap(), state);
+        dir.join(name)
+    }
 
-        // Kind mismatch: a sim checkpoint is not an adaptive one.
-        let err = load_adaptive_state(&path).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidInput(_)), "{err}");
+    #[test]
+    fn sim_checkpoint_round_trips_and_refuses_other_runs() {
+        let agents = vec![agent(0, 0.0), agent(1, 0.4)];
+        let plan = FaultPlan::default();
+        let fp = sim_fingerprint(&ModelParams::default(), &config(), &plan, &agents);
+        let path = temp_path("sim.json");
+        save_json_atomic(&path, &sim_checkpoint(fp, 5)).unwrap();
+        assert_eq!(load_sim_checkpoint(&path, fp, 12).unwrap(), 5);
 
-        // Missing file surfaces as an io error.
-        let err = load_sim_state(&dir.join("nope.json")).unwrap_err();
+        let err = load_sim_checkpoint(&path, fp ^ 1, 12).unwrap_err();
+        assert!(matches!(err, CoreError::CheckpointMismatch { .. }), "{err}");
+        assert!(err.to_string().contains(&path.display().to_string()), "{err}");
+
+        let err = load_sim_checkpoint(&path, fp, 4).unwrap_err();
+        assert!(err.to_string().contains("5 rounds done"), "{err}");
+
+        let err = load_sim_checkpoint(&temp_path("missing.json"), fp, 12).unwrap_err();
         assert!(matches!(err, CoreError::Io { .. }), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
 
-        // Version gate.
-        std::fs::write(dir.join("bad.json"), "{\"version\":\"9\",\"kind\":\"sim\"}").unwrap();
-        let err = load_sim_state(&dir.join("bad.json")).unwrap_err();
-        assert!(format!("{err}").contains("version"), "{err}");
+    #[test]
+    fn fingerprint_covers_every_input() {
+        let params = ModelParams::default();
+        let agents = vec![agent(0, 0.0), agent(1, 0.4)];
+        let plan = FaultPlan::default();
+        let base = sim_fingerprint(&params, &config(), &plan, &agents);
+        assert_eq!(base, sim_fingerprint(&params, &config(), &plan, &agents));
+
+        let mu = ModelParams { mu: params.mu + 0.5, ..params };
+        let seed = SimulationConfig { seed: 4, ..config() };
+        let rounds = SimulationConfig { rounds: 13, ..config() };
+        let busy = FaultPlanConfig { agents: 2, rounds: 12, dropout_prob: 0.5, seed: 1, ..Default::default() }
+            .generate()
+            .unwrap();
+        let mut excluded = agents.clone();
+        excluded[1].in_system = false;
+        for other in [
+            sim_fingerprint(&mu, &config(), &plan, &agents),
+            sim_fingerprint(&params, &seed, &plan, &agents),
+            sim_fingerprint(&params, &rounds, &plan, &agents),
+            sim_fingerprint(&params, &config(), &busy, &agents),
+            sim_fingerprint(&params, &config(), &plan, &excluded),
+            sim_fingerprint(&params, &config(), &plan, &agents[..1]),
+        ] {
+            assert_ne!(base, other);
+        }
+    }
+
+    /// Well-formed JSON that is not a `/2` simulation checkpoint: wrong
+    /// shapes, other schemas, and the `/1`-era formats.
+    const WRONG_SHAPES: [&str; 8] = [
+        "[]",
+        r#"{"schema":"dcc-sim-ckpt/2"}"#,
+        r#"{"schema":"dcc-sim-ckpt/2","payload":[]}"#,
+        r#"{"schema":"dcc-sim-ckpt/2","payload":{"fingerprint":7,"rounds_done":1}}"#,
+        r#"{"schema":"dcc-sim-ckpt/1","payload":{}}"#,
+        r#"{"schema":"dcc-batch-ckpt/2","payload":{}}"#,
+        r#"{"version":1,"kind":"sim","next_round":3,"rng":["1","2","3","4"]}"#,
+        r#"{"format":"dcc-serve-ckpt/1","rounds_emitted":0,"events":[]}"#,
+    ];
+
+    proptest! {
+        #[test]
+        fn sim_loader_is_total(
+            kind in 0u8..4,
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            pick in any::<usize>(),
+            rounds_done in any::<u64>(),
+        ) {
+            let valid = sim_checkpoint(7, 3).to_string();
+            let input = match kind {
+                0 => bytes,
+                1 => valid.as_bytes()[..pick % valid.len()].to_vec(),
+                2 => WRONG_SHAPES[pick % WRONG_SHAPES.len()].as_bytes().to_vec(),
+                _ => format!(
+                    r#"{{"schema":"dcc-sim-ckpt/2","payload":{{"fingerprint":"0000000000000007","rounds_done":{rounds_done}}}}}"#
+                )
+                .into_bytes(),
+            };
+            let path = temp_path("total.json");
+            std::fs::write(&path, &input).unwrap();
+            match load_sim_checkpoint(&path, 7, 10) {
+                Ok(done) => {
+                    prop_assert!(done <= 10);
+                }
+                Err(CoreError::InvalidInput(m)) => {
+                    prop_assert!(m.contains(&path.display().to_string()), "{m}");
+                }
+                Err(other) => {
+                    prop_assert!(false, "unexpected error kind: {other}");
+                }
+            }
+        }
     }
 }

@@ -14,36 +14,49 @@
 //!   the entire faulty run.
 //! - [`FaultInjector`] — implements [`dcc_core::RoundFaults`] from a
 //!   plan; pure in `(agent, round)` apart from a log of fired faults.
-//! - [`checkpoint`] — serializes the complete mid-run state of
-//!   [`dcc_core::Simulation`] and [`dcc_core::AdaptiveSimulation`] to
-//!   JSON and restores it bit-exactly (shortest-round-trip floats,
-//!   string-encoded non-finite values and RNG words).
+//! - [`checkpoint`] — the one checkpoint document every resumable run
+//!   (simulation, batch, serve) writes atomically and loads with a
+//!   schema check, and the simulation checkpoint on top of it: an input
+//!   fingerprint plus the number of completed rounds, which a resume
+//!   replays.
 //! - [`retry_with_backoff`] — bounded, deterministically jittered
 //!   retries for transient [`dcc_numerics::NumericsError::SingularSystem`]
 //!   failures, degrading to [`dcc_core::CoreError::Degraded`] on
 //!   exhaustion.
 //!
-//! ## Example: a reproducible faulty run with mid-run checkpoints
+//! ## Example: a faulty run killed mid-way and resumed by replay
 //!
 //! ```
-//! use dcc_faults::{checkpoint, FaultInjector, FaultPlanConfig};
+//! use dcc_faults::{load_sim_checkpoint, save_json_atomic, sim_checkpoint, sim_fingerprint};
+//! use dcc_faults::{FaultInjector, FaultPlanConfig};
 //! use dcc_core::{ModelParams, Simulation, SimulationConfig};
 //!
 //! # fn main() -> Result<(), dcc_core::CoreError> {
 //! let plan = FaultPlanConfig { agents: 0, rounds: 8, seed: 5, ..Default::default() }
 //!     .generate()?;
-//! let sim = Simulation::new(ModelParams::default(), SimulationConfig {
-//!     rounds: 8, feedback_noise_sd: 0.0, seed: 1,
-//! });
+//! let params = ModelParams::default();
+//! let config = SimulationConfig { rounds: 8, feedback_noise_sd: 0.0, seed: 1 };
+//! let sim = Simulation::new(params, config);
+//! let fingerprint = sim_fingerprint(&params, &config, &plan, &[]);
+//! let path = std::env::temp_dir().join("dcc-faults-doc.ckpt.json");
+//!
+//! // Run three rounds, checkpointing each, then "crash".
 //! let mut injector = FaultInjector::new(&plan);
 //! let mut state = sim.start(&[])?;
-//! while sim.step(&[], &mut state, &mut injector) {
-//!     // A real caller would persist this each round:
-//!     let snapshot = checkpoint::sim_state_to_json(&state).to_string();
-//!     assert_eq!(checkpoint::sim_state_from_json(
-//!         &dcc_faults::Json::parse(&snapshot)?)?, state);
+//! for _ in 0..3 {
+//!     sim.step(&[], &mut state, &mut injector);
+//!     save_json_atomic(&path, &sim_checkpoint(fingerprint, state.next_round))?;
 //! }
-//! assert_eq!(sim.outcome_of(&state)?.rounds.len(), 8);
+//!
+//! // Resume: check that the checkpoint belongs to this run, then replay
+//! // its `done` rounds from a fresh start and go on (one loop does both).
+//! let done = load_sim_checkpoint(&path, fingerprint, config.rounds)?;
+//! assert_eq!(done, 3);
+//! let mut injector = FaultInjector::new(&plan);
+//! let mut state = sim.start(&[])?;
+//! while sim.step(&[], &mut state, &mut injector) {}
+//! assert_eq!(sim.outcome_of(&state)?, sim.run_with_faults(&[], &mut FaultInjector::new(&plan))?);
+//! # std::fs::remove_file(&path).ok();
 //! # Ok(())
 //! # }
 //! ```
@@ -57,9 +70,8 @@ mod plan;
 mod retry;
 
 pub use checkpoint::{
-    adaptive_state_from_json, adaptive_state_to_json, load_adaptive_state, load_sim_state,
-    save_adaptive_state, save_json_atomic, save_sim_state, sim_state_from_json, sim_state_to_json,
-    CHECKPOINT_VERSION,
+    check_fingerprint, checkpoint_document, fingerprint_json, load_checkpoint_payload,
+    load_sim_checkpoint, save_json_atomic, sim_checkpoint, sim_fingerprint, SIM_CKPT_SCHEMA,
 };
 pub use injector::{FaultHitCounts, FaultInjector, FiredFault};
 // The JSON value moved to the bottom of the workspace (`dcc-numerics`)

@@ -98,11 +98,7 @@ fn builtin_sink_fn(name: &str) -> Option<&'static str> {
     if name == "design_digest" || name.starts_with("fnv") || name.contains("fingerprint") {
         return Some("digest");
     }
-    if matches!(
-        name,
-        "save_checkpoint" | "save_json_atomic" | "save_sim_state" | "save_adaptive_state"
-            | "write_checkpoint"
-    ) {
+    if matches!(name, "save_checkpoint" | "save_json_atomic" | "write_checkpoint") {
         return Some("checkpoint");
     }
     if name.contains("golden") && (name.starts_with("write") || name.starts_with("save")) {

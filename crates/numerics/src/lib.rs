@@ -31,6 +31,7 @@
 
 mod cmp;
 mod error;
+mod fnv;
 mod incremental;
 mod json;
 mod linsolve;
@@ -44,6 +45,7 @@ mod stats;
 
 pub use cmp::{approx_eq, exact_eq, exact_ne};
 pub use error::NumericsError;
+pub use fnv::{fnv1a, Fnv};
 pub use incremental::IncrementalQuadraticFit;
 pub use json::{Json, JsonError};
 pub use linsolve::{solve_cholesky, solve_gaussian};

@@ -184,7 +184,7 @@ pub mod names {
     /// Counter: quarantined scenarios that exhausted their logical
     /// work budget.
     pub const COUNTER_BATCH_QUARANTINE_BUDGET: &str = "batch.quarantine.budget_exhausted";
-    /// Counter: scenarios restored from a `dcc-batch-ckpt/1` checkpoint
+    /// Counter: scenarios restored from a `dcc-batch-ckpt/2` checkpoint
     /// instead of recomputed (0 for a fresh run).
     pub const COUNTER_BATCH_RESTORED: &str = "batch.checkpoint.restored";
 
@@ -209,7 +209,7 @@ pub mod names {
     pub const COUNTER_SERVE_FIT_REUSED: &str = "serve.fit.reused";
     /// Counter: checkpoints the streaming service wrote.
     pub const COUNTER_SERVE_CKPT_SAVED: &str = "serve.checkpoint.saved";
-    /// Counter: runs restored from a `dcc-serve-ckpt/1` checkpoint
+    /// Counter: runs restored from a `dcc-serve-ckpt/2` checkpoint
     /// (0 or 1 per process).
     pub const COUNTER_SERVE_CKPT_RESTORED: &str = "serve.checkpoint.restored";
     /// Gauge: fraction of subproblems reused (not re-solved) over the

@@ -5,6 +5,7 @@
 use dcc_core::CoreError;
 use dcc_detect::PipelineConfig;
 use dcc_faults::Json;
+use dcc_numerics::Fnv;
 use dcc_obs::{names, AttrValue, Metrics};
 
 use crate::event::ServeEvent;
@@ -276,12 +277,9 @@ impl ServeService {
 /// Folds a bitwise design digest into one `u64` (FNV-1a over the raw
 /// words) — the compact fingerprint printed on every output line.
 pub fn fold_digest(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    let mut h = Fnv::new();
+    for &w in words {
+        h.write_u64(w);
     }
-    h
+    h.finish()
 }

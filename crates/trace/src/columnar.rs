@@ -51,6 +51,7 @@ use crate::{
     Campaign, Product, ProductId, Review, Reviewer, ReviewerId, TraceDataset, TraceError,
     WorkerClass,
 };
+use dcc_numerics::fnv1a;
 use std::fs;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -64,17 +65,6 @@ pub const COLUMNAR_VERSION: u32 = 1;
 const NO_CAMPAIGN: u64 = u64::MAX;
 /// Header length in bytes (see the module docs for the field layout).
 const HEADER_LEN: usize = 72;
-
-/// FNV-1a 64-bit over a byte slice (the same hash family the batch memo
-/// uses for content fingerprints; dependency-free and deterministic).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 fn corrupt(message: impl Into<String>) -> TraceError {
     TraceError::Corrupt(message.into())

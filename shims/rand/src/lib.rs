@@ -5,8 +5,8 @@
 //! [`SeedableRng`], and the [`Rng`] extension trait with `gen`,
 //! `gen_range`, and `gen_bool`. The generator is xoshiro256++ seeded via
 //! SplitMix64 — high-quality, fast, and *deterministic across platforms
-//! and releases*, which the checkpoint/resume machinery in `dcc-faults`
-//! relies on (see [`rngs::StdRng::state`]).
+//! and releases*, which checkpoint resume relies on: a resumed simulation
+//! replays its recorded rounds from the seed.
 //!
 //! The value streams differ from upstream `rand`'s ChaCha12-based
 //! `StdRng`; nothing in this workspace depends on upstream streams, only
@@ -244,26 +244,9 @@ pub mod rngs {
     use super::{RngCore, SeedableRng};
 
     /// The workspace's standard generator: xoshiro256++.
-    ///
-    /// Unlike upstream `rand`, the full 256-bit state is exposed via
-    /// [`StdRng::state`] / [`StdRng::from_state`] so simulations can be
-    /// checkpointed and resumed bit-exactly (`dcc-faults`).
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct StdRng {
         s: [u64; 4],
-    }
-
-    impl StdRng {
-        /// The raw 256-bit generator state.
-        pub fn state(&self) -> [u64; 4] {
-            self.s
-        }
-
-        /// Rebuilds a generator from [`StdRng::state`] output. The
-        /// rebuilt generator continues the original stream exactly.
-        pub fn from_state(s: [u64; 4]) -> Self {
-            StdRng { s }
-        }
     }
 
     impl SeedableRng for StdRng {
@@ -357,17 +340,5 @@ mod tests {
         let n = 50_000;
         let mean: f64 = (0..n).map(|_| rng.gen::<f64>()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn state_roundtrip_continues_stream() {
-        let mut a = StdRng::seed_from_u64(11);
-        for _ in 0..37 {
-            a.gen::<u64>();
-        }
-        let mut b = StdRng::from_state(a.state());
-        for _ in 0..100 {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-        }
     }
 }

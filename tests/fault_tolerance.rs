@@ -3,8 +3,10 @@
 //! meta-crate's public API.
 //!
 //! The headline guarantees exercised here:
-//! - a run killed mid-way and resumed from its checkpoint reproduces the
-//!   uninterrupted run's `SimulationOutcome` *bit-exactly*,
+//! - a run killed mid-way and resumed from its checkpoint (which records
+//!   only the input fingerprint and the completed rounds, replayed on
+//!   resume) reproduces the uninterrupted run's `SimulationOutcome`
+//!   *bit-exactly*,
 //! - the same `(seed, FaultPlan)` pair always yields the identical
 //!   outcome,
 //! - `design_contracts` under `FallbackBaseline` completes (with a
@@ -21,9 +23,8 @@ use dyncontract::core::{
     FailurePolicy, ModelParams, Simulation, SimulationConfig, StrategyKind, Subproblem,
 };
 use dyncontract::detect::{run_pipeline, PipelineConfig};
-use dyncontract::faults::{
-    load_sim_state, save_sim_state, FaultInjector, FaultPlan, FaultPlanConfig,
-};
+use dyncontract::engine::{Engine, EngineConfig, EngineSimOutcome, RoundContext, SimOptions};
+use dyncontract::faults::{FaultInjector, FaultPlan, FaultPlanConfig};
 use dyncontract::numerics::Quadratic;
 use dyncontract::obs::Metrics;
 use dyncontract::trace::SyntheticConfig;
@@ -60,45 +61,57 @@ fn busy_plan(agents: usize, rounds: usize, seed: u64) -> FaultPlan {
 
 #[test]
 fn killed_and_resumed_run_reproduces_the_uninterrupted_outcome() {
+    let trace = SyntheticConfig::small(271).generate();
     let (params, agents) = assembled_agents();
     let rounds = 16;
     let plan = busy_plan(agents.len(), rounds, 5);
-    let sim = Simulation::new(
-        params,
-        SimulationConfig {
-            rounds,
-            feedback_noise_sd: 0.5,
-            seed: 29,
-        },
-    );
+    let sim_config = SimulationConfig {
+        rounds,
+        feedback_noise_sd: 0.5,
+        seed: 29,
+    };
 
     // Ground truth: one uninterrupted faulty run.
+    let sim = Simulation::new(params, sim_config);
     let mut injector = FaultInjector::new(&plan);
     let uninterrupted = sim.run_with_faults(&agents, &mut injector).expect("run");
 
-    // "Crash" after 7 rounds: persist the state to disk and drop
-    // everything in-memory.
+    // The same run through the engine, checkpointed every round and
+    // "crashed" before round 7: the checkpoint holds only the input
+    // fingerprint and the 7 completed rounds.
     let dir = std::env::temp_dir().join(format!("dcc_ft_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let ckpt = dir.join("sim.ckpt.json");
-    {
-        let mut injector = FaultInjector::new(&plan);
-        let mut state = sim.start(&agents).expect("start");
-        for _ in 0..7 {
-            assert!(sim.step(&agents, &mut state, &mut injector));
-        }
-        save_sim_state(&ckpt, &state).expect("save checkpoint");
-    }
+    let engine_run = |kill_at: Option<usize>, resume: bool| {
+        let mut config = EngineConfig::for_trace(trace.clone());
+        config.sim = sim_config;
+        config.sim_options = SimOptions {
+            fault_plan: plan.clone(),
+            checkpoint: Some(ckpt.clone()),
+            kill_at,
+            resume,
+        };
+        let mut ctx = RoundContext::new(config);
+        Engine::new().run(&mut ctx).expect("engine run");
+        ctx.sim_outcome().expect("simulate ran").clone()
+    };
+    assert!(matches!(
+        engine_run(Some(7), false),
+        EngineSimOutcome::Killed { at_round: 7, .. }
+    ));
+    let text = std::fs::read_to_string(&ckpt).expect("checkpoint written");
+    assert!(text.contains("\"schema\":\"dcc-sim-ckpt/2\""), "{text}");
+    assert!(text.contains("\"rounds_done\":7"), "{text}");
 
-    // Resume from the file with a *fresh* injector built from the same
-    // plan (the injector is pure in (agent, round), so no injector state
-    // needs checkpointing).
-    let mut state = load_sim_state(&ckpt).expect("load checkpoint");
-    let mut injector = FaultInjector::new(&plan);
-    while sim.step(&agents, &mut state, &mut injector) {}
-    let resumed = sim.outcome_of(&state).expect("outcome");
-
+    // Resume in a fresh engine: it rebuilds the agents, checks the
+    // fingerprint, replays rounds 0..7 with a fresh injector built from
+    // the same plan, and continues.
+    let EngineSimOutcome::Completed { outcome: resumed, faults_fired, .. } = engine_run(None, true)
+    else {
+        panic!("the resumed run must complete");
+    };
     assert_eq!(uninterrupted, resumed, "resume must be bit-exact");
+    assert_eq!(faults_fired, injector.log().len(), "the replay fires the same faults");
     std::fs::remove_dir_all(&dir).ok();
 }
 
