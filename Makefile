@@ -12,9 +12,8 @@ build:
 test:
 	cargo test -q
 
-# Semantic source analysis (docs/static-analysis.md): token rules
-# (float-eq, unwrap-in-lib, nondet-iter, wall-clock),
-# the metric-registry cross-check, and the interprocedural
+# Semantic source analysis (docs/static-analysis.md): the float-eq
+# token rule, the metric-registry cross-check, and the interprocedural
 # determinism-taint pass over the workspace call graph — ratcheted
 # against the committed dcc-lint.baseline (fails on fresh findings AND
 # stale entries) and emitting SARIF 2.1.0 for code scanning. Exits

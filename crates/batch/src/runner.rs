@@ -67,7 +67,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
-// dcc-lint: allow(wall-clock, reason = "per-scenario durations are measured here and published through dcc-obs spans, redacted in deterministic output")
+#[allow(
+    clippy::disallowed_types,
+    reason = "per-scenario durations are measured here and published through dcc-obs spans, redacted in deterministic output"
+)]
 use std::time::{Duration, Instant};
 
 /// Batch-layer failure.
@@ -359,7 +362,10 @@ impl BatchRunner {
                 "kill_after requires a checkpoint path".to_string(),
             ));
         }
-        // dcc-lint: allow(wall-clock, reason = "total batch wall time, published as a redacted throughput gauge")
+        #[allow(
+            clippy::disallowed_types,
+            reason = "total batch wall time, published as a redacted throughput gauge"
+        )]
         let started = Instant::now();
 
         let mut stats = MemoStats::default();
@@ -481,7 +487,10 @@ impl BatchRunner {
             let detect_slot = detect_slots.get(&dk)?;
             let fit_slot = fit_slots.get(&fk)?;
             let solve_slot = solve_slots.get(&sk)?;
-            // dcc-lint: allow(wall-clock, reason = "worker-measured scenario duration, recorded post-merge and redacted in deterministic output")
+            #[allow(
+                clippy::disallowed_types,
+                reason = "worker-measured scenario duration, recorded post-merge and redacted in deterministic output"
+            )]
             let t0 = Instant::now();
             let (result, attempts) = supervise_attempts(scenario.id, sup.max_retries, |attempt| {
                 run_attempt(

@@ -11,6 +11,10 @@
 // Benchmark harnesses are measurement code, not library surface;
 // panicking on a broken setup is the correct failure mode here.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "a benchmark times its runs with the wall clock"
+)]
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dcc_core::{

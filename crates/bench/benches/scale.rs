@@ -23,6 +23,10 @@
 // panicking on a broken setup is the correct failure mode here.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 #![allow(clippy::cast_precision_loss)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "a benchmark times its runs with the wall clock"
+)]
 
 use dcc_core::{solve_subproblems, Discretization, FailurePolicy, ModelParams, Subproblem};
 use dcc_numerics::Quadratic;

@@ -2096,6 +2096,32 @@ mod tests {
     }
 
     #[test]
+    fn replay_refuses_a_round_index_past_the_review_count() {
+        // One review's round set far past the trace: a replay emits one
+        // record per round, so the trace is refused instead of sizing an
+        // allocation (or a wrapping `max + 1`) by the untrusted index.
+        let dir = temp_dir("replayrounds");
+        dispatch(&parse(&format!("gen --seed 11 --scale small --out {dir}"))).unwrap();
+        let reviews = format!("{dir}/reviews.csv");
+        let original = std::fs::read_to_string(&reviews).unwrap();
+        for round in ["4000000000", "18446744073709551615"] {
+            let mut lines: Vec<String> = original.lines().map(String::from).collect();
+            let mut fields: Vec<&str> = lines[1].split(',').collect();
+            fields[2] = round;
+            lines[1] = fields.join(",");
+            std::fs::write(&reviews, lines.join("\n") + "\n").unwrap();
+            let err = dispatch(&parse(&format!("replay {dir}"))).unwrap_err();
+            assert_eq!(err.exit_code(), 1, "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("invalid input") && msg.contains(round),
+                "{msg}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn serve_resume_refuses_a_checkpoint_of_another_stream() {
         let dir = temp_dir("servemismatch");
         let trace = |seed: u64| {

@@ -151,7 +151,7 @@ impl AdaptiveSimulation {
         let mut audit_obs: Vec<Vec<(usize, f64)>> = vec![Vec::new(); agents.len()];
         let mut recontract_rounds = vec![0usize];
         let mut agent_compensation = vec![0.0; agents.len()];
-        let mut rounds = Vec::with_capacity(self.config.rounds);
+        let mut rounds = Vec::new();
 
         for t in 0..self.config.rounds {
             // Re-contract at the configured cadence (not at round 0 — the

@@ -111,7 +111,7 @@ impl LinearPricingBandit {
 
         let mut pulls = vec![0usize; self.slopes.len()];
         let mut totals = vec![0.0f64; self.slopes.len()];
-        let mut rounds = Vec::with_capacity(self.rounds);
+        let mut rounds = Vec::new();
         for t in 0..self.rounds {
             let arm = if rng.gen::<f64>() < self.epsilon || t < self.slopes.len() {
                 // Explore (and play every arm once up front).

@@ -4,7 +4,10 @@ use crate::{
 };
 use dcc_numerics::Quadratic;
 use dcc_obs::{names, Metrics};
-// dcc-lint: allow(wall-clock, reason = "subproblem timings are measured here and routed into dcc-obs via span_at")
+#[allow(
+    clippy::disallowed_types,
+    reason = "subproblem timings are measured here and routed into dcc-obs via span_at"
+)]
 use std::time::Instant;
 
 /// What to do when a single subproblem's contract construction fails
@@ -178,7 +181,10 @@ pub fn solve_subproblems(
         return assemble_solutions(subproblems, results, params, policy);
     }
     let timed = fan_out(subproblems, workers, |sp| {
-        // dcc-lint: allow(wall-clock, reason = "per-subproblem timing fed to metrics.span_at below")
+        #[allow(
+            clippy::disallowed_types,
+            reason = "per-subproblem timing fed to metrics.span_at below"
+        )]
         let start = Instant::now();
         let result = solve_one(sp, params);
         (result, start.elapsed())
@@ -359,7 +365,6 @@ fn fallback_solution(
     #[allow(clippy::expect_used)] // unit-domain fallback cannot fail: pay is clamped nonnegative
     let contract = Contract::fixed(d_lo, d_hi, pay)
         .or_else(|_| Contract::fixed(0.0, 1.0, pay))
-        // dcc-lint: allow(unwrap-in-lib, reason = "unit-domain fixed contract with nonnegative pay is infallible by construction")
         .expect("unit-domain fixed contract is always valid");
 
     let zero_effort_feedback = {
@@ -395,7 +400,6 @@ fn skip_solution(sp: &Subproblem) -> SubproblemSolution {
     #[allow(clippy::expect_used)] // unit-domain zero contract has no failing input
     let contract = Contract::zero(d_lo, d_hi)
         .or_else(|_| Contract::zero(0.0, 1.0))
-        // dcc-lint: allow(unwrap-in-lib, reason = "unit-domain zero contract is infallible by construction")
         .expect("unit-domain zero contract is always valid");
     let weight = if sp.weight.is_finite() { sp.weight } else { 0.0 };
     let response = BestResponse {

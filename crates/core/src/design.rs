@@ -1,4 +1,4 @@
-use crate::effort::{fit_effort_function, EffortFit};
+use crate::effort::fit_effort_function;
 use crate::{
     solve_subproblems, BipSolution, Contract, CoreError, DegradationReport, Discretization,
     FailurePolicy, ModelParams, Subproblem,
@@ -156,15 +156,8 @@ impl ContractDesign {
 
 /// Chooses a per-class effort region: the `quantile` of observed efforts,
 /// clamped to stay strictly below the fitted peak (the model needs ψ
-/// increasing on the whole region). Public so incremental callers that
-/// refit a class through
-/// [`fit_effort_function_with_candidate`](crate::fit_effort_function_with_candidate)
-/// can derive the matching discretization bit-identically.
-pub fn effort_region(
-    points: &[(f64, f64)],
-    psi: &Quadratic,
-    quantile: f64,
-) -> Result<f64, CoreError> {
+/// increasing on the whole region).
+fn effort_region(points: &[(f64, f64)], psi: &Quadratic, quantile: f64) -> Result<f64, CoreError> {
     let efforts: Vec<f64> = points.iter().map(|p| p.0).collect();
     let q = percentile(&efforts, quantile)?;
     let peak = psi.peak().unwrap_or(f64::INFINITY);
@@ -195,43 +188,25 @@ pub struct DesignPrep {
     pub first_community_subproblem: usize,
 }
 
-/// The `(mean effort, mean feedback)` observation point of one worker,
-/// or `None` for a worker with no reviews — the per-worker input of the
-/// §IV-B class fits, shared by the batch [`collect_class_points`] and by
-/// incremental callers that cache points per worker and recompute only
-/// workers whose review history changed.
-pub fn worker_observation_point(trace: &TraceDataset, worker: ReviewerId) -> Option<(f64, f64)> {
-    let reviews = trace.reviews_by(worker);
-    if reviews.is_empty() {
-        return None;
-    }
-    let n = reviews.len() as f64;
-    let eff = reviews.iter().map(|r| trace.effort_of(r)).sum::<f64>() / n;
-    let fb = reviews.iter().map(|r| trace.feedback_of(r)).sum::<f64>() / n;
-    Some((eff, fb))
-}
-
-/// The grouped observation points the §IV-B fitting stage consumes:
-/// per-class point vectors in reviewer-id order, community aggregate
-/// points in community order, and the per-worker point map.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ClassPoints {
+/// The grouped observation points the §IV-B class fits consume.
+#[derive(Default)]
+struct ClassPoints {
     /// Points of non-suspected workers, in reviewer-id order.
-    pub honest: Vec<(f64, f64)>,
+    honest: Vec<(f64, f64)>,
     /// Points of suspected workers outside any community, in id order.
-    pub ncm: Vec<(f64, f64)>,
+    ncm: Vec<(f64, f64)>,
     /// Points of community members, in reviewer-id order.
-    pub cm: Vec<(f64, f64)>,
+    cm: Vec<(f64, f64)>,
     /// Community aggregate `(Σ effort, Σ feedback)` points, in community
     /// order.
-    pub community: Vec<(f64, f64)>,
-    /// Every reviewing worker's own point.
-    pub worker_points: BTreeMap<ReviewerId, (f64, f64)>,
+    community: Vec<(f64, f64)>,
+    /// Every reviewing worker's own `(mean effort, mean feedback)` point.
+    worker_points: BTreeMap<ReviewerId, (f64, f64)>,
 }
 
-/// Collects the observation points of every reviewing worker and groups
-/// them by detection class — step 1 of [`prepare_design`].
-pub fn collect_class_points(trace: &TraceDataset, detection: &DetectionResult) -> ClassPoints {
+/// Collects the observation point of every reviewing worker and groups
+/// the points by detection class.
+fn collect_class_points(trace: &TraceDataset, detection: &DetectionResult) -> ClassPoints {
     let suspected: BTreeSet<ReviewerId> = detection.suspected.iter().copied().collect();
     let in_community: BTreeSet<ReviewerId> = detection
         .collusion
@@ -243,9 +218,13 @@ pub fn collect_class_points(trace: &TraceDataset, detection: &DetectionResult) -
 
     let mut points = ClassPoints::default();
     for reviewer in trace.reviewers() {
-        let Some((eff, fb)) = worker_observation_point(trace, reviewer.id) else {
+        let reviews = trace.reviews_by(reviewer.id);
+        if reviews.is_empty() {
             continue;
-        };
+        }
+        let n = reviews.len() as f64;
+        let eff = reviews.iter().map(|r| trace.effort_of(r)).sum::<f64>() / n;
+        let fb = reviews.iter().map(|r| trace.feedback_of(r)).sum::<f64>() / n;
         points.worker_points.insert(reviewer.id, (eff, fb));
         if !suspected.contains(&reviewer.id) {
             points.honest.push((eff, fb));
@@ -270,139 +249,59 @@ pub fn collect_class_points(trace: &TraceDataset, detection: &DetectionResult) -
     points
 }
 
-/// One class's fitted effort function and discretized effort region.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassModel {
-    /// The fitted quadratic with its diagnostics.
-    pub fit: EffortFit,
-    /// The discretized effort region the class's subproblems use.
-    pub disc: Discretization,
-}
+/// A fitted effort function and the discretized effort region its
+/// subproblems use.
+type ClassModel = (Quadratic, Discretization);
 
-/// The three class models of §IV-B (honest, non-collusive malicious,
-/// community aggregate).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassModels {
-    /// Model of the non-suspected workers.
-    pub honest: ClassModel,
-    /// Model of the suspected singletons (falls back to honest when the
-    /// class has fewer than 3 points).
-    pub ncm: ClassModel,
-    /// Model of the collusive meta-workers (community aggregates when at
-    /// least 3 communities exist, else member points, else the ncm
-    /// model).
-    pub cm: ClassModel,
-}
-
-impl ClassModels {
-    /// The three fitted ψ's in [`DesignPrep::class_psis`] order.
-    pub fn psis(&self) -> (Quadratic, Quadratic, Quadratic) {
-        (self.honest.fit.psi, self.ncm.fit.psi, self.cm.fit.psi)
-    }
-}
-
-/// Fits the honest class model from its observation points.
-///
-/// # Errors
-///
-/// Propagates fitting failures, including traces whose honest class has
-/// fewer than 3 observation points.
-pub fn fit_honest_model(points: &ClassPoints, config: &DesignConfig) -> Result<ClassModel, CoreError> {
-    let fit = fit_effort_function(&points.honest)?;
+/// Fits ψ to `points` and discretizes the effort region under it.
+fn fit_class_model(points: &[(f64, f64)], config: &DesignConfig) -> Result<ClassModel, CoreError> {
+    let psi = fit_effort_function(points)?.psi;
     let disc = Discretization::covering(
         config.intervals,
-        effort_region(&points.honest, &fit.psi, config.effort_quantile)?,
+        effort_region(points, &psi, config.effort_quantile)?,
     )?;
-    Ok(ClassModel { fit, disc })
+    Ok((psi, disc))
 }
 
-/// Fits the non-collusive-malicious class model, falling back to the
-/// honest model when the class has fewer than 3 points.
+/// The fitting half of [`design_contracts`] (§IV-B):
+///
+/// 1. split workers by the detection result (non-suspected ⇒ honest,
+///    suspected singletons ⇒ non-collusive malicious, communities ⇒
+///    collusive meta-workers),
+/// 2. fit each group's effort function: the non-collusive class falls
+///    back to the honest model below 3 points; communities are fitted on
+///    their aggregate `(Σ effort, Σ feedback)` points when at least 3
+///    communities exist, else on the members' own points (keeping the
+///    non-collusive discretization), else they take the non-collusive
+///    model,
+/// 3. decompose into subproblems with per-worker Eq. 5 weights.
 ///
 /// # Errors
 ///
-/// Propagates fitting failures.
-pub fn fit_ncm_model(
-    points: &ClassPoints,
-    config: &DesignConfig,
-    honest: &ClassModel,
-) -> Result<ClassModel, CoreError> {
-    if points.ncm.len() >= 3 {
-        let fit = fit_effort_function(&points.ncm)?;
-        let disc = Discretization::covering(
-            config.intervals,
-            effort_region(&points.ncm, &fit.psi, config.effort_quantile)?,
-        )?;
-        Ok(ClassModel { fit, disc })
-    } else {
-        Ok(honest.clone())
-    }
-}
-
-/// Fits the collusive meta-worker model: community aggregate points when
-/// at least 3 communities exist, else the members' own points (keeping
-/// the ncm discretization), else the ncm model entirely.
-///
-/// # Errors
-///
-/// Propagates fitting failures.
-pub fn fit_cm_model(
-    points: &ClassPoints,
-    config: &DesignConfig,
-    ncm: &ClassModel,
-) -> Result<ClassModel, CoreError> {
-    if points.community.len() >= 3 {
-        let fit = fit_effort_function(&points.community)?;
-        let disc = Discretization::covering(
-            config.intervals,
-            effort_region(&points.community, &fit.psi, config.effort_quantile)?,
-        )?;
-        Ok(ClassModel { fit, disc })
-    } else if points.cm.len() >= 3 {
-        Ok(ClassModel {
-            fit: fit_effort_function(&points.cm)?,
-            disc: ncm.disc,
-        })
-    } else {
-        Ok(ncm.clone())
-    }
-}
-
-/// Fits all three class models — step 2 of [`prepare_design`]. The
-/// per-class functions are public so an incremental caller can refit
-/// *only the classes whose points changed*, chaining through the
-/// fallback dependencies (honest → ncm → cm) and matching this batch
-/// path bit-for-bit.
-///
-/// # Errors
-///
-/// Propagates fitting failures; a trace whose honest class has fewer
-/// than 3 observation points cannot be fitted.
-pub fn fit_class_models(
-    points: &ClassPoints,
-    config: &DesignConfig,
-) -> Result<ClassModels, CoreError> {
-    let honest = fit_honest_model(points, config)?;
-    let ncm = fit_ncm_model(points, config, &honest)?;
-    let cm = fit_cm_model(points, config, &ncm)?;
-    Ok(ClassModels { honest, ncm, cm })
-}
-
-/// Decomposes the bilevel program into per-worker and per-community
-/// [`Subproblem`]s over fitted class models — step 3 of
-/// [`prepare_design`].
-///
-/// # Errors
-///
-/// Propagates fitting failures from the optional per-worker individual
-/// fits.
-pub fn decompose_design(
+/// Propagates fitting failures; rejects invalid configurations and traces
+/// whose classes are too small to fit (the honest class needs 3
+/// observation points).
+pub fn prepare_design(
     trace: &TraceDataset,
     detection: &DetectionResult,
     config: &DesignConfig,
-    points: &ClassPoints,
-    models: &ClassModels,
 ) -> Result<DesignPrep, CoreError> {
+    config.validate()?;
+    let points = collect_class_points(trace, detection);
+    let honest = fit_class_model(&points.honest, config)?;
+    let ncm = if points.ncm.len() >= 3 {
+        fit_class_model(&points.ncm, config)?
+    } else {
+        honest
+    };
+    let cm = if points.community.len() >= 3 {
+        fit_class_model(&points.community, config)?
+    } else if points.cm.len() >= 3 {
+        (fit_effort_function(&points.cm)?.psi, ncm.1)
+    } else {
+        ncm
+    };
+
     let suspected: BTreeSet<ReviewerId> = detection.suspected.iter().copied().collect();
     let in_community: BTreeSet<ReviewerId> = detection
         .collusion
@@ -415,8 +314,7 @@ pub fn decompose_design(
     let mut subproblems = Vec::new();
     let mut next_id = 0usize;
     for reviewer in trace.reviewers() {
-        if in_community.contains(&reviewer.id) || !points.worker_points.contains_key(&reviewer.id)
-        {
+        if in_community.contains(&reviewer.id) || !points.worker_points.contains_key(&reviewer.id) {
             continue;
         }
         let weight = detection.weights.weight(reviewer.id).unwrap_or(0.0);
@@ -431,30 +329,14 @@ pub fn decompose_design(
                         .iter()
                         .map(|r| (trace.effort_of(r), trace.feedback_of(r)))
                         .collect();
-                    fit_effort_function(&points).ok().and_then(|fit| {
-                        let efforts: Vec<f64> = points.iter().map(|p| p.0).collect();
-                        let q = percentile(&efforts, config.effort_quantile).ok()?;
-                        let peak = fit.psi.peak().unwrap_or(f64::INFINITY);
-                        let y_max = q.min(0.9 * peak);
-                        if y_max > 0.0 {
-                            Discretization::covering(config.intervals, y_max)
-                                .ok()
-                                .map(|d| (fit.psi, d))
-                        } else {
-                            None
-                        }
-                    })
+                    fit_class_model(&points, config).ok()
                 } else {
                     None
                 }
             }
             _ => None,
         };
-        let (psi, disc) = individual.unwrap_or(if is_suspect {
-            (models.ncm.fit.psi, models.ncm.disc)
-        } else {
-            (models.honest.fit.psi, models.honest.disc)
-        });
+        let (psi, disc) = individual.unwrap_or(if is_suspect { ncm } else { honest });
 
         subproblems.push(Subproblem {
             id: next_id,
@@ -482,44 +364,17 @@ pub fn decompose_design(
             members: members.iter().map(|m| m.index()).collect(),
             omega: config.params.omega,
             weight,
-            psi: models.cm.fit.psi,
-            disc: models.cm.disc,
+            psi: cm.0,
+            disc: cm.1,
         });
         next_id += 1;
     }
 
     Ok(DesignPrep {
         subproblems,
-        class_psis: models.psis(),
+        class_psis: (honest.0, ncm.0, cm.0),
         first_community_subproblem,
     })
-}
-
-/// The fitting half of [`design_contracts`] (§IV-B):
-///
-/// 1. split workers by the detection result (non-suspected ⇒ honest,
-///    suspected singletons ⇒ non-collusive malicious, communities ⇒
-///    collusive meta-workers) — [`collect_class_points`],
-/// 2. fit each group's effort function (communities are fitted on their
-///    aggregate `(Σ effort, Σ feedback)` points when at least 3
-///    communities exist, else they fall back to the per-worker fit) —
-///    [`fit_class_models`],
-/// 3. decompose into subproblems with per-worker Eq. 5 weights —
-///    [`decompose_design`].
-///
-/// # Errors
-///
-/// Propagates fitting failures; rejects invalid configurations and traces
-/// whose classes are too small to fit.
-pub fn prepare_design(
-    trace: &TraceDataset,
-    detection: &DetectionResult,
-    config: &DesignConfig,
-) -> Result<DesignPrep, CoreError> {
-    config.validate()?;
-    let points = collect_class_points(trace, detection);
-    let models = fit_class_models(&points, config)?;
-    decompose_design(trace, detection, config, &points, &models)
 }
 
 /// The assignment half of [`design_contracts`]: maps a solved

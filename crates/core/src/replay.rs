@@ -30,29 +30,37 @@ pub struct ReplayOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidInput`] if the trace has no reviews.
+/// Returns [`CoreError::InvalidInput`] if the trace has no reviews, or
+/// if its last round index is not below its review count: the replay
+/// emits one record per round, so this bounds its output by its input.
 pub fn replay_trace(
     trace: &TraceDataset,
     detection: &DetectionResult,
     design: &ContractDesign,
     params: &ModelParams,
 ) -> Result<ReplayOutcome, CoreError> {
-    if trace.reviews().is_empty() {
-        return Err(CoreError::InvalidInput("trace has no reviews".into()));
-    }
-    let n_rounds = trace
-        .reviews()
+    let reviews = trace.reviews();
+    let last_round = reviews
         .iter()
         .map(|r| r.round)
         .max()
-        .unwrap_or(0)
-        + 1;
+        .ok_or_else(|| CoreError::InvalidInput("trace has no reviews".into()))?;
+    if last_round >= reviews.len() {
+        return Err(CoreError::InvalidInput(format!(
+            "trace's last round index {last_round} is not below its review count {}",
+            reviews.len()
+        )));
+    }
 
-    // Per-(round, worker) mean feedback from the recorded reviews.
-    let mut per_round: Vec<BTreeMap<ReviewerId, (f64, usize)>> =
-        vec![BTreeMap::new(); n_rounds];
-    for review in trace.reviews() {
-        let slot = per_round[review.round].entry(review.reviewer).or_insert((0.0, 0));
+    // Per-(round, worker) mean feedback from the recorded reviews; only
+    // rounds with reviews get an entry.
+    let mut per_round: BTreeMap<usize, BTreeMap<ReviewerId, (f64, usize)>> = BTreeMap::new();
+    for review in reviews {
+        let slot = per_round
+            .entry(review.round)
+            .or_default()
+            .entry(review.reviewer)
+            .or_insert((0.0, 0));
         slot.0 += trace.feedback_of(review);
         slot.1 += 1;
     }
@@ -64,8 +72,10 @@ pub fn replay_trace(
     let mut pending: Vec<Option<f64>> = vec![None; n_workers];
     let mut observations = 0usize;
 
-    let mut rounds = Vec::with_capacity(n_rounds);
-    for (t, activity) in per_round.iter().enumerate() {
+    let quiet = BTreeMap::new();
+    let mut rounds = Vec::with_capacity(last_round + 1);
+    for t in 0..=last_round {
+        let activity = per_round.get(&t).unwrap_or(&quiet);
         let mut benefit = 0.0;
         let mut payment = 0.0;
         for (&worker, &(sum, count)) in activity {
@@ -164,6 +174,25 @@ mod tests {
         )
         .unwrap();
         assert!(replay_trace(&empty, &detection, &design, &params).is_err());
+    }
+
+    #[test]
+    fn round_index_past_the_review_count_is_rejected() {
+        let (trace, detection, design, params) = setup();
+        for round in [trace.reviews().len(), 4_000_000_000, usize::MAX] {
+            let mut reviews = trace.reviews().to_vec();
+            reviews[0].round = round;
+            let bad = TraceDataset::new(
+                trace.products().to_vec(),
+                trace.reviewers().to_vec(),
+                reviews,
+                trace.campaigns().to_vec(),
+            )
+            .unwrap();
+            let err = replay_trace(&bad, &detection, &design, &params).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidInput(_)), "{err}");
+            assert!(err.to_string().contains(&round.to_string()), "{err}");
+        }
     }
 
     #[test]

@@ -247,7 +247,7 @@ impl Simulation {
             pending_payment,
             delayed_payments: vec![Vec::new(); agents.len()],
             agent_compensation: vec![0.0; agents.len()],
-            rounds: Vec::with_capacity(self.config.rounds),
+            rounds: Vec::new(),
         })
     }
 
@@ -502,6 +502,25 @@ mod tests {
         let outcome = sim(0.0).run(&[]).unwrap();
         assert_eq!(outcome.cumulative_requester_utility, 0.0);
         assert!(outcome.rounds.iter().all(|r| r.requester_utility == 0.0));
+    }
+
+    #[test]
+    fn a_huge_horizon_costs_only_the_rounds_stepped() {
+        // Round records grow as rounds complete, so an untrusted horizon
+        // allocates nothing up front.
+        let agents = vec![built_agent(0, 0.0, 1.0, true)];
+        let s = Simulation::new(
+            ModelParams::default(),
+            SimulationConfig {
+                rounds: usize::MAX,
+                feedback_noise_sd: 0.0,
+                seed: 11,
+            },
+        );
+        let mut state = s.start(&agents).unwrap();
+        assert!(s.step(&agents, &mut state, &mut NoFaults));
+        assert_eq!(state.rounds.len(), 1);
+        assert!(!state.is_complete(&s.config));
     }
 
     #[test]

@@ -160,13 +160,6 @@ pub struct RoundContext {
     /// whose output is currently cached. Surfaced as the `cause`
     /// attribute on stage spans.
     causes: [Option<&'static str>; 6],
-    /// Workers whose inputs changed since the dirty set was last drained
-    /// — the fine-grained counterpart of the per-stage invalidation,
-    /// maintained by [`RoundContext::set_trace_incremental`] /
-    /// [`RoundContext::mark_workers_dirty`] for incremental consumers
-    /// (the streaming service) that re-run detection/fit/solve work only
-    /// for affected workers.
-    dirty_workers: std::collections::BTreeSet<dcc_trace::ReviewerId>,
 }
 
 /// The inputs of the fit stage that, when changed, force a refit.
@@ -191,7 +184,6 @@ impl RoundContext {
             design: None,
             sim_outcome: None,
             causes: [None; 6],
-            dirty_workers: std::collections::BTreeSet::new(),
         }
     }
 
@@ -335,45 +327,6 @@ impl RoundContext {
         self.trace = Some(trace);
         self.causes[StageKind::Ingest.index()] = None;
         self.invalidate_after(StageKind::Ingest);
-    }
-
-    /// Publishes an incrementally-evolved trace: like
-    /// [`RoundContext::set_trace`], but attributes the downstream
-    /// invalidation to `trace_delta` and records exactly which workers'
-    /// inputs changed, so an incremental consumer can re-run
-    /// detection/fit/solve work only for the affected subproblems
-    /// (drained via [`RoundContext::take_dirty_workers`]).
-    pub fn set_trace_incremental(
-        &mut self,
-        trace: TraceDataset,
-        dirty: impl IntoIterator<Item = dcc_trace::ReviewerId>,
-    ) {
-        self.trace = Some(trace);
-        self.causes[StageKind::Ingest.index()] = None;
-        for k in StageKind::ALL {
-            if k.index() > StageKind::Ingest.index() {
-                self.clear_with(k, "trace_delta");
-            }
-        }
-        self.mark_workers_dirty(dirty);
-    }
-
-    /// Adds workers to the dirty set without touching any cache slot —
-    /// for callers accumulating deltas across several mutations before
-    /// one recompute.
-    pub fn mark_workers_dirty(&mut self, workers: impl IntoIterator<Item = dcc_trace::ReviewerId>) {
-        self.dirty_workers.extend(workers);
-    }
-
-    /// The workers currently marked dirty, in id order.
-    pub fn dirty_workers(&self) -> &std::collections::BTreeSet<dcc_trace::ReviewerId> {
-        &self.dirty_workers
-    }
-
-    /// Drains and returns the dirty-worker set — called once per
-    /// incremental recompute so the next round starts clean.
-    pub fn take_dirty_workers(&mut self) -> std::collections::BTreeSet<dcc_trace::ReviewerId> {
-        std::mem::take(&mut self.dirty_workers)
     }
 
     /// Publishes the detect output, invalidating later stages.

@@ -7,7 +7,10 @@ use crate::stages::{
 };
 use dcc_obs::{names as obs_names, AttrValue};
 use std::fmt;
-// dcc-lint: allow(wall-clock, reason = "stage durations are measured here and published through dcc-obs spans")
+#[allow(
+    clippy::disallowed_types,
+    reason = "stage durations are measured here and published through dcc-obs spans"
+)]
 use std::time::{Duration, Instant};
 
 /// What happened to one stage during [`Engine::run_to`].
@@ -169,7 +172,10 @@ impl Engine {
             } else {
                 None
             };
-            // dcc-lint: allow(wall-clock, reason = "stage timing fed to the obs span/report below")
+            #[allow(
+                clippy::disallowed_types,
+                reason = "stage timing fed to the obs span/report below"
+            )]
             let start = Instant::now();
             if !cached {
                 stage.run(ctx)?;

@@ -13,7 +13,10 @@ use dcc_obs::{names as obs, AttrValue};
 use dcc_trace::{read_trace_columnar, read_trace_csv};
 use std::collections::BTreeSet;
 use std::path::Path;
-// dcc-lint: allow(wall-clock, reason = "trace-load timing is measured here and routed into dcc-obs via span_at")
+#[allow(
+    clippy::disallowed_types,
+    reason = "trace-load timing is measured here and routed into dcc-obs via span_at"
+)]
 use std::time::Instant;
 
 /// Materializes the trace from the configured [`TraceSource`].
@@ -26,7 +29,10 @@ impl Stage for DefaultIngest {
     }
 
     fn run(&self, ctx: &mut RoundContext) -> Result<(), EngineError> {
-        // dcc-lint: allow(wall-clock, reason = "trace-load timing fed to metrics.span_at below")
+        #[allow(
+            clippy::disallowed_types,
+            reason = "trace-load timing fed to metrics.span_at below"
+        )]
         let started = ctx.config().metrics.enabled().then(Instant::now);
         let (trace, source_kind) = match &ctx.config().source {
             TraceSource::Provided(trace) => (trace.clone(), "provided"),

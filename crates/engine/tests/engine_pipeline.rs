@@ -317,45 +317,3 @@ fn missing_output_is_a_typed_error() {
     let msg = err.to_string();
     assert!(msg.contains("construct-contracts"), "got: {msg}");
 }
-
-#[test]
-fn trace_delta_invalidates_downstream_and_tracks_dirty_workers() {
-    let mut ctx = context(trace());
-    let engine = Engine::new();
-    engine
-        .run_to(&mut ctx, StageKind::ConstructContracts)
-        .unwrap();
-
-    // Evolve the trace by one review and publish the delta.
-    let mut evolved = ctx.trace().unwrap().clone();
-    let rv = evolved.reviews()[0].clone();
-    let worker = rv.reviewer;
-    evolved.push_review(rv).unwrap();
-    ctx.set_trace_incremental(evolved, [worker]);
-
-    // Ingest keeps its (new) output; everything downstream is cleared
-    // and attributed to the delta.
-    assert!(ctx.has(StageKind::Ingest));
-    assert!(!ctx.has(StageKind::Detect));
-    assert!(!ctx.has(StageKind::ConstructContracts));
-    assert_eq!(ctx.invalidation_cause(StageKind::Detect), Some("trace_delta"));
-    assert_eq!(
-        ctx.invalidation_cause(StageKind::ConstructContracts),
-        Some("trace_delta")
-    );
-
-    // The dirty set accumulates until drained, then starts clean.
-    assert!(ctx.dirty_workers().contains(&worker));
-    ctx.mark_workers_dirty([worker]);
-    assert_eq!(ctx.dirty_workers().len(), 1);
-    let drained = ctx.take_dirty_workers();
-    assert!(drained.contains(&worker));
-    assert!(ctx.dirty_workers().is_empty());
-
-    // Re-running reuses the ingest slot and recomputes the rest.
-    let report = engine
-        .run_to(&mut ctx, StageKind::ConstructContracts)
-        .unwrap();
-    assert!(report.was_cached(StageKind::Ingest));
-    assert!(!report.was_cached(StageKind::Detect));
-}

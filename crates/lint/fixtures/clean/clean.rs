@@ -31,10 +31,9 @@ pub fn documentation() -> &'static str {
 
 // A suppressed line with a reason is clean only when it has a finding;
 // this one is genuinely needed by the rule it allows.
-pub fn hashed() -> u64 {
-    // dcc-lint: allow(nondet-iter, reason = "fixture exercising a used suppression")
-    let s: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    s.len() as u64
+pub fn is_unit(x: f64) -> bool {
+    // dcc-lint: allow(float-eq, reason = "fixture exercising a used suppression")
+    x == 1.0
 }
 
 #[cfg(test)]

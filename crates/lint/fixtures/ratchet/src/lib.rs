@@ -1,11 +1,11 @@
 //! Ratchet fixture: exactly two determinism-taint findings with no
 //! policy, exercised against the three committed baseline variants
 //! (`baseline-ok`, `baseline-short`, `baseline-stale`).
-use std::time::Instant; // dcc-lint: allow(wall-clock, reason = "ratchet fixture source")
+use std::time::Instant;
 
 /// Wall-clock source.
 pub fn ticks() -> u64 {
-    Instant::now().elapsed().as_nanos() as u64 // dcc-lint: allow(wall-clock, reason = "ratchet fixture source")
+    Instant::now().elapsed().as_nanos() as u64
 }
 
 /// Finding 1: clock into the digest.

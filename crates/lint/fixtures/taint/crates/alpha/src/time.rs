@@ -1,16 +1,16 @@
 //! Wall-clock helpers: the taint sources of the fixture workspace.
-//! The token-level `wall-clock` findings are deliberately suppressed
-//! inline so the golden output isolates the `determinism-taint` rule.
-use std::time::Instant; // dcc-lint: allow(wall-clock, reason = "fixture taint source")
+//! No token rule reads clocks (that ban is clippy's), so the golden
+//! output holds the `determinism-taint` rule alone.
+use std::time::Instant;
 
 /// Microseconds of elapsed wall-clock time — a determinism-taint
 /// source that leaks cross-crate into `beta::digest_round`.
 pub fn now_us() -> u64 {
-    Instant::now().elapsed().as_micros() as u64 // dcc-lint: allow(wall-clock, reason = "fixture taint source")
+    Instant::now().elapsed().as_micros() as u64
 }
 
 /// Laundered by the fixture policy: flows out of this fn are
 /// sanctioned and must produce no findings downstream.
 pub fn sanctioned_timer() -> u64 {
-    Instant::now().elapsed().as_nanos() as u64 // dcc-lint: allow(wall-clock, reason = "fixture laundered source")
+    Instant::now().elapsed().as_nanos() as u64
 }

@@ -200,11 +200,11 @@ mod tests {
         let out = b.apply(vec![
             finding("determinism-taint", "a.rs", 4),
             finding("float-eq", "b.rs", 7),
-            finding("wall-clock", "c.rs", 1),
+            finding("metric-registry", "c.rs", 1),
         ]);
         assert!(!out.clean());
         assert_eq!(out.fresh.len(), 1);
-        assert_eq!(out.fresh[0].rule, "wall-clock");
+        assert_eq!(out.fresh[0].rule, "metric-registry");
         // A fixed finding makes its entry stale — also a failure.
         let out = b.apply(vec![finding("determinism-taint", "a.rs", 4)]);
         assert!(!out.clean());
@@ -231,16 +231,16 @@ mod tests {
     fn update_preserves_justifications_and_stamps_new_entries() {
         let prev = Baseline::parse("b", "float-eq b.rs:7 -- migrating\n").expect("parses");
         let rendered = render(
-            &[finding("float-eq", "b.rs", 7), finding("wall-clock", "c.rs", 1)],
+            &[finding("float-eq", "b.rs", 7), finding("metric-registry", "c.rs", 1)],
             &prev,
         );
         assert!(rendered.contains("float-eq b.rs:7 -- migrating"));
-        assert!(rendered.contains("wall-clock c.rs:1 -- TODO: justify or fix"));
+        assert!(rendered.contains("metric-registry c.rs:1 -- TODO: justify or fix"));
         // Round-trip: the rendered file parses and is clean against the
         // same findings.
         let b = Baseline::parse("b", &rendered).expect("round-trips");
         assert!(b
-            .apply(vec![finding("float-eq", "b.rs", 7), finding("wall-clock", "c.rs", 1)])
+            .apply(vec![finding("float-eq", "b.rs", 7), finding("metric-registry", "c.rs", 1)])
             .clean());
     }
 }

@@ -117,7 +117,12 @@ mod tests {
     fn text_and_json_round_trip_the_essentials() {
         let findings = vec![
             Finding::new("float-eq", "a.rs", 3, "float `==` comparison".to_string()),
-            Finding::new("wall-clock", "b.rs", 7, "quote \" and \\ back".to_string()),
+            Finding::new(
+                "metric-registry",
+                "b.rs",
+                7,
+                "quote \" and \\ back".to_string(),
+            ),
         ];
         let text = render_text(&findings, 2);
         assert!(text.contains("a.rs:3: [float-eq]"));
@@ -126,7 +131,7 @@ mod tests {
         assert!(json.starts_with("{\"schema\":\"dcc-lint/2\""));
         assert!(json.contains("\"files_scanned\":2"));
         assert!(json.contains("\\\" and \\\\ back"));
-        assert!(json.contains("\"counts\":{\"float-eq\":1,\"wall-clock\":1}"));
+        assert!(json.contains("\"counts\":{\"float-eq\":1,\"metric-registry\":1}"));
     }
 
     #[test]

@@ -10,9 +10,6 @@ use crate::Finding;
 /// suppression handling.
 pub const RULE_IDS: &[&str] = &[
     "float-eq",
-    "unwrap-in-lib",
-    "nondet-iter",
-    "wall-clock",
     "metric-registry",
     "determinism-taint",
     "taint-policy",
@@ -28,9 +25,6 @@ pub struct FileCtx<'a> {
     pub tokens: &'a [Tok],
     /// `#[cfg(test)]` / `#[test]` line ranges.
     pub test_regions: &'a TestRegions,
-    /// Whether the wall-clock rule exempts this file (the `dcc-obs`
-    /// timing layer itself).
-    pub wall_clock_exempt: bool,
 }
 
 impl FileCtx<'_> {
@@ -42,9 +36,6 @@ impl FileCtx<'_> {
 /// Runs all single-file token rules, appending to `findings`.
 pub fn run_token_rules(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     float_eq(ctx, findings);
-    unwrap_in_lib(ctx, findings);
-    nondet_iter(ctx, findings);
-    wall_clock(ctx, findings);
 }
 
 /// Identifiers that make a `==`/`!=` operand float-typed on its face.
@@ -54,8 +45,10 @@ const FLOAT_CONSTS: &[&str] = &["NAN", "INFINITY", "NEG_INFINITY", "EPSILON", "M
 /// float-typed — a float literal on either side, a `… as f64`/`f32`
 /// cast on the left, or an `f64::NAN`-style constant path. Type-aware
 /// coverage (two float *variables* compared) is `clippy::float_cmp`'s
-/// job; this rule is the fast source-level complement that also runs
-/// on code clippy has been allowed to skip.
+/// job; this rule is the source-level complement for what that lint
+/// exempts — comparisons with zero and with named constants
+/// (`x == 0.0`, `x == f64::INFINITY`) — and also runs on code clippy
+/// has been allowed to skip.
 fn float_eq(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     let toks = ctx.tokens;
     for (i, t) in toks.iter().enumerate() {
@@ -99,113 +92,6 @@ fn float_eq(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     }
 }
 
-/// `unwrap-in-lib`: no `.unwrap()`, `.expect(…)`, or `panic!` in
-/// non-test library/binary code. Libraries surface `CoreError` (or the
-/// crate's typed error); the CLI surfaces `CliError`.
-fn unwrap_in_lib(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    let toks = ctx.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.in_test(t.line) {
-            continue;
-        }
-        let prev = i.checked_sub(1).and_then(|j| toks.get(j));
-        let next = toks.get(i + 1);
-        let method_call = |name: &str| {
-            t.text == name
-                && matches!(prev, Some(p) if p.text == ".")
-                && matches!(next, Some(n) if n.text == "(")
-        };
-        let msg = if method_call("unwrap") {
-            Some("`.unwrap()` in library code; return a typed error instead")
-        } else if method_call("expect") {
-            Some("`.expect(…)` in library code; return a typed error instead")
-        } else if t.text == "panic" && matches!(next, Some(n) if n.text == "!") {
-            Some("`panic!` in library code; return a typed error instead")
-        } else {
-            None
-        };
-        if let Some(msg) = msg {
-            findings.push(Finding::new("unwrap-in-lib", ctx.path, t.line, msg.to_string()));
-        }
-    }
-}
-
-/// `nondet-iter`: no `HashMap`/`HashSet` in non-test code. Their
-/// iteration order is a per-process coin flip, and hash containers have
-/// repeatedly been the source of nondeterministic serialization, metric,
-/// and contract output. `BTreeMap`/`BTreeSet` are order-deterministic by
-/// construction; a reasoned suppression is required where hashing is
-/// genuinely needed.
-fn nondet_iter(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for t in ctx.tokens {
-        if t.kind == TokKind::Ident
-            && (t.text == "HashMap" || t.text == "HashSet")
-            && !ctx.in_test(t.line)
-        {
-            findings.push(Finding::new(
-                "nondet-iter",
-                ctx.path,
-                t.line,
-                format!(
-                    "`{}` has nondeterministic iteration order; use BTree{} or \
-                     suppress with a reason",
-                    t.text,
-                    if t.text == "HashMap" { "Map" } else { "Set" }
-                ),
-            ));
-        }
-    }
-}
-
-/// `wall-clock`: no `Instant`/`SystemTime` — and no `thread::sleep` —
-/// outside the sanctioned timing modules (`dcc-obs`, whose recorders
-/// redact timing from deterministic output, and the `dcc-faults` retry
-/// module, whose backoff is a deterministic *logical* schedule). A
-/// clock read anywhere else is either dead weight or a determinism
-/// leak, and a sleep stalls a worker on wall time the supervised batch
-/// scheduler budgets logically.
-fn wall_clock(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if ctx.wall_clock_exempt {
-        return;
-    }
-    let toks = ctx.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.in_test(t.line) {
-            continue;
-        }
-        if t.text == "Instant" || t.text == "SystemTime" {
-            findings.push(Finding::new(
-                "wall-clock",
-                ctx.path,
-                t.line,
-                format!(
-                    "`{}` outside dcc-obs; route timing through the metrics layer \
-                     or suppress with a reason",
-                    t.text
-                ),
-            ));
-            continue;
-        }
-        // `thread::sleep(...)` (std or scoped-import spelling).
-        let prev = i.checked_sub(1).and_then(|j| toks.get(j));
-        let prev2 = i.checked_sub(2).and_then(|j| toks.get(j));
-        if t.text == "sleep"
-            && matches!(prev, Some(p) if p.text == "::")
-            && matches!(prev2, Some(p) if p.text == "thread")
-        {
-            findings.push(Finding::new(
-                "wall-clock",
-                ctx.path,
-                t.line,
-                "`thread::sleep` outside the sanctioned timing modules; \
-                 use the deterministic dcc-faults backoff schedule or suppress \
-                 with a reason"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,17 +99,12 @@ mod tests {
     use crate::lexer::lex;
 
     fn run(src: &str) -> Vec<Finding> {
-        run_on(src, false)
-    }
-
-    fn run_on(src: &str, wall_clock_exempt: bool) -> Vec<Finding> {
         let lexed = lex(src);
         let regions = test_regions(&lexed.tokens);
         let ctx = FileCtx {
             path: "crates/x/src/lib.rs",
             tokens: &lexed.tokens,
             test_regions: &regions,
-            wall_clock_exempt,
         };
         let mut findings = Vec::new();
         run_token_rules(&ctx, &mut findings);
@@ -248,48 +129,8 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_in_lib_catches_all_three_forms() {
-        let f = run("fn f() { o.unwrap(); r.expect(\"m\"); panic!(\"boom\"); }\n");
-        assert_eq!(f.len(), 3);
-        assert!(f.iter().all(|x| x.rule == "unwrap-in-lib"));
-    }
-
-    #[test]
-    fn unwrap_or_variants_are_fine() {
-        assert!(run("fn f() { o.unwrap_or(1); o.unwrap_or_else(g); o.unwrap_or_default(); }\n")
-            .is_empty());
-        // `expect` as a plain identifier (not a method call) is fine.
-        assert!(run("fn expect() {}\n").is_empty());
-    }
-
-    #[test]
-    fn nondet_iter_and_wall_clock() {
-        let f = run("use std::collections::HashMap;\nfn f() { let t = Instant::now(); }\n");
-        assert_eq!(f.len(), 2);
-        assert_eq!(f[0].rule, "nondet-iter");
-        assert_eq!(f[1].rule, "wall-clock");
-        assert!(run_on("fn f() { let t = Instant::now(); }\n", true).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_catches_thread_sleep() {
-        let f = run("fn f() { std::thread::sleep(d); }\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "wall-clock");
-        assert!(f[0].message.contains("thread::sleep"), "{}", f[0].message);
-        // Scoped-import spelling is the same call.
-        assert_eq!(run("fn f() { thread::sleep(d); }\n").len(), 1);
-        // Sanctioned modules and test regions are exempt.
-        assert!(run_on("fn f() { std::thread::sleep(d); }\n", true).is_empty());
-        assert!(run("#[test]\nfn t() { std::thread::sleep(d); }\n").is_empty());
-        // Other `sleep` identifiers are not wall-clock reads.
-        assert!(run("fn f() { scheduler.sleep(); }\n").is_empty());
-        assert!(run("fn sleep() {}\n").is_empty());
-    }
-
-    #[test]
     fn test_regions_are_skipped() {
-        let src = "#[test]\nfn t() { o.unwrap(); }\nfn lib() { o.unwrap(); }\n";
+        let src = "#[test]\nfn t(x: f64) -> bool { x == 1.0 }\nfn lib(x: f64) -> bool { x == 1.0 }\n";
         let f = run(src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 3);

@@ -26,9 +26,6 @@ pub struct SarifResult<'a> {
 fn rule_description(rule: &str) -> &'static str {
     match rule {
         "float-eq" => "No visibly-float == / != comparisons; use dcc_numerics helpers.",
-        "unwrap-in-lib" => "No unwrap/expect/panic! in non-test library code.",
-        "nondet-iter" => "No HashMap/HashSet: iteration order is nondeterministic.",
-        "wall-clock" => "No Instant/SystemTime reads outside the dcc-obs timing layer.",
         "metric-registry" => "Metric names in code and docs/observability.md must stay in sync.",
         "determinism-taint" => {
             "No nondeterministic value may flow through the call graph into a digest, checkpoint, golden snapshot, or metric emission."

@@ -156,13 +156,13 @@ mod tests {
     fn trailing_targets_own_line_standalone_targets_next() {
         let src = "\
 // dcc-lint: allow(float-eq, reason = \"standalone\")
-let a = x; // dcc-lint: allow(wall-clock, reason = \"trailing\")
+let a = x; // dcc-lint: allow(float-eq, reason = \"trailing\")
 ";
         let (sup, findings) = parse_src(src);
         assert!(findings.is_empty());
         assert_eq!(sup.len(), 2);
         assert_eq!((sup[0].rule.as_str(), sup[0].target_line), ("float-eq", 2));
-        assert_eq!((sup[1].rule.as_str(), sup[1].target_line), ("wall-clock", 2));
+        assert_eq!((sup[1].rule.as_str(), sup[1].target_line), ("float-eq", 2));
     }
 
     #[test]
@@ -198,7 +198,7 @@ let a = x; // dcc-lint: allow(wall-clock, reason = \"trailing\")
     #[test]
     fn suppression_is_rule_specific() {
         let (mut sup, _) = parse_src("// dcc-lint: allow(float-eq, reason = \"r\")\nx\n");
-        let findings = vec![Finding::new("wall-clock", "f.rs", 2, "v".to_string())];
+        let findings = vec![Finding::new("determinism-taint", "f.rs", 2, "v".to_string())];
         let kept = apply("f.rs", &mut sup, findings);
         // Wrong rule: the finding survives and the suppression is unused.
         assert_eq!(kept.len(), 2);

@@ -1,8 +1,9 @@
 //! Property: `// dcc-lint: allow(rule, reason = "…")` suppressions are
 //! honored exactly once per line — a suppression silences findings of
-//! its rule on its target line only, never a neighboring line, never a
-//! different rule, and a suppression with nothing to suppress is
-//! reported as `unused-suppression`.
+//! its rule on its target line only, never a neighboring line, and a
+//! suppression with nothing to suppress is reported as
+//! `unused-suppression`. That a suppression never silences a different
+//! rule is a unit test in `src/suppress.rs`.
 
 // Test code may panic freely; helpers outside `#[test]` fns miss
 // clippy.toml's in-tests exemption, so allow at file scope.
@@ -11,13 +12,13 @@
 use dcc_lint::lint_source;
 use proptest::prelude::*;
 
-/// One violation template per rule: each line triggers its rule exactly
-/// once when unsuppressed.
+/// Violation templates, one per `float-eq` trigger form: each line
+/// triggers the rule exactly once when unsuppressed.
 const TEMPLATES: [(&str, &str); 4] = [
     ("float-eq", "let _a = x == 1.0;"),
-    ("unwrap-in-lib", "let _b = o.unwrap();"),
-    ("nondet-iter", "let _c = HashMap::new();"),
-    ("wall-clock", "let _d = Instant::now();"),
+    ("float-eq", "let _b = y != -2.5;"),
+    ("float-eq", "let _c = n as f64 == z;"),
+    ("float-eq", "let _d = w == f64::INFINITY;"),
 ];
 
 /// Builds a source file from (template index, suppressed?) pairs and

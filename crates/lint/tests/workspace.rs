@@ -21,7 +21,7 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// The 12 `serve.*` names of the streaming service.
+/// The 9 `serve.*` names of the streaming service.
 const SERVE_NAMES: &[&str] = &[
     "serve.round",
     "serve.events",
@@ -29,12 +29,9 @@ const SERVE_NAMES: &[&str] = &[
     "serve.dirty.workers",
     "serve.dirty.products",
     "serve.solve.resolved",
-    "serve.solve.reused",
     "serve.fit.refits",
-    "serve.fit.reused",
     "serve.checkpoint.saved",
     "serve.checkpoint.restored",
-    "serve.incremental_ratio",
 ];
 
 /// The 6 supervision names added with the supervised batch scheduler.

@@ -32,7 +32,6 @@
 mod cmp;
 mod error;
 mod fnv;
-mod incremental;
 mod json;
 mod linsolve;
 mod matrix;
@@ -46,7 +45,6 @@ mod stats;
 pub use cmp::{approx_eq, exact_eq, exact_ne};
 pub use error::NumericsError;
 pub use fnv::{fnv1a, Fnv};
-pub use incremental::IncrementalQuadraticFit;
 pub use json::{Json, JsonError};
 pub use linsolve::{solve_cholesky, solve_gaussian};
 pub use matrix::Matrix;

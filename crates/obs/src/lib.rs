@@ -199,22 +199,15 @@ pub mod names {
     pub const COUNTER_SERVE_DIRTY_WORKERS: &str = "serve.dirty.workers";
     /// Counter: products marked dirty across all round recomputes.
     pub const COUNTER_SERVE_DIRTY_PRODUCTS: &str = "serve.dirty.products";
-    /// Counter: subproblems re-solved because their inputs changed.
+    /// Counter: subproblems solved across all round recomputes.
     pub const COUNTER_SERVE_SOLVE_RESOLVED: &str = "serve.solve.resolved";
-    /// Counter: subproblems whose cached solution was reused unchanged.
-    pub const COUNTER_SERVE_SOLVE_REUSED: &str = "serve.solve.reused";
-    /// Counter: class effort-function refits forced by changed points.
+    /// Counter: round recomputes whose class effort-function fits ran.
     pub const COUNTER_SERVE_FIT_REFITS: &str = "serve.fit.refits";
-    /// Counter: class effort-function fits reused from the last round.
-    pub const COUNTER_SERVE_FIT_REUSED: &str = "serve.fit.reused";
     /// Counter: checkpoints the streaming service wrote.
     pub const COUNTER_SERVE_CKPT_SAVED: &str = "serve.checkpoint.saved";
     /// Counter: runs restored from a `dcc-serve-ckpt/2` checkpoint
     /// (0 or 1 per process).
     pub const COUNTER_SERVE_CKPT_RESTORED: &str = "serve.checkpoint.restored";
-    /// Gauge: fraction of subproblems reused (not re-solved) over the
-    /// run so far — the incremental-vs-full work ratio.
-    pub const GAUGE_SERVE_INCREMENTAL_RATIO: &str = "serve.incremental_ratio";
 
     /// Counter: adversary plans applied to generated traces.
     pub const COUNTER_ADVERSARY_PLANS: &str = "adversary.plans";

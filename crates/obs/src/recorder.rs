@@ -3,7 +3,7 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A typed attribute value attached to spans and events.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,6 +163,10 @@ impl Metrics {
 
     /// Opens a timed span; the guard records the elapsed time on drop
     /// (or on [`Span::end`]). Disabled recorders never read the clock.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "span timing is this layer's job; redaction strips it from deterministic output"
+    )]
     pub fn span(&self, name: &str, attrs: &[(&'static str, AttrValue)]) -> Span<'_> {
         if !self.enabled() {
             return Span {
@@ -175,7 +179,7 @@ impl Metrics {
         Span {
             metrics: self,
             id,
-            start: Some(Instant::now()),
+            start: Some(std::time::Instant::now()),
         }
     }
 
@@ -211,10 +215,14 @@ impl Metrics {
 
 /// An open span; records its monotonic elapsed time when dropped.
 #[must_use = "a span records nothing until it is dropped or ended"]
+#[allow(
+    clippy::disallowed_types,
+    reason = "span timing is this layer's job; redaction strips it from deterministic output"
+)]
 pub struct Span<'a> {
     metrics: &'a Metrics,
     id: u64,
-    start: Option<Instant>,
+    start: Option<std::time::Instant>,
 }
 
 impl Span<'_> {

@@ -8,16 +8,15 @@
 //! appearing, workers joining, reviews arriving, round boundaries) as
 //! JSON lines — from stdin, an events file, or derived from an existing
 //! trace by [`events_from_trace`] (`dcc serve --replay`). At every round
-//! boundary it recomputes the full §IV detection + contract design, but
-//! **only the parts whose inputs changed**:
+//! boundary it recomputes the §IV detection **only where its inputs
+//! changed**:
 //!
 //! - consensus slots only for products with new reviews,
 //! - `e_mal` / Eq. 5 weights only for workers whose dependencies moved,
 //! - collusive communities via a streaming union-find instead of DFS,
-//! - class ψ refits via streaming normal equations, only for classes
-//!   whose observation points changed,
-//! - subproblem solves only when their bitwise input fingerprint
-//!   changed.
+//!
+//! and then runs the batch contract design over that detection (refit
+//! every class ψ, solve every subproblem, assemble).
 //!
 //! **Correctness contract**: after *any* prefix of the event stream,
 //! the incrementally maintained design is bit-identical

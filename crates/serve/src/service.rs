@@ -93,6 +93,7 @@ impl ServeService {
     /// recompute.
     pub fn apply(&mut self, event: &ServeEvent) -> Result<Option<RoundOutput>, CoreError> {
         self.metrics.add(names::COUNTER_SERVE_EVENTS, 1);
+        let before = self.state.stats();
         let out = if matches!(event, ServeEvent::Round) {
             let (dirty_workers, dirty_products) = self.state.pending_dirty();
             let span = self.metrics.span(
@@ -111,7 +112,7 @@ impl ServeService {
         };
         self.log.push(event.clone());
         if let Some(out) = &out {
-            self.record_round(out);
+            self.record_round(out, &before);
             if self.verify {
                 self.verify_round(out)?;
             }
@@ -119,7 +120,9 @@ impl ServeService {
         Ok(out)
     }
 
-    fn record_round(&self, out: &RoundOutput) {
+    /// Adds one round boundary's own work to the `serve.*` counters;
+    /// `before` holds the counters from just before the boundary.
+    fn record_round(&self, out: &RoundOutput, before: &ServeStats) {
         let m = &self.metrics;
         if !m.enabled() {
             return;
@@ -128,16 +131,9 @@ impl ServeService {
         m.add(names::COUNTER_SERVE_DIRTY_WORKERS, out.dirty_workers as u64);
         m.add(names::COUNTER_SERVE_DIRTY_PRODUCTS, out.dirty_products as u64);
         m.add(names::COUNTER_SERVE_SOLVE_RESOLVED, out.resolved as u64);
-        m.add(names::COUNTER_SERVE_SOLVE_REUSED, out.reused as u64);
-        let stats = self.state.stats();
         m.add(
             names::COUNTER_SERVE_FIT_REFITS,
-            stats.fit_refits as u64,
-        );
-        m.add(names::COUNTER_SERVE_FIT_REUSED, stats.fit_reused as u64);
-        m.gauge(
-            names::GAUGE_SERVE_INCREMENTAL_RATIO,
-            stats.incremental_ratio(),
+            (self.state.stats().fit_refits - before.fit_refits) as u64,
         );
     }
 
@@ -198,7 +194,6 @@ impl ServeService {
             ("dirty_workers".to_string(), Json::idx(out.dirty_workers)),
             ("dirty_products".to_string(), Json::idx(out.dirty_products)),
             ("resolved".to_string(), Json::idx(out.resolved)),
-            ("reused".to_string(), Json::idx(out.reused)),
         ];
         match &out.design {
             Ok(design) => {
@@ -233,17 +228,7 @@ impl ServeService {
             ("dirty_workers".to_string(), Json::idx(s.dirty_workers)),
             ("dirty_products".to_string(), Json::idx(s.dirty_products)),
             ("fit_refits".to_string(), Json::idx(s.fit_refits)),
-            ("fit_reused".to_string(), Json::idx(s.fit_reused)),
             ("solve_resolved".to_string(), Json::idx(s.solve_resolved)),
-            ("solve_reused".to_string(), Json::idx(s.solve_reused)),
-            (
-                "incremental_ratio".to_string(),
-                Json::num(s.incremental_ratio()),
-            ),
-            ("miss_no_entry".to_string(), Json::idx(s.miss_no_entry)),
-            ("miss_params".to_string(), Json::idx(s.miss_params)),
-            ("miss_psi".to_string(), Json::idx(s.miss_psi)),
-            ("miss_weight".to_string(), Json::idx(s.miss_weight)),
         ])
         .to_string()
     }

@@ -1,9 +1,10 @@
 //! The incremental state machine behind `dcc serve`.
 //!
 //! [`ServeState`] ingests events between round boundaries and, at each
-//! boundary, recomputes **only what changed** while remaining
-//! bit-identical (`f64::to_bits`) to the cold batch pipeline
-//! (`run_pipeline` → `design_contracts`) over the same event prefix:
+//! boundary, recomputes the §IV detection **only where it changed**,
+//! then runs the batch design over it, staying bit-identical
+//! (`f64::to_bits`) to the cold batch pipeline (`run_pipeline` →
+//! `design_contracts`) over the same event prefix:
 //!
 //! - per-product consensus slots are recomputed only for products with
 //!   new reviews ([`ConsensusMap::recompute_product`]);
@@ -13,33 +14,26 @@
 //! - collusive communities are maintained by a streaming
 //!   [`UnionFind`] (one `push` per suspect at join, unions only over
 //!   dirty products) instead of a from-scratch DFS;
-//! - class ψ fits re-run only for classes whose observation points
-//!   changed, through streaming normal-equation sums
-//!   ([`IncrementalQuadraticFit`]) feeding the shared acceptance logic
-//!   ([`fit_effort_function_with_candidate`]);
-//! - subproblems re-solve only when their bitwise inputs (members, ω,
-//!   weight, ψ, discretization, model parameters) changed; cached
-//!   solutions are reused with their positional ids re-patched, and
-//!   each re-solve is counted by the first input that changed
-//!   ([`ServeStats`]).
+//! - the design is the batch path itself: [`prepare_design`] refits
+//!   every class ψ and decomposes, one [`solve_subproblems`] call solves
+//!   every subproblem, and [`assemble_design`] assigns the contracts. A
+//!   class refit changes every input bit of its class's subproblems, so
+//!   a memo of earlier solves would almost never hit.
 //!
-//! Every per-item computation is the *same function* the batch path
-//! runs (shared via `dcc-detect`/`dcc-core`), so equality is by
-//! construction, and `tests/serve_differential.rs` enforces it
-//! property-wise at every round boundary.
+//! Every per-item detection computation is the *same function* the
+//! batch path runs (shared via `dcc-detect`), and the design calls the
+//! batch functions, so equality is by construction;
+//! `tests/serve_differential.rs` enforces it property-wise at every
+//! round boundary.
 
 use dcc_core::{
-    assemble_design, decompose_design, effort_region, fit_effort_function,
-    fit_effort_function_with_candidate, solve_subproblems, BipSolution, ClassModel, ClassModels,
-    ClassPoints, ContractDesign, CoreError, DegradationReport, DegradedSubproblem, DesignConfig,
-    DesignPrep, Discretization, EffortFit, Subproblem, SubproblemSolution,
+    assemble_design, prepare_design, solve_subproblems, ContractDesign, CoreError, DesignConfig,
 };
 use dcc_detect::{
     CollusionReport, ConsensusMap, DetectionResult, FeedbackWeights, MaliciousEstimates,
     PipelineConfig, SuspectSource,
 };
 use dcc_graph::UnionFind;
-use dcc_numerics::IncrementalQuadraticFit;
 use dcc_obs::Metrics;
 use dcc_trace::{
     Campaign, Product, ProductId, Reviewer, ReviewerId, TraceDataset, WorkerClass,
@@ -60,38 +54,14 @@ pub struct ServeStats {
     pub dirty_workers: usize,
     /// Products marked dirty, summed over rounds.
     pub dirty_products: usize,
-    /// Class effort-function fits actually executed.
+    /// Rounds whose class effort-function fits ran to completion (every
+    /// boundary refits; a boundary whose fit fails is not counted).
     pub fit_refits: usize,
-    /// Class models reused (or derived by fallback) without a fit.
-    pub fit_reused: usize,
-    /// Subproblems re-solved because their inputs changed.
+    /// Subproblems solved, summed over rounds (every boundary solves
+    /// every subproblem).
     pub solve_resolved: usize,
-    /// Subproblems whose cached solution was reused unchanged.
+    /// Always 0: no boundary reuses an earlier solve.
     pub solve_reused: usize,
-    /// Re-solves with no cached entry for their member set (a new
-    /// worker, a changed community, or the first round).
-    pub miss_no_entry: usize,
-    /// Re-solves whose cached entry was made under other model
-    /// parameters (μ, β, ω, κ, γ, ρ).
-    pub miss_params: usize,
-    /// Re-solves whose ψ or discretization changed: a class refit.
-    pub miss_psi: usize,
-    /// Re-solves whose own ω or Eq. 5 weight changed.
-    pub miss_weight: usize,
-}
-
-impl ServeStats {
-    /// Fraction of subproblem solves answered from the cache — the
-    /// incremental-vs-full work ratio of the run so far (1.0 when no
-    /// subproblem has ever been solved).
-    pub fn incremental_ratio(&self) -> f64 {
-        let total = self.solve_resolved + self.solve_reused;
-        if total == 0 {
-            1.0
-        } else {
-            self.solve_reused as f64 / total as f64
-        }
-    }
 }
 
 /// The output of one round boundary.
@@ -105,106 +75,12 @@ pub struct RoundOutput {
     pub dirty_workers: usize,
     /// Products that were dirty at this boundary.
     pub dirty_products: usize,
-    /// Subproblems re-solved this boundary.
+    /// Subproblems solved this boundary.
     pub resolved: usize,
-    /// Subproblems reused from the cache this boundary.
-    pub reused: usize,
     /// The recomputed design, or the rendered error the batch pipeline
     /// would also produce over this prefix (e.g. too few honest
     /// observation points early in a stream).
     pub design: Result<ContractDesign, String>,
-}
-
-/// Bitwise equality of two point slices.
-fn points_same_bits(a: &[(f64, f64)], b: &[(f64, f64)]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(p, q)| {
-            p.0.to_bits() == q.0.to_bits() && p.1.to_bits() == q.1.to_bits()
-        })
-}
-
-/// Whether `prefix` is a bitwise prefix of `points`.
-fn is_bit_prefix(prefix: &[(f64, f64)], points: &[(f64, f64)]) -> bool {
-    prefix.len() <= points.len() && points_same_bits(prefix, &points[..prefix.len()])
-}
-
-/// One class's streaming least-squares accumulator plus the point
-/// vector currently summed into it.
-#[derive(Debug, Clone, Default)]
-struct ClassAccumulator {
-    inc: IncrementalQuadraticFit,
-    points: Vec<(f64, f64)>,
-}
-
-impl ClassAccumulator {
-    /// Fits the class effort function over `points`, updating the
-    /// running normal-equation sums incrementally: append-only changes
-    /// stream through [`IncrementalQuadraticFit::add`] (bit-identical
-    /// to `polyfit`), anything else re-accumulates from scratch (same
-    /// bits, linear cost). Degenerate sums fall back to the batch
-    /// [`fit_effort_function`] so error text matches the cold path.
-    fn fit(&mut self, points: &[(f64, f64)]) -> Result<EffortFit, CoreError> {
-        if points.len() < 3 {
-            return fit_effort_function(points);
-        }
-        if is_bit_prefix(&self.points, points) {
-            for &(x, y) in &points[self.points.len()..] {
-                self.inc.add(x, y);
-            }
-        } else {
-            self.inc.reset_from(points);
-        }
-        self.points.clear();
-        self.points.extend_from_slice(points);
-        match self.inc.fit() {
-            Ok(candidate) => fit_effort_function_with_candidate(points, candidate),
-            Err(_) => fit_effort_function(points),
-        }
-    }
-}
-
-/// The bitwise inputs one subproblem solve reads besides its member
-/// set, grouped by what changes them so a memo miss can name its cause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SolveInputs {
-    /// Model parameters μ, β, ω, κ, γ, ρ.
-    params: [u64; 6],
-    /// ψ's coefficients and the discretization (intervals, y_max).
-    psi: [u64; 5],
-    /// The subproblem's own ω and Eq. 5 weight.
-    weight: [u64; 2],
-}
-
-impl SolveInputs {
-    fn of(sp: &Subproblem, params: &dcc_core::ModelParams) -> Self {
-        SolveInputs {
-            params: [
-                params.mu.to_bits(),
-                params.beta.to_bits(),
-                params.omega.to_bits(),
-                params.kappa.to_bits(),
-                params.gamma.to_bits(),
-                params.rho.to_bits(),
-            ],
-            psi: [
-                sp.psi.r2().to_bits(),
-                sp.psi.r1().to_bits(),
-                sp.psi.r0().to_bits(),
-                sp.disc.intervals() as u64,
-                sp.disc.y_max().to_bits(),
-            ],
-            weight: [sp.omega.to_bits(), sp.weight.to_bits()],
-        }
-    }
-}
-
-/// A cached subproblem solution keyed by its member set, with the
-/// bitwise inputs it was solved from.
-#[derive(Debug, Clone)]
-struct CachedSolve {
-    inputs: SolveInputs,
-    solution: SubproblemSolution,
-    degraded: Option<DegradedSubproblem>,
 }
 
 /// The streaming service's incremental state.
@@ -227,16 +103,6 @@ pub struct ServeState {
     uf: UnionFind,
     collusion: CollusionReport,
     partner_counts: BTreeMap<ReviewerId, usize>,
-
-    // --- fit state -----------------------------------------------------
-    worker_points: BTreeMap<ReviewerId, (f64, f64)>,
-    honest_acc: ClassAccumulator,
-    ncm_acc: ClassAccumulator,
-    cm_acc: ClassAccumulator,
-    models_cache: Option<(ClassPoints, ClassModels)>,
-
-    // --- solve state ---------------------------------------------------
-    solve_cache: BTreeMap<Vec<usize>, CachedSolve>,
 
     // --- dirty tracking ------------------------------------------------
     dirty_workers: BTreeSet<ReviewerId>,
@@ -283,12 +149,6 @@ impl ServeState {
             uf: UnionFind::new(0),
             collusion: CollusionReport::from_member_groups(Vec::new()),
             partner_counts: BTreeMap::new(),
-            worker_points: BTreeMap::new(),
-            honest_acc: ClassAccumulator::default(),
-            ncm_acc: ClassAccumulator::default(),
-            cm_acc: ClassAccumulator::default(),
-            models_cache: None,
-            solve_cache: BTreeMap::new(),
             dirty_workers: BTreeSet::new(),
             dirty_products: BTreeSet::new(),
             stats: ServeStats::default(),
@@ -449,10 +309,7 @@ impl ServeState {
 
         let detection = self.recompute_detection(&dirty_workers, &dirty_products);
         let resolved_before = self.stats.solve_resolved;
-        let reused_before = self.stats.solve_reused;
-        let design = self
-            .recompute_design(&detection, &dirty_workers)
-            .map_err(|e| e.to_string());
+        let design = self.recompute_design(&detection).map_err(|e| e.to_string());
 
         RoundOutput {
             round,
@@ -460,7 +317,6 @@ impl ServeState {
             dirty_workers: dirty_workers.len(),
             dirty_products: dirty_products.len(),
             resolved: self.stats.solve_resolved - resolved_before,
-            reused: self.stats.solve_reused - reused_before,
             design,
         }
     }
@@ -576,270 +432,27 @@ impl ServeState {
         }
     }
 
-    /// Incremental §IV-B/C design: refit only changed classes, re-solve
-    /// only changed subproblems, assemble exactly as the batch path.
+    /// The §IV-B/C design over the incrementally maintained detection,
+    /// through the batch path: [`prepare_design`], one
+    /// [`solve_subproblems`] over every subproblem at the service's
+    /// pool (bit-identical at every pool size), then [`assemble_design`].
     fn recompute_design(
         &mut self,
         detection: &DetectionResult,
-        dirty_workers: &BTreeSet<ReviewerId>,
     ) -> Result<ContractDesign, CoreError> {
-        // Per-worker observation points: only a worker's own reviews
-        // feed their point (effort = own expertise × length).
-        for &worker in dirty_workers {
-            match dcc_core::worker_observation_point(&self.trace, worker) {
-                Some(p) => {
-                    self.worker_points.insert(worker, p);
-                }
-                None => {
-                    self.worker_points.remove(&worker);
-                }
-            }
-        }
-
-        // Regroup points by class (pure bookkeeping over cached floats;
-        // bit-identical to collect_class_points by construction).
-        let points = self.regroup_points(detection);
-        let models = self.class_models(&points)?;
-        let prep = decompose_design(&self.trace, detection, &self.design, &points, &models)?;
-        let (solution, degradation) = self.solve_incremental(&prep)?;
+        let prep = prepare_design(&self.trace, detection, &self.design)?;
+        self.stats.fit_refits += 1;
+        self.stats.solve_resolved += prep.subproblems.len();
+        // Serve's metric stream is its own `serve.*` counters; the
+        // per-subproblem solve spans stay out of it.
+        let (solution, degradation) = solve_subproblems(
+            &prep.subproblems,
+            &self.design.params,
+            self.pool,
+            self.design.failure_policy,
+            &Metrics::noop(),
+        )?;
         Ok(assemble_design(detection, &prep, solution, degradation))
-    }
-
-    /// Rebuilds [`ClassPoints`] from the per-worker cache — the exact
-    /// grouping of `collect_class_points`, without recomputing any
-    /// float (each point was produced by the same
-    /// `worker_observation_point` call the batch path makes).
-    fn regroup_points(&self, detection: &DetectionResult) -> ClassPoints {
-        let suspected: BTreeSet<ReviewerId> = detection.suspected.iter().copied().collect();
-        let in_community: BTreeSet<ReviewerId> = detection
-            .collusion
-            .communities
-            .iter()
-            .flatten()
-            .copied()
-            .collect();
-        let mut points = ClassPoints::default();
-        for reviewer in self.trace.reviewers() {
-            let Some(&(eff, fb)) = self.worker_points.get(&reviewer.id) else {
-                continue;
-            };
-            points.worker_points.insert(reviewer.id, (eff, fb));
-            if !suspected.contains(&reviewer.id) {
-                points.honest.push((eff, fb));
-            } else if in_community.contains(&reviewer.id) {
-                points.cm.push((eff, fb));
-            } else {
-                points.ncm.push((eff, fb));
-            }
-        }
-        points.community = detection
-            .collusion
-            .communities
-            .iter()
-            .map(|members| {
-                members
-                    .iter()
-                    .filter_map(|m| points.worker_points.get(m))
-                    .fold((0.0, 0.0), |acc, p| (acc.0 + p.0, acc.1 + p.1))
-            })
-            .collect();
-        points
-    }
-
-    /// The three class models, refitting only classes whose fit-input
-    /// points changed bitwise. Mirrors the fallback chain of
-    /// `fit_class_models` (honest → ncm → cm) exactly; the differential
-    /// harness compares the result against the batch chain bit-for-bit.
-    fn class_models(&mut self, points: &ClassPoints) -> Result<ClassModels, CoreError> {
-        // On any error the cache stays cleared, so the next round refits
-        // from scratch (deterministically identical anyway).
-        let cached = self.models_cache.take();
-        let same = |sel: fn(&ClassPoints) -> &Vec<(f64, f64)>| {
-            cached
-                .as_ref()
-                .is_some_and(|(snap, _)| points_same_bits(sel(snap), sel(points)))
-        };
-        let honest_same = same(|p| &p.honest);
-        let ncm_same = same(|p| &p.ncm);
-        let cm_same = same(|p| &p.cm);
-        let community_same = same(|p| &p.community);
-
-        let honest = if honest_same {
-            self.stats.fit_reused += 1;
-            cached.as_ref().map(|(_, m)| m.honest.clone()).ok_or_else(cache_vanished)?
-        } else {
-            self.stats.fit_refits += 1;
-            let fit = self.honest_acc.fit(&points.honest)?;
-            let disc = Discretization::covering(
-                self.design.intervals,
-                effort_region(&points.honest, &fit.psi, self.design.effort_quantile)?,
-            )?;
-            ClassModel { fit, disc }
-        };
-
-        let ncm = if points.ncm.len() >= 3 {
-            if ncm_same {
-                self.stats.fit_reused += 1;
-                cached.as_ref().map(|(_, m)| m.ncm.clone()).ok_or_else(cache_vanished)?
-            } else {
-                self.stats.fit_refits += 1;
-                let fit = self.ncm_acc.fit(&points.ncm)?;
-                let disc = Discretization::covering(
-                    self.design.intervals,
-                    effort_region(&points.ncm, &fit.psi, self.design.effort_quantile)?,
-                )?;
-                ClassModel { fit, disc }
-            }
-        } else {
-            self.stats.fit_reused += 1;
-            honest.clone()
-        };
-
-        let cm = if points.community.len() >= 3 {
-            if community_same {
-                self.stats.fit_reused += 1;
-                cached.as_ref().map(|(_, m)| m.cm.clone()).ok_or_else(cache_vanished)?
-            } else {
-                self.stats.fit_refits += 1;
-                let fit = self.cm_acc.fit(&points.community)?;
-                let disc = Discretization::covering(
-                    self.design.intervals,
-                    effort_region(&points.community, &fit.psi, self.design.effort_quantile)?,
-                )?;
-                ClassModel { fit, disc }
-            }
-        } else if points.cm.len() >= 3 {
-            // Member-point fit keeps the ncm discretization (the batch
-            // chain does the same); reuse the cached fit only when the
-            // cached round took this same branch.
-            let prev_branch_matches = cached
-                .as_ref()
-                .is_some_and(|(snap, _)| snap.community.len() < 3 && snap.cm.len() >= 3);
-            let fit = if cm_same && community_same && prev_branch_matches {
-                self.stats.fit_reused += 1;
-                cached.as_ref().map(|(_, m)| m.cm.fit.clone()).ok_or_else(cache_vanished)?
-            } else {
-                self.stats.fit_refits += 1;
-                self.cm_acc.fit(&points.cm)?
-            };
-            ClassModel {
-                fit,
-                disc: ncm.disc,
-            }
-        } else {
-            self.stats.fit_reused += 1;
-            ncm.clone()
-        };
-
-        let models = ClassModels { honest, ncm, cm };
-        self.models_cache = Some((points.clone(), models.clone()));
-        Ok(models)
-    }
-
-    /// Solves only the subproblems whose bitwise inputs changed, merging
-    /// cached and fresh solutions in input order. Bit-identical to a full
-    /// `solve_subproblems` over all subproblems: each subproblem's
-    /// arithmetic is self-contained, the total is re-summed over the
-    /// merged list in input order, and the pooled solve is itself
-    /// bit-identical across pool sizes.
-    ///
-    /// Each re-solve is counted under the first input group that
-    /// differs from the cached entry: no entry for the member set, then
-    /// model parameters, then ψ/discretization, then ω/weight.
-    fn solve_incremental(
-        &mut self,
-        prep: &DesignPrep,
-    ) -> Result<(BipSolution, DegradationReport), CoreError> {
-        let params = &self.design.params;
-        let policy = self.design.failure_policy;
-
-        let mut slots: Vec<Option<(SubproblemSolution, Option<DegradedSubproblem>)>> =
-            vec![None; prep.subproblems.len()];
-        let mut to_solve: Vec<Subproblem> = Vec::new();
-        let mut to_solve_at: Vec<usize> = Vec::new();
-        for (i, sp) in prep.subproblems.iter().enumerate() {
-            let inputs = SolveInputs::of(sp, params);
-            match self.solve_cache.get(&sp.members) {
-                Some(hit) if hit.inputs == inputs => {
-                    let mut solution = hit.solution.clone();
-                    solution.id = sp.id;
-                    let degraded = hit.degraded.clone().map(|mut d| {
-                        d.subproblem = sp.id;
-                        d
-                    });
-                    slots[i] = Some((solution, degraded));
-                    self.stats.solve_reused += 1;
-                }
-                miss => {
-                    let cause = match miss {
-                        None => &mut self.stats.miss_no_entry,
-                        Some(hit) if hit.inputs.params != inputs.params => {
-                            &mut self.stats.miss_params
-                        }
-                        Some(hit) if hit.inputs.psi != inputs.psi => &mut self.stats.miss_psi,
-                        Some(_) => &mut self.stats.miss_weight,
-                    };
-                    *cause += 1;
-                    to_solve.push(sp.clone());
-                    to_solve_at.push(i);
-                    self.stats.solve_resolved += 1;
-                }
-            }
-        }
-
-        if !to_solve.is_empty() {
-            // Serve's metric stream is its own `serve.*` counters; the
-            // per-subproblem solve spans stay out of it.
-            let (fresh, fresh_report) =
-                solve_subproblems(&to_solve, params, self.pool, policy, &Metrics::noop())?;
-            let mut degraded_by_id: BTreeMap<usize, DegradedSubproblem> = fresh_report
-                .degraded
-                .into_iter()
-                .map(|d| (d.subproblem, d))
-                .collect();
-            for (solution, &at) in fresh.solutions.into_iter().zip(&to_solve_at) {
-                let degraded = degraded_by_id.remove(&solution.id);
-                slots[at] = Some((solution, degraded));
-            }
-        }
-
-        // Merge in input order; rebuild the cache from this round's
-        // entries only, so stale member sets don't accumulate.
-        let mut solutions = Vec::with_capacity(slots.len());
-        let mut degraded = Vec::new();
-        let mut cache = BTreeMap::new();
-        for (slot, sp) in slots.into_iter().zip(&prep.subproblems) {
-            let (solution, degradation) = slot.ok_or_else(|| {
-                CoreError::InvalidInput("serve: a subproblem slot was never filled".into())
-            })?;
-            cache.insert(
-                sp.members.clone(),
-                CachedSolve {
-                    inputs: SolveInputs::of(sp, params),
-                    solution: solution.clone(),
-                    degraded: degradation.clone(),
-                },
-            );
-            if let Some(d) = degradation {
-                degraded.push(d);
-            }
-            solutions.push(solution);
-        }
-        self.solve_cache = cache;
-
-        // The batch path sums requester utilities over the full list in
-        // input order; repeat that exact fold so the total's bits match.
-        let total = solutions
-            .iter()
-            .map(|s| s.built.requester_utility())
-            .sum::<f64>();
-        Ok((
-            BipSolution {
-                solutions,
-                total_requester_utility: total,
-            },
-            DegradationReport { degraded },
-        ))
     }
 
     /// The cold-batch reference over the current trace: the exact
@@ -872,10 +485,6 @@ impl ServeState {
         self.dirty_products.clear();
         self.recompute_detection(&dirty_workers, &dirty_products)
     }
-}
-
-fn cache_vanished() -> CoreError {
-    CoreError::InvalidInput("serve: class-model cache vanished mid-round".into())
 }
 
 /// A stable bitwise digest of a design: every `f64` as raw bits plus

@@ -8,9 +8,11 @@
 
 use dcc_core::DesignConfig;
 use dcc_detect::{PipelineConfig, SuspectSource};
-use dcc_obs::Metrics;
-use dcc_serve::{events_from_trace, ServeService, ServeState, ServeStats};
+use dcc_faults::Json;
+use dcc_obs::{JsonRecorder, Metrics};
+use dcc_serve::{design_digest, events_from_trace, ServeEvent, ServeService, ServeState};
 use dcc_trace::SyntheticConfig;
+use std::sync::Arc;
 
 fn replay_verified(seed: u64, pool: usize) -> ServeService {
     let trace = SyntheticConfig::small(seed).generate();
@@ -47,75 +49,60 @@ fn pool_size_does_not_change_the_stream() {
 }
 
 #[test]
-fn quiet_rounds_reuse_everything() {
+fn quiet_rounds_repeat_the_design() {
     // A round boundary with no intervening events changes no input, so
-    // the incremental path must re-solve nothing and re-fit nothing —
-    // and still emit a design identical to the busy round before it.
+    // it must emit the cold batch design of the unchanged trace, bit for
+    // bit, every time.
     let mut service = replay_verified(13, 4);
-    let busy = service.stats();
     let mut digests = Vec::new();
     for _ in 0..3 {
         let out = service
-            .apply(&dcc_serve::ServeEvent::Round)
+            .apply(&ServeEvent::Round)
             .expect("quiet round")
             .expect("round output");
         assert_eq!(out.dirty_workers, 0);
         assert_eq!(out.dirty_products, 0);
-        assert_eq!(out.resolved, 0, "a quiet round must re-solve nothing");
-        assert!(out.reused > 0);
-        digests.push(dcc_serve::design_digest(
-            out.design.as_ref().expect("design"),
-        ));
+        digests.push(design_digest(out.design.as_ref().expect("design")));
     }
-    let quiet = service.stats();
-    assert_eq!(quiet.solve_resolved, busy.solve_resolved);
-    assert_eq!(quiet.fit_refits, busy.fit_refits);
-    assert!(digests.windows(2).all(|w| w[0] == w[1]));
+    let busy = service.state().cold_design().expect("cold design");
+    assert!(digests.iter().all(|d| *d == design_digest(&busy)));
 }
 
 #[test]
-fn resolve_causes_account_for_every_resolve() {
-    let causes = |s: &ServeStats| s.miss_no_entry + s.miss_params + s.miss_psi + s.miss_weight;
-    let trace = SyntheticConfig::small(7).generate();
-    let mut state =
-        ServeState::new(PipelineConfig::default(), DesignConfig::default(), 2).expect("config");
-    let mut psi_rounds = 0;
-    for event in &events_from_trace(&trace) {
-        let before = state.stats();
-        if state.apply(event).expect("event applies").is_none() {
-            continue;
-        }
-        let after = state.stats();
-        assert_eq!(
-            causes(&after),
-            after.solve_resolved,
-            "round {}",
-            after.rounds
-        );
-        // ψ and the discretization change only through a class refit,
-        // so ψ misses appear only in rounds that refit a class.
-        if after.miss_psi > before.miss_psi {
-            assert!(
-                after.fit_refits > before.fit_refits,
-                "round {}",
-                after.rounds
-            );
-            psi_rounds += 1;
-        }
+fn serve_counters_match_the_summary() {
+    // Each boundary adds its own work to the `serve.*` counters, so after
+    // a replay they equal the summary line's run totals.
+    let recorder = Arc::new(JsonRecorder::new());
+    let mut service = ServeService::new(
+        PipelineConfig::default(),
+        DesignConfig::default(),
+        2,
+        false,
+        Metrics::new(recorder.clone()),
+    )
+    .expect("config is valid");
+    for event in &events_from_trace(&SyntheticConfig::small(7).generate()) {
+        service.apply(event).expect("event applies");
     }
-    let end = state.stats();
-    assert!(
-        psi_rounds > 0,
-        "some refit round re-solved under psi: {end:?}"
-    );
-    assert!(
-        end.miss_no_entry > 0,
-        "the first round has no entries: {end:?}"
-    );
-    assert_eq!(
-        end.miss_params, 0,
-        "the model parameters never change: {end:?}"
-    );
+    let summary = Json::parse(&service.summary_line()).expect("summary parses");
+    let metrics = Json::parse(&recorder.to_json_redacted()).expect("metrics parse");
+    let counters = metrics.get("counters").expect("counters");
+    for (counter, key) in [
+        ("serve.fit.refits", "fit_refits"),
+        ("serve.solve.resolved", "solve_resolved"),
+        ("serve.rounds", "rounds"),
+    ] {
+        let total = summary
+            .get(key)
+            .and_then(Json::as_idx)
+            .expect("summary key");
+        assert!(total > 0, "{key}");
+        assert_eq!(
+            counters.get(counter).and_then(Json::as_idx),
+            Some(total),
+            "{counter} vs summary {key}"
+        );
+    }
 }
 
 #[test]

@@ -183,7 +183,6 @@ impl SyntheticConfig {
         self.generate_impl(&mut sink);
         #[allow(clippy::expect_used)] // the roundtrip tests exercise every generator path
         TraceDataset::new(sink.products, sink.reviewers, sink.reviews, sink.campaigns)
-            // dcc-lint: allow(unwrap-in-lib, reason = "the generator emits a structurally consistent dataset; TraceDataset::new re-validates it")
             .expect("generator produces a consistent dataset")
     }
 
@@ -581,7 +580,7 @@ mod tests {
     #[test]
     fn campaigns_are_disjoint_and_consistent() {
         let t = SyntheticConfig::small(5).generate();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for c in t.campaigns() {
             assert!(c.size() >= 2, "community of size {} is not collusive", c.size());
             for m in &c.members {
@@ -592,7 +591,7 @@ mod tests {
             }
         }
         // Campaign target products are pairwise disjoint.
-        let mut targets = std::collections::HashSet::new();
+        let mut targets = std::collections::BTreeSet::new();
         for c in t.campaigns() {
             for p in &c.targets {
                 assert!(targets.insert(*p), "product {p} targeted by two campaigns");

@@ -42,7 +42,7 @@ fn check_structure(cfg: &SyntheticConfig, trace: &TraceDataset) -> Result<(), Te
     prop_assert!(cm >= cfg.n_cm_target);
 
     // Campaign structure.
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for c in trace.campaigns() {
         prop_assert!(c.size() >= 2);
         for m in &c.members {

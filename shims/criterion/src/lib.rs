@@ -14,6 +14,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "a benchmark harness times with the wall clock"
+)]
 
 use std::fmt;
 use std::time::{Duration, Instant};

@@ -263,7 +263,6 @@ fn encode_serve_replay() -> Json {
                 ("dirty_workers", Json::idx(out.dirty_workers)),
                 ("dirty_products", Json::idx(out.dirty_products)),
                 ("resolved", Json::idx(out.resolved)),
-                ("reused", Json::idx(out.reused)),
                 ("agents", Json::idx(design.agents.len())),
                 ("total_utility", Json::num(design.total_requester_utility)),
                 (
@@ -284,10 +283,7 @@ fn encode_serve_replay() -> Json {
                 ("events", Json::idx(stats.events)),
                 ("rounds", Json::idx(stats.rounds)),
                 ("fit_refits", Json::idx(stats.fit_refits)),
-                ("fit_reused", Json::idx(stats.fit_reused)),
                 ("solve_resolved", Json::idx(stats.solve_resolved)),
-                ("solve_reused", Json::idx(stats.solve_reused)),
-                ("incremental_ratio", Json::num(stats.incremental_ratio())),
             ]),
         ),
         ("metrics", metrics),

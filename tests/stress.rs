@@ -12,6 +12,10 @@
 // Test code may panic freely; helpers outside `#[test]` fns miss
 // clippy.toml's in-tests exemption, so allow at file scope.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the stress test gates wall time"
+)]
 
 use dyncontract::core::{design_contracts, DesignConfig};
 use dyncontract::detect::{run_pipeline, PipelineConfig};
