@@ -119,7 +119,8 @@ experiments:
 # Sequential vs pooled solve timings plus a printed speedup report
 # (bit-identity is asserted separately by dcc-engine's property tests)
 # and the observability overhead gate (the solve with a noop recorder
-# within 2% of a plain loop over the same ContractBuilder chain).
+# within 2% of a plain loop over the same two ContractBuilder halves:
+# candidates per (omega, psi, delta) key, select per subproblem).
 engine-bench:
 	cargo bench -p dcc-bench --bench engine
 

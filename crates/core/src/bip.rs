@@ -1,14 +1,15 @@
 use crate::{
-    bounds, BestResponse, BuiltContract, Contract, ContractBuilder, CoreError, Discretization,
-    ModelParams,
+    bounds, BestResponse, BuiltContract, CandidateSet, Contract, ContractBuilder, CoreError,
+    Discretization, ModelParams,
 };
 use dcc_numerics::Quadratic;
 use dcc_obs::{names, Metrics};
+use std::collections::BTreeMap;
 #[allow(
     clippy::disallowed_types,
     reason = "subproblem timings are measured here and routed into dcc-obs via span_at"
 )]
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What to do when a single subproblem's contract construction fails
 /// (corrupted weight, degenerate ψ fit, numeric breakdown).
@@ -138,15 +139,27 @@ pub struct BipSolution {
 /// Solves every subproblem of the decomposition (§IV-B) and assembles the
 /// requester's total utility.
 ///
+/// Only the Eq. 43 choice of `k_opt` depends on a subproblem's weight;
+/// its candidates and their verified best responses (Eq. 39–40) depend
+/// on ω, ψ and δ. So the subproblems are grouped by the exact bits of
+/// `(ω, r₂, r₁, r₀, m, δ)`: each key with two or more members gets one
+/// [`CandidateSet`] ([`ContractBuilder::candidates`]), and each member
+/// then takes its [`CandidateSet::select`] at its own weight. A key with
+/// one member is solved in place by [`ContractBuilder::build`], which is
+/// the same two halves. Members of a key have the same inputs bit for
+/// bit, so every solution is bit-identical to building its subproblem
+/// alone. Sets live only for this call.
+///
 /// The subproblems are independent by construction — the requester's
 /// objective separates across non-collusive workers and communities — so
-/// they are fanned out across `pool` scoped threads
-/// (`std::thread::scope`), each taking one contiguous chunk of the input.
-/// Chunk results are concatenated in input order, so `solutions[i]`
-/// solves `subproblems[i]` and the output is **bit-identical** for every
-/// pool size: each subproblem's arithmetic is self-contained and the
-/// total is summed in input order. `pool` is clamped to
-/// `[1, subproblems.len()]`; `pool <= 1` solves on the calling thread.
+/// the shared sets, then the subproblems, are fanned out across `pool`
+/// scoped threads (`std::thread::scope`), each taking one contiguous
+/// chunk of the input. Chunk results are concatenated in input order, so
+/// `solutions[i]` solves `subproblems[i]` and the output is
+/// **bit-identical** for every pool size: each subproblem's arithmetic is
+/// self-contained and the total is summed in input order. `pool` is
+/// clamped to `[1, subproblems.len()]`; `pool <= 1` solves on the calling
+/// thread.
 ///
 /// `policy` decides what happens when an individual subproblem cannot be
 /// designed: abort everything, fall back to a fixed-payment baseline for
@@ -154,12 +167,13 @@ pub struct BipSolution {
 /// returned [`DegradationReport`] (empty when every subproblem solved
 /// optimally).
 ///
-/// With an enabled recorder, per-subproblem solve times, candidate
-/// counts, and degradation counters flow into `metrics` (see
-/// `dcc_obs::names`). Worker threads only *measure*; all recording
-/// happens on the calling thread after the merge, in input order, so the
-/// metric stream is the same for every pool size. A disabled recorder
-/// reads no clock and builds no attributes.
+/// With an enabled recorder, the time to build each shared candidate
+/// set, per-subproblem solve times (a shared member's time is its
+/// selection alone), candidate counts, and degradation counters flow
+/// into `metrics` (see `dcc_obs::names`). Worker threads only *measure*;
+/// all recording happens on the calling thread after the merge, in input
+/// order, so the metric stream is the same for every pool size. A
+/// disabled recorder reads no clock and builds no attributes.
 ///
 /// # Errors
 ///
@@ -176,26 +190,47 @@ pub fn solve_subproblems(
     metrics: &Metrics,
 ) -> Result<(BipSolution, DegradationReport), CoreError> {
     let workers = clamp_pool(pool, subproblems.len());
-    if !metrics.enabled() {
-        let results = fan_out(subproblems, workers, |sp| solve_one(sp, params));
+    let clock = metrics.enabled();
+    let sharing = Sharing::of(subproblems);
+    // A key whose set fails to build is solved member by member, so each
+    // member reports exactly the error `build` gives it.
+    let sets = fan_out(&sharing.leaders, workers, |sp| {
+        timed(clock, || builder(sp, params).candidates().ok())
+    });
+    let solve = |&(sp, slot): &(&Subproblem, Option<usize>)| {
+        let set = slot.and_then(|s| sets.get(s)?.0.as_ref());
+        solve_one(sp, set, params)
+    };
+    if !clock {
+        let results = fan_out(&sharing.jobs, workers, solve);
         return assemble_solutions(subproblems, results, params, policy);
     }
-    let timed = fan_out(subproblems, workers, |sp| {
-        #[allow(
-            clippy::disallowed_types,
-            reason = "per-subproblem timing fed to metrics.span_at below"
-        )]
-        let start = Instant::now();
-        let result = solve_one(sp, params);
-        (result, start.elapsed())
-    });
-    let (results, times): (Vec<_>, Vec<_>) = timed.into_iter().unzip();
+    let timed_results = fan_out(&sharing.jobs, workers, |job| timed(clock, || solve(job)));
+    let (results, times): (Vec<_>, Vec<_>) = timed_results.into_iter().unzip();
+    let failed: Vec<bool> = results.iter().map(Result::is_err).collect();
     let (solution, report) = assemble_solutions(subproblems, results, params, policy)?;
 
     metrics.gauge(names::GAUGE_SOLVE_POOL, workers as f64);
     metrics.add(names::COUNTER_SOLVE_SUBPROBLEMS, subproblems.len() as u64);
-    for ((sp, sol), elapsed) in subproblems.iter().zip(&solution.solutions).zip(&times) {
-        let degraded = report.for_subproblem(sp.id).is_some();
+    for (members, (set, elapsed)) in sharing.members.iter().zip(&sets) {
+        metrics.span_at(
+            names::SPAN_CANDIDATE_SET,
+            &[
+                ("subproblems", (*members).into()),
+                (
+                    "candidates",
+                    set.as_ref().map_or(0, CandidateSet::len).into(),
+                ),
+            ],
+            *elapsed,
+        );
+    }
+    for (((sp, sol), elapsed), degraded) in subproblems
+        .iter()
+        .zip(&solution.solutions)
+        .zip(&times)
+        .zip(failed)
+    {
         metrics.span_at(
             names::SPAN_SUBPROBLEM,
             &[
@@ -218,13 +253,98 @@ pub fn solve_subproblems(
     Ok((solution, report))
 }
 
-/// Solves one subproblem via the §IV-C candidate algorithm.
-fn solve_one(sp: &Subproblem, params: &ModelParams) -> Result<SubproblemSolution, CoreError> {
-    let built = ContractBuilder::new(*params, sp.disc, sp.psi)
+/// The exact bits of everything a subproblem's candidate set depends on
+/// besides the solve-wide parameters: ω, ψ's `(r₂, r₁, r₀)`, `m` and δ.
+type SetKey = [u64; 6];
+
+fn set_key(sp: &Subproblem) -> SetKey {
+    [
+        sp.omega.to_bits(),
+        sp.psi.r2().to_bits(),
+        sp.psi.r1().to_bits(),
+        sp.psi.r0().to_bits(),
+        sp.disc.intervals() as u64,
+        sp.disc.delta().to_bits(),
+    ]
+}
+
+/// Which subproblems share a candidate set. Only keys with two or more
+/// members get one, so a solve where every subproblem has its own ψ
+/// materializes no set at all.
+struct Sharing<'a> {
+    /// Per subproblem, in input order: the subproblem and the index of
+    /// its key's shared set, or `None` when no other subproblem has its
+    /// key.
+    jobs: Vec<(&'a Subproblem, Option<usize>)>,
+    /// Per shared key, in first-occurrence order: its first member.
+    leaders: Vec<&'a Subproblem>,
+    /// Per shared key: its member count.
+    members: Vec<usize>,
+}
+
+impl<'a> Sharing<'a> {
+    fn of(subproblems: &'a [Subproblem]) -> Self {
+        // Each key's first member and member count, in first-occurrence order.
+        let mut index: BTreeMap<SetKey, usize> = BTreeMap::new();
+        let mut keys: Vec<(&Subproblem, usize)> = Vec::new();
+        let key_of: Vec<usize> = subproblems
+            .iter()
+            .map(|sp| {
+                let key = *index.entry(set_key(sp)).or_insert(keys.len());
+                match keys.get_mut(key) {
+                    Some((_, count)) => *count += 1,
+                    None => keys.push((sp, 1)),
+                }
+                key
+            })
+            .collect();
+        drop(index);
+
+        let mut leaders = Vec::new();
+        let mut members = Vec::new();
+        let slot_of_key: Vec<Option<usize>> = keys
+            .into_iter()
+            .map(|(first, count)| {
+                (count >= 2).then(|| {
+                    leaders.push(first);
+                    members.push(count);
+                    leaders.len() - 1
+                })
+            })
+            .collect();
+        let jobs = subproblems
+            .iter()
+            .zip(key_of)
+            .map(|(sp, key)| (sp, slot_of_key.get(key).copied().flatten()))
+            .collect();
+        Sharing {
+            jobs,
+            leaders,
+            members,
+        }
+    }
+}
+
+/// The §IV-C builder for one subproblem under the solve's parameters.
+fn builder(sp: &Subproblem, params: &ModelParams) -> ContractBuilder {
+    ContractBuilder::new(*params, sp.disc, sp.psi)
         .malicious(sp.omega)
         .weight(sp.weight)
-        .build()
-        .map_err(|e| CoreError::InvalidInput(format!("subproblem {} failed: {e}", sp.id)))?;
+}
+
+/// Solves one subproblem via the §IV-C candidate algorithm: the Eq. 43
+/// selection from its key's shared candidate set, or the whole search in
+/// place when it has none.
+fn solve_one(
+    sp: &Subproblem,
+    shared: Option<&CandidateSet>,
+    params: &ModelParams,
+) -> Result<SubproblemSolution, CoreError> {
+    let built = match shared {
+        Some(set) => set.select(sp.weight),
+        None => builder(sp, params).build(),
+    }
+    .map_err(|e| CoreError::InvalidInput(format!("subproblem {} failed: {e}", sp.id)))?;
     Ok(SubproblemSolution {
         id: sp.id,
         members: sp.members.clone(),
@@ -232,25 +352,40 @@ fn solve_one(sp: &Subproblem, params: &ModelParams) -> Result<SubproblemSolution
     })
 }
 
+/// `f`'s output and, when `clock` is set, how long it took; a disabled
+/// recorder's solve reads no clock.
+fn timed<T>(clock: bool, f: impl FnOnce() -> T) -> (T, Duration) {
+    if !clock {
+        return (f(), Duration::ZERO);
+    }
+    #[allow(
+        clippy::disallowed_types,
+        reason = "per-subproblem timing fed to metrics.span_at by solve_subproblems"
+    )]
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
+}
+
 /// `pool` clamped to `[1, n]` (with `n = 0` treated as 1).
 fn clamp_pool(pool: usize, n: usize) -> usize {
     pool.max(1).min(n.max(1))
 }
 
-/// The deterministic chunked fan-out shared by the plain and recorded
-/// paths of [`solve_subproblems`]: `workers` scoped threads each take
-/// one contiguous chunk and the per-chunk outputs are concatenated back
-/// in input order.
-fn fan_out<T, F>(subproblems: &[Subproblem], workers: usize, per_item: F) -> Vec<T>
+/// The deterministic chunked fan-out of [`solve_subproblems`]: `workers`
+/// scoped threads each take one contiguous chunk of `items` and the
+/// per-chunk outputs are concatenated back in input order.
+fn fan_out<I, T, F>(items: &[I], workers: usize, per_item: F) -> Vec<T>
 where
+    I: Sync,
     T: Send,
-    F: Fn(&Subproblem) -> T + Sync,
+    F: Fn(&I) -> T + Sync,
 {
-    if workers > 1 && subproblems.len() > 1 {
-        let chunk_size = subproblems.len().div_ceil(workers);
+    if workers > 1 && items.len() > 1 {
+        let chunk_size = items.len().div_ceil(workers);
         let per_ref = &per_item;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = subproblems
+            let handles: Vec<_> = items
                 .chunks(chunk_size)
                 .map(|chunk| scope.spawn(move || chunk.iter().map(per_ref).collect::<Vec<_>>()))
                 .collect();
@@ -260,7 +395,7 @@ where
                 .collect()
         })
     } else {
-        subproblems.iter().map(per_item).collect()
+        items.iter().map(per_item).collect()
     }
 }
 
@@ -282,40 +417,38 @@ fn assemble_solutions(
     params: &ModelParams,
     policy: FailurePolicy,
 ) -> Result<(BipSolution, DegradationReport), CoreError> {
-    let mut solutions = Vec::with_capacity(subproblems.len());
     let mut report = DegradationReport::default();
-    for (sp, result) in subproblems.iter().zip(results) {
-        match result {
-            Ok(solution) => solutions.push(solution),
-            Err(err) => match policy {
-                FailurePolicy::Abort => return Err(err),
-                FailurePolicy::FallbackBaseline { amount } => {
-                    let (solution, paid) = fallback_solution(sp, params, amount);
-                    report.degraded.push(DegradedSubproblem {
-                        subproblem: sp.id,
-                        members: sp.members.clone(),
-                        reason: err.to_string(),
-                        attempts: attempts_of(&err),
-                        action: DegradationAction::Fallback { amount: paid },
-                        utility_delta: utility_delta(sp, params, solution.built.requester_utility()),
-                    });
-                    solutions.push(solution);
-                }
-                FailurePolicy::Skip => {
-                    let solution = skip_solution(sp);
-                    report.degraded.push(DegradedSubproblem {
-                        subproblem: sp.id,
-                        members: sp.members.clone(),
-                        reason: err.to_string(),
-                        attempts: attempts_of(&err),
-                        action: DegradationAction::Skipped,
-                        utility_delta: utility_delta(sp, params, 0.0),
-                    });
-                    solutions.push(solution);
-                }
-            },
-        }
-    }
+    let solutions = results
+        .into_iter()
+        .zip(subproblems)
+        .map(|(result, sp)| match (result, policy) {
+            (Ok(solution), _) => Ok(solution),
+            (Err(err), FailurePolicy::Abort) => Err(err),
+            (Err(err), FailurePolicy::FallbackBaseline { amount }) => {
+                let (solution, paid) = fallback_solution(sp, params, amount);
+                report.degraded.push(DegradedSubproblem {
+                    subproblem: sp.id,
+                    members: sp.members.clone(),
+                    reason: err.to_string(),
+                    attempts: attempts_of(&err),
+                    action: DegradationAction::Fallback { amount: paid },
+                    utility_delta: utility_delta(sp, params, solution.built.requester_utility()),
+                });
+                Ok(solution)
+            }
+            (Err(err), FailurePolicy::Skip) => {
+                report.degraded.push(DegradedSubproblem {
+                    subproblem: sp.id,
+                    members: sp.members.clone(),
+                    reason: err.to_string(),
+                    attempts: attempts_of(&err),
+                    action: DegradationAction::Skipped,
+                    utility_delta: utility_delta(sp, params, 0.0),
+                });
+                Ok(skip_solution(sp))
+            }
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
     let total = solutions
         .iter()
@@ -687,6 +820,9 @@ mod tests {
         .unwrap();
         assert_eq!(recorder.span_count(names::SPAN_SUBPROBLEM), 9);
         assert_eq!(recorder.counter(names::COUNTER_SOLVE_SUBPROBLEMS), 9);
+        // Two (ω, ψ, δ) keys, ω = 0 for ids 0, 3, 6 and ω = 0.4 for the
+        // rest, each sharing one set of 12 candidates plus the zero contract.
+        assert_eq!(recorder.span_count(names::SPAN_CANDIDATE_SET), 2);
         assert_eq!(
             recorder.counter(names::COUNTER_SOLVE_DEGRADED),
             report.len() as u64
@@ -698,6 +834,36 @@ mod tests {
         assert!(
             json.contains("\"iterations\":"),
             "candidate counts attached"
+        );
+        for members in [3, 6] {
+            let attrs = format!("\"subproblems\":{members},\"candidates\":13");
+            assert!(json.contains(&attrs), "{json}");
+        }
+    }
+
+    #[test]
+    fn recorded_all_degraded_solve_flags_every_span() {
+        use dcc_obs::names;
+        let n = 300;
+        let mut sps = sample_subproblems(n);
+        for sp in &mut sps {
+            sp.psi = Quadratic::new(0.1, 1.0, 0.0); // convex: invalid
+        }
+        let recorder = Arc::new(JsonRecorder::new());
+        let metrics = Metrics::new(recorder.clone());
+        let (_, report) =
+            solve_subproblems(&sps, &params(), 2, FailurePolicy::Skip, &metrics).unwrap();
+        assert_eq!(report.len(), n);
+        // `degraded` is an attribute of `solve.subproblem` spans only.
+        let json = recorder.to_json();
+        let flagged = json.matches("\"degraded\":true").count();
+        assert_eq!(flagged, n);
+        assert_eq!(recorder.counter(names::COUNTER_SOLVE_DEGRADED), n as u64);
+        // The two keys' sets fail to build, so they report no candidates.
+        assert_eq!(recorder.span_count(names::SPAN_CANDIDATE_SET), 2);
+        assert!(
+            json.contains("\"subproblems\":100,\"candidates\":0"),
+            "{json}"
         );
     }
 

@@ -115,6 +115,15 @@ impl BuiltContract {
 /// verify each by computing the worker's exact best response, and select
 /// the candidate maximizing the requester's utility `w·q − μ·c`.
 ///
+/// The search has two halves. [`ContractBuilder::candidates`] builds and
+/// verifies the candidates, which depend on ω, ψ, δ and the model
+/// parameters but not on the worker's weight `w_i`;
+/// [`CandidateSet::select`] makes the Eq. 43 choice of `k_opt` for one
+/// weight. [`ContractBuilder::build`] is the first followed by the
+/// second, so workers that share ω, ψ and δ can share one
+/// [`CandidateSet`] (as `solve_subproblems` does) and get bit-identical
+/// results.
+///
 /// # Example
 ///
 /// ```
@@ -124,10 +133,12 @@ impl BuiltContract {
 /// # fn main() -> Result<(), dcc_core::CoreError> {
 /// let psi = Quadratic::new(-0.05, 2.0, 0.5);
 /// let params = ModelParams { mu: 1.5, ..ModelParams::default() };
-/// let built = ContractBuilder::new(params, Discretization::new(16, 0.625)?, psi)
+/// let builder = ContractBuilder::new(params, Discretization::new(16, 0.625)?, psi)
 ///     .malicious(0.5)
-///     .weight(0.8)
-///     .build()?;
+///     .weight(0.8);
+/// let candidates = builder.candidates()?;
+/// let built = candidates.select(0.8)?;
+/// assert_eq!(built, builder.build()?);
 /// assert!(built.requester_utility().is_finite());
 /// # Ok(())
 /// # }
@@ -196,58 +207,40 @@ impl ContractBuilder {
         self
     }
 
-    /// Runs the search and returns the best contract.
+    /// Runs the search and returns the best contract: checks the weight,
+    /// then [`ContractBuilder::candidates`] followed by
+    /// [`CandidateSet::select`] at the builder's weight.
     ///
     /// # Errors
     ///
-    /// Propagates parameter, effort-function and numeric errors; also
-    /// rejects a non-finite weight.
+    /// Rejects a non-finite weight before anything else; then propagates
+    /// parameter, effort-function and numeric errors.
     pub fn build(self) -> Result<BuiltContract, CoreError> {
-        if !self.weight.is_finite() {
-            return Err(CoreError::InvalidInput(format!(
-                "weight must be finite, got {}",
-                self.weight
-            )));
-        }
+        check_weight(self.weight)?;
+        self.candidates()?.select(self.weight)
+    }
+
+    /// The weight-free half of the search (Eq. 39–40): validates the
+    /// parameters and ψ, builds every candidate `ξ^(k)` (after the zero
+    /// contract, when included) and verifies each with the worker's
+    /// exact [`best_response`]. The builder's weight is not read.
+    ///
+    /// # Errors
+    ///
+    /// Propagates parameter, effort-function and numeric errors, in
+    /// candidate order.
+    pub fn candidates(&self) -> Result<CandidateSet, CoreError> {
         self.params.validate()?;
         crate::effort::validate_effort_function(&self.psi, &self.disc)?;
 
-        let mut diagnostics = Vec::with_capacity(self.disc.intervals() + 1);
-        let mut best: Option<(Option<usize>, Contract, BestResponse, f64, bool)> = None;
-
-        let mut consider = |k: Option<usize>,
-                            contract: Contract,
-                            clamped: bool,
-                            best: &mut Option<(Option<usize>, Contract, BestResponse, f64, bool)>|
-         -> Result<(), CoreError> {
-            let response = best_response(&self.params, &self.psi, &contract)?;
-            let utility = self.weight * response.feedback - self.params.mu * response.compensation;
-            diagnostics.push(CandidateDiagnostics {
-                k,
-                effort: response.effort,
-                compensation: response.compensation,
-                requester_utility: utility,
-                clamped,
-            });
-            let better = match best {
-                None => true,
-                Some((_, _, prev_resp, prev_u, _)) => {
-                    utility > *prev_u + 1e-12
-                        || (utility > *prev_u - 1e-12
-                            && response.compensation < prev_resp.compensation - 1e-12)
-                }
-            };
-            if better {
-                *best = Some((k, contract, response, utility, clamped));
-            }
-            Ok(())
-        };
-
+        let mut candidates = Vec::with_capacity(self.disc.intervals() + 1);
         if self.include_zero {
-            let d_lo = self.psi.eval(0.0);
-            let d_hi = self.psi.eval(self.disc.y_max());
-            let zero = Contract::zero(d_lo, d_hi)?;
-            consider(None, zero, false, &mut best)?;
+            let zero = zero_contract(&self.psi, &self.disc)?;
+            candidates.push(Evaluated {
+                k: None,
+                response: best_response(&self.params, &self.psi, &zero)?,
+                clamped: false,
+            });
         }
         for k in 1..=self.disc.intervals() {
             let cand = crate::build_candidate_with_margin(
@@ -257,42 +250,151 @@ impl ContractBuilder {
                 k,
                 self.margin,
             )?;
-            consider(Some(k), cand.contract, cand.clamped, &mut best)?;
+            candidates.push(Evaluated {
+                k: Some(k),
+                response: best_response(&self.params, &self.psi, &cand.contract)?,
+                clamped: cand.clamped,
+            });
+        }
+        Ok(CandidateSet {
+            params: self.params,
+            disc: self.disc,
+            psi: self.psi,
+            margin: self.margin,
+            candidates,
+        })
+    }
+}
+
+/// The verified candidates of one §IV-C search, built by
+/// [`ContractBuilder::candidates`]: for each candidate, its target
+/// interval `k` (`None` for the zero contract), the worker's best
+/// response and whether its slopes were clamped.
+///
+/// The set depends on ω, ψ, δ, the model parameters, the incentive
+/// margin and whether the zero contract is included — not on the
+/// worker's weight — so one set serves every worker that shares them.
+/// It keeps no contracts: [`CandidateSet::select`] rebuilds the winner's
+/// with the same deterministic construction, so the result is
+/// bit-identical to [`ContractBuilder::build`].
+#[derive(Debug, Clone)]
+pub struct CandidateSet {
+    params: ModelParams,
+    disc: Discretization,
+    psi: Quadratic,
+    margin: f64,
+    candidates: Vec<Evaluated>,
+}
+
+/// One verified candidate: what [`CandidateSet::select`] needs to score
+/// it and report its diagnostics.
+#[derive(Debug, Clone, Copy)]
+struct Evaluated {
+    k: Option<usize>,
+    response: BestResponse,
+    clamped: bool,
+}
+
+impl CandidateSet {
+    /// Number of candidates in the set (the zero contract included).
+    pub(crate) fn len(&self) -> usize {
+        self.candidates.len()
+    }
+
+    /// The Eq. 43 choice for a worker of feedback weight `weight`: the
+    /// candidate maximizing `w·q − μ·c`, where a later candidate wins
+    /// only by more than 1e-12 in utility, or by a tie within 1e-12 and a
+    /// compensation lower by more than 1e-12. Also reports every
+    /// candidate's diagnostics and, for an honest worker's non-zero pick,
+    /// the Theorem 4.1 bracket.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a non-finite weight; propagates the (deterministic, so
+    /// already passed) rebuild of the winning contract.
+    pub fn select(&self, weight: f64) -> Result<BuiltContract, CoreError> {
+        check_weight(weight)?;
+        let mut diagnostics = Vec::with_capacity(self.candidates.len());
+        let mut best: Option<(&Evaluated, f64)> = None;
+        for cand in &self.candidates {
+            let response = &cand.response;
+            let utility = weight * response.feedback - self.params.mu * response.compensation;
+            diagnostics.push(CandidateDiagnostics {
+                k: cand.k,
+                effort: response.effort,
+                compensation: response.compensation,
+                requester_utility: utility,
+                clamped: cand.clamped,
+            });
+            let better = match best {
+                None => true,
+                Some((prev, prev_u)) => {
+                    utility > prev_u + 1e-12
+                        || (utility > prev_u - 1e-12
+                            && response.compensation < prev.response.compensation - 1e-12)
+                }
+            };
+            if better {
+                best = Some((cand, utility));
+            }
         }
 
-        let (k_opt, contract, response, requester_utility, _) =
-            best.ok_or_else(|| {
+        let (winner, requester_utility) = best.ok_or_else(|| {
             CoreError::InvalidContract("no candidate contract could be evaluated".into())
         })?;
-        let utility_bounds = match k_opt {
+        let contract = match winner.k {
+            None => zero_contract(&self.psi, &self.disc)?,
+            Some(k) => {
+                crate::build_candidate_with_margin(
+                    &self.params,
+                    &self.disc,
+                    &self.psi,
+                    k,
+                    self.margin,
+                )?
+                .contract
+            }
+        };
+        let utility_bounds = match winner.k {
             Some(k) if dcc_numerics::exact_eq(self.params.omega, 0.0) => Some((
                 bounds::requester_utility_lower_bound(
-                    self.weight,
+                    weight,
                     &self.params,
                     &self.disc,
                     &self.psi,
                     k,
                 ),
-                bounds::requester_utility_upper_bound(
-                    self.weight,
-                    &self.params,
-                    &self.disc,
-                    &self.psi,
-                ),
+                bounds::requester_utility_upper_bound(weight, &self.params, &self.disc, &self.psi),
             )),
             _ => None,
         };
 
         Ok(BuiltContract {
             contract,
-            k_opt,
-            response,
+            k_opt: winner.k,
+            response: winner.response,
             requester_utility,
-            weight: self.weight,
+            weight,
             diagnostics,
             utility_bounds,
         })
     }
+}
+
+/// Rejects a non-finite feedback weight.
+fn check_weight(weight: f64) -> Result<(), CoreError> {
+    if weight.is_finite() {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidInput(format!(
+            "weight must be finite, got {weight}"
+        )))
+    }
+}
+
+/// The zero contract over ψ's feedback range `[ψ(0), ψ(mδ)]`.
+fn zero_contract(psi: &Quadratic, disc: &Discretization) -> Result<Contract, CoreError> {
+    Contract::zero(psi.eval(0.0), psi.eval(disc.y_max()))
 }
 
 #[cfg(test)]
@@ -457,6 +559,61 @@ mod tests {
             malicious.requester_utility() >= honest.requester_utility() - 1e-9,
             "self-motivated worker should be no worse for the requester at equal weight"
         );
+    }
+
+    #[test]
+    fn build_is_candidates_then_select() {
+        let (params, disc, psi) = setup();
+        let variants = [
+            ContractBuilder::new(params, disc, psi).honest(),
+            ContractBuilder::new(params, disc, psi).malicious(0.5),
+            ContractBuilder::new(params, disc, psi).incentive_margin(0.3),
+            ContractBuilder::new(params, disc, psi).include_zero_candidate(false),
+            ContractBuilder::new(params, disc, psi)
+                .malicious(0.5)
+                .incentive_margin(0.3)
+                .include_zero_candidate(false),
+        ];
+        for builder in variants {
+            let set = builder.candidates().unwrap();
+            for w in [-0.5, 0.0, 0.4, 1.0, 3.0] {
+                let built = builder.clone().weight(w).build().unwrap();
+                let selected = set.select(w).unwrap();
+                assert_eq!(selected, built, "{builder:?} at w = {w}");
+                assert_eq!(
+                    format!("{selected:?}"),
+                    format!("{built:?}"),
+                    "bits at w = {w}"
+                );
+            }
+        }
+        // Without the zero contract every candidate is a ξ^(k).
+        let set = ContractBuilder::new(params, disc, psi)
+            .include_zero_candidate(false)
+            .candidates()
+            .unwrap();
+        assert_eq!(set.len(), disc.intervals());
+        assert!(set.select(-0.5).unwrap().k_opt().is_some());
+    }
+
+    #[test]
+    fn select_rejects_a_non_finite_weight() {
+        let (params, disc, psi) = setup();
+        let set = ContractBuilder::new(params, disc, psi)
+            .candidates()
+            .unwrap();
+        for w in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = set.select(w).unwrap_err().to_string();
+            assert!(err.contains("weight must be finite"), "{err}");
+        }
+        // build checks the weight before ψ, so its error wins over ψ's.
+        let convex = Quadratic::new(0.1, 1.0, 0.0);
+        let err = ContractBuilder::new(params, disc, convex)
+            .weight(f64::NAN)
+            .build()
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("weight must be finite"), "{err}");
     }
 
     #[test]

@@ -17,15 +17,20 @@
 //!   for every target effort interval `[(k−1)δ, kδ)` construct a
 //!   candidate `ξ^(k)` whose slopes follow the Eq. (39)–(40) recurrence
 //!   inside the Case-III window of Lemma 4.1, then keep the candidate
-//!   with the highest requester utility.
+//!   with the highest requester utility. The candidates and their
+//!   verified best responses ([`ContractBuilder::candidates`]) do not
+//!   depend on the worker's weight; only the Eq. 43 choice
+//!   ([`CandidateSet::select`]) does, so workers sharing ω, ψ and δ
+//!   share one [`CandidateSet`].
 //! - [`bounds`] — Lemma 4.2 / 4.3 compensation bounds and the
 //!   Theorem 4.1 requester-utility bracket.
 //! - [`best_response`] — a worker's exact best response to an arbitrary
 //!   contract (used to *verify* incentives rather than assume them).
 //! - [`solve_subproblems`] / [`design_contracts`] — the §IV-B
 //!   decomposition into per-worker / per-community subproblems, solved in
-//!   parallel on scoped threads; the one solve entry point, with an
-//!   explicit pool size, [`FailurePolicy`], and `dcc_obs::Metrics` sink.
+//!   parallel on scoped threads with one candidate set per shared
+//!   (ω, ψ, δ); the one solve entry point, with an explicit pool size,
+//!   [`FailurePolicy`], and `dcc_obs::Metrics` sink.
 //! - [`Simulation`] — the repeated Stackelberg game over `T` rounds with
 //!   lagged payments and stochastic feedback, plus the exclusion and
 //!   fixed-payment baselines of §V.
@@ -83,7 +88,7 @@ pub use bip::{
     solve_subproblems, BipSolution, DegradationAction, DegradationReport, DegradedSubproblem,
     FailurePolicy, Subproblem, SubproblemSolution,
 };
-pub use builder::{BuiltContract, CandidateDiagnostics, ContractBuilder};
+pub use builder::{BuiltContract, CandidateDiagnostics, CandidateSet, ContractBuilder};
 pub use candidate::{build_candidate, build_candidate_with_margin, Candidate};
 pub use cases::{case_of_slope, interval_optimum, SlopeCase};
 pub use contract::Contract;

@@ -78,6 +78,10 @@ pub mod names {
     /// Span: one §IV-B subproblem solve (attrs: `id`, `iterations`,
     /// `degraded`), recorded post-merge with the worker-measured time.
     pub const SPAN_SUBPROBLEM: &str = "solve.subproblem";
+    /// Span: building one candidate set shared by the subproblems of one
+    /// (ω, ψ, δ) key (attrs: `subproblems`, `candidates`), recorded
+    /// post-merge in first-occurrence order with the worker-measured time.
+    pub const SPAN_CANDIDATE_SET: &str = "solve.candidate_set";
     /// Span: materializing the trace from its configured source (attrs:
     /// `source`), recorded post-load with the measured time.
     pub const SPAN_TRACE_LOAD: &str = "trace.load";

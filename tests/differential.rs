@@ -4,7 +4,9 @@
 //! deterministic output (all floats compared via `to_bits`).
 //!
 //! This is the external check backing `dcc-batch`'s central claim: the
-//! batch scheduler is an optimization, never a semantic change. CI runs
+//! batch scheduler is an optimization, never a semantic change. The
+//! grouped solve — one candidate set per (ω, ψ, δ) key — is checked the
+//! same way, against building every subproblem alone. CI runs
 //! this suite at `PROPTEST_CASES=256` (`.github/workflows/ci.yml`,
 //! `batch` job); the in-file default keeps local runs quick.
 
@@ -17,9 +19,11 @@ use dyncontract::batch::{
     FailureKind, FaultMode, FaultPoint, ScenarioFault, ScenarioGrid, SupervisorOptions,
 };
 use dyncontract::core::{
-    solve_subproblems, BipSolution, ContractDesign, FailurePolicy, ModelParams, Subproblem,
+    solve_subproblems, BipSolution, ContractBuilder, ContractDesign, CoreError, Discretization,
+    FailurePolicy, ModelParams, Subproblem, SubproblemSolution,
 };
 use dyncontract::engine::{Engine, EngineConfig, PoolSize, RoundContext, StageKind};
+use dyncontract::numerics::Quadratic;
 use dyncontract::obs::Metrics;
 use dyncontract::trace::{SyntheticConfig, TraceDataset};
 use proptest::prelude::*;
@@ -246,6 +250,202 @@ proptest! {
             encode(&mut out, &record.outcome().expect("scenario ok").design);
         }
         prop_assert_eq!(out.as_str(), reference(seed_idx));
+    }
+}
+
+/// The (ω, ψ, δ) keys the grouped-solve checks draw from: ω = 0.0 next
+/// to ω = −0.0 under one ψ and δ, a second discretization under the same
+/// ψ, a malicious key with its own ψ and δ, and a convex ψ that fails
+/// validation.
+fn grouping_keys() -> [(f64, Quadratic, Discretization); 5] {
+    let psi = Quadratic::new(-0.05, 2.0, 0.5);
+    let fine = Discretization::new(12, 0.75).expect("valid discretization");
+    let coarse = Discretization::new(8, 1.0).expect("valid discretization");
+    let other = Discretization::new(10, 0.7).expect("valid discretization");
+    [
+        (0.0, psi, fine),
+        (-0.0, psi, fine),
+        (0.0, psi, coarse),
+        (0.4, Quadratic::new(-0.15, 2.5, 1.0), other),
+        (0.4, Quadratic::new(0.1, 1.0, 0.0), fine),
+    ]
+}
+
+/// Weights for the grouped-solve checks, the rejected non-finite ones
+/// included.
+const GROUPING_WEIGHTS: [f64; 9] = [
+    1.0,
+    0.35,
+    2.5,
+    -0.7,
+    0.0,
+    -0.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// Subproblems from `(key, weight, community)` rows over
+/// [`grouping_keys`] and [`GROUPING_WEIGHTS`]; a community row covers
+/// three workers.
+fn grouping_subproblems(rows: &[(usize, usize, bool)]) -> Vec<Subproblem> {
+    let keys = grouping_keys();
+    rows.iter()
+        .enumerate()
+        .map(|(i, &(key, weight, community))| {
+            let (omega, psi, disc) = keys[key % keys.len()];
+            Subproblem {
+                id: 7 * i + 3,
+                members: if community {
+                    vec![i, 100 + i, 200 + i]
+                } else {
+                    vec![i]
+                },
+                omega,
+                weight: GROUPING_WEIGHTS[weight % GROUPING_WEIGHTS.len()],
+                psi,
+                disc,
+            }
+        })
+        .collect()
+}
+
+/// Checks the grouped `solve_subproblems` against building every
+/// subproblem alone with `ContractBuilder`, under all three policies:
+/// healthy solutions equal to the bit (`Debug` prints every float
+/// exactly, −0.0 included), the total equal in bits to the in-order sum,
+/// Abort failing with the first failing subproblem's error, and each
+/// degraded subproblem carrying its own build error — a non-finite
+/// weight's even in a key whose ψ is invalid.
+fn check_grouped_solve(sps: &[Subproblem], pool: usize) {
+    let params = ModelParams {
+        mu: 1.5,
+        ..ModelParams::default()
+    };
+    let reference: Vec<Result<SubproblemSolution, String>> = sps
+        .iter()
+        .map(|sp| {
+            ContractBuilder::new(params, sp.disc, sp.psi)
+                .malicious(sp.omega)
+                .weight(sp.weight)
+                .build()
+                .map(|built| SubproblemSolution {
+                    id: sp.id,
+                    members: sp.members.clone(),
+                    built,
+                })
+                .map_err(|e| {
+                    CoreError::InvalidInput(format!("subproblem {} failed: {e}", sp.id)).to_string()
+                })
+        })
+        .collect();
+    for (sp, want) in sps.iter().zip(&reference) {
+        if !sp.weight.is_finite() {
+            let err = want.as_ref().expect_err("a non-finite weight fails");
+            assert!(err.contains("weight must be finite"), "{err}");
+        }
+    }
+    let first_error = reference.iter().find_map(|r| r.as_ref().err());
+
+    for policy in [
+        FailurePolicy::Abort,
+        FailurePolicy::Skip,
+        FailurePolicy::FallbackBaseline { amount: 0.5 },
+    ] {
+        let solved = solve_subproblems(sps, &params, pool, policy, &Metrics::noop());
+        if let (FailurePolicy::Abort, Some(want)) = (policy, first_error) {
+            let got = solved.expect_err("abort fails on a failing subproblem");
+            assert_eq!(&got.to_string(), want, "pool {pool}");
+            continue;
+        }
+        let (solution, report) = solved.expect("solve succeeds");
+        assert_eq!(solution.solutions.len(), sps.len());
+        let mut degraded = report.degraded.iter();
+        for (i, (got, want)) in solution.solutions.iter().zip(&reference).enumerate() {
+            match want {
+                Ok(want) => {
+                    assert_eq!(got, want, "{policy:?} pool {pool} subproblem {i}");
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "{policy:?} pool {pool} subproblem {i} bits"
+                    );
+                    assert_eq!(got.built.diagnostics(), want.built.diagnostics());
+                    assert_eq!(got.built.utility_bounds(), want.built.utility_bounds());
+                }
+                Err(want) => {
+                    let d = degraded.next().expect("a failing subproblem degrades");
+                    assert_eq!(d.subproblem, got.id);
+                    assert_eq!(&d.reason, want, "{policy:?} pool {pool} subproblem {i}");
+                }
+            }
+        }
+        assert!(
+            degraded.next().is_none(),
+            "only failing subproblems degrade"
+        );
+        let in_order: f64 = solution
+            .solutions
+            .iter()
+            .map(|s| s.built.requester_utility())
+            .sum();
+        assert_eq!(
+            solution.total_requester_utility.to_bits(),
+            in_order.to_bits(),
+            "{policy:?} pool {pool} total"
+        );
+    }
+}
+
+/// Every key and weight of the grouped-solve checks at once: shared and
+/// singleton keys, a community, ω = ±0.0, two discretizations under one
+/// ψ, and a convex key holding a NaN weight.
+#[test]
+fn grouped_solve_matches_builder_on_every_key_kind() {
+    let rows = [
+        (0, 0, false),
+        (1, 1, false),
+        (0, 3, true),
+        (2, 2, false),
+        (1, 4, false),
+        (3, 6, false),
+        (4, 6, false),
+        (4, 0, true),
+        (3, 7, true),
+        (0, 8, false),
+        (2, 5, false),
+        (3, 1, false),
+    ];
+    let sps = grouping_subproblems(&rows);
+    for pool in 1..=16 {
+        check_grouped_solve(&sps, pool);
+    }
+    // Without the convex key, Abort succeeds too.
+    let healthy: Vec<_> = rows
+        .iter()
+        .copied()
+        .filter(|r| r.0 != 4 && r.1 < 6)
+        .collect();
+    check_grouped_solve(&grouping_subproblems(&healthy), 3);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The grouped solve is the per-subproblem `ContractBuilder::build`
+    /// reference for 1–4 keys drawn from [`grouping_keys`], singleton and
+    /// shared, with any weight, under every policy at pools 1–16.
+    #[test]
+    fn grouped_solve_matches_builder_per_subproblem(
+        keys in proptest::collection::vec(0usize..5, 1..=4),
+        rows in proptest::collection::vec((0usize..4, 0usize..GROUPING_WEIGHTS.len(), 0usize..4), 1..=24),
+        pool in 1usize..=16,
+    ) {
+        let rows: Vec<(usize, usize, bool)> = rows
+            .iter()
+            .map(|&(pick, weight, community)| (keys[pick % keys.len()], weight, community == 0))
+            .collect();
+        check_grouped_solve(&grouping_subproblems(&rows), pool);
     }
 }
 
