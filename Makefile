@@ -97,7 +97,8 @@ chaos-batch:
 # runs at roughly 25/50/75% of the event stream, resume each, and
 # require the resumed run's full output — restored rounds re-emitted,
 # remaining rounds, summary — to be byte-identical to the uninterrupted
-# run.
+# run. The checkpoint holds counts and fingerprints, never the events,
+# so it must stay under 1 KiB after every kill and every resume.
 chaos-serve:
 	rm -rf target/chaos-serve && mkdir -p target/chaos-serve
 	cargo run --release -q -p dcc-cli --bin dcc -- gen --seed 11 --scale small --out target/chaos-serve/trace
@@ -106,8 +107,12 @@ chaos-serve:
 	  rm -f target/chaos-serve/serve.ckpt; \
 	  cargo run --release -q -p dcc-cli --bin dcc -- serve --replay target/chaos-serve/trace --pool 2 \
 	    --checkpoint target/chaos-serve/serve.ckpt --kill-at $$k > /dev/null || exit 1; \
+	  test $$(wc -c < target/chaos-serve/serve.ckpt) -le 1024 || \
+	    { echo "chaos-serve: checkpoint after kill-at=$$k exceeds 1 KiB"; exit 1; }; \
 	  cargo run --release -q -p dcc-cli --bin dcc -- serve --replay target/chaos-serve/trace --pool 2 \
 	    --checkpoint target/chaos-serve/serve.ckpt --resume > target/chaos-serve/resumed-$$k.txt || exit 1; \
+	  test $$(wc -c < target/chaos-serve/serve.ckpt) -le 1024 || \
+	    { echo "chaos-serve: checkpoint after resuming kill-at=$$k exceeds 1 KiB"; exit 1; }; \
 	  cmp target/chaos-serve/full.txt target/chaos-serve/resumed-$$k.txt || \
 	    { echo "chaos-serve: resume at kill-at=$$k diverged from the uninterrupted run"; exit 1; }; \
 	  echo "chaos-serve: kill-at=$$k resume is byte-identical"; \

@@ -1515,13 +1515,15 @@ fn ascii_plot(contract: &dcc_core::Contract, width: usize, height: usize) -> Str
 /// emits one JSON line per round boundary, recomputing only what
 /// changed while staying bit-identical to the batch pipeline over the
 /// same prefix (`--verify` asserts that at every round). With
-/// `--checkpoint FILE` the event log is checkpointed atomically at
-/// every round boundary; `--kill-at N` stops after `N` events
-/// (simulating a crash) and `--resume` re-applies the checkpointed log
-/// — the resumed run re-emits the restored rounds, so its full output
-/// is byte-identical to an uninterrupted run (`make chaos-serve`). A
-/// log that is not a prefix of the input events belongs to another
-/// stream and is refused (exit 1).
+/// `--checkpoint FILE` the count and running fingerprint of the events
+/// applied are checkpointed atomically at every round boundary;
+/// `--kill-at N` stops after `N` events (simulating a crash) and
+/// `--resume` re-applies that many leading input events — the resumed
+/// run re-emits the restored rounds, so its full output is
+/// byte-identical to an uninterrupted run (`make chaos-serve`). A
+/// checkpoint whose fingerprints are not those of the input's prefix
+/// belongs to another stream and is refused, naming the first differing
+/// round (exit 1).
 pub fn cmd_serve(args: &ParsedArgs) -> CliResult {
     let design = design_config(args)?;
     let pipeline = PipelineConfig::default();
@@ -1592,8 +1594,8 @@ pub fn cmd_serve(args: &ParsedArgs) -> CliResult {
     let (mut service, restored) = match &checkpoint {
         Some(path) if resume && path.is_file() => {
             let n = dcc_serve::load_checkpoint(path, &events)?;
-            let log = events.get(..n).unwrap_or_default();
-            ServeService::restore(pipeline, design, pool, verify, metrics.clone(), log)?
+            let prefix = events.get(..n).unwrap_or_default();
+            ServeService::restore(pipeline, design, pool, verify, metrics.clone(), prefix)?
         }
         _ => (
             ServeService::new(pipeline, design, pool, verify, metrics.clone())?,
@@ -2151,7 +2153,7 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains(&cp), "{err}");
-        assert!(err.to_string().contains("event 0 "), "{err}");
+        assert!(err.to_string().contains("round 0 "), "{err}");
 
         // The stream the checkpoint came from resumes byte-identically.
         let resumed =

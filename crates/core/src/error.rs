@@ -60,8 +60,10 @@ pub enum CoreError {
         source: IoSource,
     },
     /// A checkpoint was written by a different run than the one resuming
-    /// from it: its input fingerprint differs, or (for an event log) it
-    /// is not a prefix of the resuming run's input.
+    /// from it: its input fingerprint differs, or (for a serve
+    /// checkpoint) it records more events than the resuming run's input
+    /// holds or the fingerprints of that input's prefix differ, and the
+    /// detail names the first differing round.
     CheckpointMismatch {
         /// The checkpoint file (boxed, so the variant is no larger than
         /// the others and every `Result<_, CoreError>` keeps its size).

@@ -4,26 +4,30 @@
 //! Simulation, batch and serve checkpoints share one shape,
 //!
 //! ```text
-//! {"schema": "dcc-<sim|batch|serve>-ckpt/2", "payload": …}
+//! {"schema": "dcc-<sim|batch>-ckpt/2" | "dcc-serve-ckpt/3", "payload": …}
 //! ```
 //!
 //! built by [`checkpoint_document`], written by [`save_json_atomic`],
 //! and read back by [`load_checkpoint_payload`], which names the path in
 //! every error, maps a missing file to [`CoreError::Io`], and refuses
-//! any other schema (the `/1` formats of earlier releases included).
+//! any other schema (the formats of earlier releases included).
 //!
-//! A checkpoint records a run's inputs, not its state. The repeated game
-//! is a pure function of its agents, parameters, configuration, noise
-//! seed and fault plan, so a simulation checkpoint is just
+//! A checkpoint records a run's inputs, not its state, and each payload
+//! carries an FNV-1a fingerprint of those inputs. The repeated game is a
+//! pure function of its agents, parameters, configuration, noise seed
+//! and fault plan, so a simulation checkpoint is just
 //! `{"fingerprint", "rounds_done"}`: a resume rebuilds the agents,
 //! checks the fingerprint, and replays the recorded rounds with a fresh
 //! [`crate::FaultInjector`]. [`check_fingerprint`] refuses a sim or batch
-//! checkpoint of any other run with [`CoreError::CheckpointMismatch`].
+//! checkpoint of any other run with [`CoreError::CheckpointMismatch`]. A
+//! serve checkpoint (`dcc_serve::ckpt`) is the count and running
+//! fingerprint of the events applied, with one pair per round boundary,
+//! so a refused serve resume names the first round that differs.
 
 use crate::FaultPlan;
 use dcc_core::{AgentSpec, CoreError, ModelParams, SimulationConfig};
 use dcc_numerics::{Fnv, Json};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Schema tag of the simulation checkpoint.
 pub const SIM_CKPT_SCHEMA: &str = "dcc-sim-ckpt/2";
@@ -37,7 +41,7 @@ pub fn checkpoint_document(schema: &str, payload: Json) -> Json {
 }
 
 /// Writes a JSON document to `path` atomically: the bytes go to a
-/// sibling `.tmp` file first and are renamed into place, so a crash
+/// sibling temp file first and are renamed into place, so a crash
 /// mid-write can never leave a truncated checkpoint where a valid one
 /// used to be. Every checkpoint writer (simulation, batch scheduler,
 /// streaming service) goes through here.
@@ -47,13 +51,23 @@ pub fn checkpoint_document(schema: &str, payload: Json) -> Json {
 /// Returns [`CoreError::Io`] on filesystem failure; the temp file is
 /// removed on a failed rename.
 pub fn save_json_atomic(path: &Path, doc: &Json) -> Result<(), CoreError> {
-    let tmp = path.with_extension("tmp");
+    let tmp = temp_sibling(path);
     let result = std::fs::write(&tmp, doc.to_string())
         .and_then(|()| std::fs::rename(&tmp, path));
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
     result.map_err(|e| CoreError::io(format!("write checkpoint {}", path.display()), e))
+}
+
+/// The temp file [`save_json_atomic`] writes before renaming it to
+/// `path`: the whole file name plus `.tmp` (`run.ckpt.tmp`). Replacing
+/// the extension instead would make `state.tmp` its own temp file and
+/// give `run.ckpt` and `run.json` the same one.
+fn temp_sibling(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
 }
 
 /// Reads the checkpoint document at `path` and returns its payload.
@@ -211,6 +225,24 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dcc-faults-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    #[test]
+    fn temp_files_are_distinct_from_each_other_and_their_targets() {
+        let targets = ["x.tmp", "x.ckpt", "x.json"].map(temp_path);
+        let temps = targets.clone().map(|target| temp_sibling(&target));
+        for (i, target) in targets.iter().enumerate() {
+            assert!(!temps.contains(target), "{} is a temp file", target.display());
+            for other in &temps[i + 1..] {
+                assert_ne!(&temps[i], other);
+            }
+        }
+        for (target, temp) in targets.iter().zip(&temps) {
+            save_json_atomic(target, &sim_checkpoint(1, 2)).unwrap();
+            assert_eq!(load_sim_checkpoint(target, 1, 2).unwrap(), 2);
+            assert!(!temp.exists(), "{} left behind", temp.display());
+            std::fs::remove_file(target).unwrap();
+        }
     }
 
     #[test]

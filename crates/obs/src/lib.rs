@@ -209,8 +209,9 @@ pub mod names {
     pub const COUNTER_SERVE_FIT_REFITS: &str = "serve.fit.refits";
     /// Counter: checkpoints the streaming service wrote.
     pub const COUNTER_SERVE_CKPT_SAVED: &str = "serve.checkpoint.saved";
-    /// Counter: runs restored from a `dcc-serve-ckpt/2` checkpoint
-    /// (0 or 1 per process).
+    /// Counter: runs restored from a `dcc-serve-ckpt/3` checkpoint by
+    /// re-applying the input prefix it fingerprints (0 or 1 per
+    /// process).
     pub const COUNTER_SERVE_CKPT_RESTORED: &str = "serve.checkpoint.restored";
 
     /// Counter: adversary plans applied to generated traces.

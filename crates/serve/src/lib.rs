@@ -25,11 +25,15 @@
 //! property over random streams; `--verify` enforces it in production
 //! at every round.
 //!
-//! Crash recovery reuses the `dcc-faults` atomic-write machinery: the
-//! service checkpoints its event log ([`save_checkpoint`]) and a
-//! resumed run re-applies the log silently, making the concatenated
-//! output of a killed + resumed run byte-identical to an uninterrupted
-//! one (exercised by `make chaos-serve`).
+//! Crash recovery reuses the `dcc-faults` checkpoint document and
+//! atomic writer: at every round boundary the service checkpoints its
+//! [`EventLog`] ([`save_checkpoint`]) — the number of events applied
+//! and a running fingerprint of them, a few hundred bytes — and a
+//! resumed run refolds the same prefix of its own input, refuses a
+//! checkpoint whose fingerprints differ ([`load_checkpoint`] names the
+//! first differing round), and re-applies that prefix silently, making
+//! the concatenated output of a killed + resumed run byte-identical to
+//! an uninterrupted one (exercised by `make chaos-serve`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +43,7 @@ mod event;
 mod service;
 mod state;
 
-pub use ckpt::{load_checkpoint, save_checkpoint, CKPT_FORMAT};
+pub use ckpt::{load_checkpoint, save_checkpoint, EventLog, CKPT_FORMAT};
 pub use event::{events_from_trace, ServeEvent};
 pub use service::{fold_digest, ServeService};
 pub use state::{design_digest, RoundOutput, ServeState, ServeStats};

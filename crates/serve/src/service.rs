@@ -1,6 +1,6 @@
-//! The service wrapper around [`ServeState`]: event logging (for
-//! checkpoints), `serve.*` metrics, `--verify` cross-checks, and the
-//! JSON-lines output rendering the CLI prints.
+//! The service wrapper around [`ServeState`]: the fingerprinted event
+//! log (for checkpoints), `serve.*` metrics, `--verify` cross-checks,
+//! and the JSON-lines output rendering the CLI prints.
 
 use dcc_core::CoreError;
 use dcc_detect::PipelineConfig;
@@ -8,22 +8,24 @@ use dcc_faults::Json;
 use dcc_numerics::Fnv;
 use dcc_obs::{names, AttrValue, Metrics};
 
+use crate::ckpt::EventLog;
 use crate::event::ServeEvent;
 use crate::state::{design_digest, RoundOutput, ServeState, ServeStats};
 
 /// The streaming contract service: wraps the incremental
-/// [`ServeState`] with an event log (the checkpoint payload), metrics,
-/// and deterministic JSON-lines rendering.
+/// [`ServeState`] with an [`EventLog`] (the checkpoint payload: a count
+/// and running fingerprint of the events applied, not the events),
+/// metrics, and deterministic JSON-lines rendering.
 ///
-/// The service is a deterministic state machine over its event log:
-/// re-applying the same log from empty reproduces the same state *and*
-/// the same counters, which is what makes checkpoint resume
+/// The service is a deterministic state machine over its events:
+/// re-applying the same events from empty reproduces the same state
+/// *and* the same counters, which is what makes checkpoint resume
 /// byte-identical (see [`crate::ckpt`]).
 #[derive(Debug)]
 pub struct ServeService {
     state: ServeState,
     metrics: Metrics,
-    log: Vec<ServeEvent>,
+    log: EventLog,
     /// Round outputs suppressed during a checkpoint restore.
     restored_rounds: usize,
     verify: bool,
@@ -45,35 +47,35 @@ impl ServeService {
         Ok(ServeService {
             state: ServeState::new(pipeline, design, pool)?,
             metrics,
-            log: Vec::new(),
+            log: EventLog::default(),
             restored_rounds: 0,
             verify,
         })
     }
 
-    /// Rebuilds a service from a checkpointed event log by re-applying
-    /// every event from an empty state, returning the round outputs the
-    /// replay reproduces. The service is a deterministic state machine,
-    /// so the rebuilt state, counters, and outputs are identical to the
-    /// killed run's — a resumed run re-emits the restored rounds and
-    /// its full output is byte-identical to an uninterrupted run.
+    /// Rebuilds a checkpointed service by re-applying `events` (the
+    /// resuming run's own input prefix, `input[..n]` for the `n` that
+    /// [`crate::load_checkpoint`] returns) from an empty state, returning
+    /// the round outputs the replay reproduces. The service is a
+    /// deterministic state machine, so the rebuilt state, counters,
+    /// outputs and event log are identical to the killed run's — a
+    /// resumed run re-emits the restored rounds and its full output is
+    /// byte-identical to an uninterrupted run.
     ///
     /// # Errors
     ///
-    /// Propagates configuration and event-protocol errors; a log that
-    /// fails to re-apply means the checkpoint does not belong to this
-    /// configuration.
+    /// Propagates configuration and event-protocol errors.
     pub fn restore(
         pipeline: PipelineConfig,
         design: dcc_core::DesignConfig,
         pool: usize,
         verify: bool,
         metrics: Metrics,
-        log: &[ServeEvent],
+        events: &[ServeEvent],
     ) -> Result<(Self, Vec<RoundOutput>), CoreError> {
         let mut service = ServeService::new(pipeline, design, pool, verify, metrics)?;
         let mut outputs = Vec::new();
-        for event in log {
+        for event in events {
             if let Some(out) = service.apply(event)? {
                 outputs.push(out);
             }
@@ -110,7 +112,7 @@ impl ServeService {
         } else {
             self.state.apply(event)?
         };
-        self.log.push(event.clone());
+        self.log.push(event);
         if let Some(out) = &out {
             self.record_round(out, &before);
             if self.verify {
@@ -233,14 +235,15 @@ impl ServeService {
         .to_string()
     }
 
-    /// The event log since process start (the checkpoint payload).
-    pub fn log(&self) -> &[ServeEvent] {
+    /// The count and fingerprint of every event applied, restored ones
+    /// included (the checkpoint payload, see [`crate::save_checkpoint`]).
+    pub fn log(&self) -> &EventLog {
         &self.log
     }
 
     /// Total events applied, including any restored from a checkpoint.
     pub fn events_applied(&self) -> usize {
-        self.log.len()
+        self.log.events()
     }
 
     /// Rounds that were replayed silently during a checkpoint restore.
