@@ -4,7 +4,7 @@
 CHAOS_CASES ?= 512
 SCALE_BENCH_SCALES ?= 10,100
 
-.PHONY: build test lint lint-baseline clippy chaos chaos-sim chaos-batch chaos-serve experiments engine-bench batch-bench scale-bench metrics-check slow-tests ci
+.PHONY: build test lint lint-baseline clippy chaos chaos-sim chaos-batch chaos-serve experiments engine-bench batch-bench scale-bench e2ebench-smoke metrics-check slow-tests ci
 
 build:
 	cargo build --release
@@ -145,6 +145,21 @@ batch-bench:
 # a throughput floor (CI does, at 10x).
 scale-bench:
 	DCC_SCALE_BENCH_SCALES=$(SCALE_BENCH_SCALES) cargo bench -p dcc-bench --bench scale
+
+# The end-to-end benchmark (e2ebench/, a workspace of its own, so no
+# other target builds it) against the current crates: build it, run its
+# unit tests, then run each BENCHMARK.json workload once, untraced and
+# with no time budget. A run exits 1 when the program's outputs do not
+# check out, so an API change that breaks the benchmark fails here.
+E2EBENCH = cargo run --release -q --offline --manifest-path e2ebench/Cargo.toml --
+e2ebench-smoke:
+	cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+	cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
+	mkdir -p target/e2ebench-smoke
+	for w in design-4x serve-replay sweep-grid; do \
+	  $(E2EBENCH) --workload $$w --seed 42 --seconds 0 --trace 0 \
+	    --results target/e2ebench-smoke/results.jsonl || exit 1; \
+	done
 
 # End-to-end observability check: run a small pipeline with the JSON
 # recorder, then validate the emitted document against the dcc-obs/1

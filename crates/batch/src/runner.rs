@@ -135,8 +135,10 @@ impl Default for BatchOptions {
 /// Everything one successful scenario produced.
 #[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
-    /// The assembled contract design at this scenario's μ.
-    pub design: ContractDesign,
+    /// The assembled contract design at this scenario's μ: the memo's
+    /// own allocation, so every scenario with the same solve key (a
+    /// budget or strategy sweep at one μ) points at one design.
+    pub design: Arc<ContractDesign>,
     /// Budget-constrained funding selection at
     /// `budget_fraction × full_spend`.
     pub budget: BudgetedSelection,
@@ -144,7 +146,7 @@ pub struct ScenarioOutcome {
     pub full_spend: f64,
     /// Repeated-game outcome; `None` for design-only grids.
     pub sim: Option<SimulationOutcome>,
-    /// The (possibly memo-shared) detection result the design used.
+    /// The memo's detection result the design used.
     pub detection: Arc<DetectionResult>,
 }
 
@@ -1009,9 +1011,9 @@ fn run_attempt(
                 config.sim = sim;
             }
             let mut ctx = RoundContext::new(config);
-            ctx.set_trace((**trace).clone());
-            ctx.set_detection((*detection).clone());
-            ctx.set_prep((*prep).clone());
+            ctx.set_trace(Arc::clone(trace));
+            ctx.set_detection(Arc::clone(&detection));
+            ctx.set_prep(Arc::clone(&prep));
             ctx
         };
 
@@ -1022,7 +1024,7 @@ fn run_attempt(
                 Engine::new()
                     .run_to(&mut ctx, StageKind::ConstructContracts)
                     .map_err(|e| e.to_string())?;
-                ctx.design().map(|d| Arc::new(d.clone())).map_err(|e| e.to_string())
+                ctx.shared_design().map_err(|e| e.to_string())
             })
             .map_err(AttemptError::Panic)?
             .map_err(AttemptError::Error)?;
@@ -1043,8 +1045,8 @@ fn run_attempt(
             )?;
             faults.fire_at(scenario.id, attempt, FaultPoint::Simulate)?;
             let mut ctx = make_ctx();
-            ctx.set_solution(designed.solution.clone(), designed.degradation.clone());
-            ctx.set_design((*designed).clone());
+            ctx.set_solution(Arc::clone(&designed.solution), designed.degradation.clone());
+            ctx.set_design(Arc::clone(&designed));
             Engine::new()
                 .run_to(&mut ctx, StageKind::Simulate)
                 .map_err(|e| AttemptError::Error(e.to_string()))?;
@@ -1064,7 +1066,7 @@ fn run_attempt(
         };
 
         Ok(ScenarioOutcome {
-            design: (*designed).clone(),
+            design: designed,
             budget: selection,
             full_spend,
             sim,
@@ -1215,6 +1217,49 @@ mod tests {
             .map(|r| r.outcome().unwrap().budget.spend)
             .collect();
         assert!(spends[0] <= spends[1] && spends[1] <= spends[2]);
+    }
+
+    #[test]
+    fn records_point_at_the_memo_design_and_detection() {
+        // Two μs × two budgets × two strategies, simulated: eight
+        // records, two solve keys, one detection.
+        let trace = tiny(3);
+        let mut grid = ScenarioGrid::for_trace(trace.clone(), &[1.5, 1.0]);
+        grid.budget_fractions = vec![0.5, 1.0];
+        grid.strategies = vec![
+            StrategyKind::DynamicContract,
+            StrategyKind::ExcludeMalicious,
+        ];
+        grid.sim = Some(dcc_core::SimulationConfig {
+            rounds: 2,
+            ..dcc_core::SimulationConfig::default()
+        });
+        let runner = BatchRunner::with_options(BatchOptions {
+            pool: PoolSize::Fixed(2),
+            ..BatchOptions::default()
+        });
+        let report = runner.run(&grid).expect("batch run");
+        assert_eq!(report.records.len(), 8);
+        let dk = (
+            trace_fingerprint(&trace),
+            pipeline_fingerprint(&grid.pipeline),
+        );
+        let detection = runner.memo().get_detect(&dk).expect("memoized detection");
+        let outcomes: Vec<(f64, &ScenarioOutcome)> = report
+            .records
+            .iter()
+            .map(|r| (r.scenario.mu, r.outcome().expect("scenario ok")))
+            .collect();
+        for (mu, a) in &outcomes {
+            assert!(Arc::ptr_eq(&a.detection, &detection));
+            for (other_mu, b) in &outcomes {
+                assert_eq!(
+                    Arc::ptr_eq(&a.design, &b.design),
+                    mu.to_bits() == other_mu.to_bits(),
+                    "designs are shared exactly within a solve key"
+                );
+            }
+        }
     }
 
     #[test]

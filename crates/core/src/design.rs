@@ -8,6 +8,7 @@ use dcc_numerics::{percentile, Quadratic};
 use dcc_obs::Metrics;
 use dcc_trace::{ReviewerId, TraceDataset};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Configuration of the end-to-end contract design.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,8 +121,9 @@ pub struct ContractDesign {
     /// sorted by worker id. [`ContractDesign::for_worker`] binary-searches
     /// this order, so code that edits the list must keep it.
     pub agents: Vec<AgentContract>,
-    /// The underlying decomposition solution.
-    pub solution: BipSolution,
+    /// The underlying decomposition solution, shared with whoever solved
+    /// it (the engine context or the batch memo) rather than copied.
+    pub solution: Arc<BipSolution>,
     /// Fitted class effort functions: (honest, non-collusive-malicious,
     /// community-aggregate).
     pub class_psis: (Quadratic, Quadratic, Quadratic),
@@ -383,13 +385,17 @@ pub fn prepare_design(
 ///
 /// `solution` must come from solving `prep.subproblems` (any pool size —
 /// the solve is bit-identical across pool sizes): `solution.solutions[i]`
-/// pairs with `prep.subproblems[i]` by position.
+/// pairs with `prep.subproblems[i]` by position. It is taken owned or
+/// as an `Arc`; the design keeps that allocation, so a caller that
+/// already shares the solution (the engine's construct stage) passes
+/// an `Arc` and nothing is copied.
 pub fn assemble_design(
     detection: &DetectionResult,
     prep: &DesignPrep,
-    solution: BipSolution,
+    solution: impl Into<Arc<BipSolution>>,
     degradation: DegradationReport,
 ) -> ContractDesign {
+    let solution = solution.into();
     let suspected: BTreeSet<ReviewerId> = detection.suspected.iter().copied().collect();
     let partner_counts = detection.collusion.partner_counts();
     let mut agents = Vec::with_capacity(solution.solutions.len());

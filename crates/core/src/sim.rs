@@ -2,6 +2,8 @@ use crate::{best_response, Contract, CoreError, ModelParams};
 use dcc_numerics::Quadratic;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
+use std::collections::{btree_map::Entry, BTreeMap};
 
 /// One agent in the repeated Stackelberg game: an individual worker or a
 /// collusive community acting as a meta-worker.
@@ -152,6 +154,65 @@ impl SimState {
     }
 }
 
+/// What an agent's stationary best response depends on besides the
+/// requester's parameters, compared by exact bits: ω, ψ's `(r₂, r₁, r₀)`,
+/// then the contract's payments and feedback knots. It borrows the
+/// contract, so grouping allocates nothing per agent.
+///
+/// Payments compare from the last one: the candidates of one (ω, ψ, δ)
+/// key share every payment up to their target interval and differ in
+/// the flat tail, so two different contracts usually part at once.
+struct ResponseKey<'a> {
+    head: [u64; 4],
+    contract: &'a Contract,
+}
+
+impl<'a> ResponseKey<'a> {
+    fn of(agent: &'a AgentSpec) -> Self {
+        ResponseKey {
+            head: [
+                agent.omega.to_bits(),
+                agent.psi.r2().to_bits(),
+                agent.psi.r1().to_bits(),
+                agent.psi.r0().to_bits(),
+            ],
+            contract: &agent.contract,
+        }
+    }
+}
+
+/// Lexicographic order of the bits of `a` and `b`, read last to first.
+fn cmp_bits_rev(a: &[f64], b: &[f64]) -> Ordering {
+    a.iter()
+        .rev()
+        .map(|x| x.to_bits())
+        .cmp(b.iter().rev().map(|x| x.to_bits()))
+}
+
+impl Ord for ResponseKey<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let (a, b) = (self.contract, other.contract);
+        self.head
+            .cmp(&other.head)
+            .then_with(|| cmp_bits_rev(a.payments(), b.payments()))
+            .then_with(|| cmp_bits_rev(a.feedback_knots(), b.feedback_knots()))
+    }
+}
+
+impl PartialOrd for ResponseKey<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ResponseKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ResponseKey<'_> {}
+
 /// The repeated Stackelberg game of §II: in each round every in-system
 /// agent best-responds to its contract, realizes (noisy) feedback, and is
 /// paid next round according to `c^{t+1} = f(q^t)` (Eq. 1).
@@ -203,6 +264,15 @@ impl Simulation {
     /// agent's stationary best response, and sets up the lagged payments
     /// (round 0 pays the base rate `f(ψ(0))`).
     ///
+    /// A best response depends only on the agent's ω, its ψ and its
+    /// contract, and a design hands one contract to many workers, so
+    /// `start` groups the in-system agents by the exact bits of ω, ψ's
+    /// three coefficients and every knot and payment of the contract,
+    /// and calls [`best_response`] once per group, for its first agent.
+    /// Every member of a group gets that effort, bit for bit what its
+    /// own call would return. Groups are met in agent order, so a
+    /// failure is still the error of the first failing agent.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParams`] for a zero-round horizon and
@@ -217,15 +287,21 @@ impl Simulation {
 
         // Stationary best responses (the agent's ω, not the requester's).
         let mut efforts = vec![0.0; agents.len()];
-        for (i, agent) in agents.iter().enumerate() {
+        let mut by_key: BTreeMap<ResponseKey<'_>, f64> = BTreeMap::new();
+        for (effort, agent) in efforts.iter_mut().zip(agents) {
             if !agent.in_system {
                 continue;
             }
-            let agent_params = ModelParams {
-                omega: agent.omega,
-                ..self.params
+            *effort = match by_key.entry(ResponseKey::of(agent)) {
+                Entry::Occupied(known) => *known.get(),
+                Entry::Vacant(slot) => {
+                    let agent_params = ModelParams {
+                        omega: agent.omega,
+                        ..self.params
+                    };
+                    *slot.insert(best_response(&agent_params, &agent.psi, &agent.contract)?.effort)
+                }
             };
-            efforts[i] = best_response(&agent_params, &agent.psi, &agent.contract)?.effort;
         }
 
         // Lagged payments: round 0 pays the base rate f(ψ(0)).

@@ -9,6 +9,7 @@ use dcc_faults::FaultPlan;
 use dcc_obs::Metrics;
 use dcc_trace::{SyntheticConfig, TraceDataset};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Where the [`StageKind::Ingest`] stage gets its trace from.
 #[derive(Debug, Clone)]
@@ -140,7 +141,12 @@ pub enum EngineSimOutcome {
 /// The shared blackboard the stages read from and write to.
 ///
 /// The context owns the configuration and one cached output slot per
-/// stage. Getters return [`EngineError::MissingOutput`] until the
+/// stage. The trace, detection, fit, solution and design slots hold
+/// their outputs behind [`Arc`]s: a setter takes either an owned value
+/// or an `Arc` (`impl Into<Arc<T>>`), so a caller that already shares
+/// an output (the batch memo) seeds a context without copying it, and
+/// cloning a context copies pointers, not stage outputs. Getters
+/// borrow, and return [`EngineError::MissingOutput`] until the
 /// corresponding stage has run; setters store an output and discard
 /// every later stage's cache. Config mutators invalidate only the
 /// stages that actually depend on the touched field, so e.g. a μ-sweep
@@ -149,11 +155,11 @@ pub enum EngineSimOutcome {
 #[derive(Debug, Clone)]
 pub struct RoundContext {
     config: EngineConfig,
-    trace: Option<TraceDataset>,
-    detection: Option<DetectionResult>,
-    prep: Option<DesignPrep>,
-    solved: Option<(BipSolution, DegradationReport)>,
-    design: Option<ContractDesign>,
+    trace: Option<Arc<TraceDataset>>,
+    detection: Option<Arc<DetectionResult>>,
+    prep: Option<Arc<DesignPrep>>,
+    solved: Option<(Arc<BipSolution>, DegradationReport)>,
+    design: Option<Arc<ContractDesign>>,
     sim_outcome: Option<EngineSimOutcome>,
     /// Why each stage's cache slot was last invalidated (the mutator
     /// name). `None` for a slot that has never held data ("initial") or
@@ -262,7 +268,7 @@ impl RoundContext {
     ///
     /// [`EngineError::MissingOutput`] until the ingest stage has run.
     pub fn trace(&self) -> Result<&TraceDataset, EngineError> {
-        self.trace.as_ref().ok_or(EngineError::MissingOutput {
+        self.trace.as_deref().ok_or(EngineError::MissingOutput {
             stage: StageKind::Ingest,
         })
     }
@@ -273,7 +279,7 @@ impl RoundContext {
     ///
     /// [`EngineError::MissingOutput`] until the detect stage has run.
     pub fn detection(&self) -> Result<&DetectionResult, EngineError> {
-        self.detection.as_ref().ok_or(EngineError::MissingOutput {
+        self.detection.as_deref().ok_or(EngineError::MissingOutput {
             stage: StageKind::Detect,
         })
     }
@@ -284,17 +290,19 @@ impl RoundContext {
     ///
     /// [`EngineError::MissingOutput`] until the fit stage has run.
     pub fn prep(&self) -> Result<&DesignPrep, EngineError> {
-        self.prep.as_ref().ok_or(EngineError::MissingOutput {
+        self.prep.as_deref().ok_or(EngineError::MissingOutput {
             stage: StageKind::FitEffort,
         })
     }
 
-    /// The solved decomposition and its degradation report.
+    /// The solved decomposition and its degradation report. The solution
+    /// is the shared allocation the construct stage hands on to the
+    /// design, so `Arc::clone` it to keep it past the context.
     ///
     /// # Errors
     ///
     /// [`EngineError::MissingOutput`] until the solve stage has run.
-    pub fn solved(&self) -> Result<&(BipSolution, DegradationReport), EngineError> {
+    pub fn solved(&self) -> Result<&(Arc<BipSolution>, DegradationReport), EngineError> {
         self.solved.as_ref().ok_or(EngineError::MissingOutput {
             stage: StageKind::SolveSubproblems,
         })
@@ -306,7 +314,19 @@ impl RoundContext {
     ///
     /// [`EngineError::MissingOutput`] until the construct stage has run.
     pub fn design(&self) -> Result<&ContractDesign, EngineError> {
-        self.design.as_ref().ok_or(EngineError::MissingOutput {
+        self.design.as_deref().ok_or(EngineError::MissingOutput {
+            stage: StageKind::ConstructContracts,
+        })
+    }
+
+    /// The assembled design's shared allocation, for a caller that keeps
+    /// the design past the context (the batch memo) without copying it.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::MissingOutput`] until the construct stage has run.
+    pub fn shared_design(&self) -> Result<Arc<ContractDesign>, EngineError> {
+        self.design.clone().ok_or(EngineError::MissingOutput {
             stage: StageKind::ConstructContracts,
         })
     }
@@ -322,37 +342,46 @@ impl RoundContext {
         })
     }
 
-    /// Publishes the ingest output, invalidating later stages.
-    pub fn set_trace(&mut self, trace: TraceDataset) {
-        self.trace = Some(trace);
+    /// Publishes the ingest output, owned or shared, invalidating later
+    /// stages.
+    pub fn set_trace(&mut self, trace: impl Into<Arc<TraceDataset>>) {
+        self.trace = Some(trace.into());
         self.causes[StageKind::Ingest.index()] = None;
         self.invalidate_after(StageKind::Ingest);
     }
 
-    /// Publishes the detect output, invalidating later stages.
-    pub fn set_detection(&mut self, detection: DetectionResult) {
-        self.detection = Some(detection);
+    /// Publishes the detect output, owned or shared, invalidating later
+    /// stages.
+    pub fn set_detection(&mut self, detection: impl Into<Arc<DetectionResult>>) {
+        self.detection = Some(detection.into());
         self.causes[StageKind::Detect.index()] = None;
         self.invalidate_after(StageKind::Detect);
     }
 
-    /// Publishes the fit output, invalidating later stages.
-    pub fn set_prep(&mut self, prep: DesignPrep) {
-        self.prep = Some(prep);
+    /// Publishes the fit output, owned or shared, invalidating later
+    /// stages.
+    pub fn set_prep(&mut self, prep: impl Into<Arc<DesignPrep>>) {
+        self.prep = Some(prep.into());
         self.causes[StageKind::FitEffort.index()] = None;
         self.invalidate_after(StageKind::FitEffort);
     }
 
-    /// Publishes the solve output, invalidating later stages.
-    pub fn set_solution(&mut self, solution: BipSolution, degradation: DegradationReport) {
-        self.solved = Some((solution, degradation));
+    /// Publishes the solve output (the solution owned or shared),
+    /// invalidating later stages.
+    pub fn set_solution(
+        &mut self,
+        solution: impl Into<Arc<BipSolution>>,
+        degradation: DegradationReport,
+    ) {
+        self.solved = Some((solution.into(), degradation));
         self.causes[StageKind::SolveSubproblems.index()] = None;
         self.invalidate_after(StageKind::SolveSubproblems);
     }
 
-    /// Publishes the construct output, invalidating the simulate stage.
-    pub fn set_design(&mut self, design: ContractDesign) {
-        self.design = Some(design);
+    /// Publishes the construct output, owned or shared, invalidating the
+    /// simulate stage.
+    pub fn set_design(&mut self, design: impl Into<Arc<ContractDesign>>) {
+        self.design = Some(design.into());
         self.causes[StageKind::ConstructContracts.index()] = None;
         self.invalidate_after(StageKind::ConstructContracts);
     }

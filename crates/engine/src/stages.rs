@@ -13,6 +13,7 @@ use dcc_obs::{names as obs, AttrValue};
 use dcc_trace::{read_trace_columnar, read_trace_csv};
 use std::collections::BTreeSet;
 use std::path::Path;
+use std::sync::Arc;
 #[allow(
     clippy::disallowed_types,
     reason = "trace-load timing is measured here and routed into dcc-obs via span_at"
@@ -151,8 +152,13 @@ impl Stage for DefaultConstruct {
     }
 
     fn run(&self, ctx: &mut RoundContext) -> Result<(), EngineError> {
-        let (solution, degradation) = ctx.solved()?.clone();
-        let design = assemble_design(ctx.detection()?, ctx.prep()?, solution, degradation);
+        let (solution, degradation) = ctx.solved()?;
+        let design = assemble_design(
+            ctx.detection()?,
+            ctx.prep()?,
+            Arc::clone(solution),
+            degradation.clone(),
+        );
         let metrics = &ctx.config().metrics;
         if metrics.enabled() {
             metrics.add(obs::COUNTER_DESIGN_AGENTS, design.agents.len() as u64);

@@ -10,18 +10,21 @@
 #![allow(clippy::float_cmp)]
 
 use dcc_core::{
-    design_contracts, BaselineStrategy, CoreError, DesignConfig, NoFaults, Simulation,
-    SimulationConfig, StrategyKind,
+    design_contracts, prepare_design, BaselineStrategy, CoreError, DesignConfig, NoFaults,
+    Simulation, SimulationConfig, StrategyKind,
 };
 use dcc_detect::{
     run_pipeline, CollusionReport, DetectionResult, FeedbackWeights, PipelineConfig, WeightParams,
 };
 use dcc_engine::{
-    Engine, EngineConfig, EngineError, EngineSimOutcome, PoolSize, RoundContext, SimOptions,
-    Stage, StageKind,
+    Engine, EngineConfig, EngineError, EngineSimOutcome, PoolSize, RoundContext, SimOptions, Stage,
+    StageKind, TraceSource,
 };
 use dcc_trace::{SyntheticConfig, TraceDataset};
 use std::collections::BTreeSet;
+use std::path::PathBuf;
+use std::ptr;
+use std::sync::Arc;
 
 fn trace() -> TraceDataset {
     SyntheticConfig::small(2024).generate()
@@ -61,6 +64,55 @@ fn engine_matches_hand_wired_chain_bit_exactly() {
         EngineSimOutcome::Completed { outcome, .. } => assert_eq!(*outcome, reference),
         other => panic!("expected a completed simulation, got {other:?}"),
     }
+}
+
+#[test]
+fn seeded_arcs_come_back_as_the_same_allocations() {
+    let trace = Arc::new(trace());
+    let detection = Arc::new(run_pipeline(&trace, PipelineConfig::default()));
+    let prep = Arc::new(prepare_design(&trace, &detection, &DesignConfig::default()).unwrap());
+    // The source is never read: ingest, detect and fit are seeded.
+    let seeded = || {
+        let mut ctx = RoundContext::new(EngineConfig::for_source(TraceSource::CsvDir(
+            PathBuf::new(),
+        )));
+        ctx.set_trace(Arc::clone(&trace));
+        ctx.set_detection(Arc::clone(&detection));
+        ctx.set_prep(Arc::clone(&prep));
+        ctx
+    };
+    let same_inputs = |ctx: &RoundContext| {
+        assert!(ptr::eq(ctx.trace().unwrap(), &*trace));
+        assert!(ptr::eq(ctx.detection().unwrap(), &*detection));
+        assert!(ptr::eq(ctx.prep().unwrap(), &*prep));
+    };
+    let engine = Engine::new();
+
+    let mut ctx = seeded();
+    engine
+        .run_to(&mut ctx, StageKind::ConstructContracts)
+        .unwrap();
+    same_inputs(&ctx);
+    let (solution, degradation) = ctx.solved().unwrap();
+    let design = ctx.shared_design().unwrap();
+    assert!(
+        Arc::ptr_eq(&design.solution, solution),
+        "construct shares the solution"
+    );
+    assert!(ptr::eq(ctx.design().unwrap(), &*design));
+
+    let mut sim_ctx = seeded();
+    sim_ctx.set_solution(Arc::clone(solution), degradation.clone());
+    sim_ctx.set_design(Arc::clone(&design));
+    let report = engine.run_to(&mut sim_ctx, StageKind::Simulate).unwrap();
+    assert!(report.was_cached(StageKind::ConstructContracts));
+    assert!(matches!(
+        sim_ctx.sim_outcome().unwrap(),
+        EngineSimOutcome::Completed { .. }
+    ));
+    same_inputs(&sim_ctx);
+    assert!(Arc::ptr_eq(&sim_ctx.solved().unwrap().0, solution));
+    assert!(ptr::eq(sim_ctx.design().unwrap(), &*design));
 }
 
 #[test]

@@ -202,7 +202,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
+        let value = parse_value(text, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err(pos, "trailing characters after JSON value"));
@@ -262,7 +262,8 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
 }
 
 /// Parses one value that sits inside `depth` enclosing arrays/objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     if depth >= MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
         return Err(err(
@@ -275,7 +276,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -285,7 +286,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -307,10 +308,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos, depth + 1)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -341,7 +342,12 @@ fn parse_literal(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+/// Parses a string literal. `text` is valid UTF-8 and `"` and `\` are
+/// ASCII, so each run of plain characters up to the next one of them
+/// lies on character boundaries and is copied as one slice: the scan is
+/// linear in the string's length.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -380,14 +386,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err(*pos, "invalid utf-8"))?;
-                let Some(c) = rest.chars().next() else {
-                    return Err(err(*pos, "unterminated string"));
-                };
-                out.push(c);
-                *pos += c.len_utf8();
+                let start = *pos;
+                let rest = bytes.get(start..).unwrap_or_default();
+                let len = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+                *pos += len;
+                out.push_str(
+                    text.get(start..*pos)
+                        .ok_or_else(|| err(start, "invalid utf-8"))?,
+                );
             }
         }
     }
@@ -489,6 +498,24 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "{\"a\" 1}", "nul", "1 2", "[1]extra"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the test bounds the parse's wall time"
+    )]
+    fn a_long_string_parses_in_linear_time() {
+        // Each plain character used to re-validate the rest of the
+        // document, so 4 MiB took minutes.
+        let line = "plain text, ünïcödé, an \"escaped\" quote and a \\ backslash\n";
+        let s = line.repeat((4 << 20) / line.len() + 1);
+        let text = Json::Str(s.clone()).to_string();
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let took = started.elapsed();
+        assert_eq!(parsed.as_str(), Some(s.as_str()));
+        assert!(took.as_secs() < 10, "{} bytes took {took:?}", text.len());
     }
 
     #[test]

@@ -30,8 +30,17 @@ pub struct TraceDataset {
     // Indices: review positions by reviewer / by product.
     by_reviewer: Vec<Vec<usize>>,
     by_product: Vec<Vec<usize>>,
-    expertise: Vec<f64>,
+    /// Per reviewer, the running sum of their upvotes, added in review
+    /// order from [`EMPTY_SUM`] by both [`TraceDataset::new`] and
+    /// [`TraceDataset::push_review`], so a dataset grown review by review
+    /// has the same expertise bits as one built at once.
+    upvote_sums: Vec<f64>,
 }
+
+/// A reviewer's upvote sum before their first review: the −0.0 that
+/// `Iterator::sum::<f64>` starts from, so a reviewer whose upvotes are
+/// all −0.0 has expertise −0.0.
+const EMPTY_SUM: f64 = -0.0;
 
 impl TraceDataset {
     /// Assembles a dataset and builds its indices.
@@ -65,6 +74,7 @@ impl TraceDataset {
         }
         let mut by_reviewer = vec![Vec::new(); reviewers.len()];
         let mut by_product = vec![Vec::new(); products.len()];
+        let mut upvote_sums = vec![EMPTY_SUM; reviewers.len()];
         for (idx, review) in reviews.iter().enumerate() {
             let w = review.reviewer.index();
             let p = review.product.index();
@@ -86,6 +96,7 @@ impl TraceDataset {
             }
             by_reviewer[w].push(idx);
             by_product[p].push(idx);
+            upvote_sums[w] += review.upvotes;
         }
         for c in &campaigns {
             for m in &c.members {
@@ -97,16 +108,6 @@ impl TraceDataset {
                 }
             }
         }
-        let expertise = by_reviewer
-            .iter()
-            .map(|idxs| {
-                if idxs.is_empty() {
-                    0.0
-                } else {
-                    idxs.iter().map(|&i| reviews[i].upvotes).sum::<f64>() / idxs.len() as f64
-                }
-            })
-            .collect();
         Ok(TraceDataset {
             products,
             reviewers,
@@ -114,7 +115,7 @@ impl TraceDataset {
             campaigns,
             by_reviewer,
             by_product,
-            expertise,
+            upvote_sums,
         })
     }
 
@@ -132,7 +133,7 @@ impl TraceDataset {
             campaigns: Vec::new(),
             by_reviewer: Vec::new(),
             by_product: Vec::new(),
-            expertise: Vec::new(),
+            upvote_sums: Vec::new(),
         }
     }
 
@@ -171,15 +172,14 @@ impl TraceDataset {
         }
         self.reviewers.push(reviewer);
         self.by_reviewer.push(Vec::new());
-        self.expertise.push(0.0);
+        self.upvote_sums.push(EMPTY_SUM);
         Ok(())
     }
 
     /// Appends a review, updating the reviewer/product indices and the
-    /// reviewer's derived expertise. The expertise is recomputed from
-    /// scratch over the reviewer's reviews in insertion order — the exact
-    /// summation of [`TraceDataset::new`] — so the value is bit-identical
-    /// to a batch rebuild.
+    /// reviewer's running upvote sum in constant time. The sum is folded
+    /// in insertion order exactly as [`TraceDataset::new`] folds it, so
+    /// the derived expertise is bit-identical to a batch rebuild.
     ///
     /// # Errors
     ///
@@ -206,12 +206,10 @@ impl TraceDataset {
                 review.stars
             )));
         }
+        self.upvote_sums[w] += review.upvotes;
         self.reviews.push(review);
         self.by_reviewer[w].push(idx);
         self.by_product[p].push(idx);
-        let idxs = &self.by_reviewer[w];
-        self.expertise[w] =
-            idxs.iter().map(|&i| self.reviews[i].upvotes).sum::<f64>() / idxs.len() as f64;
         Ok(())
     }
 
@@ -316,21 +314,27 @@ impl TraceDataset {
     ///
     /// Returns [`TraceError::UnknownEntity`] for an unknown reviewer.
     pub fn expertise(&self, id: ReviewerId) -> Result<f64, TraceError> {
-        self.expertise
-            .get(id.index())
-            .copied()
+        self.mean_upvotes(id.index())
             .ok_or_else(|| TraceError::UnknownEntity(format!("reviewer {id}")))
+    }
+
+    /// The mean upvotes of reviewer index `w`, 0.0 without reviews;
+    /// `None` for an unknown reviewer.
+    fn mean_upvotes(&self, w: usize) -> Option<f64> {
+        let reviews = self.by_reviewer.get(w)?.len();
+        let sum = self.upvote_sums.get(w)?;
+        Some(if reviews == 0 {
+            0.0
+        } else {
+            sum / reviews as f64
+        })
     }
 
     /// The *effort level* of a review: the reviewer's expertise times the
     /// review length (§V parametrization #4), scaled by `1e-3` to keep
     /// values in a comfortable numeric range.
     pub fn effort_of(&self, review: &Review) -> f64 {
-        let e = self
-            .expertise
-            .get(review.reviewer.index())
-            .copied()
-            .unwrap_or(0.0);
+        let e = self.mean_upvotes(review.reviewer.index()).unwrap_or(0.0);
         e * review.length_chars as f64 * EFFORT_SCALE
     }
 
@@ -577,6 +581,104 @@ mod tests {
                 batch.expertise(r.id).unwrap().to_bits()
             );
         }
+
+        // Upvotes are not validated: a reviewer whose upvotes are all
+        // −0.0 keeps expertise −0.0 (the sum's start), and a NaN upvote
+        // gives NaN, both ways of building.
+        let upvotes: [&[f64]; 3] = [&[-0.0, -0.0, -0.0], &[2.0, f64::NAN, 1.0], &[3.0, 0.5]];
+        let reviewers: Vec<Reviewer> = (0..upvotes.len())
+            .map(|i| Reviewer {
+                id: ReviewerId(i),
+                class: WorkerClass::Honest,
+                campaign: None,
+                is_expert: false,
+            })
+            .collect();
+        let product = Product {
+            id: ProductId(0),
+            true_quality: 3.0,
+        };
+        // Interleave the reviewers' reviews.
+        let reviews: Vec<Review> = (0..3)
+            .flat_map(|round| {
+                upvotes.iter().enumerate().filter_map(move |(w, ups)| {
+                    ups.get(round).map(|&upvotes| Review {
+                        reviewer: ReviewerId(w),
+                        product: ProductId(0),
+                        round,
+                        stars: 3.0,
+                        length_chars: 10,
+                        upvotes,
+                    })
+                })
+            })
+            .collect();
+        let batch = TraceDataset::new(
+            vec![product.clone()],
+            reviewers.clone(),
+            reviews.clone(),
+            vec![],
+        )
+        .unwrap();
+        let mut inc = TraceDataset::empty();
+        inc.push_product(product).unwrap();
+        for r in reviewers {
+            inc.push_reviewer(r).unwrap();
+        }
+        for rv in reviews {
+            inc.push_review(rv).unwrap();
+        }
+        for (w, ups) in upvotes.iter().enumerate() {
+            let expected = ups.iter().sum::<f64>() / ups.len() as f64;
+            for built in [&batch, &inc] {
+                assert_eq!(
+                    built.expertise(ReviewerId(w)).unwrap().to_bits(),
+                    expected.to_bits(),
+                    "reviewer {w}"
+                );
+            }
+        }
+        assert!(batch.expertise(ReviewerId(0)).unwrap().is_sign_negative());
+        assert!(inc.expertise(ReviewerId(1)).unwrap().is_nan());
+    }
+
+    #[test]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the test bounds the pushes' wall time"
+    )]
+    fn pushing_one_workers_reviews_takes_linear_time() {
+        // Each push used to re-sum the reviewer's whole history, so 200k
+        // reviews by one worker took minutes.
+        let mut d = TraceDataset::empty();
+        d.push_product(Product {
+            id: ProductId(0),
+            true_quality: 3.0,
+        })
+        .unwrap();
+        d.push_reviewer(Reviewer {
+            id: ReviewerId(0),
+            class: WorkerClass::Honest,
+            campaign: None,
+            is_expert: false,
+        })
+        .unwrap();
+        let n = 200_000;
+        let started = std::time::Instant::now();
+        for round in 0..n {
+            d.push_review(Review {
+                reviewer: ReviewerId(0),
+                product: ProductId(0),
+                round,
+                stars: 4.0,
+                length_chars: 10,
+                upvotes: (round % 4) as f64,
+            })
+            .unwrap();
+        }
+        let took = started.elapsed();
+        assert_eq!(d.expertise(ReviewerId(0)).unwrap(), 1.5);
+        assert!(took.as_secs() < 10, "{n} reviews took {took:?}");
     }
 
     #[test]
