@@ -106,18 +106,20 @@ impl CollusionReport {
 /// two suspects are collusive iff they reviewed the same product, and a
 /// community is a connected component of that relation (§IV-A).
 ///
+/// `suspected` is read as a set: a repeated id is one worker. An id
+/// outside the trace has no reviews, so it is a singleton.
+///
 /// Implementation: restrict the worker↔product bipartite graph to the
 /// suspects, project onto workers, and take connected components via
 /// iterative DFS — linear in the number of suspect reviews.
 pub fn cluster_collusive(trace: &TraceDataset, suspected: &[ReviewerId]) -> CollusionReport {
-    // Dense re-indexing of the suspect set.
-    let mut dense: BTreeMap<ReviewerId, usize> = BTreeMap::new();
-    for (i, &w) in suspected.iter().enumerate() {
-        dense.insert(w, i);
-    }
+    // Dense re-indexing of the suspect set: slot `s` is `members[s]`.
+    let mut members = suspected.to_vec();
+    members.sort_unstable();
+    members.dedup();
 
-    let mut bipartite = Bipartite::new(suspected.len(), trace.products().len());
-    for (&worker, &slot) in &dense {
+    let mut bipartite = Bipartite::new(members.len(), trace.products().len());
+    for (slot, &worker) in members.iter().enumerate() {
         for review in trace.reviews_by(worker) {
             let in_range = bipartite.add_edge(slot, review.product.index());
             debug_assert!(in_range.is_ok(), "slot and product are in range by construction");
@@ -127,7 +129,7 @@ pub fn cluster_collusive(trace: &TraceDataset, suspected: &[ReviewerId]) -> Coll
     let projected = bipartite.project_left();
     let groups: Vec<Vec<ReviewerId>> = connected_components(&projected)
         .into_iter()
-        .map(|component| component.iter().map(|&s| suspected[s]).collect())
+        .map(|component| component.iter().map(|&s| members[s]).collect())
         .collect();
     CollusionReport::from_member_groups(groups)
 }
@@ -166,6 +168,30 @@ mod tests {
             report.singletons.len(),
             trace.workers_of_class(WorkerClass::NonCollusiveMalicious).len()
         );
+    }
+
+    #[test]
+    fn repeated_suspect_is_one_worker() {
+        let trace = SyntheticConfig::small(29).generate();
+        let campaign = &trace.campaigns()[0];
+        let (a, b) = (campaign.members[0], campaign.members[1]);
+        let once = cluster_collusive(&trace, &campaign.members);
+        let mut twice = campaign.members.clone();
+        twice.extend([a, b, a]);
+        let report = cluster_collusive(&trace, &twice);
+        assert_eq!(report, once);
+        assert!(report.singletons.is_empty(), "{:?}", report.singletons);
+        assert_eq!(report.partner_counts()[&a], campaign.members.len() - 1);
+
+        let ncm = trace.workers_of_class(WorkerClass::NonCollusiveMalicious)[0];
+        let report = cluster_collusive(&trace, &[ncm, ncm]);
+        assert_eq!(report.singletons, vec![ncm]);
+        assert!(report.communities.is_empty());
+
+        // An id outside the trace stays a singleton, once.
+        let ghost = ReviewerId(trace.reviewers().len() + 5);
+        let report = cluster_collusive(&trace, &[ghost, ncm, ghost]);
+        assert_eq!(report.singletons, vec![ncm, ghost]);
     }
 
     #[test]

@@ -1,14 +1,80 @@
-use dcc_trace::{ProductId, ReviewerId, TraceDataset};
-use std::collections::BTreeSet;
+use dcc_trace::{ProductId, Review, ReviewerId, TraceDataset};
 
+/// Stars at or above which a rating counts as extreme (the 5-star
+/// ceiling that paid campaigns push, see [`crate::MaliciousDetector`]).
+const EXTREME_STARS: f64 = 4.75;
+
+/// A running `(sum, count)`, added to term by term.
+#[derive(Debug, Clone, Copy)]
+struct Tally {
+    sum: f64,
+    count: usize,
+}
+
+impl Tally {
+    /// Product star sums start at −0.0, where `Iterator::sum::<f64>`
+    /// starts.
+    const STARS: Tally = Tally {
+        sum: -0.0,
+        count: 0,
+    };
+    /// Deviation totals start at +0.0.
+    const DEVIATIONS: Tally = Tally { sum: 0.0, count: 0 };
+
+    fn add(&mut self, x: f64) {
+        self.sum += x;
+        self.count += 1;
+    }
+
+    fn mean(self) -> Option<f64> {
+        (self.count > 0).then(|| self.sum / self.count as f64)
+    }
+}
+
+/// Dense suspect flags indexed by [`ReviewerId::index`]: the workers whose
+/// reviews the refined consensus leaves out of the crowd mean. An id past
+/// the end is not suspected.
+#[derive(Debug, Clone, Default)]
+pub struct SuspectMask {
+    flags: Vec<bool>,
+}
+
+impl SuspectMask {
+    /// The mask of `suspected` over a trace of `reviewers` workers. Ids
+    /// outside `0..reviewers` are dropped: no review of that trace can
+    /// name them.
+    pub fn new(reviewers: usize, suspected: &[ReviewerId]) -> Self {
+        let mut flags = vec![false; reviewers];
+        for id in suspected {
+            if let Some(flag) = flags.get_mut(id.index()) {
+                *flag = true;
+            }
+        }
+        SuspectMask { flags }
+    }
+
+    /// Appends the flag of the next reviewer id — how a trace grown
+    /// worker by worker grows its mask.
+    pub fn push(&mut self, suspected: bool) {
+        self.flags.push(suspected);
+    }
+
+    /// `true` iff `worker` is suspected.
+    pub fn contains(&self, worker: ReviewerId) -> bool {
+        self.flags.get(worker.index()).copied().unwrap_or(false)
+    }
+}
+
+/// One product's consensus slot. The mean is derived on read, so a slot
+/// is three fields.
 #[derive(Debug, Clone, Copy, Default)]
 struct ProductConsensus {
-    /// Consensus mean, if the product has any usable reviews.
-    mean: Option<f64>,
-    /// Sum and count of the star scores behind the crowd fallback
-    /// (enables leave-one-out adjustment).
-    crowd_sum: f64,
-    crowd_count: usize,
+    /// Expert-backed: the expert mean. Otherwise the sum of the star
+    /// scores behind the crowd mean (enables leave-one-out adjustment).
+    sum: f64,
+    /// The number of those crowd scores: 0 when expert-backed or
+    /// unreviewed.
+    count: usize,
     expert_backed: bool,
 }
 
@@ -17,47 +83,123 @@ impl ProductConsensus {
     /// where "changed" must mean "any downstream consumer could observe
     /// a different f64".
     fn same_bits(&self, other: &ProductConsensus) -> bool {
-        self.mean.map(f64::to_bits) == other.mean.map(f64::to_bits)
-            && self.crowd_sum.to_bits() == other.crowd_sum.to_bits()
-            && self.crowd_count == other.crowd_count
+        self.sum.to_bits() == other.sum.to_bits()
+            && self.count == other.count
             && self.expert_backed == other.expert_backed
+    }
+
+    /// The consensus mean, `None` for a product without usable reviews.
+    fn mean(&self) -> Option<f64> {
+        if self.expert_backed {
+            return Some(self.sum);
+        }
+        (self.count > 0).then(|| self.sum / self.count as f64)
+    }
+
+    /// The consensus with one crowd review of score `stars` removed; see
+    /// [`ConsensusMap::consensus_without`].
+    fn without(&self, stars: f64) -> Option<f64> {
+        if self.expert_backed {
+            return Some(self.sum);
+        }
+        if self.count <= 1 {
+            return None;
+        }
+        Some((self.sum - stars) / (self.count - 1) as f64)
     }
 }
 
-/// The per-product computation shared by the batch
-/// [`ConsensusMap::build_excluding`] and the incremental
-/// [`ConsensusMap::recompute_product`]: expert mean takes precedence,
-/// else the crowd mean of non-excluded reviews (falling back to the
-/// unfiltered crowd mean when exclusion would empty the product).
-fn product_consensus(
-    trace: &TraceDataset,
-    pid: ProductId,
-    excluded: &BTreeSet<ReviewerId>,
-) -> ProductConsensus {
-    let mut slot = ProductConsensus::default();
-    if let Some(expert_mean) = trace.expert_consensus(pid) {
-        slot.mean = Some(expert_mean);
-        slot.expert_backed = true;
-        return slot;
-    }
-    let reviews = trace.reviews_for(pid);
-    if reviews.is_empty() {
-        return slot;
-    }
-    let trusted: Vec<f64> = reviews
-        .iter()
-        .filter(|r| !excluded.contains(&r.reviewer))
-        .map(|r| r.stars)
-        .collect();
-    let scores: Vec<f64> = if trusted.is_empty() {
-        reviews.iter().map(|r| r.stars).collect()
-    } else {
-        trusted
+/// One product's reviews folded in review order: the stars of every
+/// review, and of the reviews whose author the suspect mask keeps.
+#[derive(Debug, Clone, Copy)]
+struct ProductTally {
+    crowd: Tally,
+    trusted: Tally,
+}
+
+impl ProductTally {
+    const EMPTY: ProductTally = ProductTally {
+        crowd: Tally::STARS,
+        trusted: Tally::STARS,
     };
-    slot.crowd_sum = scores.iter().sum();
-    slot.crowd_count = scores.len();
-    slot.mean = Some(slot.crowd_sum / slot.crowd_count as f64);
-    slot
+
+    fn add(&mut self, review: &Review, excluded: &SuspectMask) {
+        self.crowd.add(review.stars);
+        if !excluded.contains(review.reviewer) {
+            self.trusted.add(review.stars);
+        }
+    }
+
+    /// The product's consensus: the expert mean (the trace's own tally)
+    /// takes precedence, else the crowd mean of non-excluded reviews,
+    /// falling back to the whole crowd when exclusion would empty the
+    /// product.
+    fn finish(self, expert_mean: Option<f64>) -> ProductConsensus {
+        if let Some(mean) = expert_mean {
+            return ProductConsensus {
+                sum: mean,
+                count: 0,
+                expert_backed: true,
+            };
+        }
+        if self.crowd.count == 0 {
+            return ProductConsensus::default();
+        }
+        let scores = if self.trusted.count == 0 {
+            self.crowd
+        } else {
+            self.trusted
+        };
+        ProductConsensus {
+            sum: scores.sum,
+            count: scores.count,
+            expert_backed: false,
+        }
+    }
+}
+
+/// One worker's reviews folded in review order against a
+/// [`ConsensusMap`]: everything `e_mal` and the Eq. 5 weight read from
+/// them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WorkerTally {
+    /// `|stars − l̄|` against the leave-one-out consensus.
+    loo: Tally,
+    /// `|stars − l̄|` against the consensus.
+    plain: Tally,
+    /// Reviews rated at least [`EXTREME_STARS`].
+    extreme: usize,
+    /// All of the worker's reviews.
+    reviews: usize,
+}
+
+impl WorkerTally {
+    const EMPTY: WorkerTally = WorkerTally {
+        loo: Tally::DEVIATIONS,
+        plain: Tally::DEVIATIONS,
+        extreme: 0,
+        reviews: 0,
+    };
+
+    /// Mean leave-one-out deviation, `None` without a covered review.
+    pub(crate) fn loo_deviation(&self) -> Option<f64> {
+        self.loo.mean()
+    }
+
+    /// Mean deviation, `None` without a covered review.
+    pub(crate) fn deviation(&self) -> Option<f64> {
+        self.plain.mean()
+    }
+
+    /// Share of all the worker's reviews that are extreme, 0 without
+    /// reviews.
+    pub(crate) fn extreme_share(&self) -> f64 {
+        if self.reviews == 0 {
+            0.0
+        } else {
+            self.extreme as f64 / self.reviews as f64
+        }
+    }
 }
 
 /// Per-product "ground truth" review scores `l̄` (§II).
@@ -66,6 +208,12 @@ fn product_consensus(
 /// whose accuracy and endorsements exceed system thresholds. Products no
 /// expert has reviewed fall back to the crowd mean of all their reviews
 /// (a weaker consensus, flagged by [`ConsensusMap::is_expert_backed`]).
+///
+/// Every computation here folds reviews, in review order, into a
+/// per-product or per-worker tally. The batch builders make one pass over
+/// [`TraceDataset::reviews`]; the per-entity methods fold one product's or
+/// worker's reviews through the trace's index, which lists them in review
+/// order too, so both give the same bits.
 #[derive(Debug, Clone)]
 pub struct ConsensusMap {
     products: Vec<ProductConsensus>,
@@ -74,7 +222,7 @@ pub struct ConsensusMap {
 impl ConsensusMap {
     /// Builds the consensus for every product of `trace`.
     pub fn build(trace: &TraceDataset) -> Self {
-        Self::build_excluding(trace, &BTreeSet::new())
+        Self::build_excluding(trace, &SuspectMask::default())
     }
 
     /// Builds the consensus while excluding reviews by `excluded` workers
@@ -84,12 +232,18 @@ impl ConsensusMap {
     /// Expert reviews always take precedence. If excluding suspects would
     /// leave a product with no reviews at all, the unfiltered crowd mean
     /// is used (better a weak consensus than none).
-    pub fn build_excluding(trace: &TraceDataset, excluded: &BTreeSet<ReviewerId>) -> Self {
-        let n = trace.products().len();
-        let mut products = vec![ProductConsensus::default(); n];
-        for (i, slot) in products.iter_mut().enumerate() {
-            *slot = product_consensus(trace, ProductId(i), excluded);
+    pub fn build_excluding(trace: &TraceDataset, excluded: &SuspectMask) -> Self {
+        let mut tallies = vec![ProductTally::EMPTY; trace.products().len()];
+        for review in trace.reviews() {
+            if let Some(tally) = tallies.get_mut(review.product.index()) {
+                tally.add(review, excluded);
+            }
         }
+        let products = tallies
+            .into_iter()
+            .enumerate()
+            .map(|(i, tally)| tally.finish(trace.expert_consensus(ProductId(i))))
+            .collect();
         ConsensusMap { products }
     }
 
@@ -115,19 +269,23 @@ impl ConsensusMap {
         }
     }
 
-    /// Recomputes one product's consensus slot from the trace — the exact
-    /// per-product computation of [`ConsensusMap::build_excluding`], so a
-    /// map maintained by recomputing only *dirty* products (products with
-    /// new reviews) is bit-identical to a full rebuild. Returns `true` if
-    /// the slot's value changed.
+    /// Recomputes one product's consensus slot from the trace — the
+    /// tally of [`ConsensusMap::build_excluding`] over the product's
+    /// reviews alone, so a map maintained by recomputing only *dirty*
+    /// products (products with new reviews) is bit-identical to a full
+    /// rebuild. Returns `true` if the slot's value changed.
     pub fn recompute_product(
         &mut self,
         trace: &TraceDataset,
         product: ProductId,
-        excluded: &BTreeSet<ReviewerId>,
+        excluded: &SuspectMask,
     ) -> bool {
         self.grow_products(product.index() + 1);
-        let fresh = product_consensus(trace, product, excluded);
+        let mut tally = ProductTally::EMPTY;
+        for review in trace.reviews_for(product) {
+            tally.add(review, excluded);
+        }
+        let fresh = tally.finish(trace.expert_consensus(product));
         let slot = &mut self.products[product.index()];
         let changed = !slot.same_bits(&fresh);
         *slot = fresh;
@@ -137,7 +295,7 @@ impl ConsensusMap {
     /// The consensus score `l̄` for a product, or `None` if the product
     /// has no reviews at all.
     pub fn consensus(&self, product: ProductId) -> Option<f64> {
-        self.products.get(product.index()).and_then(|p| p.mean)
+        self.products.get(product.index())?.mean()
     }
 
     /// `true` iff the consensus came from expert reviews rather than the
@@ -153,14 +311,7 @@ impl ConsensusMap {
     /// removed (leave-one-out). Expert-backed consensus is unaffected;
     /// removing the only crowd review yields `None`.
     pub fn consensus_without(&self, product: ProductId, stars: f64) -> Option<f64> {
-        let p = self.products.get(product.index())?;
-        if p.expert_backed {
-            return p.mean;
-        }
-        if p.crowd_count <= 1 {
-            return None;
-        }
-        Some((p.crowd_sum - stars) / (p.crowd_count - 1) as f64)
+        self.products.get(product.index())?.without(stars)
     }
 
     /// Mean absolute deviation of a worker's review scores from the
@@ -168,7 +319,7 @@ impl ConsensusMap {
     /// `|l_i − l̄|` accuracy term of Eq. 5. `None` if the worker has no
     /// reviews on consensus-covered products.
     pub fn accuracy_deviation(&self, trace: &TraceDataset, worker: ReviewerId) -> Option<f64> {
-        self.deviation_impl(trace, worker, false)
+        self.worker_tally(trace, worker).deviation()
     }
 
     /// Like [`ConsensusMap::accuracy_deviation`], but each review is
@@ -176,33 +327,44 @@ impl ConsensusMap {
     /// removed from the crowd mean), which stops a worker's own review
     /// from masking its bias. Used by the malicious-probability estimator.
     pub fn accuracy_deviation_loo(&self, trace: &TraceDataset, worker: ReviewerId) -> Option<f64> {
-        self.deviation_impl(trace, worker, true)
+        self.worker_tally(trace, worker).loo_deviation()
     }
 
-    fn deviation_impl(
-        &self,
-        trace: &TraceDataset,
-        worker: ReviewerId,
-        leave_one_out: bool,
-    ) -> Option<f64> {
-        let mut total = 0.0;
-        let mut n = 0usize;
-        for review in trace.reviews_by(worker) {
-            let consensus = if leave_one_out {
-                self.consensus_without(review.product, review.stars)
-            } else {
-                self.consensus(review.product)
-            };
-            if let Some(c) = consensus {
-                total += (review.stars - c).abs();
-                n += 1;
+    /// Folds `review` into its author's tally.
+    fn fold(&self, tally: &mut WorkerTally, review: &Review) {
+        tally.reviews += 1;
+        if review.stars >= EXTREME_STARS {
+            tally.extreme += 1;
+        }
+        if let Some(p) = self.products.get(review.product.index()) {
+            if let Some(c) = p.without(review.stars) {
+                tally.loo.add((review.stars - c).abs());
+            }
+            if let Some(c) = p.mean() {
+                tally.plain.add((review.stars - c).abs());
             }
         }
-        if n == 0 {
-            None
-        } else {
-            Some(total / n as f64)
+    }
+
+    /// One worker's tally, folded through the trace's reviewer index.
+    pub(crate) fn worker_tally(&self, trace: &TraceDataset, worker: ReviewerId) -> WorkerTally {
+        let mut tally = WorkerTally::EMPTY;
+        for review in trace.reviews_by(worker) {
+            self.fold(&mut tally, review);
         }
+        tally
+    }
+
+    /// Every worker's tally, indexed by [`ReviewerId::index`], in one pass
+    /// over the trace's reviews.
+    pub(crate) fn worker_tallies(&self, trace: &TraceDataset) -> Vec<WorkerTally> {
+        let mut tallies = vec![WorkerTally::EMPTY; trace.reviewers().len()];
+        for review in trace.reviews() {
+            if let Some(tally) = tallies.get_mut(review.reviewer.index()) {
+                self.fold(tally, review);
+            }
+        }
+        tallies
     }
 }
 
@@ -311,11 +473,12 @@ mod tests {
     fn excluding_suspects_shifts_consensus() {
         let trace = SyntheticConfig::small(5).generate();
         let raw = ConsensusMap::build(&trace);
-        let excluded: BTreeSet<_> = trace
+        let suspected: Vec<_> = trace
             .workers_of_class(WorkerClass::CollusiveMalicious)
             .into_iter()
             .chain(trace.workers_of_class(WorkerClass::NonCollusiveMalicious))
             .collect();
+        let excluded = SuspectMask::new(trace.reviewers().len(), &suspected);
         let refined = ConsensusMap::build_excluding(&trace, &excluded);
         // On some malicious-targeted product with honest contrast reviews
         // the consensus must move down (malicious bias removed).

@@ -41,7 +41,7 @@ mod pipeline;
 mod weights;
 
 pub use collusion::{cluster_collusive, CollusionReport, SIZE_BUCKETS};
-pub use consensus::ConsensusMap;
+pub use consensus::{ConsensusMap, SuspectMask};
 pub use malicious::{MaliciousDetector, MaliciousEstimates};
 pub use pipeline::{run_pipeline, DetectionResult, PipelineConfig, SuspectSource};
 pub use weights::{FeedbackWeights, WeightParams};

@@ -1,3 +1,4 @@
+use crate::consensus::WorkerTally;
 use crate::ConsensusMap;
 use dcc_trace::{ReviewerId, TraceDataset};
 
@@ -50,7 +51,8 @@ impl MaliciousEstimates {
 /// - **accuracy deviation**: mean `|l_i − l̄|` against the consensus
 ///   (malicious reviews are systematically biased), and
 /// - **rating extremity**: the fraction of a worker's ratings at the
-///   5-star ceiling (paid campaigns push maximal ratings).
+///   5-star ceiling, 4.75 stars or more (paid campaigns push maximal
+///   ratings).
 ///
 /// # Example
 ///
@@ -85,44 +87,42 @@ impl Default for MaliciousDetector {
 }
 
 impl MaliciousDetector {
-    /// Estimates `e_mal` for every worker.
+    /// Estimates `e_mal` for every worker, in one pass over the trace's
+    /// reviews.
     ///
     /// Workers without any consensus-covered review receive `0.5`
     /// (maximally uncertain).
     pub fn estimate(&self, trace: &TraceDataset, consensus: &ConsensusMap) -> MaliciousEstimates {
-        let e_mal = trace
-            .reviewers()
+        let e_mal = consensus
+            .worker_tallies(trace)
             .iter()
-            .map(|r| self.estimate_one(trace, consensus, r.id))
+            .map(|tally| self.e_mal(tally))
             .collect();
         MaliciousEstimates { e_mal }
     }
 
-    /// Estimates `e_mal` for one worker — the per-worker computation
-    /// behind [`MaliciousDetector::estimate`], exposed so an incremental
-    /// caller can recompute only workers whose reviews (or whose reviewed
-    /// products' consensus) changed and still match the batch estimate
-    /// bit-for-bit.
+    /// Estimates `e_mal` for one worker — the arithmetic of
+    /// [`MaliciousDetector::estimate`] over this worker's reviews alone,
+    /// exposed so an incremental caller can recompute only workers whose
+    /// reviews (or whose reviewed products' consensus) changed and still
+    /// match the batch estimate bit-for-bit.
     pub fn estimate_one(
         &self,
         trace: &TraceDataset,
         consensus: &ConsensusMap,
         worker: ReviewerId,
     ) -> f64 {
+        self.e_mal(&consensus.worker_tally(trace, worker))
+    }
+
+    fn e_mal(&self, tally: &WorkerTally) -> f64 {
         // Leave-one-out deviation stops a worker's own review from
         // masking its bias on thin products.
-        let dev = match consensus.accuracy_deviation_loo(trace, worker) {
-            Some(d) => d,
-            None => return 0.5,
-        };
-        let reviews = trace.reviews_by(worker);
-        let extreme = if reviews.is_empty() {
-            0.0
-        } else {
-            reviews.iter().filter(|rv| rv.stars >= 4.75).count() as f64 / reviews.len() as f64
+        let Some(dev) = tally.loo_deviation() else {
+            return 0.5;
         };
         let z = self.deviation_gain * (dev - self.deviation_midpoint)
-            + self.extremity_weight * self.deviation_gain * (extreme - 0.5);
+            + self.extremity_weight * self.deviation_gain * (tally.extreme_share() - 0.5);
         logistic(z)
     }
 

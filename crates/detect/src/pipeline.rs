@@ -1,9 +1,8 @@
 use crate::{
     cluster_collusive, CollusionReport, ConsensusMap, FeedbackWeights, MaliciousDetector,
-    MaliciousEstimates, WeightParams,
+    MaliciousEstimates, SuspectMask, WeightParams,
 };
 use dcc_trace::{ReviewerId, TraceDataset};
-use std::collections::BTreeSet;
 
 /// Where the suspected-malicious worker set comes from.
 ///
@@ -88,7 +87,7 @@ pub fn run_pipeline(trace: &TraceDataset, config: PipelineConfig) -> DetectionRe
     };
     let collusion = cluster_collusive(trace, &suspected);
 
-    let excluded: BTreeSet<_> = suspected.iter().copied().collect();
+    let excluded = SuspectMask::new(trace.reviewers().len(), &suspected);
     let consensus = ConsensusMap::build_excluding(trace, &excluded);
     let weights =
         FeedbackWeights::compute(trace, &consensus, &estimates, &collusion, config.weights);
@@ -106,6 +105,7 @@ pub fn run_pipeline(trace: &TraceDataset, config: PipelineConfig) -> DetectionRe
 mod tests {
     use super::*;
     use dcc_trace::{SyntheticConfig, WorkerClass};
+    use std::collections::BTreeSet;
 
     #[test]
     fn pipeline_produces_ordered_class_weights() {

@@ -1,5 +1,7 @@
+use crate::consensus::WorkerTally;
 use crate::{CollusionReport, ConsensusMap, MaliciousEstimates};
 use dcc_trace::{ReviewerId, TraceDataset};
+use std::collections::BTreeMap;
 
 /// Coefficients of the feedback-weight formula (Eq. 5):
 /// `w_i = ρ / |l_i − l̄| − κ·e_mal − γ·A_i`.
@@ -41,7 +43,8 @@ pub struct FeedbackWeights {
 }
 
 impl FeedbackWeights {
-    /// Computes Eq. 5 for every worker in the trace.
+    /// Computes Eq. 5 for every worker in the trace, in one pass over the
+    /// trace's reviews.
     ///
     /// - the accuracy term uses the worker's mean *leave-one-out*
     ///   deviation from the consensus — a worker's own review must not
@@ -59,41 +62,40 @@ impl FeedbackWeights {
         collusion: &CollusionReport,
         params: WeightParams,
     ) -> Self {
-        let partners = collusion.partner_counts();
-        let weights = trace
-            .reviewers()
+        let tallies = consensus.worker_tallies(trace);
+        let mut partners = vec![0; tallies.len()];
+        for (worker, count) in collusion.partner_counts() {
+            if let Some(slot) = partners.get_mut(worker.index()) {
+                *slot = count;
+            }
+        }
+        let weights = tallies
             .iter()
-            .map(|r| {
-                Self::compute_one(trace, consensus, estimates.e_mal(r.id), &partners, params, r.id)
-            })
+            .zip(partners)
+            .enumerate()
+            .map(|(i, (tally, a_i))| eq5(tally, estimates.e_mal(ReviewerId(i)), a_i, params))
             .collect();
         FeedbackWeights { weights }
     }
 
-    /// Eq. 5 for one worker — the per-worker computation behind
-    /// [`FeedbackWeights::compute`], exposed so an incremental caller can
-    /// recompute only workers whose inputs (reviews, reviewed products'
-    /// refined consensus, `e_mal`, partner count) changed and still match
-    /// the batch weight bit-for-bit. `e_mal` is the worker's estimate
-    /// (`None` falls back to the neutral 0.5); `partners` is
+    /// Eq. 5 for one worker — the arithmetic of
+    /// [`FeedbackWeights::compute`] over this worker's reviews alone,
+    /// exposed so an incremental caller can recompute only workers whose
+    /// inputs (reviews, reviewed products' refined consensus, `e_mal`,
+    /// partner count) changed and still match the batch weight
+    /// bit-for-bit. `e_mal` is the worker's estimate (`None` falls back
+    /// to the neutral 0.5); `partners` is
     /// [`CollusionReport::partner_counts`].
     pub fn compute_one(
         trace: &TraceDataset,
         consensus: &ConsensusMap,
         e_mal: Option<f64>,
-        partners: &std::collections::BTreeMap<ReviewerId, usize>,
+        partners: &BTreeMap<ReviewerId, usize>,
         params: WeightParams,
         worker: ReviewerId,
     ) -> f64 {
-        let deviation = consensus
-            .accuracy_deviation_loo(trace, worker)
-            .or_else(|| consensus.accuracy_deviation(trace, worker))
-            .unwrap_or(1.0)
-            .max(params.min_deviation);
-        let accuracy_term = (params.rho / deviation).min(params.max_accuracy_term);
-        let e_mal = e_mal.unwrap_or(0.5);
-        let a_i = partners.get(&worker).copied().unwrap_or(0) as f64;
-        accuracy_term - params.kappa * e_mal - params.gamma * a_i
+        let a_i = partners.get(&worker).copied().unwrap_or(0);
+        eq5(&consensus.worker_tally(trace, worker), e_mal, a_i, params)
     }
 
     /// Wraps per-worker weights already indexed by [`ReviewerId::index`]
@@ -127,14 +129,29 @@ impl FeedbackWeights {
         &self.weights
     }
 
-    /// Mean weight over a set of workers (used for per-class reporting).
+    /// Mean weight over the known ids among `workers` (used for
+    /// per-class reporting); `None` when no id is known.
     pub fn mean_over(&self, workers: &[ReviewerId]) -> Option<f64> {
-        if workers.is_empty() {
-            return None;
-        }
-        let total: f64 = workers.iter().filter_map(|&w| self.weight(w)).sum();
-        Some(total / workers.len() as f64)
+        let mut known = 0usize;
+        let total: f64 = workers
+            .iter()
+            .filter_map(|&w| self.weight(w))
+            .inspect(|_| known += 1)
+            .sum();
+        (known > 0).then(|| total / known as f64)
     }
+}
+
+/// `w_i = ρ/|l_i − l̄| − κ·e_mal − γ·A_i` from a worker's tally.
+fn eq5(tally: &WorkerTally, e_mal: Option<f64>, a_i: usize, params: WeightParams) -> f64 {
+    let deviation = tally
+        .loo_deviation()
+        .or_else(|| tally.deviation())
+        .unwrap_or(1.0)
+        .max(params.min_deviation);
+    let accuracy_term = (params.rho / deviation).min(params.max_accuracy_term);
+    let e_mal = e_mal.unwrap_or(0.5);
+    accuracy_term - params.kappa * e_mal - params.gamma * a_i as f64
 }
 
 #[cfg(test)]
@@ -152,7 +169,7 @@ mod tests {
         let mut suspected = trace.workers_of_class(WorkerClass::NonCollusiveMalicious);
         suspected.extend(trace.workers_of_class(WorkerClass::CollusiveMalicious));
         let collusion = cluster_collusive(&trace, &suspected);
-        let excluded: std::collections::BTreeSet<_> = suspected.iter().copied().collect();
+        let excluded = crate::SuspectMask::new(trace.reviewers().len(), &suspected);
         let consensus = ConsensusMap::build_excluding(&trace, &excluded);
         let weights = FeedbackWeights::compute(
             &trace,
@@ -197,6 +214,18 @@ mod tests {
         let (_, weights) = pipeline();
         assert_eq!(weights.weight(ReviewerId(usize::MAX - 1)), None);
         assert_eq!(weights.mean_over(&[]), None);
+    }
+
+    #[test]
+    fn mean_over_skips_unknown_ids() {
+        let weights = FeedbackWeights::from_values(vec![2.0, 1.0]);
+        let unknown = ReviewerId(7);
+        assert_eq!(weights.mean_over(&[ReviewerId(0), unknown]), Some(2.0));
+        assert_eq!(
+            weights.mean_over(&[unknown, ReviewerId(1), ReviewerId(0)]),
+            Some(1.5)
+        );
+        assert_eq!(weights.mean_over(&[unknown]), None);
     }
 
     #[test]

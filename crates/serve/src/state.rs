@@ -20,18 +20,22 @@
 //!   class refit changes every input bit of its class's subproblems, so
 //!   a memo of earlier solves would almost never hit.
 //!
-//! Every per-item detection computation is the *same function* the
-//! batch path runs (shared via `dcc-detect`), and the design calls the
-//! batch functions, so equality is by construction;
-//! `tests/serve_differential.rs` enforces it property-wise at every
-//! round boundary.
+//! Every per-item detection computation is the *same tally arithmetic*
+//! the batch path runs (shared via `dcc-detect`): batch detection folds
+//! every review, in review order, into per-product and per-worker
+//! tallies, and the per-item recompute folds one product's or worker's
+//! reviews into the same tally through the trace's index, which lists
+//! them in review order too. So each recomputed slot sums the same terms
+//! in the same order. The design calls the batch functions, so equality
+//! is by construction; `tests/serve_differential.rs` enforces it
+//! property-wise at every round boundary.
 
 use dcc_core::{
     assemble_design, prepare_design, solve_subproblems, ContractDesign, CoreError, DesignConfig,
 };
 use dcc_detect::{
     CollusionReport, ConsensusMap, DetectionResult, FeedbackWeights, MaliciousEstimates,
-    PipelineConfig, SuspectSource,
+    PipelineConfig, SuspectMask, SuspectSource,
 };
 use dcc_graph::UnionFind;
 use dcc_obs::Metrics;
@@ -98,7 +102,7 @@ pub struct ServeState {
     estimates: Vec<f64>,
     weights: Vec<f64>,
     suspected: Vec<ReviewerId>,
-    excluded: BTreeSet<ReviewerId>,
+    excluded: SuspectMask,
     suspect_slot: BTreeMap<ReviewerId, usize>,
     uf: UnionFind,
     collusion: CollusionReport,
@@ -144,7 +148,7 @@ impl ServeState {
             estimates: Vec::new(),
             weights: Vec::new(),
             suspected: Vec::new(),
-            excluded: BTreeSet::new(),
+            excluded: SuspectMask::default(),
             suspect_slot: BTreeMap::new(),
             uf: UnionFind::new(0),
             collusion: CollusionReport::from_member_groups(Vec::new()),
@@ -285,11 +289,11 @@ impl ServeState {
         }
         self.estimates.push(0.0);
         self.weights.push(0.0);
+        self.excluded.push(class.is_malicious());
         if class.is_malicious() {
             let slot = self.uf.push();
             self.suspect_slot.insert(worker, slot);
             self.suspected.push(worker);
-            self.excluded.insert(worker);
         }
         self.dirty_workers.insert(worker);
         Ok(())
@@ -329,7 +333,7 @@ impl ServeState {
         dirty_workers: &BTreeSet<ReviewerId>,
         dirty_products: &BTreeSet<ProductId>,
     ) -> DetectionResult {
-        let none = BTreeSet::new();
+        let none = SuspectMask::default();
 
         // 1. Consensus: raw (first pass) and refined (suspect-excluded),
         //    per dirty product. The returned change flags drive

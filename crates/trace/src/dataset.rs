@@ -35,12 +35,72 @@ pub struct TraceDataset {
     /// [`TraceDataset::push_review`], so a dataset grown review by review
     /// has the same expertise bits as one built at once.
     upvote_sums: Vec<f64>,
+    /// Per product, the running `(sum, count)` of its expert reviews'
+    /// stars, folded the same way as `upvote_sums`; their quotient is
+    /// [`TraceDataset::expert_consensus`].
+    expert_stars: Vec<(f64, usize)>,
 }
 
-/// A reviewer's upvote sum before their first review: the −0.0 that
+/// A running sum before its first term: the −0.0 that
 /// `Iterator::sum::<f64>` starts from, so a reviewer whose upvotes are
 /// all −0.0 has expertise −0.0.
 const EMPTY_SUM: f64 = -0.0;
+
+/// The reviews one index entry lists — a reviewer's or a product's — in
+/// review order, borrowed from the dataset without copying.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexedReviews<'a> {
+    reviews: &'a [Review],
+    positions: &'a [usize],
+}
+
+impl<'a> IndexedReviews<'a> {
+    /// Number of reviews listed.
+    pub fn len(&self) -> usize {
+        self.positions.len()
+    }
+
+    /// `true` if no review is listed.
+    pub fn is_empty(&self) -> bool {
+        self.positions.is_empty()
+    }
+
+    /// The listed reviews, in review order.
+    pub fn iter(&self) -> IndexedReviewsIter<'a> {
+        IndexedReviewsIter {
+            reviews: self.reviews,
+            positions: self.positions.iter(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for IndexedReviews<'a> {
+    type Item = &'a Review;
+    type IntoIter = IndexedReviewsIter<'a>;
+
+    fn into_iter(self) -> IndexedReviewsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over an [`IndexedReviews`] view.
+#[derive(Debug, Clone)]
+pub struct IndexedReviewsIter<'a> {
+    reviews: &'a [Review],
+    positions: std::slice::Iter<'a, usize>,
+}
+
+impl<'a> Iterator for IndexedReviewsIter<'a> {
+    type Item = &'a Review;
+
+    fn next(&mut self) -> Option<&'a Review> {
+        self.positions.next().map(|&i| &self.reviews[i])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.positions.size_hint()
+    }
+}
 
 impl TraceDataset {
     /// Assembles a dataset and builds its indices.
@@ -75,6 +135,7 @@ impl TraceDataset {
         let mut by_reviewer = vec![Vec::new(); reviewers.len()];
         let mut by_product = vec![Vec::new(); products.len()];
         let mut upvote_sums = vec![EMPTY_SUM; reviewers.len()];
+        let mut expert_stars = vec![(EMPTY_SUM, 0); products.len()];
         for (idx, review) in reviews.iter().enumerate() {
             let w = review.reviewer.index();
             let p = review.product.index();
@@ -97,6 +158,11 @@ impl TraceDataset {
             by_reviewer[w].push(idx);
             by_product[p].push(idx);
             upvote_sums[w] += review.upvotes;
+            if reviewers[w].is_expert {
+                let (sum, count) = &mut expert_stars[p];
+                *sum += review.stars;
+                *count += 1;
+            }
         }
         for c in &campaigns {
             for m in &c.members {
@@ -116,6 +182,7 @@ impl TraceDataset {
             by_reviewer,
             by_product,
             upvote_sums,
+            expert_stars,
         })
     }
 
@@ -134,6 +201,7 @@ impl TraceDataset {
             by_reviewer: Vec::new(),
             by_product: Vec::new(),
             upvote_sums: Vec::new(),
+            expert_stars: Vec::new(),
         }
     }
 
@@ -153,6 +221,7 @@ impl TraceDataset {
         }
         self.products.push(product);
         self.by_product.push(Vec::new());
+        self.expert_stars.push((EMPTY_SUM, 0));
         Ok(())
     }
 
@@ -176,10 +245,11 @@ impl TraceDataset {
         Ok(())
     }
 
-    /// Appends a review, updating the reviewer/product indices and the
-    /// reviewer's running upvote sum in constant time. The sum is folded
-    /// in insertion order exactly as [`TraceDataset::new`] folds it, so
-    /// the derived expertise is bit-identical to a batch rebuild.
+    /// Appends a review, updating the reviewer/product indices, the
+    /// reviewer's running upvote sum and the product's expert tally in
+    /// constant time. Both are folded in insertion order exactly as
+    /// [`TraceDataset::new`] folds them, so the derived expertise and
+    /// expert consensus are bit-identical to a batch rebuild.
     ///
     /// # Errors
     ///
@@ -207,6 +277,11 @@ impl TraceDataset {
             )));
         }
         self.upvote_sums[w] += review.upvotes;
+        if self.reviewers[w].is_expert {
+            let (sum, count) = &mut self.expert_stars[p];
+            *sum += review.stars;
+            *count += 1;
+        }
         self.reviews.push(review);
         self.by_reviewer[w].push(idx);
         self.by_product[p].push(idx);
@@ -291,20 +366,23 @@ impl TraceDataset {
         self.products.get(id.index())
     }
 
-    /// The reviews written by `id`, in round order of insertion.
-    pub fn reviews_by(&self, id: ReviewerId) -> Vec<&Review> {
-        self.by_reviewer
-            .get(id.index())
-            .map(|idxs| idxs.iter().map(|&i| &self.reviews[i]).collect())
-            .unwrap_or_default()
+    /// The reviews written by `id`, in review order (empty for an
+    /// unknown reviewer).
+    pub fn reviews_by(&self, id: ReviewerId) -> IndexedReviews<'_> {
+        self.indexed(self.by_reviewer.get(id.index()))
     }
 
-    /// The reviews written for product `id`.
-    pub fn reviews_for(&self, id: ProductId) -> Vec<&Review> {
-        self.by_product
-            .get(id.index())
-            .map(|idxs| idxs.iter().map(|&i| &self.reviews[i]).collect())
-            .unwrap_or_default()
+    /// The reviews written for product `id`, in review order (empty for
+    /// an unknown product).
+    pub fn reviews_for(&self, id: ProductId) -> IndexedReviews<'_> {
+        self.indexed(self.by_product.get(id.index()))
+    }
+
+    fn indexed<'a>(&'a self, positions: Option<&'a Vec<usize>>) -> IndexedReviews<'a> {
+        IndexedReviews {
+            reviews: &self.reviews,
+            positions: positions.map_or(&[], Vec::as_slice),
+        }
     }
 
     /// A reviewer's *expertise*: average upvotes over all their reviews
@@ -382,23 +460,11 @@ impl TraceDataset {
     }
 
     /// Mean star rating given by experts to `product`, or `None` if no
-    /// expert reviewed it. This is the `l̄` ground truth of Eq. 5.
+    /// expert reviewed it. This is the `l̄` ground truth of Eq. 5. Constant
+    /// time: the sum was folded in review order as the reviews arrived.
     pub fn expert_consensus(&self, product: ProductId) -> Option<f64> {
-        let expert_stars: Vec<f64> = self
-            .reviews_for(product)
-            .iter()
-            .filter(|r| {
-                self.reviewer(r.reviewer)
-                    .map(|rv| rv.is_expert)
-                    .unwrap_or(false)
-            })
-            .map(|r| r.stars)
-            .collect();
-        if expert_stars.is_empty() {
-            None
-        } else {
-            Some(expert_stars.iter().sum::<f64>() / expert_stars.len() as f64)
-        }
+        let &(sum, count) = self.expert_stars.get(product.index())?;
+        (count > 0).then(|| sum / count as f64)
     }
 }
 
@@ -581,6 +647,25 @@ mod tests {
                 batch.expertise(r.id).unwrap().to_bits()
             );
         }
+        // The expert tallies agree, with each other and with the mean of
+        // the product's expert reviews summed in review order.
+        let mut expert_backed = 0;
+        for p in batch.products() {
+            let stars: Vec<f64> = batch
+                .reviews_for(p.id)
+                .iter()
+                .filter(|r| batch.reviewers()[r.reviewer.index()].is_expert)
+                .map(|r| r.stars)
+                .collect();
+            let expected = (!stars.is_empty())
+                .then(|| stars.iter().sum::<f64>() / stars.len() as f64)
+                .map(f64::to_bits);
+            expert_backed += usize::from(expected.is_some());
+            for built in [&batch, &inc] {
+                assert_eq!(built.expert_consensus(p.id).map(f64::to_bits), expected);
+            }
+        }
+        assert!(expert_backed > 0, "the small trace has expert reviews");
 
         // Upvotes are not validated: a reviewer whose upvotes are all
         // −0.0 keeps expertise −0.0 (the sum's start), and a NaN upvote
@@ -591,7 +676,7 @@ mod tests {
                 id: ReviewerId(i),
                 class: WorkerClass::Honest,
                 campaign: None,
-                is_expert: false,
+                is_expert: i == 2,
             })
             .collect();
         let product = Product {
@@ -640,6 +725,11 @@ mod tests {
         }
         assert!(batch.expertise(ReviewerId(0)).unwrap().is_sign_negative());
         assert!(inc.expertise(ReviewerId(1)).unwrap().is_nan());
+        // Only reviewer 2 is an expert: its two 3-star reviews.
+        for built in [&batch, &inc] {
+            assert_eq!(built.expert_consensus(ProductId(0)), Some(3.0));
+            assert_eq!(built.expert_consensus(ProductId(1)), None);
+        }
     }
 
     #[test]

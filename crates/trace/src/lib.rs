@@ -56,7 +56,7 @@ pub use columnar::{
     TraceColumns, COLUMNAR_MAGIC, COLUMNAR_VERSION,
 };
 pub use csv::{read_trace_csv, write_trace_csv};
-pub use dataset::TraceDataset;
+pub use dataset::{IndexedReviews, IndexedReviewsIter, TraceDataset};
 pub use error::TraceError;
 pub use ids::{ProductId, ReviewerId};
 pub use model::{Product, Review, Reviewer, WorkerClass};
