@@ -1,10 +1,13 @@
 //! # dcc-bench
 //!
-//! Criterion benchmarks for the `dyncontract` workspace: one bench per
-//! paper table/figure (regenerating the artifact under the timer) plus
-//! ablation benches for the design choices DESIGN.md calls out
-//! (decomposed vs joint solving, parallel vs serial, discretization
-//! sweeps) and micro-benchmarks of the hot kernels.
+//! Criterion benchmarks for the `dyncontract` workspace: ablation
+//! benches for the design choices DESIGN.md calls out (decomposed vs
+//! joint solving, parallel vs serial, discretization sweeps),
+//! micro-benchmarks of the hot kernels, the extension benches, the
+//! engine and batch speedup gates (`make engine-bench`, `make
+//! batch-bench`) and the columnar scale bench (`make scale-bench`). The
+//! paper's tables and figures are regenerated by `dcc-experiments`, not
+//! timed here.
 //!
 //! Run with `cargo bench --workspace`. The benches default to the small
 //! experiment scale so a full sweep completes in minutes; the shapes they

@@ -1510,11 +1510,12 @@ fn ascii_plot(contract: &dcc_core::Contract, width: usize, height: usize) -> Str
 ///  [--checkpoint FILE [--kill-at N | --resume]] [--metrics FILE]
 ///  [design flags]`
 ///
-/// The incremental streaming service: ingests `{"ev": ...}` JSON-line
-/// events (or derives them from an existing trace with `--replay`) and
-/// emits one JSON line per round boundary, recomputing only what
-/// changed while staying bit-identical to the batch pipeline over the
-/// same prefix (`--verify` asserts that at every round). With
+/// The streaming service: ingests `{"ev": ...}` JSON-line events (or
+/// derives them from an existing trace with `--replay`) and emits one
+/// JSON line per round boundary, running the batch detection and design
+/// over everything ingested so far, so each line is bit-identical to
+/// the batch pipeline over the same prefix (`--verify` asserts that at
+/// every round). With
 /// `--checkpoint FILE` the count and running fingerprint of the events
 /// applied are checkpointed atomically at every round boundary;
 /// `--kill-at N` stops after `N` events (simulating a crash) and
@@ -1687,7 +1688,7 @@ COMMANDS:
                                                        batch scheduler
   serve      --replay TRACE | --events FILE [--pool N] [--verify]
              [--checkpoint FILE [--kill-at N | --resume]] [--metrics FILE]
-                                                       incremental streaming
+                                                       streaming contract
                                                        service: one JSON line per
                                                        round, bit-identical to the
                                                        batch pipeline

@@ -21,31 +21,6 @@ pub struct CollusionReport {
 }
 
 impl CollusionReport {
-    /// Assembles a report from raw member groups (connected components in
-    /// any order, members in any order): groups of ≥2 become communities
-    /// (sorted ascending, ordered by smallest member), size-1 groups
-    /// become singletons — the exact normalization of
-    /// [`cluster_collusive`], shared with incremental callers that track
-    /// components via [`dcc_graph::UnionFind`] instead of DFS.
-    pub fn from_member_groups(groups: Vec<Vec<ReviewerId>>) -> Self {
-        let mut communities = Vec::new();
-        let mut singletons = Vec::new();
-        for mut members in groups {
-            members.sort_unstable();
-            if members.len() >= 2 {
-                communities.push(members);
-            } else {
-                singletons.extend(members);
-            }
-        }
-        communities.sort_by_key(|c| c.first().copied());
-        singletons.sort_unstable();
-        CollusionReport {
-            communities,
-            singletons,
-        }
-    }
-
     /// Total number of workers placed in communities.
     pub fn collusive_worker_count(&self) -> usize {
         self.communities.iter().map(Vec::len).sum()
@@ -126,12 +101,23 @@ pub fn cluster_collusive(trace: &TraceDataset, suspected: &[ReviewerId]) -> Coll
         }
     }
 
-    let projected = bipartite.project_left();
-    let groups: Vec<Vec<ReviewerId>> = connected_components(&projected)
-        .into_iter()
-        .map(|component| component.iter().map(|&s| members[s]).collect())
-        .collect();
-    CollusionReport::from_member_groups(groups)
+    let mut communities = Vec::new();
+    let mut singletons = Vec::new();
+    for component in connected_components(&bipartite.project_left()) {
+        let mut group: Vec<ReviewerId> = component.iter().map(|&s| members[s]).collect();
+        group.sort_unstable();
+        if group.len() >= 2 {
+            communities.push(group);
+        } else {
+            singletons.extend(group);
+        }
+    }
+    communities.sort_by_key(|c| c.first().copied());
+    singletons.sort_unstable();
+    CollusionReport {
+        communities,
+        singletons,
+    }
 }
 
 #[cfg(test)]

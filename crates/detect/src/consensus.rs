@@ -53,12 +53,6 @@ impl SuspectMask {
         SuspectMask { flags }
     }
 
-    /// Appends the flag of the next reviewer id — how a trace grown
-    /// worker by worker grows its mask.
-    pub fn push(&mut self, suspected: bool) {
-        self.flags.push(suspected);
-    }
-
     /// `true` iff `worker` is suspected.
     pub fn contains(&self, worker: ReviewerId) -> bool {
         self.flags.get(worker.index()).copied().unwrap_or(false)
@@ -79,15 +73,6 @@ struct ProductConsensus {
 }
 
 impl ProductConsensus {
-    /// Bitwise equality — the change detector of the incremental path,
-    /// where "changed" must mean "any downstream consumer could observe
-    /// a different f64".
-    fn same_bits(&self, other: &ProductConsensus) -> bool {
-        self.sum.to_bits() == other.sum.to_bits()
-            && self.count == other.count
-            && self.expert_backed == other.expert_backed
-    }
-
     /// The consensus mean, `None` for a product without usable reviews.
     fn mean(&self) -> Option<f64> {
         if self.expert_backed {
@@ -210,10 +195,11 @@ impl WorkerTally {
 /// (a weaker consensus, flagged by [`ConsensusMap::is_expert_backed`]).
 ///
 /// Every computation here folds reviews, in review order, into a
-/// per-product or per-worker tally. The batch builders make one pass over
-/// [`TraceDataset::reviews`]; the per-entity methods fold one product's or
-/// worker's reviews through the trace's index, which lists them in review
-/// order too, so both give the same bits.
+/// per-product or per-worker tally. The builders make one pass over
+/// [`TraceDataset::reviews`]. The per-worker reads
+/// ([`ConsensusMap::accuracy_deviation`] and its leave-one-out variant)
+/// fold one worker's reviews through the trace's index, which lists them
+/// in review order too, so they read the same bits as the passes.
 #[derive(Debug, Clone)]
 pub struct ConsensusMap {
     products: Vec<ProductConsensus>,
@@ -245,51 +231,6 @@ impl ConsensusMap {
             .map(|(i, tally)| tally.finish(trace.expert_consensus(ProductId(i))))
             .collect();
         ConsensusMap { products }
-    }
-
-    /// An empty map covering `n` products, none of which has a consensus
-    /// yet. The starting point for incremental maintenance via
-    /// [`ConsensusMap::recompute_product`].
-    pub fn with_products(n: usize) -> Self {
-        ConsensusMap {
-            products: vec![ProductConsensus::default(); n],
-        }
-    }
-
-    /// Number of product slots.
-    pub fn products_len(&self) -> usize {
-        self.products.len()
-    }
-
-    /// Extends the map with empty slots up to `n` products (no-op if the
-    /// map already covers that many).
-    pub fn grow_products(&mut self, n: usize) {
-        if n > self.products.len() {
-            self.products.resize(n, ProductConsensus::default());
-        }
-    }
-
-    /// Recomputes one product's consensus slot from the trace — the
-    /// tally of [`ConsensusMap::build_excluding`] over the product's
-    /// reviews alone, so a map maintained by recomputing only *dirty*
-    /// products (products with new reviews) is bit-identical to a full
-    /// rebuild. Returns `true` if the slot's value changed.
-    pub fn recompute_product(
-        &mut self,
-        trace: &TraceDataset,
-        product: ProductId,
-        excluded: &SuspectMask,
-    ) -> bool {
-        self.grow_products(product.index() + 1);
-        let mut tally = ProductTally::EMPTY;
-        for review in trace.reviews_for(product) {
-            tally.add(review, excluded);
-        }
-        let fresh = tally.finish(trace.expert_consensus(product));
-        let slot = &mut self.products[product.index()];
-        let changed = !slot.same_bits(&fresh);
-        *slot = fresh;
-        changed
     }
 
     /// The consensus score `l̄` for a product, or `None` if the product
@@ -347,7 +288,7 @@ impl ConsensusMap {
     }
 
     /// One worker's tally, folded through the trace's reviewer index.
-    pub(crate) fn worker_tally(&self, trace: &TraceDataset, worker: ReviewerId) -> WorkerTally {
+    fn worker_tally(&self, trace: &TraceDataset, worker: ReviewerId) -> WorkerTally {
         let mut tally = WorkerTally::EMPTY;
         for review in trace.reviews_by(worker) {
             self.fold(&mut tally, review);

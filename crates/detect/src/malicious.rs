@@ -11,14 +11,6 @@ pub struct MaliciousEstimates {
 }
 
 impl MaliciousEstimates {
-    /// Wraps per-worker estimates already indexed by
-    /// [`ReviewerId::index`] — the constructor for incremental callers
-    /// that maintain the vector themselves (recomputing only dirty
-    /// workers via [`MaliciousDetector::estimate_one`]).
-    pub fn from_values(e_mal: Vec<f64>) -> Self {
-        MaliciousEstimates { e_mal }
-    }
-
     /// The estimate for one worker, or `None` if the id is unknown.
     pub fn e_mal(&self, worker: ReviewerId) -> Option<f64> {
         self.e_mal.get(worker.index()).copied()
@@ -99,20 +91,6 @@ impl MaliciousDetector {
             .map(|tally| self.e_mal(tally))
             .collect();
         MaliciousEstimates { e_mal }
-    }
-
-    /// Estimates `e_mal` for one worker — the arithmetic of
-    /// [`MaliciousDetector::estimate`] over this worker's reviews alone,
-    /// exposed so an incremental caller can recompute only workers whose
-    /// reviews (or whose reviewed products' consensus) changed and still
-    /// match the batch estimate bit-for-bit.
-    pub fn estimate_one(
-        &self,
-        trace: &TraceDataset,
-        consensus: &ConsensusMap,
-        worker: ReviewerId,
-    ) -> f64 {
-        self.e_mal(&consensus.worker_tally(trace, worker))
     }
 
     fn e_mal(&self, tally: &WorkerTally) -> f64 {

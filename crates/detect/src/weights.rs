@@ -1,7 +1,6 @@
 use crate::consensus::WorkerTally;
 use crate::{CollusionReport, ConsensusMap, MaliciousEstimates};
 use dcc_trace::{ReviewerId, TraceDataset};
-use std::collections::BTreeMap;
 
 /// Coefficients of the feedback-weight formula (Eq. 5):
 /// `w_i = ρ / |l_i − l̄| − κ·e_mal − γ·A_i`.
@@ -75,33 +74,6 @@ impl FeedbackWeights {
             .enumerate()
             .map(|(i, (tally, a_i))| eq5(tally, estimates.e_mal(ReviewerId(i)), a_i, params))
             .collect();
-        FeedbackWeights { weights }
-    }
-
-    /// Eq. 5 for one worker — the arithmetic of
-    /// [`FeedbackWeights::compute`] over this worker's reviews alone,
-    /// exposed so an incremental caller can recompute only workers whose
-    /// inputs (reviews, reviewed products' refined consensus, `e_mal`,
-    /// partner count) changed and still match the batch weight
-    /// bit-for-bit. `e_mal` is the worker's estimate (`None` falls back
-    /// to the neutral 0.5); `partners` is
-    /// [`CollusionReport::partner_counts`].
-    pub fn compute_one(
-        trace: &TraceDataset,
-        consensus: &ConsensusMap,
-        e_mal: Option<f64>,
-        partners: &BTreeMap<ReviewerId, usize>,
-        params: WeightParams,
-        worker: ReviewerId,
-    ) -> f64 {
-        let a_i = partners.get(&worker).copied().unwrap_or(0);
-        eq5(&consensus.worker_tally(trace, worker), e_mal, a_i, params)
-    }
-
-    /// Wraps per-worker weights already indexed by [`ReviewerId::index`]
-    /// — the constructor for incremental callers maintaining the vector
-    /// themselves.
-    pub fn from_values(weights: Vec<f64>) -> Self {
         FeedbackWeights { weights }
     }
 
@@ -218,7 +190,9 @@ mod tests {
 
     #[test]
     fn mean_over_skips_unknown_ids() {
-        let weights = FeedbackWeights::from_values(vec![2.0, 1.0]);
+        let weights = FeedbackWeights {
+            weights: vec![2.0, 1.0],
+        };
         let unknown = ReviewerId(7);
         assert_eq!(weights.mean_over(&[ReviewerId(0), unknown]), Some(2.0));
         assert_eq!(

@@ -1,8 +1,8 @@
 //! Differential property: the batch passes of `run_pipeline` (one fold
 //! over the trace's reviews per consensus map, per `e_mal` vector and per
-//! weight vector) equal the per-entity path the streaming service takes
-//! (`recompute_product` into `ConsensusMap::with_products`,
-//! `estimate_one`, `compute_one`), compared by bits.
+//! weight vector) equal a reference written here from the definitions,
+//! one product or worker at a time through the trace's indices, compared
+//! by bits.
 //!
 //! Every generated trace carries a fixed scaffold of edge cases next to
 //! its random part: an unreviewed product, an expert-backed product, a
@@ -13,13 +13,12 @@
 
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use dcc_detect::{
-    cluster_collusive, run_pipeline, ConsensusMap, FeedbackWeights, MaliciousEstimates,
-    PipelineConfig, SuspectMask, SuspectSource,
-};
+use dcc_detect::{run_pipeline, ConsensusMap, PipelineConfig, SuspectSource};
+use dcc_graph::UnionFind;
 use dcc_trace::{Product, ProductId, Review, Reviewer, ReviewerId, TraceDataset, WorkerClass};
 use proptest::collection;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Star values the generator picks from before falling back to a
 /// continuous draw: the extremity boundary and its neighbours, and the
@@ -142,62 +141,202 @@ fn build(
     (trace, scaffold)
 }
 
-/// Detection assembled the way the streaming service assembles it: each
-/// product and worker on its own, through the trace's indices.
-struct PerEntity {
-    raw: ConsensusMap,
+/// Stars at or above which a rating counts as extreme.
+const EXTREME_STARS: f64 = 4.75;
+
+/// A product's consensus by definition: the mean of its expert reviews,
+/// else the `(sum, count)` of its crowd scores, `None` when unreviewed.
+#[derive(Debug, Clone, Copy)]
+enum Consensus {
+    Expert(f64),
+    Crowd(f64, usize),
+    None,
+}
+
+impl Consensus {
+    fn mean(self) -> Option<f64> {
+        match self {
+            Consensus::Expert(mean) => Some(mean),
+            Consensus::Crowd(sum, count) => Some(sum / count as f64),
+            Consensus::None => None,
+        }
+    }
+
+    /// Leave-one-out: the crowd mean with one score of `stars` removed.
+    fn without(self, stars: f64) -> Option<f64> {
+        match self {
+            Consensus::Expert(mean) => Some(mean),
+            Consensus::Crowd(sum, count) if count > 1 => Some((sum - stars) / (count - 1) as f64),
+            _ => None,
+        }
+    }
+}
+
+/// Folds `xs` in order from `start`: `(sum, count)`.
+fn fold(start: f64, xs: impl Iterator<Item = f64>) -> (f64, usize) {
+    xs.fold((start, 0), |(sum, count), x| (sum + x, count + 1))
+}
+
+/// §II's `l̄` for every product, folding `reviews_for` in review order:
+/// the expert mean; else the mean of the crowd outside `suspected`; else,
+/// when that leaves nobody, the whole crowd. Star sums start at −0.0,
+/// where `Iterator::sum::<f64>` starts.
+fn consensus(trace: &TraceDataset, suspected: &[ReviewerId]) -> Vec<Consensus> {
+    let expert = |r: &Review| trace.reviewers()[r.reviewer.index()].is_expert;
+    trace
+        .products()
+        .iter()
+        .map(|p| {
+            let reviews = trace.reviews_for(p.id);
+            let (sum, count) = fold(-0.0, reviews.iter().filter(|r| expert(r)).map(|r| r.stars));
+            if count > 0 {
+                return Consensus::Expert(sum / count as f64);
+            }
+            let trusted = fold(
+                -0.0,
+                reviews
+                    .iter()
+                    .filter(|r| !suspected.contains(&r.reviewer))
+                    .map(|r| r.stars),
+            );
+            let (sum, count) = if trusted.1 > 0 {
+                trusted
+            } else {
+                fold(-0.0, reviews.iter().map(|r| r.stars))
+            };
+            if count > 0 {
+                Consensus::Crowd(sum, count)
+            } else {
+                Consensus::None
+            }
+        })
+        .collect()
+}
+
+/// Mean `|stars − l̄|` over one worker's reviews, folding `reviews_by` in
+/// review order from +0.0, against the leave-one-out consensus (`loo`) or
+/// the plain one; `None` without a covered review.
+fn deviation(
+    trace: &TraceDataset,
+    products: &[Consensus],
+    worker: ReviewerId,
+    loo: bool,
+) -> Option<f64> {
+    let deviations = trace.reviews_by(worker).iter().filter_map(|r| {
+        let c = products[r.product.index()];
+        let reference = if loo { c.without(r.stars) } else { c.mean() };
+        reference.map(|l| (r.stars - l).abs())
+    });
+    let (sum, count) = fold(0.0, deviations);
+    (count > 0).then(|| sum / count as f64)
+}
+
+/// `e_mal`: the logistic of the mean leave-one-out deviation and the
+/// share of ratings at or above [`EXTREME_STARS`]; 0.5 without a covered
+/// review.
+fn e_mal(
+    trace: &TraceDataset,
+    raw: &[Consensus],
+    worker: ReviewerId,
+    config: PipelineConfig,
+) -> f64 {
+    let Some(dev) = deviation(trace, raw, worker, true) else {
+        return 0.5;
+    };
+    let reviews = trace.reviews_by(worker);
+    let extreme = reviews.iter().filter(|r| r.stars >= EXTREME_STARS).count();
+    let share = extreme as f64 / reviews.len() as f64;
+    let d = config.detector;
+    let z = d.deviation_gain * (dev - d.deviation_midpoint)
+        + d.extremity_weight * d.deviation_gain * (share - 0.5);
+    1.0 / (1.0 + (-z).exp())
+}
+
+/// `A_i` for every suspect: the size of its §IV-A community (suspects
+/// linked by a co-reviewed product, closed transitively) minus one,
+/// found with a union-find rather than the batch path's DFS.
+fn partner_counts(trace: &TraceDataset, suspected: &[ReviewerId]) -> BTreeMap<ReviewerId, usize> {
+    let mut uf = UnionFind::new(suspected.len());
+    for p in trace.products() {
+        let mut slots = trace
+            .reviews_for(p.id)
+            .iter()
+            .filter_map(|r| suspected.iter().position(|&s| s == r.reviewer));
+        if let Some(first) = slots.next() {
+            for slot in slots {
+                uf.union(first, slot);
+            }
+        }
+    }
+    let mut partners = BTreeMap::new();
+    for component in uf.components() {
+        for &slot in &component {
+            partners.insert(suspected[slot], component.len() - 1);
+        }
+    }
+    partners
+}
+
+/// Eq. 5, `w_i = ρ/|l_i − l̄| − κ·e_mal − γ·A_i`: the deviation is the
+/// leave-one-out mean, else the plain mean, else 1 star, floored; the
+/// accuracy term is capped.
+fn eq5(
+    trace: &TraceDataset,
+    refined: &[Consensus],
+    worker: ReviewerId,
+    e_mal: f64,
+    a_i: usize,
+    config: PipelineConfig,
+) -> f64 {
+    let p = config.weights;
+    let dev = deviation(trace, refined, worker, true)
+        .or_else(|| deviation(trace, refined, worker, false))
+        .unwrap_or(1.0)
+        .max(p.min_deviation);
+    (p.rho / dev).min(p.max_accuracy_term) - p.kappa * e_mal - p.gamma * a_i as f64
+}
+
+/// The whole detection from the definitions above.
+struct Reference {
+    raw: Vec<Consensus>,
     e_mal: Vec<f64>,
     suspected: Vec<ReviewerId>,
-    refined: ConsensusMap,
+    partners: BTreeMap<ReviewerId, usize>,
+    refined: Vec<Consensus>,
     weights: Vec<f64>,
 }
 
-fn per_entity(trace: &TraceDataset, config: PipelineConfig) -> PerEntity {
-    let products = trace.products().len();
-    let map = |excluded: &SuspectMask| {
-        let mut map = ConsensusMap::with_products(products);
-        for p in trace.products() {
-            map.recompute_product(trace, p.id, excluded);
-        }
-        map
-    };
-    let raw = map(&SuspectMask::default());
+fn reference(trace: &TraceDataset, config: PipelineConfig) -> Reference {
+    let raw = consensus(trace, &[]);
     let e_mal: Vec<f64> = trace
         .reviewers()
         .iter()
-        .map(|r| config.detector.estimate_one(trace, &raw, r.id))
+        .map(|r| e_mal(trace, &raw, r.id, config))
         .collect();
-    let suspected = match config.suspects {
-        SuspectSource::GroundTruth => trace
-            .reviewers()
-            .iter()
-            .filter(|r| r.class.is_malicious())
-            .map(|r| r.id)
-            .collect(),
-        SuspectSource::Estimated { threshold } => {
-            MaliciousEstimates::from_values(e_mal.clone()).suspected(threshold)
-        }
-    };
-    let refined = map(&SuspectMask::new(trace.reviewers().len(), &suspected));
-    let partners = cluster_collusive(trace, &suspected).partner_counts();
+    let suspected: Vec<ReviewerId> = trace
+        .reviewers()
+        .iter()
+        .filter(|r| match config.suspects {
+            SuspectSource::GroundTruth => r.class.is_malicious(),
+            SuspectSource::Estimated { threshold } => e_mal[r.id.index()] >= threshold,
+        })
+        .map(|r| r.id)
+        .collect();
+    let partners = partner_counts(trace, &suspected);
+    let refined = consensus(trace, &suspected);
     let weights = trace
         .reviewers()
         .iter()
         .map(|r| {
-            FeedbackWeights::compute_one(
-                trace,
-                &refined,
-                Some(e_mal[r.id.index()]),
-                &partners,
-                config.weights,
-                r.id,
-            )
+            let a_i = partners.get(&r.id).copied().unwrap_or(0);
+            eq5(trace, &refined, r.id, e_mal[r.id.index()], a_i, config)
         })
         .collect();
-    PerEntity {
+    Reference {
         raw,
         e_mal,
         suspected,
+        partners,
         refined,
         weights,
     }
@@ -211,27 +350,29 @@ fn vec_bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Every observable of two consensus maps agrees by bits: the consensus,
-/// its expert backing, and the leave-one-out consensus for each review's
-/// stars and a few probes.
+/// Every observable of a consensus map agrees with the reference by bits:
+/// the consensus, its expert backing, the leave-one-out consensus for
+/// each review's stars and a few probes, and each worker's mean plain and
+/// leave-one-out deviation.
 fn same_map(
     trace: &TraceDataset,
     batch: &ConsensusMap,
-    reference: &ConsensusMap,
+    reference: &[Consensus],
     which: &str,
 ) -> Result<(), TestCaseError> {
     for p in trace.products() {
         let pid = p.id;
+        let slot = reference[pid.index()];
         prop_assert_eq!(
             bits(batch.consensus(pid)),
-            bits(reference.consensus(pid)),
+            bits(slot.mean()),
             "{} consensus of {}",
             which,
             pid
         );
         prop_assert_eq!(
             batch.is_expert_backed(pid),
-            reference.is_expert_backed(pid),
+            matches!(slot, Consensus::Expert(_)),
             "{} expert backing of {}",
             which,
             pid
@@ -244,7 +385,7 @@ fn same_map(
         for stars in probes {
             prop_assert_eq!(
                 bits(batch.consensus_without(pid, stars)),
-                bits(reference.consensus_without(pid, stars)),
+                bits(slot.without(stars)),
                 "{} consensus of {} without {}",
                 which,
                 pid,
@@ -252,12 +393,28 @@ fn same_map(
             );
         }
     }
+    for r in trace.reviewers() {
+        prop_assert_eq!(
+            bits(batch.accuracy_deviation(trace, r.id)),
+            bits(deviation(trace, reference, r.id, false)),
+            "{} deviation of {}",
+            which,
+            r.id
+        );
+        prop_assert_eq!(
+            bits(batch.accuracy_deviation_loo(trace, r.id)),
+            bits(deviation(trace, reference, r.id, true)),
+            "{} leave-one-out deviation of {}",
+            which,
+            r.id
+        );
+    }
     Ok(())
 }
 
 proptest! {
     #[test]
-    fn batch_passes_match_per_entity_recompute(
+    fn batch_passes_match_definition_reference(
         n_products in 1usize..10,
         reviewers in collection::vec((0u8..3, 0u8..4), 1..10),
         reviews in collection::vec((0usize..1000, 0usize..1000, 0usize..12, 1.0f64..5.0, any::<u64>()), 0..60),
@@ -276,11 +433,12 @@ proptest! {
         for suspects in [SuspectSource::GroundTruth, SuspectSource::Estimated { threshold }] {
             let config = PipelineConfig { suspects, ..PipelineConfig::default() };
             let batch = run_pipeline(&trace, config);
-            let reference = per_entity(&trace, config);
+            let reference = reference(&trace, config);
 
             same_map(&trace, &raw, &reference.raw, "raw")?;
             prop_assert_eq!(vec_bits(batch.estimates.as_slice()), vec_bits(&reference.e_mal));
             prop_assert_eq!(&batch.suspected, &reference.suspected);
+            prop_assert_eq!(batch.collusion.partner_counts(), reference.partners.clone());
             same_map(&trace, &batch.consensus, &reference.refined, "refined")?;
             prop_assert_eq!(vec_bits(batch.weights.as_slice()), vec_bits(&reference.weights));
             prop_assert_eq!(bits(batch.estimates.e_mal(scaffold.idle)), bits(Some(0.5)));

@@ -1,9 +1,8 @@
 /// A disjoint-set (union-find) structure with path compression and union
 /// by rank.
 ///
-/// Used as an independent second implementation of component discovery to
-/// cross-check the DFS clustering of §IV-A in tests, and by the trace
-/// generator to track campaign merges.
+/// An independent second implementation of component discovery, used in
+/// tests to cross-check the DFS clustering of §IV-A.
 ///
 /// # Example
 ///
@@ -86,18 +85,6 @@ impl UnionFind {
         }
         self.components -= 1;
         true
-    }
-
-    /// Appends one new singleton element and returns its index — the
-    /// streaming growth operation: a service that discovers elements over
-    /// time (e.g. newly suspected workers) extends the structure instead
-    /// of rebuilding it.
-    pub fn push(&mut self) -> usize {
-        let x = self.parent.len();
-        self.parent.push(x);
-        self.rank.push(0);
-        self.components += 1;
-        x
     }
 
     /// `true` iff `x` and `y` are in the same set.

@@ -60,35 +60,6 @@ proptest! {
         );
     }
 
-    /// Streaming growth: interleaving `UnionFind::push` with unions over
-    /// the elements known so far yields exactly the components of a
-    /// from-scratch structure built over the final element count and the
-    /// final edge set — the invariant `dcc-serve` relies on when newly
-    /// suspected workers arrive mid-stream.
-    #[test]
-    fn streaming_pushes_equal_scratch_components(
-        script in proptest::collection::vec((any::<bool>(), 0usize..64, 0usize..64), 1..120),
-    ) {
-        let mut streaming = UnionFind::new(0);
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        for (grow, u, v) in script {
-            if grow || streaming.is_empty() {
-                streaming.push();
-            } else {
-                let n = streaming.len();
-                let (u, v) = (u % n, v % n);
-                streaming.union(u, v);
-                edges.push((u, v));
-            }
-        }
-        let mut scratch = UnionFind::new(streaming.len());
-        for &(u, v) in &edges {
-            scratch.union(u, v);
-        }
-        prop_assert_eq!(streaming.components(), scratch.components());
-        prop_assert_eq!(streaming.component_count(), scratch.component_count());
-    }
-
     /// Adding an edge never increases the number of components.
     #[test]
     fn adding_edges_monotone(
@@ -108,10 +79,9 @@ proptest! {
     // ----------------------------------------------- churn invariances
     //
     // The adversarial generator (`dcc-trace`) splits and merges
-    // communities mid-trace, so the union-find underneath detection sees
-    // edge sets arriving in adversary-controlled orders with repeated
-    // unions and late-joining sybil elements. These properties pin down
-    // that none of that affects the resulting partition.
+    // communities mid-trace, so the co-review edges behind a partition
+    // arrive in adversary-controlled orders, with repeated links. These
+    // properties pin down that neither affects the resulting partition.
 
     /// Union order invariance: any permutation of the same edge set
     /// yields the same components.
@@ -169,36 +139,5 @@ proptest! {
         }
         prop_assert_eq!(uf.components(), before);
         prop_assert_eq!(uf.component_count(), count_before);
-    }
-
-    /// Push-after-union stability: growing the structure (sybils joining
-    /// after collusion edges already exist) leaves every existing
-    /// component untouched and adds exactly the new singletons.
-    #[test]
-    fn push_after_union_preserves_existing_components(
-        n in 1usize..40,
-        edges in proptest::collection::vec((0usize..40, 0usize..40), 0..60),
-        growth in 1usize..12,
-    ) {
-        let mut uf = UnionFind::new(n);
-        for (u, v) in edges {
-            uf.union(u % n, v % n);
-        }
-        let before = uf.components();
-        let count_before = uf.component_count();
-        for _ in 0..growth {
-            uf.push();
-        }
-        let after = uf.components();
-        prop_assert_eq!(uf.len(), n + growth);
-        prop_assert_eq!(uf.component_count(), count_before + growth);
-        // Every pre-growth component survives verbatim...
-        for comp in &before {
-            prop_assert!(after.contains(comp), "component {:?} disturbed by push", comp);
-        }
-        // ...and each new element is its own singleton.
-        for fresh in n..n + growth {
-            prop_assert!(after.contains(&vec![fresh]));
-        }
     }
 }

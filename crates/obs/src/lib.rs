@@ -195,13 +195,16 @@ pub mod names {
     /// Span: one streaming round boundary recompute (attrs: `round`,
     /// `dirty_workers`, `dirty_products`).
     pub const SPAN_SERVE_ROUND: &str = "serve.round";
-    /// Counter: events the streaming service ingested (all kinds).
+    /// Counter: events the streaming service applied (all kinds; a
+    /// rejected event is not counted).
     pub const COUNTER_SERVE_EVENTS: &str = "serve.events";
     /// Counter: round boundaries the streaming service recomputed at.
     pub const COUNTER_SERVE_ROUNDS: &str = "serve.rounds";
-    /// Counter: workers marked dirty across all round recomputes.
+    /// Counter: workers that joined or reviewed since the previous round
+    /// boundary, summed over boundaries.
     pub const COUNTER_SERVE_DIRTY_WORKERS: &str = "serve.dirty.workers";
-    /// Counter: products marked dirty across all round recomputes.
+    /// Counter: products reviewed since the previous round boundary,
+    /// summed over boundaries.
     pub const COUNTER_SERVE_DIRTY_PRODUCTS: &str = "serve.dirty.products";
     /// Counter: subproblems solved across all round recomputes.
     pub const COUNTER_SERVE_SOLVE_RESOLVED: &str = "serve.solve.resolved";

@@ -21,9 +21,9 @@ pub enum ServeEvent {
         /// detection).
         quality: f64,
     },
-    /// A worker joins. The ground-truth class is fixed at join time —
-    /// the streaming service's incremental detection relies on suspect
-    /// status never changing afterwards (`SuspectSource::GroundTruth`).
+    /// A worker joins. The ground-truth class is fixed at join time;
+    /// under `SuspectSource::GroundTruth` it decides whether the worker
+    /// is suspected.
     Join {
         /// Dense reviewer id.
         id: usize,

@@ -1,29 +1,23 @@
 //! # dcc-serve
 //!
-//! Incremental streaming contract service for the `dyncontract`
-//! workspace: the long-running counterpart of the one-shot batch
-//! pipeline (`dcc_detect::run_pipeline` → `dcc_core::design_contracts`).
+//! Streaming contract service for the `dyncontract` workspace: the
+//! long-running counterpart of the one-shot batch pipeline
+//! (`dcc_detect::run_pipeline` → `dcc_core::design_contracts`).
 //!
 //! The service ingests worker-feedback events ([`ServeEvent`]: products
 //! appearing, workers joining, reviews arriving, round boundaries) as
 //! JSON lines — from stdin, an events file, or derived from an existing
-//! trace by [`events_from_trace`] (`dcc serve --replay`). At every round
-//! boundary it recomputes the §IV detection **only where its inputs
-//! changed**:
-//!
-//! - consensus slots only for products with new reviews,
-//! - `e_mal` / Eq. 5 weights only for workers whose dependencies moved,
-//! - collusive communities via a streaming union-find instead of DFS,
-//!
-//! and then runs the batch contract design over that detection (refit
-//! every class ψ, solve every subproblem, assemble).
+//! trace by [`events_from_trace`] (`dcc serve --replay`). Between round
+//! boundaries it grows its trace; at every boundary it runs the batch
+//! passes over the whole trace: the §IV detection, then the contract
+//! design (refit every class ψ, solve every subproblem, assemble).
 //!
 //! **Correctness contract**: after *any* prefix of the event stream,
-//! the incrementally maintained design is bit-identical
-//! (`f64::to_bits`) to a cold batch recompute over the same prefix, at
-//! every pool size. `tests/serve_differential.rs` enforces this
-//! property over random streams; `--verify` enforces it in production
-//! at every round.
+//! the served design is bit-identical (`f64::to_bits`) to a cold batch
+//! recompute over the same prefix, at every pool size. A boundary calls
+//! the batch functions, so this holds by construction;
+//! `tests/serve_differential.rs` checks it over random streams and
+//! `--verify` checks it in production at every round.
 //!
 //! Crash recovery reuses the `dcc-faults` checkpoint document and
 //! atomic writer: at every round boundary the service checkpoints its

@@ -12,10 +12,10 @@ use crate::ckpt::EventLog;
 use crate::event::ServeEvent;
 use crate::state::{design_digest, RoundOutput, ServeState, ServeStats};
 
-/// The streaming contract service: wraps the incremental
-/// [`ServeState`] with an [`EventLog`] (the checkpoint payload: a count
-/// and running fingerprint of the events applied, not the events),
-/// metrics, and deterministic JSON-lines rendering.
+/// The streaming contract service: wraps [`ServeState`] with an
+/// [`EventLog`] (the checkpoint payload: a count and running fingerprint
+/// of the events applied, not the events), metrics, and deterministic
+/// JSON-lines rendering.
 ///
 /// The service is a deterministic state machine over its events:
 /// re-applying the same events from empty reproduces the same state
@@ -85,8 +85,8 @@ impl ServeService {
         Ok((service, outputs))
     }
 
-    /// Ingests one event, returning the rendered output for a round
-    /// boundary.
+    /// Applies one event, returning the output of a round boundary. A
+    /// rejected event is neither counted nor logged.
     ///
     /// # Errors
     ///
@@ -94,7 +94,6 @@ impl ServeService {
     /// `--verify`, any bitwise mismatch against the cold batch
     /// recompute.
     pub fn apply(&mut self, event: &ServeEvent) -> Result<Option<RoundOutput>, CoreError> {
-        self.metrics.add(names::COUNTER_SERVE_EVENTS, 1);
         let before = self.state.stats();
         let out = if matches!(event, ServeEvent::Round) {
             let (dirty_workers, dirty_products) = self.state.pending_dirty();
@@ -112,6 +111,7 @@ impl ServeService {
         } else {
             self.state.apply(event)?
         };
+        self.metrics.add(names::COUNTER_SERVE_EVENTS, 1);
         self.log.push(event);
         if let Some(out) = &out {
             self.record_round(out, &before);
@@ -154,8 +154,8 @@ impl ServeService {
             (Ok(inc), Ok(batch)) => {
                 if design_digest(inc) != design_digest(batch) {
                     return Err(CoreError::InvalidInput(format!(
-                        "serve --verify: round {} incremental design diverges bitwise from \
-                         the batch recompute",
+                        "serve --verify: round {} served design diverges bitwise from \
+                         the cold batch recompute",
                         out.round
                     )));
                 }
@@ -164,7 +164,7 @@ impl ServeService {
                 let batch = batch.to_string();
                 if inc != &batch {
                     return Err(CoreError::InvalidInput(format!(
-                        "serve --verify: round {} error mismatch: incremental {inc:?} vs \
+                        "serve --verify: round {} error mismatch: served {inc:?} vs \
                          batch {batch:?}",
                         out.round
                     )));
@@ -172,13 +172,13 @@ impl ServeService {
             }
             (Ok(_), Err(batch)) => {
                 return Err(CoreError::InvalidInput(format!(
-                    "serve --verify: round {} incremental succeeded but batch failed: {batch}",
+                    "serve --verify: round {} serve succeeded but batch failed: {batch}",
                     out.round
                 )));
             }
             (Err(inc), Ok(_)) => {
                 return Err(CoreError::InvalidInput(format!(
-                    "serve --verify: round {} batch succeeded but incremental failed: {inc}",
+                    "serve --verify: round {} batch succeeded but serve failed: {inc}",
                     out.round
                 )));
             }
@@ -256,7 +256,7 @@ impl ServeService {
         self.state.stats()
     }
 
-    /// The underlying incremental state.
+    /// The underlying state.
     pub fn state(&self) -> &ServeState {
         &self.state
     }

@@ -1,48 +1,31 @@
-//! The incremental state machine behind `dcc serve`.
+//! The state machine behind `dcc serve`.
 //!
-//! [`ServeState`] ingests events between round boundaries and, at each
-//! boundary, recomputes the §IV detection **only where it changed**,
-//! then runs the batch design over it, staying bit-identical
+//! [`ServeState`] grows a [`TraceDataset`] event by event and, at each
+//! round boundary, runs the batch pipeline over everything ingested so
+//! far: [`run_pipeline`] for the §IV detection, then [`prepare_design`]
+//! (every class ψ refit, the decomposition), one [`solve_subproblems`]
+//! call over every subproblem, and [`assemble_design`]. A boundary is
+//! the batch computation itself, so its design is bit-identical
 //! (`f64::to_bits`) to the cold batch pipeline (`run_pipeline` →
-//! `design_contracts`) over the same event prefix:
+//! `design_contracts`) over the same event prefix by construction;
+//! `tests/serve_differential.rs` checks it property-wise at every round
+//! boundary.
 //!
-//! - per-product consensus slots are recomputed only for products with
-//!   new reviews ([`ConsensusMap::recompute_product`]);
-//! - per-worker `e_mal` estimates and Eq. 5 weights are recomputed only
-//!   for workers whose own reviews, reviewed products' consensus,
-//!   estimate, or partner count changed;
-//! - collusive communities are maintained by a streaming
-//!   [`UnionFind`] (one `push` per suspect at join, unions only over
-//!   dirty products) instead of a from-scratch DFS;
-//! - the design is the batch path itself: [`prepare_design`] refits
-//!   every class ψ and decomposes, one [`solve_subproblems`] call solves
-//!   every subproblem, and [`assemble_design`] assigns the contracts. A
-//!   class refit changes every input bit of its class's subproblems, so
-//!   a memo of earlier solves would almost never hit.
-//!
-//! Every per-item detection computation is the *same tally arithmetic*
-//! the batch path runs (shared via `dcc-detect`): batch detection folds
-//! every review, in review order, into per-product and per-worker
-//! tallies, and the per-item recompute folds one product's or worker's
-//! reviews into the same tally through the trace's index, which lists
-//! them in review order too. So each recomputed slot sums the same terms
-//! in the same order. The design calls the batch functions, so equality
-//! is by construction; `tests/serve_differential.rs` enforces it
-//! property-wise at every round boundary.
+//! Between boundaries the state only appends to the trace and notes
+//! which workers and products the events touched. The trace's pushes
+//! fold each review into its running tallies exactly as
+//! [`TraceDataset::new`] does, so the grown trace equals one built at
+//! once over the same entities.
 
 use dcc_core::{
     assemble_design, prepare_design, solve_subproblems, ContractDesign, CoreError, DesignConfig,
 };
-use dcc_detect::{
-    CollusionReport, ConsensusMap, DetectionResult, FeedbackWeights, MaliciousEstimates,
-    PipelineConfig, SuspectMask, SuspectSource,
-};
-use dcc_graph::UnionFind;
+use dcc_detect::{run_pipeline, DetectionResult, PipelineConfig};
 use dcc_obs::Metrics;
 use dcc_trace::{
     Campaign, Product, ProductId, Reviewer, ReviewerId, TraceDataset, WorkerClass,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::event::ServeEvent;
 
@@ -50,13 +33,15 @@ use crate::event::ServeEvent;
 /// summary and mirrored into `serve.*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Events ingested (all kinds, round markers included).
+    /// Events applied (all kinds, round markers included). A rejected
+    /// event is not counted.
     pub events: usize,
-    /// Round boundaries recomputed.
+    /// Round boundaries processed.
     pub rounds: usize,
-    /// Workers marked dirty, summed over rounds.
+    /// Workers that joined or reviewed since the previous boundary,
+    /// summed over rounds.
     pub dirty_workers: usize,
-    /// Products marked dirty, summed over rounds.
+    /// Products reviewed since the previous boundary, summed over rounds.
     pub dirty_products: usize,
     /// Rounds whose class effort-function fits ran to completion (every
     /// boundary refits; a boundary whose fit fails is not counted).
@@ -73,21 +58,22 @@ pub struct ServeStats {
 pub struct RoundOutput {
     /// 0-based round index (number of boundaries seen before this one).
     pub round: usize,
-    /// Events ingested up to and including this boundary's marker.
+    /// Events applied up to and including this boundary's marker.
     pub events: usize,
-    /// Workers that were dirty at this boundary.
+    /// Workers that joined or reviewed since the previous boundary.
     pub dirty_workers: usize,
-    /// Products that were dirty at this boundary.
+    /// Products reviewed since the previous boundary.
     pub dirty_products: usize,
     /// Subproblems solved this boundary.
     pub resolved: usize,
-    /// The recomputed design, or the rendered error the batch pipeline
-    /// would also produce over this prefix (e.g. too few honest
-    /// observation points early in a stream).
+    /// The boundary's design, or the rendered error the batch pipeline
+    /// also produces over this prefix (e.g. too few honest observation
+    /// points early in a stream).
     pub design: Result<ContractDesign, String>,
 }
 
-/// The streaming service's incremental state.
+/// The streaming service's state: the trace grown so far, what the
+/// events since the last boundary touched, and the run's counters.
 #[derive(Debug, Clone)]
 pub struct ServeState {
     pipeline: PipelineConfig,
@@ -96,19 +82,7 @@ pub struct ServeState {
 
     trace: TraceDataset,
 
-    // --- detection state ----------------------------------------------
-    raw: ConsensusMap,
-    refined: ConsensusMap,
-    estimates: Vec<f64>,
-    weights: Vec<f64>,
-    suspected: Vec<ReviewerId>,
-    excluded: SuspectMask,
-    suspect_slot: BTreeMap<ReviewerId, usize>,
-    uf: UnionFind,
-    collusion: CollusionReport,
-    partner_counts: BTreeMap<ReviewerId, usize>,
-
-    // --- dirty tracking ------------------------------------------------
+    // --- input touched since the last boundary ------------------------
     dirty_workers: BTreeSet<ReviewerId>,
     dirty_products: BTreeSet<ProductId>,
 
@@ -121,38 +95,18 @@ impl ServeState {
     ///
     /// # Errors
     ///
-    /// Rejects invalid design configurations and — because incremental
-    /// detection relies on suspect status being fixed at join time —
-    /// any [`SuspectSource`] other than `GroundTruth`.
+    /// Rejects invalid design configurations.
     pub fn new(
         pipeline: PipelineConfig,
         design: DesignConfig,
         pool: usize,
     ) -> Result<Self, CoreError> {
         design.validate()?;
-        if !matches!(pipeline.suspects, SuspectSource::GroundTruth) {
-            return Err(CoreError::InvalidParams(
-                "dcc serve requires SuspectSource::GroundTruth: estimated suspect sets can \
-                 flip with every review, which defeats incremental detection (run the batch \
-                 pipeline for estimated mode)"
-                    .into(),
-            ));
-        }
         Ok(ServeState {
             pipeline,
             design,
             pool: pool.max(1),
             trace: TraceDataset::empty(),
-            raw: ConsensusMap::with_products(0),
-            refined: ConsensusMap::with_products(0),
-            estimates: Vec::new(),
-            weights: Vec::new(),
-            suspected: Vec::new(),
-            excluded: SuspectMask::default(),
-            suspect_slot: BTreeMap::new(),
-            uf: UnionFind::new(0),
-            collusion: CollusionReport::from_member_groups(Vec::new()),
-            partner_counts: BTreeMap::new(),
             dirty_workers: BTreeSet::new(),
             dirty_products: BTreeSet::new(),
             stats: ServeStats::default(),
@@ -175,8 +129,8 @@ impl ServeState {
         self.rounds_seen
     }
 
-    /// The `(workers, products)` currently marked dirty — what the next
-    /// round boundary will recompute.
+    /// The `(workers, products)` the events since the last boundary
+    /// touched — what the next boundary reports as dirty.
     pub fn pending_dirty(&self) -> (usize, usize) {
         (self.dirty_workers.len(), self.dirty_products.len())
     }
@@ -191,8 +145,9 @@ impl ServeState {
         &self.pipeline
     }
 
-    /// Ingests one event. Returns `Some(output)` for a round boundary,
-    /// `None` otherwise.
+    /// Applies one event. Returns `Some(output)` for a round boundary,
+    /// `None` otherwise. A rejected event leaves the state, counters
+    /// included, unchanged.
     ///
     /// # Errors
     ///
@@ -203,7 +158,6 @@ impl ServeState {
     /// are captured in [`RoundOutput::design`], exactly as the batch
     /// pipeline would report them over the same prefix.
     pub fn apply(&mut self, event: &ServeEvent) -> Result<Option<RoundOutput>, CoreError> {
-        self.stats.events += 1;
         match event {
             ServeEvent::Product { id, quality } => {
                 self.trace
@@ -212,17 +166,13 @@ impl ServeState {
                         true_quality: *quality,
                     })
                     .map_err(|e| CoreError::InvalidInput(e.to_string()))?;
-                Ok(None)
             }
             ServeEvent::Join {
                 id,
                 class,
                 campaign,
                 expert,
-            } => {
-                self.join(*id, *class, *campaign, *expert)?;
-                Ok(None)
-            }
+            } => self.join(*id, *class, *campaign, *expert)?,
             ServeEvent::Review {
                 worker,
                 product,
@@ -243,10 +193,14 @@ impl ServeState {
                     .map_err(|e| CoreError::InvalidInput(e.to_string()))?;
                 self.dirty_workers.insert(ReviewerId(*worker));
                 self.dirty_products.insert(ProductId(*product));
-                Ok(None)
             }
-            ServeEvent::Round => Ok(Some(self.round_boundary())),
+            ServeEvent::Round => {
+                self.stats.events += 1;
+                return Ok(Some(self.round_boundary()));
+            }
         }
+        self.stats.events += 1;
+        Ok(None)
     }
 
     fn join(
@@ -287,163 +241,42 @@ impl ServeState {
                 .add_campaign_member(c, worker)
                 .map_err(|e| CoreError::InvalidInput(e.to_string()))?;
         }
-        self.estimates.push(0.0);
-        self.weights.push(0.0);
-        self.excluded.push(class.is_malicious());
-        if class.is_malicious() {
-            let slot = self.uf.push();
-            self.suspect_slot.insert(worker, slot);
-            self.suspected.push(worker);
-        }
         self.dirty_workers.insert(worker);
         Ok(())
     }
 
-    // --- round boundary recompute --------------------------------------
+    // --- round boundary ------------------------------------------------
 
     fn round_boundary(&mut self) -> RoundOutput {
         let round = self.rounds_seen;
         self.rounds_seen += 1;
         self.stats.rounds += 1;
 
-        let dirty_workers = std::mem::take(&mut self.dirty_workers);
-        let dirty_products = std::mem::take(&mut self.dirty_products);
-        self.stats.dirty_workers += dirty_workers.len();
-        self.stats.dirty_products += dirty_products.len();
+        let (dirty_workers, dirty_products) = self.pending_dirty();
+        self.dirty_workers.clear();
+        self.dirty_products.clear();
+        self.stats.dirty_workers += dirty_workers;
+        self.stats.dirty_products += dirty_products;
 
-        let detection = self.recompute_detection(&dirty_workers, &dirty_products);
+        let detection = run_pipeline(&self.trace, self.pipeline);
         let resolved_before = self.stats.solve_resolved;
-        let design = self.recompute_design(&detection).map_err(|e| e.to_string());
+        let design = self.design_round(&detection).map_err(|e| e.to_string());
 
         RoundOutput {
             round,
             events: self.stats.events,
-            dirty_workers: dirty_workers.len(),
-            dirty_products: dirty_products.len(),
+            dirty_workers,
+            dirty_products,
             resolved: self.stats.solve_resolved - resolved_before,
             design,
         }
     }
 
-    /// Incremental §IV detection: recompute only dirty slots, then
-    /// assemble a [`DetectionResult`] equal (bitwise) to
-    /// `run_pipeline(trace, pipeline)`.
-    fn recompute_detection(
-        &mut self,
-        dirty_workers: &BTreeSet<ReviewerId>,
-        dirty_products: &BTreeSet<ProductId>,
-    ) -> DetectionResult {
-        let none = SuspectMask::default();
-
-        // 1. Consensus: raw (first pass) and refined (suspect-excluded),
-        //    per dirty product. The returned change flags drive
-        //    downstream worker dirtiness.
-        self.raw.grow_products(self.trace.products().len());
-        self.refined.grow_products(self.trace.products().len());
-        let mut raw_changed: Vec<ProductId> = Vec::new();
-        let mut refined_changed: Vec<ProductId> = Vec::new();
-        for &pid in dirty_products {
-            if self.raw.recompute_product(&self.trace, pid, &none) {
-                raw_changed.push(pid);
-            }
-            if self
-                .refined
-                .recompute_product(&self.trace, pid, &self.excluded)
-            {
-                refined_changed.push(pid);
-            }
-        }
-
-        // 2. e_mal estimates: a worker's estimate depends on their own
-        //    reviews and the raw consensus of the products they
-        //    reviewed.
-        let mut estimate_dirty: BTreeSet<ReviewerId> = dirty_workers.clone();
-        for &pid in &raw_changed {
-            for rv in self.trace.reviews_for(pid) {
-                estimate_dirty.insert(rv.reviewer);
-            }
-        }
-        let mut estimate_changed: BTreeSet<ReviewerId> = BTreeSet::new();
-        for &worker in &estimate_dirty {
-            let fresh = self
-                .pipeline
-                .detector
-                .estimate_one(&self.trace, &self.raw, worker);
-            let slot = &mut self.estimates[worker.index()];
-            if slot.to_bits() != fresh.to_bits() {
-                estimate_changed.insert(worker);
-            }
-            *slot = fresh;
-        }
-
-        // 3. Collusion: union suspect co-reviewers on dirty products
-        //    (new suspects already got their UnionFind slot at join).
-        for &pid in dirty_products {
-            let mut first: Option<usize> = None;
-            for rv in self.trace.reviews_for(pid) {
-                if let Some(&slot) = self.suspect_slot.get(&rv.reviewer) {
-                    match first {
-                        None => first = Some(slot),
-                        Some(f) => {
-                            self.uf.union(f, slot);
-                        }
-                    }
-                }
-            }
-        }
-        let groups: Vec<Vec<ReviewerId>> = self
-            .uf
-            .components()
-            .into_iter()
-            .map(|slots| slots.iter().map(|&s| self.suspected[s]).collect())
-            .collect();
-        self.collusion = CollusionReport::from_member_groups(groups);
-
-        // 4. Eq. 5 weights: a worker's weight depends on their reviews,
-        //    the refined consensus of reviewed products, their e_mal,
-        //    and their partner count.
-        let fresh_partners = self.collusion.partner_counts();
-        let mut weight_dirty: BTreeSet<ReviewerId> = dirty_workers.clone();
-        weight_dirty.extend(estimate_changed.iter().copied());
-        for &pid in &refined_changed {
-            for rv in self.trace.reviews_for(pid) {
-                weight_dirty.insert(rv.reviewer);
-            }
-        }
-        for (&worker, &count) in &fresh_partners {
-            if self.partner_counts.get(&worker).copied() != Some(count) {
-                weight_dirty.insert(worker);
-            }
-        }
-        self.partner_counts = fresh_partners;
-        for &worker in &weight_dirty {
-            self.weights[worker.index()] = FeedbackWeights::compute_one(
-                &self.trace,
-                &self.refined,
-                Some(self.estimates[worker.index()]),
-                &self.partner_counts,
-                self.pipeline.weights,
-                worker,
-            );
-        }
-
-        DetectionResult {
-            consensus: self.refined.clone(),
-            estimates: MaliciousEstimates::from_values(self.estimates.clone()),
-            suspected: self.suspected.clone(),
-            collusion: self.collusion.clone(),
-            weights: FeedbackWeights::from_values(self.weights.clone()),
-        }
-    }
-
-    /// The §IV-B/C design over the incrementally maintained detection,
-    /// through the batch path: [`prepare_design`], one
-    /// [`solve_subproblems`] over every subproblem at the service's
-    /// pool (bit-identical at every pool size), then [`assemble_design`].
-    fn recompute_design(
-        &mut self,
-        detection: &DetectionResult,
-    ) -> Result<ContractDesign, CoreError> {
+    /// The §IV-B/C design over the boundary's detection, through the
+    /// batch path: [`prepare_design`], one [`solve_subproblems`] over
+    /// every subproblem at the service's pool (bit-identical at every
+    /// pool size), then [`assemble_design`].
+    fn design_round(&mut self, detection: &DetectionResult) -> Result<ContractDesign, CoreError> {
         let prep = prepare_design(&self.trace, detection, &self.design)?;
         self.stats.fit_refits += 1;
         self.stats.solve_resolved += prep.subproblems.len();
@@ -459,35 +292,18 @@ impl ServeState {
         Ok(assemble_design(detection, &prep, solution, degradation))
     }
 
-    /// The cold-batch reference over the current trace: the exact
-    /// two-pass pipeline plus one-shot design the incremental path must
-    /// match bit-for-bit. Used by `--verify` and the test harnesses.
+    /// The cold-batch reference over the current trace: the two-pass
+    /// pipeline plus the one-shot [`dcc_core::design_contracts`] that
+    /// each boundary's design must match bit-for-bit. Used by
+    /// `--verify` and the test harnesses.
     ///
     /// # Errors
     ///
-    /// Propagates batch design failures (same errors the incremental
-    /// path reports in [`RoundOutput::design`]).
+    /// Propagates batch design failures (the same errors a boundary
+    /// reports in [`RoundOutput::design`]).
     pub fn cold_design(&self) -> Result<ContractDesign, CoreError> {
-        let detection = dcc_detect::run_pipeline(&self.trace, self.pipeline);
+        let detection = run_pipeline(&self.trace, self.pipeline);
         dcc_core::design_contracts(&self.trace, &detection, &self.design)
-    }
-
-    /// The cold-batch detection over the current trace (diagnostic
-    /// companion of [`ServeState::cold_design`]).
-    pub fn cold_detection(&self) -> DetectionResult {
-        dcc_detect::run_pipeline(&self.trace, self.pipeline)
-    }
-
-    /// Recomputes detection from the current dirty sets without
-    /// consuming them — exposed for white-box tests; normal callers go
-    /// through [`ServeState::apply`] with [`ServeEvent::Round`].
-    #[doc(hidden)]
-    pub fn debug_detection(&mut self) -> DetectionResult {
-        let dirty_workers = self.dirty_workers.clone();
-        let dirty_products = self.dirty_products.clone();
-        self.dirty_workers.clear();
-        self.dirty_products.clear();
-        self.recompute_detection(&dirty_workers, &dirty_products)
     }
 }
 

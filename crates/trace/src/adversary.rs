@@ -25,8 +25,7 @@
 //!    real community that fractures would.
 //! 2. **Merges** — two campaigns join forces at a round: every member
 //!    of both writes a bridge review on the first campaign's lead
-//!    target, so the §IV-A co-review components fuse mid-stream (the
-//!    case the streaming union-find in `dcc-serve` must absorb).
+//!    target, so the §IV-A co-review components fuse mid-stream.
 //! 3. **Sybil influxes** — `count` fresh collusive workers join a
 //!    campaign at a round and review its targets once per remaining
 //!    round with the collusive class behaviour.

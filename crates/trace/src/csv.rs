@@ -67,17 +67,33 @@ pub fn write_trace_csv(trace: &TraceDataset, dir: &Path) -> Result<(), TraceErro
 /// Iterates a CSV file's data rows without loading the whole file into
 /// one string: each line streams through a [`BufReader`], skipping the
 /// header and blank lines. The callback receives `(1-based line, row)`.
+/// A line ends at `\n` or `\r\n`; a line that is not UTF-8 is a
+/// [`TraceError::Parse`] naming it.
 fn for_each_row(
     path: &Path,
     mut row: impl FnMut(usize, &str) -> Result<(), TraceError>,
 ) -> Result<(), TraceError> {
-    let reader = BufReader::new(fs::File::open(path)?);
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        if i == 0 || line.trim().is_empty() {
+    let mut reader = BufReader::new(fs::File::open(path)?);
+    let mut bytes = Vec::new();
+    for n in 1.. {
+        bytes.clear();
+        if reader.read_until(b'\n', &mut bytes)? == 0 {
+            break;
+        }
+        if bytes.last() == Some(&b'\n') {
+            bytes.pop();
+            if bytes.last() == Some(&b'\r') {
+                bytes.pop();
+            }
+        }
+        let line = std::str::from_utf8(&bytes).map_err(|e| TraceError::Parse {
+            line: n,
+            message: format!("not UTF-8: {e}"),
+        })?;
+        if n == 1 || line.trim().is_empty() {
             continue;
         }
-        row(i + 1, &line)?;
+        row(n, line)?;
     }
     Ok(())
 }
@@ -91,8 +107,10 @@ fn parse<T: std::str::FromStr>(field: &str, line: usize, what: &str) -> Result<T
 
 /// Reads a trace previously written by [`write_trace_csv`].
 ///
-/// Campaign targets are reconstructed as the products each campaign's
-/// members reviewed.
+/// Campaign ids in the file may be sparse: campaigns are renumbered
+/// densely in ascending id order, and each member's
+/// [`Reviewer::campaign`] names its renumbered campaign. Campaign targets
+/// are reconstructed as the products each campaign's members reviewed.
 ///
 /// # Errors
 ///
@@ -161,31 +179,46 @@ pub fn read_trace_csv(dir: &Path) -> Result<TraceDataset, TraceError> {
         Ok(())
     })?;
 
-    // Rebuild campaigns from reviewer rows + member reviews.
-    let mut members: BTreeMap<usize, Vec<ReviewerId>> = BTreeMap::new();
-    for r in &reviewers {
-        if let Some(c) = r.campaign {
-            members.entry(c).or_default().push(r.id);
+    // Rebuild campaigns. The file's campaign ids, in ascending order,
+    // become the dense indices 0.., and each member's field is rewritten
+    // to its campaign's index; then one pass over the reviews collects
+    // the products each campaign's members reviewed. A review naming an
+    // unknown reviewer is skipped here and rejected by `TraceDataset::new`.
+    let mut dense: BTreeMap<usize, usize> = reviewers
+        .iter()
+        .filter_map(|r| r.campaign.map(|c| (c, 0)))
+        .collect();
+    for (index, slot) in dense.values_mut().enumerate() {
+        *slot = index;
+    }
+    let mut campaigns: Vec<Campaign> = (0..dense.len())
+        .map(|id| Campaign {
+            id,
+            members: Vec::new(),
+            targets: Vec::new(),
+        })
+        .collect();
+    for r in &mut reviewers {
+        let Some(index) = r.campaign.and_then(|c| dense.get(&c).copied()) else {
+            continue;
+        };
+        r.campaign = Some(index);
+        if let Some(campaign) = campaigns.get_mut(index) {
+            campaign.members.push(r.id);
         }
     }
-    let mut campaigns = Vec::new();
-    for (cid, ms) in members {
-        let mut targets: Vec<ProductId> = reviews
-            .iter()
-            .filter(|rv| ms.contains(&rv.reviewer))
-            .map(|rv| rv.product)
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
-        campaigns.push(Campaign {
-            id: cid,
-            members: ms,
-            targets,
-        });
+    for rv in &reviews {
+        let campaign = reviewers
+            .get(rv.reviewer.index())
+            .and_then(|r| r.campaign)
+            .and_then(|c| campaigns.get_mut(c));
+        if let Some(campaign) = campaign {
+            campaign.targets.push(rv.product);
+        }
     }
-    // Campaign ids in the file may be sparse; re-densify.
-    for (i, c) in campaigns.iter_mut().enumerate() {
-        c.id = i;
+    for campaign in &mut campaigns {
+        campaign.targets.sort_unstable();
+        campaign.targets.dedup();
     }
 
     TraceDataset::new(products, reviewers, reviews, campaigns)

@@ -15,49 +15,8 @@ use dcc_numerics::fnv1a;
 use dcc_trace::{ColumnarTrace, SyntheticConfig, TraceError, COLUMNAR_MAGIC, COLUMNAR_VERSION};
 use proptest::collection;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-/// The system allocator, noting the largest request made on each thread.
-struct LargestRequest;
-
-thread_local! {
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    // `try_with`: allocations also happen while a thread's locals are
-    // being torn down.
-    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
-}
-
-// SAFETY: each method passes its caller's arguments, under the caller's
-// `GlobalAlloc` contract, straight to `System`, which honours the same
-// contract; `note` touches only a const-initialised, drop-free thread
-// local, so it neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for LargestRequest {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: LargestRequest = LargestRequest;
+mod common;
 
 const HEADER_LEN: usize = 72;
 /// Byte offset of the header's first count (`n_products`); the six
@@ -70,9 +29,9 @@ const CHECKSUM_AT: usize = 64;
 /// bytes decoded.
 fn decode_is_total(bytes: Vec<u8>) -> Result<bool, TestCaseError> {
     let len = bytes.len();
-    LARGEST.with(|largest| largest.set(0));
-    let outcome = ColumnarTrace::from_bytes(bytes).and_then(|col| col.to_dataset());
-    let largest = LARGEST.with(Cell::get);
+    let (outcome, largest) = common::largest_allocation(|| {
+        ColumnarTrace::from_bytes(bytes).and_then(|col| col.to_dataset())
+    });
     // A decoded row takes at most ~3.2x its encoded width (a `Reviewer`
     // against its 10 encoded bytes is the widest); error messages are
     // short.

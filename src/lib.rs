@@ -39,9 +39,9 @@
 //!   scenario grids (μ × budget × strategy × trace), a shared
 //!   content-addressed detect/fit/solve memo, and an in-order merge
 //!   that keeps batched output bit-identical to serial runs.
-//! - [`serve`] — the incremental streaming contract service: event
-//!   ingestion (`dcc serve`), per-round delta recompute bit-identical
-//!   to the batch pipeline, and checkpointed crash recovery.
+//! - [`serve`] — the streaming contract service: event ingestion
+//!   (`dcc serve`), the batch pipeline rerun over the grown trace at
+//!   every round boundary, and checkpointed crash recovery.
 //!
 //! ## Quickstart
 //!
