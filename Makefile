@@ -4,7 +4,7 @@
 CHAOS_CASES ?= 512
 SCALE_BENCH_SCALES ?= 10,100
 
-.PHONY: build test lint lint-baseline clippy chaos chaos-sim chaos-batch chaos-serve experiments engine-bench batch-bench scale-bench e2ebench-smoke metrics-check slow-tests ci
+.PHONY: build test lint lint-baseline clippy chaos chaos-sim chaos-batch chaos-serve experiments experiments-smoke engine-bench batch-bench scale-bench e2ebench-smoke metrics-check slow-tests ci
 
 build:
 	cargo build --release
@@ -118,8 +118,23 @@ chaos-serve:
 	  echo "chaos-serve: kill-at=$$k resume is byte-identical"; \
 	done
 
+# The paper's artifacts E1-E7 at paper scale; add --extensions for E8-E15.
 experiments:
-	cargo run --release -p dcc-experiments --bin all -- --scale paper
+	cargo run --release -q -p dcc-cli --bin dcc -- experiment all --scale paper
+
+# Every artifact E1-E15 end to end at small scale: the suite must write
+# all fifteen CSVs, and its metrics.json must pass `dcc metrics
+# summarize`.
+EXPERIMENT_CSVS = fig6 table2 fig7 table3 fig8a fig8b fig8c e8_adaptive e9_sensitivity \
+  e10_detection e11_collusion e12_baselines e13_budget e14_risk e15_adversarial
+experiments-smoke:
+	rm -rf target/experiments-smoke
+	cargo run --release -q -p dcc-cli --bin dcc -- experiment all --scale small --extensions \
+	  --csv target/experiments-smoke
+	for f in $(EXPERIMENT_CSVS); do \
+	  test -s target/experiments-smoke/$$f.csv || { echo "experiments-smoke: no $$f.csv"; exit 1; }; \
+	done
+	cargo run --release -q -p dcc-cli --bin dcc -- metrics summarize target/experiments-smoke/metrics.json
 
 # Sequential vs pooled solve timings plus a printed speedup report
 # (bit-identity is asserted separately by dcc-engine's property tests)
@@ -175,4 +190,4 @@ metrics-check:
 slow-tests:
 	DCC_SLOW_TESTS=1 cargo test --release --test stress
 
-ci: build test lint clippy metrics-check
+ci: build test lint clippy metrics-check experiments-smoke

@@ -12,6 +12,7 @@ use dcc_engine::{
     Engine, EngineConfig, EngineSimOutcome, PoolSize, RoundContext, SimOptions, StageKind,
     TraceSource,
 };
+use dcc_experiments::suite::{Input, ARTIFACTS, PAPER_ARTIFACTS};
 use dcc_experiments::ExperimentScale;
 use dcc_faults::{FaultPlan, FaultPlanConfig, Json};
 use dcc_label::{LabelMarket, MarketConfig};
@@ -1055,115 +1056,61 @@ pub fn cmd_batch(args: &ParsedArgs) -> CliResult {
     Ok(out)
 }
 
-/// `dcc experiment <fig6|fig7|fig8a|fig8b|fig8c|table2|table3|adaptive|all>
-///  [--scale small|paper] [--seed N]`
+/// `dcc experiment NAME|all [--scale small|paper] [--seed N]
+/// [--extensions] [--csv DIR]` — one artifact of [`ARTIFACTS`], or E1–E7
+/// (E1–E15 with `--extensions`) over one trace, writing each table to
+/// `DIR/<stem>.csv` and the engine metrics to `DIR/metrics.json`.
 pub fn cmd_experiment(args: &ParsedArgs) -> CliResult {
-    let which = args
-        .positional
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+    let which = args.positional.first().map_or("all", String::as_str);
     let scale = ExperimentScale::parse(&args.str_flag("scale", "small"))
         .ok_or_else(|| "flag --scale: expected small|paper".to_string())?;
-    let seed: u64 = args.num_flag("seed", dcc_experiments::DEFAULT_SEED)?;
-    let err = CliError::Core;
+    let input = Input::new(scale, args.num_flag("seed", dcc_experiments::DEFAULT_SEED)?);
+    if which != "all" {
+        let artifact = ARTIFACTS.iter().find(|a| a.name == which);
+        let artifact =
+            artifact.ok_or_else(|| CliError::Usage(format!("unknown experiment {which:?}")))?;
+        return Ok(artifact.report(&input)?);
+    }
 
-    let out = match which.as_str() {
-        "fig6" => dcc_experiments::fig6::run(&dcc_experiments::fig6::DEFAULT_MS)
-            .map_err(err)?
-            .table()
-            .to_string(),
-        "fig7" => dcc_experiments::fig7::run(scale, seed).table().to_string(),
-        "fig8a" => dcc_experiments::fig8a::run(scale, seed)
-            .map_err(err)?
-            .table()
-            .to_string(),
-        "fig8b" => dcc_experiments::fig8b::run(scale, seed)
-            .map_err(err)?
-            .table()
-            .to_string(),
-        "fig8c" => dcc_experiments::fig8c::run(scale, seed)
-            .map_err(err)?
-            .table()
-            .to_string(),
-        "table2" => dcc_experiments::table2::run(scale, seed)
-            .map_err(CliError::from)?
-            .table()
-            .to_string(),
-        "table3" => dcc_experiments::table3::run(scale, seed)
-            .map_err(err)?
-            .table()
-            .to_string(),
-        "adaptive" => dcc_experiments::adaptive_ext::run(seed)
-            .map_err(err)?
-            .table()
-            .to_string(),
-        "sensitivity" => dcc_experiments::sensitivity::run(scale, seed)
-            .map_err(err)?
-            .table()
-            .to_string(),
-        "detection" => dcc_experiments::detection_quality::run(scale, seed)
-            .table()
-            .to_string(),
-        "collusion" => dcc_experiments::collusion_ablation::run(scale, seed)
-            .map_err(err)?
-            .table()
-            .to_string(),
-        "baselines" => dcc_experiments::baselines_ext::run(scale, seed)
-            .map_err(err)?
-            .table()
-            .to_string(),
-        "budget" => dcc_experiments::budget_ext::run(scale, seed)
-            .map_err(err)?
-            .table()
-            .to_string(),
-        "risk" => dcc_experiments::risk_ext::run(&dcc_experiments::risk_ext::DEFAULT_EXPONENTS)
-            .map_err(err)?
-            .table()
-            .to_string(),
-        "adversarial" => dcc_experiments::adversarial::run(scale, seed)
-            .map_err(err)?
-            .table()
-            .to_string(),
-        "all" => {
-            let trace = scale.generate(seed);
-            let mut s = String::new();
-            writeln!(s, "--- Fig. 6 ---").ok();
-            s += &dcc_experiments::fig6::run(&dcc_experiments::fig6::DEFAULT_MS)
-                .map_err(err)?
-                .table()
-                .to_string();
-            writeln!(s, "--- Table II ---").ok();
-            s += &dcc_experiments::table2::run_on(&trace)
-                .map_err(CliError::from)?
-                .table()
-                .to_string();
-            writeln!(s, "--- Fig. 7 ---").ok();
-            s += &dcc_experiments::fig7::run_on(&trace).table().to_string();
-            writeln!(s, "--- Table III ---").ok();
-            s += &dcc_experiments::table3::run_on(&trace)
-                .map_err(err)?
-                .table()
-                .to_string();
-            writeln!(s, "--- Fig. 8(a) ---").ok();
-            s += &dcc_experiments::fig8a::run_on(&trace, &dcc_experiments::fig8a::DEFAULT_MS)
-                .map_err(err)?
-                .table()
-                .to_string();
-            writeln!(s, "--- Fig. 8(b) ---").ok();
-            s += &dcc_experiments::fig8b::run_on(&trace, &dcc_experiments::fig8b::DEFAULT_MUS)
-                .map_err(err)?
-                .table()
-                .to_string();
-            writeln!(s, "--- Fig. 8(c) ---").ok();
-            s += &dcc_experiments::fig8c::run_on(&trace, &dcc_experiments::fig8b::DEFAULT_MUS)
-                .map_err(err)?
-                .table()
-                .to_string();
-            s
-        }
-        other => return Err(CliError::Usage(format!("unknown experiment {other:?}"))),
+    let csv = args.flags.get("csv").map(PathBuf::from);
+    let failed = |what: &str, path: &Path, e: std::io::Error| {
+        CliError::Failed(format!("cannot {what} {}: {e}", path.display()))
     };
+    // With a CSV directory the suite also records its engine runs and
+    // writes the dcc-obs document next to the tables.
+    let recorder = Arc::new(JsonRecorder::new());
+    if let Some(dir) = &csv {
+        std::fs::create_dir_all(dir).map_err(|e| failed("create", dir, e))?;
+        dcc_experiments::install_metrics(Metrics::new(recorder.clone()));
+    }
+    let trace = input.trace();
+    let mut out = format!(
+        "=== dyncontract experiment suite ({scale:?} scale, seed {}) ===\n\n\
+         trace: {} reviews, {} reviewers, {} products\n\n",
+        input.seed,
+        trace.reviews().len(),
+        trace.reviewers().len(),
+        trace.products().len()
+    );
+    let extensions = args.bool_flag("extensions");
+    let count = if extensions { ARTIFACTS.len() } else { PAPER_ARTIFACTS };
+    for artifact in &ARTIFACTS[..count] {
+        let (table, _) = (artifact.run)(&input)?;
+        writeln!(out, "--- {} ---\n{table}", artifact.heading).ok();
+        if let Some(dir) = &csv {
+            let path = dir.join(format!("{}.csv", artifact.csv));
+            std::fs::write(&path, table.to_csv()).map_err(|e| failed("write", &path, e))?;
+        }
+    }
+    if !extensions {
+        out += "(pass --extensions to also run E8-E15)\n";
+    }
+    if let Some(dir) = &csv {
+        let path = dir.join("metrics.json");
+        std::fs::write(&path, recorder.to_json()).map_err(|e| failed("write", &path, e))?;
+        writeln!(out, "wrote engine metrics to {}", path.display()).ok();
+    }
+    out.pop(); // `main` ends the last line
     Ok(out)
 }
 
@@ -1695,8 +1642,9 @@ COMMANDS:
   replay     TRACE_DIR [--mu F]                        trace-driven evaluation
   check      [--r2 F --r1 F --r0 F --mu F --omega F --weight F --intervals N]
                                                        verify the theory at runtime
-  experiment fig6|fig7|fig8a|fig8b|fig8c|table2|table3|adaptive|sensitivity|
-             detection|collusion|adversarial|all [--scale small|paper --seed N]
+  experiment fig6|table2|fig7|table3|fig8a|fig8b|fig8c|adaptive|sensitivity|
+             detection|collusion|baselines|budget|risk|adversarial|all
+             [--scale small|paper --seed N] [--extensions --csv DIR]
                                                        regenerate paper artifacts
   label      [--workers N --items N --mu F]            classification extension
   lint       [PATHS...] [--root DIR --json] [--sarif FILE] [--policy FILE]

@@ -1,4 +1,4 @@
-use crate::sim::gaussian;
+use crate::sim::{check_noise_sd, gaussian};
 use crate::{
     best_response, fit_effort_function, ConductModel, Contract, ContractBuilder, CoreError,
     Discretization, ModelParams, RoundRecord,
@@ -118,8 +118,9 @@ impl AdaptiveSimulation {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParams`] for a zero-round horizon or
-    /// zero intervals, and propagates design/best-response failures.
+    /// Returns [`CoreError::InvalidParams`] for a zero-round horizon,
+    /// zero intervals, or a negative or non-finite feedback or audit
+    /// noise level, and propagates design/best-response failures.
     pub fn run(&self, agents: &[AdaptiveAgent]) -> Result<AdaptiveOutcome, CoreError> {
         if self.config.rounds == 0 {
             return Err(CoreError::InvalidParams(
@@ -129,6 +130,8 @@ impl AdaptiveSimulation {
         if self.config.intervals == 0 {
             return Err(CoreError::InvalidParams("intervals must be >= 1".into()));
         }
+        check_noise_sd("feedback_noise_sd", self.config.feedback_noise_sd)?;
+        check_noise_sd("audit_noise_sd", self.config.audit_noise_sd)?;
         let mut rng = StdRng::seed_from_u64(self.config.seed);
 
         // The requester's beliefs: per-group psi and per-agent weight.
@@ -496,5 +499,17 @@ mod tests {
             },
         );
         assert!(sim.run(&[]).is_err());
+    }
+
+    #[test]
+    fn negative_or_non_finite_noise_levels_are_rejected() {
+        for sd in [-1.0, f64::NAN, f64::INFINITY] {
+            let feedback = AdaptiveConfig { feedback_noise_sd: sd, ..config(1, 1) };
+            let audit = AdaptiveConfig { audit_noise_sd: sd, ..config(1, 1) };
+            for config in [feedback, audit] {
+                let err = AdaptiveSimulation::new(params(), config).run(&[]).unwrap_err();
+                assert!(matches!(err, CoreError::InvalidParams(_)), "{sd}: {err}");
+            }
+        }
     }
 }

@@ -275,14 +275,16 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParams`] for a zero-round horizon and
-    /// propagates best-response failures (invalid ψ).
+    /// Returns [`CoreError::InvalidParams`] for a zero-round horizon or
+    /// a negative or non-finite noise level, and propagates
+    /// best-response failures (invalid ψ).
     pub fn start(&self, agents: &[AgentSpec]) -> Result<SimState, CoreError> {
         if self.config.rounds == 0 {
             return Err(CoreError::InvalidParams(
                 "simulation needs at least one round".into(),
             ));
         }
+        check_noise_sd("feedback_noise_sd", self.config.feedback_noise_sd)?;
         let rng = StdRng::seed_from_u64(self.config.seed);
 
         // Stationary best responses (the agent's ω, not the requester's).
@@ -374,7 +376,8 @@ impl Simulation {
                 payment += state.pending_payment[i];
                 state.agent_compensation[i] += state.pending_payment[i];
             } else {
-                state.delayed_payments[i].push((t + delay, state.pending_payment[i]));
+                let due = t.saturating_add(delay); // past the horizon: never lands
+                state.delayed_payments[i].push((due, state.pending_payment[i]));
             }
             // Credit delayed payments that have come due.
             let mut idx = 0;
@@ -425,6 +428,15 @@ impl Simulation {
             rounds: state.rounds.clone(),
         })
     }
+}
+
+/// Rejects a noise standard deviation that is negative or not finite
+/// (NaN would silently switch the noise off, ∞ lose every report).
+pub(crate) fn check_noise_sd(name: &str, sd: f64) -> Result<(), CoreError> {
+    if sd.is_finite() && sd >= 0.0 {
+        return Ok(());
+    }
+    Err(CoreError::InvalidParams(format!("{name} must be a nonnegative finite number, got {sd}")))
 }
 
 /// One standard-normal draw (Box–Muller, cosine branch): two uniforms
@@ -723,6 +735,25 @@ mod tests {
             (paid_on_time - paid_delayed - last_pending).abs() < 1e-9,
             "delayed total {paid_delayed} vs on-time {paid_on_time}"
         );
+    }
+
+    #[test]
+    fn a_delay_past_the_horizon_never_lands() {
+        let agents = [built_agent(0, 0.0, 1.0, true)];
+        let past_horizon = sim(0.0).run_with_faults(&agents, &mut DelayEverythingBy(13));
+        let saturated = sim(0.0).run_with_faults(&agents, &mut DelayEverythingBy(usize::MAX));
+        let saturated = saturated.unwrap();
+        assert_eq!(saturated, past_horizon.unwrap());
+        assert_eq!(saturated.agent_compensation[0], 0.0);
+    }
+
+    #[test]
+    fn negative_or_non_finite_noise_is_rejected() {
+        let agents = [built_agent(0, 0.0, 1.0, true)];
+        for noise in [-1.0, f64::NAN, f64::INFINITY] {
+            let err = sim(noise).run(&agents).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidParams(_)), "{noise}: {err}");
+        }
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! Runners that regenerate every table and figure of the paper's
 //! evaluation (§V) plus the Fig. 6 bound analysis, on the synthetic trace
-//! substrate. Each runner returns a typed result *and* renders the same
-//! rows/series the paper reports; the binaries in `src/bin` print them.
+//! substrate, and the extensions E8–E15. Each runner returns a typed
+//! result *and* renders the same rows/series the paper reports.
+//! [`suite::ARTIFACTS`] registers all fifteen; `dcc experiment NAME|all`
+//! runs them.
 //!
 //! | id | artifact | runner |
 //! |----|----------|--------|
@@ -33,6 +35,7 @@ pub mod fig8a;
 pub mod fig8b;
 pub mod fig8c;
 pub mod sensitivity;
+pub mod suite;
 pub mod table2;
 pub mod table3;
 
@@ -51,16 +54,16 @@ use std::sync::Mutex;
 static METRICS: Mutex<Option<Metrics>> = Mutex::new(None);
 
 /// Installs the metrics handle every subsequent experiment engine run
-/// publishes through. Binaries call this once at startup (e.g. the
-/// `all` binary installs a `JsonRecorder` when `--csv DIR` is given and
-/// writes the document next to the CSVs); the default is a noop
-/// recorder, which keeps the runners overhead-free.
+/// publishes through. `dcc experiment all --csv DIR` installs a
+/// `JsonRecorder` before the suite and writes its document next to the
+/// CSVs; the default is a noop recorder, which keeps the runners
+/// overhead-free.
 pub fn install_metrics(metrics: Metrics) {
     *METRICS.lock().unwrap_or_else(|e| e.into_inner()) = Some(metrics);
 }
 
-/// The currently installed metrics handle (noop unless a binary
-/// installed one).
+/// The currently installed metrics handle (noop unless one was
+/// installed).
 pub fn current_metrics() -> Metrics {
     METRICS
         .lock()
@@ -143,20 +146,6 @@ impl ExperimentScale {
     pub fn generate(self, seed: u64) -> TraceDataset {
         self.trace_config(seed).generate()
     }
-}
-
-/// Reads the scale from process args (`--scale small|paper`), defaulting
-/// to [`ExperimentScale::Paper`] for binaries.
-pub fn scale_from_args() -> ExperimentScale {
-    let args: Vec<String> = std::env::args().collect();
-    for pair in args.windows(2) {
-        if pair[0] == "--scale" {
-            if let Some(s) = ExperimentScale::parse(&pair[1]) {
-                return s;
-            }
-        }
-    }
-    ExperimentScale::Paper
 }
 
 /// The default experiment seed (shared so all artifacts come from the

@@ -105,6 +105,25 @@ fn parse<T: std::str::FromStr>(field: &str, line: usize, what: &str) -> Result<T
     })
 }
 
+/// A float field as [`write_trace_csv`] writes it: finite.
+fn finite(field: &str, line: usize, what: &str) -> Result<f64, TraceError> {
+    let x: f64 = parse(field, line, what)?;
+    x.is_finite().then_some(x).ok_or_else(|| TraceError::Parse {
+        line,
+        message: format!("{what} must be finite, got {field:?}"),
+    })
+}
+
+/// The row's fields, which must be `len`.
+fn fields<'a>(row: &'a str, n: usize, len: usize, what: &str) -> Result<Vec<&'a str>, TraceError> {
+    let fields: Vec<&str> = row.split(',').collect();
+    if fields.len() != len {
+        let message = format!("expected {len} {what} fields, got {}", fields.len());
+        return Err(TraceError::Parse { line: n, message });
+    }
+    Ok(fields)
+}
+
 /// Reads a trace previously written by [`write_trace_csv`].
 ///
 /// Campaign ids in the file may be sparse: campaigns are renumbered
@@ -120,27 +139,19 @@ fn parse<T: std::str::FromStr>(field: &str, line: usize, what: &str) -> Result<T
 pub fn read_trace_csv(dir: &Path) -> Result<TraceDataset, TraceError> {
     let mut products = Vec::new();
     for_each_row(&dir.join("products.csv"), |n, line| {
-        let mut f = line.split(',');
-        let id: usize = parse(f.next().unwrap_or(""), n, "product id")?;
-        let q: f64 = parse(f.next().unwrap_or(""), n, "true_quality")?;
+        let fields = fields(line, n, 2, "product")?;
         products.push(Product {
-            id: ProductId(id),
-            true_quality: q,
+            id: ProductId(parse(fields[0], n, "product id")?),
+            true_quality: finite(fields[1], n, "true_quality")?,
         });
         Ok(())
     })?;
 
     let mut reviewers = Vec::new();
     for_each_row(&dir.join("reviewers.csv"), |n, line| {
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 4 {
-            return Err(TraceError::Parse {
-                line: n,
-                message: format!("expected 4 reviewer fields, got {}", fields.len()),
-            });
-        }
+        let fields = fields(line, n, 4, "reviewer")?;
         let id: usize = parse(fields[0], n, "reviewer id")?;
-        let class = WorkerClass::from_code(fields[1]).ok_or(TraceError::Parse {
+        let class = WorkerClass::from_code(fields[1]).ok_or_else(|| TraceError::Parse {
             line: n,
             message: format!("unknown class code {:?}", fields[1]),
         })?;
@@ -149,7 +160,14 @@ pub fn read_trace_csv(dir: &Path) -> Result<TraceDataset, TraceError> {
         } else {
             Some(parse(fields[2], n, "campaign id")?)
         };
-        let is_expert = fields[3] == "1";
+        let is_expert = match fields[3] {
+            "0" => false,
+            "1" => true,
+            other => {
+                let message = format!("is_expert must be 0 or 1, got {other:?}");
+                return Err(TraceError::Parse { line: n, message });
+            }
+        };
         reviewers.push(Reviewer {
             id: ReviewerId(id),
             class,
@@ -161,20 +179,14 @@ pub fn read_trace_csv(dir: &Path) -> Result<TraceDataset, TraceError> {
 
     let mut reviews = Vec::new();
     for_each_row(&dir.join("reviews.csv"), |n, line| {
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 6 {
-            return Err(TraceError::Parse {
-                line: n,
-                message: format!("expected 6 review fields, got {}", fields.len()),
-            });
-        }
+        let fields = fields(line, n, 6, "review")?;
         reviews.push(Review {
             reviewer: ReviewerId(parse(fields[0], n, "reviewer id")?),
             product: ProductId(parse(fields[1], n, "product id")?),
             round: parse(fields[2], n, "round")?,
             stars: parse(fields[3], n, "stars")?,
             length_chars: parse(fields[4], n, "length")?,
-            upvotes: parse(fields[5], n, "upvotes")?,
+            upvotes: finite(fields[5], n, "upvotes")?,
         });
         Ok(())
     })?;

@@ -11,9 +11,10 @@
 //! valid files mutated row by row (fields dropped or added; ids made
 //! huge, sparse or out of range; bytes that are not UTF-8; stars that are
 //! NaN or infinite; rows repeated or deleted; campaign ids spread apart).
-//! Fixed cases pin the sparse-id renumbering and the line a non-UTF-8
-//! error names, and a timed case keeps the campaign rebuild linear in the
-//! reviews.
+//! Fixed cases pin the sparse-id renumbering, the line a non-UTF-8
+//! error names and the rows the writer never writes (a wrong product
+//! field count, an `is_expert` other than 0/1, a non-finite float), and
+//! a timed case keeps the campaign rebuild linear in the reviews.
 
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
@@ -265,6 +266,74 @@ fn non_utf8_row_is_a_parse_error_naming_its_line() {
     let err = read_trace_csv(&dir).unwrap_err();
     fs::remove_dir_all(&dir).ok();
     assert!(matches!(err, TraceError::Parse { line: 3, .. }), "{err}");
+}
+
+/// Rows `write_trace_csv` never writes: a product row with other than
+/// two fields, an `is_expert` other than `0`/`1`, a non-finite
+/// `true_quality` or `upvotes`.
+#[test]
+fn rows_the_writer_never_writes_are_parse_errors_naming_their_line() {
+    const PRODUCTS: &[u8] = b"id,true_quality\n0,3.0\n1,4.0\n";
+    const REVIEWERS: &[u8] = b"id,class,campaign,is_expert\n0,H,,0\n1,H,,1\n";
+    const REVIEWS: &[u8] = b"reviewer,product,round,stars,length_chars,upvotes\n\
+                             0,0,0,4,100,1\n1,1,0,3,100,2\n";
+    let cases: [(&str, [&[u8]; 3], usize); 6] = [
+        (
+            "extra product fields",
+            [b"id,q\n0,3.0,junk,more\n1,4.0\n", REVIEWERS, REVIEWS],
+            2,
+        ),
+        (
+            "missing product field",
+            [b"id,q\n0,3.0\n1\n", REVIEWERS, REVIEWS],
+            3,
+        ),
+        (
+            "is_expert yes",
+            [
+                PRODUCTS,
+                b"id,class,campaign,is_expert\n0,H,,0\n1,H,,yes\n",
+                REVIEWS,
+            ],
+            3,
+        ),
+        (
+            "NaN true_quality",
+            [b"id,q\n0,NaN\n1,4.0\n", REVIEWERS, REVIEWS],
+            2,
+        ),
+        (
+            "inf upvotes",
+            [PRODUCTS, REVIEWERS, b"header\n0,0,0,4,100,inf\n"],
+            2,
+        ),
+        (
+            "NaN upvotes",
+            [
+                PRODUCTS,
+                REVIEWERS,
+                b"header\n0,0,0,4,100,1\n1,1,0,3,100,NaN\n",
+            ],
+            3,
+        ),
+    ];
+    let read = |files: [&[u8]; 3]| {
+        let dir = write_files(files);
+        let outcome = read_trace_csv(&dir);
+        fs::remove_dir_all(&dir).ok();
+        outcome
+    };
+    assert!(read([PRODUCTS, REVIEWERS, REVIEWS]).is_ok());
+    let wrong: Vec<String> = cases
+        .into_iter()
+        .filter_map(|(name, files, line)| match read(files) {
+            Err(TraceError::Parse { line: at, .. }) if at == line => None,
+            other => Some(format!(
+                "{name}: want a parse error at line {line}, got {other:?}"
+            )),
+        })
+        .collect();
+    assert!(wrong.is_empty(), "{wrong:#?}");
 }
 
 #[test]
