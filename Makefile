@@ -67,21 +67,25 @@ chaos-sim:
 	done
 
 # CLI-level crash-recovery matrix for the supervised batch scheduler:
-# run an 8-scenario grid to completion, kill checkpointed runs at
-# 25/50/75% (--kill-at 2/4/6), resume each, and require the resumed
-# report to be byte-identical to the uninterrupted one.
+# run a 10-scenario grid to completion — its two mu = -1.0 scenarios
+# are quarantined, so failed records travel through the checkpoint too
+# — kill checkpointed runs at about 25/50/75% (--kill-at 3/5/8), resume
+# each, and require the resumed report to be byte-identical to the
+# uninterrupted one.
 chaos-batch:
 	rm -rf target/chaos-batch && mkdir -p target/chaos-batch
 	cargo run --release -q -p dcc-cli --bin dcc -- gen --seed 11 --scale small --out target/chaos-batch/trace
 	printf '%s\n' \
 	  '{"schema": "dcc-batch/1",' \
 	  ' "traces": [{"csv": "target/chaos-batch/trace", "label": "chaos"}],' \
-	  ' "mus": [1.8, 1.5, 1.2, 1.0],' \
+	  ' "mus": [1.8, 1.5, -1.0, 1.2, 1.0],' \
 	  ' "budget_fractions": [0.5, 1.0],' \
 	  ' "sim": {"rounds": 4, "noise": 0.25, "seed": 7}}' \
 	  > target/chaos-batch/grid.json
 	cargo run --release -q -p dcc-cli --bin dcc -- batch target/chaos-batch/grid.json --serial --policy skip > target/chaos-batch/full.txt
-	for k in 2 4 6; do \
+	grep -q '^quarantine: 2 scenarios$$' target/chaos-batch/full.txt || \
+	  { echo "chaos-batch: expected 2 quarantined scenarios"; exit 1; }
+	for k in 3 5 8; do \
 	  rm -f target/chaos-batch/batch.ckpt; \
 	  cargo run --release -q -p dcc-cli --bin dcc -- batch target/chaos-batch/grid.json --serial --policy skip \
 	    --checkpoint target/chaos-batch/batch.ckpt --kill-at $$k || exit 1; \

@@ -1,12 +1,14 @@
-//! The `dcc-batch-ckpt/2` checkpoint: a periodic partial-results
+//! The `dcc-batch-ckpt/3` checkpoint: a periodic partial-results
 //! snapshot of a supervised batch run, keyed by the grid fingerprint.
 //!
 //! A checkpoint stores, per completed scenario, either a
 //! [`ScenarioSummary`] (the canonical deterministic outputs of a
-//! successful scenario) or the terminal [`ScenarioFailure`] — plus the
-//! attempt count either way. Floats round-trip bit-exactly through
-//! [`dcc_faults::Json`]'s shortest-round-trip rendering, which is what
-//! makes a resumed run's output byte-identical to an uninterrupted one.
+//! successful scenario) or the [`ScenarioFailure`] that quarantined it:
+//! each record is `{"id", "summary"}` or `{"id", "failure"}`, and a file
+//! of an earlier schema (`/1`, `/2`) is refused. Floats round-trip
+//! bit-exactly through [`dcc_faults::Json`]'s shortest-round-trip
+//! rendering, which is what makes a resumed run's output byte-identical
+//! to an uninterrupted one.
 //!
 //! It is the shared checkpoint document of `dcc_faults::checkpoint`
 //! (`{"schema", "payload"}`), written by `save_json_atomic` every
@@ -29,7 +31,7 @@ use crate::runner::ScenarioOutcome;
 use crate::supervisor::{FailureKind, ScenarioFailure};
 
 /// Schema tag of the batch checkpoint document.
-pub const CKPT_SCHEMA: &str = "dcc-batch-ckpt/2";
+pub const CKPT_SCHEMA: &str = "dcc-batch-ckpt/3";
 
 /// The canonical per-agent outputs of a designed scenario — everything
 /// the batch CLI and the differential suites derive per agent.
@@ -61,7 +63,7 @@ pub struct SimSummary {
 /// batch scenario: everything `dcc batch` renders and everything the
 /// byte-identity differential tests compare is derivable from it,
 /// whether the scenario was computed this run or restored from a
-/// `dcc-batch-ckpt/2` snapshot.
+/// `dcc-batch-ckpt/3` snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSummary {
     /// The designed `Σ (w q − μ c)` requester utility.
@@ -115,18 +117,10 @@ impl ScenarioSummary {
     }
 }
 
-/// One checkpointed scenario result.
+/// One checkpointed scenario result: its success summary or the
+/// failure that quarantined it.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CkptEntry {
-    /// Attempts the supervisor performed.
-    pub attempts: usize,
-    /// Success summary or terminal failure.
-    pub payload: CkptPayload,
-}
-
-/// Success or failure payload of a checkpoint entry.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum CkptPayload {
+pub(crate) enum CkptEntry {
     Summary(ScenarioSummary),
     Failure(ScenarioFailure),
 }
@@ -244,18 +238,17 @@ fn summary_from_json(json: &Json) -> Result<ScenarioSummary, String> {
 }
 
 fn entry_to_json(id: usize, entry: &CkptEntry) -> Json {
-    let mut fields = vec![("id", Json::idx(id)), ("attempts", Json::idx(entry.attempts))];
-    match &entry.payload {
-        CkptPayload::Summary(summary) => fields.push(("summary", summary_to_json(summary))),
-        CkptPayload::Failure(failure) => fields.push((
+    let result = match entry {
+        CkptEntry::Summary(summary) => ("summary", summary_to_json(summary)),
+        CkptEntry::Failure(failure) => (
             "failure",
             obj(vec![
                 ("kind", Json::Str(failure.kind.label().to_string())),
                 ("message", Json::Str(failure.message.clone())),
             ]),
-        )),
-    }
-    obj(fields)
+        ),
+    };
+    obj(vec![("id", Json::idx(id)), result])
 }
 
 fn entry_from_json(json: &Json, total: usize) -> Result<(usize, CkptEntry), String> {
@@ -263,22 +256,20 @@ fn entry_from_json(json: &Json, total: usize) -> Result<(usize, CkptEntry), Stri
     if id >= total {
         return Err(format!("scenario id {id} out of range (grid has {total})"));
     }
-    let attempts = as_idx(json, "attempts")?;
-    let payload = match (json.get("summary"), json.get("failure")) {
-        (Some(summary), None) => CkptPayload::Summary(summary_from_json(summary)?),
+    let entry = match (json.get("summary"), json.get("failure")) {
+        (Some(summary), None) => CkptEntry::Summary(summary_from_json(summary)?),
         (None, Some(failure)) => {
             let kind_label = as_str(failure, "kind")?;
             let kind = FailureKind::parse(kind_label)
                 .ok_or_else(|| format!("unknown failure kind {kind_label:?}"))?;
-            CkptPayload::Failure(ScenarioFailure {
+            CkptEntry::Failure(ScenarioFailure {
                 kind,
                 message: as_str(failure, "message")?.to_string(),
-                attempts,
             })
         }
         _ => return Err(format!("record {id} needs exactly one of summary/failure")),
     };
-    Ok((id, CkptEntry { attempts, payload }))
+    Ok((id, entry))
 }
 
 /// The checkpoint document of a grid with fingerprint `grid_fp`.
@@ -479,20 +470,13 @@ mod tests {
 
     fn sample_entries() -> BTreeMap<usize, CkptEntry> {
         let mut entries = BTreeMap::new();
-        entries.insert(
-            0,
-            CkptEntry { attempts: 1, payload: CkptPayload::Summary(sample_summary(true)) },
-        );
+        entries.insert(0, CkptEntry::Summary(sample_summary(true)));
         entries.insert(
             3,
-            CkptEntry {
-                attempts: 2,
-                payload: CkptPayload::Failure(ScenarioFailure {
-                    kind: FailureKind::Panic,
-                    message: "injected fault: scenario 3 panics at Solve (attempt 1)".into(),
-                    attempts: 2,
-                }),
-            },
+            CkptEntry::Failure(ScenarioFailure {
+                kind: FailureKind::Panic,
+                message: "injected fault: scenario 3 panics at Solve".into(),
+            }),
         );
         entries
     }
@@ -514,16 +498,20 @@ mod tests {
         let err = load_checkpoint(&path, 0xdead_beef, 3).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
 
-        std::fs::write(&path, text.replace(CKPT_SCHEMA, "dcc-batch-ckpt/1")).unwrap();
-        let err = load_checkpoint(&path, 0xdead_beef, 6).unwrap_err();
-        assert!(err.to_string().contains("schema"), "{err}");
+        // The records of a `/2` file carry an attempt count; whatever
+        // its records, the file is refused by its schema, as is `/1`.
+        for old in ["dcc-batch-ckpt/1", "dcc-batch-ckpt/2"] {
+            std::fs::write(&path, text.replace(CKPT_SCHEMA, old)).unwrap();
+            let err = load_checkpoint(&path, 0xdead_beef, 6).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidInput(_)), "{err}");
+            assert!(err.to_string().contains(&format!("has schema \"{old}\"")), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn out_of_range_and_duplicate_ids_are_rejected() {
-        let entry =
-            CkptEntry { attempts: 1, payload: CkptPayload::Summary(sample_summary(false)) };
+        let entry = CkptEntry::Summary(sample_summary(false));
         let records = |ids: &[usize]| {
             obj(vec![(
                 "records",
@@ -542,15 +530,9 @@ mod tests {
         let path = temp_path("writer.ckpt");
         let _ = std::fs::remove_file(&path);
         let writer = CkptWriter::new(&path, 2, 9, BTreeMap::new());
-        writer.record(
-            1,
-            CkptEntry { attempts: 1, payload: CkptPayload::Summary(sample_summary(false)) },
-        );
+        writer.record(1, CkptEntry::Summary(sample_summary(false)));
         assert!(!path.exists(), "below the flush threshold");
-        writer.record(
-            0,
-            CkptEntry { attempts: 3, payload: CkptPayload::Summary(sample_summary(true)) },
-        );
+        writer.record(0, CkptEntry::Summary(sample_summary(true)));
         assert!(path.exists(), "threshold reached");
         assert_eq!(writer.completed(), 2);
         assert_eq!(load_checkpoint(&path, 9, 4).unwrap().len(), 2);
@@ -558,14 +540,15 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Well-formed JSON that is not a `/2` batch checkpoint: wrong
-    /// shapes, and the `/1` document of earlier releases.
-    const WRONG_SHAPES: [&str; 6] = [
+    /// Well-formed JSON that is not a `/3` batch checkpoint: wrong
+    /// shapes, and the `/1` and `/2` documents of earlier releases.
+    const WRONG_SHAPES: [&str; 7] = [
         "{}",
         "[1,2]",
-        r#"{"schema":"dcc-batch-ckpt/2","payload":{"fingerprint":"0000000000000009"}}"#,
-        r#"{"schema":"dcc-batch-ckpt/2","payload":{"fingerprint":"0000000000000009","records":[{"id":0}]}}"#,
-        r#"{"schema":"dcc-batch-ckpt/2","payload":{"fingerprint":"0000000000000009","records":[{"id":-1,"attempts":1,"failure":{"kind":"panic","message":""}}]}}"#,
+        r#"{"schema":"dcc-batch-ckpt/3","payload":{"fingerprint":"0000000000000009"}}"#,
+        r#"{"schema":"dcc-batch-ckpt/3","payload":{"fingerprint":"0000000000000009","records":[{"id":0}]}}"#,
+        r#"{"schema":"dcc-batch-ckpt/3","payload":{"fingerprint":"0000000000000009","records":[{"id":-1,"failure":{"kind":"panic","message":""}}]}}"#,
+        r#"{"schema":"dcc-batch-ckpt/2","payload":{"fingerprint":"0000000000000009","records":[{"id":0,"attempts":1,"failure":{"kind":"panic","message":""}}]}}"#,
         r#"{"schema":"dcc-batch-ckpt/1","grid_fingerprint":"0000000000000009","scenarios":6,"records":[]}"#,
     ];
 
@@ -577,7 +560,7 @@ mod tests {
             pick in proptest::prelude::any::<usize>(),
             ids in proptest::collection::vec(0usize..12, 0..6),
         ) {
-            let entry = CkptEntry { attempts: 1, payload: CkptPayload::Summary(sample_summary(true)) };
+            let entry = CkptEntry::Summary(sample_summary(true));
             let valid = checkpoint_doc(9, &sample_entries()).to_string();
             let input = match kind {
                 0 => bytes,

@@ -20,14 +20,15 @@
 //! *across* scenarios, traces, and runner invocations (warm reruns skip
 //! straight to the solve).
 //!
-//! Every scenario executes under **supervision**
+//! Every scenario executes once under **supervision**
 //! ([`BatchRunner::run_supervised`]): panics are caught and isolated
 //! (a poisoned scenario can neither wedge nor contaminate the shared
-//! memo), transient failures retry on the deterministic
-//! `dcc-faults` backoff schedule, an optional logical work-budget
-//! bounds each scenario, and terminal failures are quarantined into a
-//! typed [`QuarantineReport`]. With a [`CheckpointConfig`] the runner
-//! writes versioned `dcc-batch-ckpt/2` snapshots and can resume an
+//! memo), an optional logical work-budget bounds each scenario, and a
+//! failed scenario is quarantined: its record carries a typed
+//! [`ScenarioFailure`] ([`BatchReport::failures`]) and the sweep goes
+//! on. A scenario is a pure function of its trace and configuration,
+//! so it is never run again. With a [`CheckpointConfig`] the runner
+//! writes versioned `dcc-batch-ckpt/3` snapshots and can resume an
 //! interrupted sweep with output byte-identical to an uninterrupted
 //! run at every pool size — see `docs/batch.md` and
 //! `docs/robustness.md`.
@@ -68,5 +69,5 @@ pub use runner::{
 };
 pub use supervisor::{
     BatchFaultPlan, BatchOutcome, CheckpointConfig, FailureKind, FaultMode, FaultPoint,
-    QuarantineEntry, QuarantineReport, ScenarioFailure, ScenarioFault, SupervisorOptions,
+    ScenarioFailure, ScenarioFault, SupervisorOptions,
 };

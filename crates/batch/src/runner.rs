@@ -19,14 +19,14 @@
 //! block nor contaminate its siblings (values reach the memo only from
 //! successfully computed slots).
 //!
-//! Every scenario runs under supervision
+//! Every scenario runs once under supervision
 //! ([`BatchRunner::run_supervised`]): `catch_unwind` panic isolation,
-//! the deterministic retry schedule of
-//! [`dcc_faults::retry_with_backoff_on`], an optional logical
-//! work-budget, and quarantine into [`BatchReport::quarantine`] when
-//! retries exhaust. With a [`CheckpointConfig`] the runner snapshots
-//! partial results (`dcc-batch-ckpt/2`) and can resume an interrupted
-//! sweep with output byte-identical to an uninterrupted run.
+//! an optional logical work-budget, and quarantine: a failed scenario's
+//! record carries its [`ScenarioFailure`] and the sweep goes on
+//! ([`BatchReport::failures`]). With a [`CheckpointConfig`] the runner
+//! snapshots partial results (`dcc-batch-ckpt/3`) and can resume an
+//! interrupted sweep with output byte-identical to an uninterrupted
+//! run.
 //!
 //! Cache accounting is *deterministic by convention*: a scenario is
 //! counted as cached when the memo already held the key at run start
@@ -38,16 +38,15 @@
 //! and, because the accounting pass covers restored scenarios too,
 //! resume-independent.
 
-use crate::ckpt::{load_checkpoint, CkptEntry, CkptPayload, CkptWriter, ScenarioSummary};
+use crate::ckpt::{load_checkpoint, CkptEntry, CkptWriter, ScenarioSummary};
 use crate::grid::{strategy_label, Scenario, ScenarioGrid, TraceSpec};
 use crate::memo::{
     fit_fingerprint, pipeline_fingerprint, solve_fingerprint, trace_fingerprint, DetectKey, FitKey,
     MemoStats, SolveKey, StageMemo,
 };
 use crate::supervisor::{
-    panic_message, supervise_attempts, AttemptError, BatchFaultPlan, BatchOutcome, FailureKind,
-    FaultPoint, QuarantineEntry, QuarantineReport, ScenarioFailure, Slot, SupervisorOptions,
-    WorkBudget,
+    panic_message, BatchFaultPlan, BatchOutcome, FailureKind, FaultPoint, ScenarioFailure, Slot,
+    SupervisorOptions, WorkBudget,
 };
 use dcc_core::{
     select_within_budget, BudgetedSelection, ContractDesign, CoreError, DesignPrep,
@@ -156,7 +155,7 @@ pub struct ScenarioOutcome {
 pub enum ScenarioResult {
     /// Computed this run; the full outcome is available.
     Computed(ScenarioOutcome),
-    /// Restored from a `dcc-batch-ckpt/2` checkpoint; only the
+    /// Restored from a `dcc-batch-ckpt/3` checkpoint; only the
     /// canonical [`ScenarioSummary`] survives a process boundary.
     Restored(ScenarioSummary),
 }
@@ -166,12 +165,10 @@ pub enum ScenarioResult {
 pub struct ScenarioRecord {
     /// The grid point this record answers.
     pub scenario: Scenario,
-    /// The outcome (computed or restored), or the terminal failure
-    /// (present in the report only under non-abort policies).
+    /// The outcome (computed or restored), or the failure that
+    /// quarantined the scenario (present in the report only under
+    /// non-abort policies).
     pub result: Result<ScenarioResult, ScenarioFailure>,
-    /// Supervised attempts performed (1 = first try succeeded; for a
-    /// restored record, the attempt count of the original run).
-    pub attempts: usize,
     /// Whether the serial schedule would have reused the detection
     /// (see the module docs on deterministic cache accounting).
     pub detect_cached: bool,
@@ -206,7 +203,7 @@ impl ScenarioRecord {
         }
     }
 
-    /// The terminal failure, if the scenario was quarantined.
+    /// The failure, if the scenario was quarantined.
     pub fn failure(&self) -> Option<&ScenarioFailure> {
         self.result.as_ref().err()
     }
@@ -244,8 +241,6 @@ pub struct BatchReport {
     /// Deterministic cache accounting for this run (covers restored
     /// scenarios too, so it is resume-invariant).
     pub stats: MemoStats,
-    /// Scenarios that exhausted supervision, in input order.
-    pub quarantine: QuarantineReport,
     /// Scenarios restored from a checkpoint instead of recomputed.
     pub restored: usize,
     /// Total wall time (not part of deterministic output).
@@ -255,7 +250,15 @@ pub struct BatchReport {
 impl BatchReport {
     /// Records that ended in an error.
     pub fn failed(&self) -> usize {
-        self.records.iter().filter(|r| r.result.is_err()).count()
+        self.failures().count()
+    }
+
+    /// The quarantined scenarios: each failed record's scenario id and
+    /// failure, in input order — deterministic at every pool size.
+    pub fn failures(&self) -> impl Iterator<Item = (usize, &ScenarioFailure)> {
+        self.records
+            .iter()
+            .filter_map(|r| r.failure().map(|f| (r.scenario.id, f)))
     }
 }
 
@@ -323,9 +326,10 @@ impl BatchRunner {
         }
     }
 
-    /// Runs a scenario list under full supervision: panic isolation,
-    /// deterministic retries, work budgets, quarantine, and (when
-    /// configured) `dcc-batch-ckpt/2` checkpointing with kill/resume.
+    /// Runs a scenario list under full supervision: each scenario runs
+    /// once with panic isolation, a work budget and quarantine, and
+    /// (when configured) `dcc-batch-ckpt/3` checkpointing with
+    /// kill/resume.
     ///
     /// A resumed run's report — records, summaries, failures, cache
     /// flags, stats — is byte-identical to an uninterrupted run at
@@ -466,16 +470,13 @@ impl BatchRunner {
                 solve_flags.get(i).copied().unwrap_or(false),
             );
             if let Some(entry) = restored.get(&i) {
-                let result = match &entry.payload {
-                    CkptPayload::Summary(summary) => {
-                        Ok(ScenarioResult::Restored(summary.clone()))
-                    }
-                    CkptPayload::Failure(failure) => Err(failure.clone()),
+                let result = match entry {
+                    CkptEntry::Summary(summary) => Ok(ScenarioResult::Restored(summary.clone())),
+                    CkptEntry::Failure(failure) => Err(failure.clone()),
                 };
                 return Some(ScenarioRecord {
                     scenario: *scenario,
                     result,
-                    attempts: entry.attempts,
                     detect_cached: flags.0,
                     fit_cached: flags.1,
                     solve_cached: flags.2,
@@ -494,23 +495,19 @@ impl BatchRunner {
                 reason = "worker-measured scenario duration, recorded post-merge and redacted in deterministic output"
             )]
             let t0 = Instant::now();
-            let (result, attempts) = supervise_attempts(scenario.id, sup.max_retries, |attempt| {
-                run_attempt(
-                    grid,
-                    scenario,
-                    trace,
-                    detect_slot,
-                    fit_slot,
-                    solve_slot,
-                    &sup.faults,
-                    attempt,
-                    sup.scenario_budget,
-                )
-            });
+            let result = run_scenario(
+                grid,
+                scenario,
+                trace,
+                detect_slot,
+                fit_slot,
+                solve_slot,
+                &sup.faults,
+                sup.scenario_budget,
+            );
             Some(ScenarioRecord {
                 scenario: *scenario,
                 result: result.map(ScenarioResult::Computed),
-                attempts,
                 detect_cached: flags.0,
                 fit_cached: flags.1,
                 solve_cached: flags.2,
@@ -639,9 +636,7 @@ impl BatchRunner {
                         result: Err(ScenarioFailure {
                             kind: FailureKind::Error,
                             message: "scenario produced no record".to_string(),
-                            attempts: 0,
                         }),
-                        attempts: 0,
                         detect_cached: false,
                         fit_cached: false,
                         solve_cached: false,
@@ -667,24 +662,10 @@ impl BatchRunner {
             }
         }
 
-        let quarantine = QuarantineReport {
-            entries: records
-                .iter()
-                .filter_map(|r| {
-                    r.failure().map(|f| QuarantineEntry {
-                        scenario: r.scenario.id,
-                        kind: f.kind,
-                        attempts: f.attempts,
-                        message: f.message.clone(),
-                    })
-                })
-                .collect(),
-        };
         let restored_count = records.iter().filter(|r| r.restored()).count();
         let report = BatchReport {
             records,
             stats,
-            quarantine,
             restored: restored_count,
             elapsed: started.elapsed(),
         };
@@ -835,26 +816,14 @@ impl BatchRunner {
         metrics.add(obs::COUNTER_BATCH_FIT_MISS, report.stats.fit.misses);
         metrics.add(obs::COUNTER_BATCH_SOLVE_HIT, report.stats.solve.hits);
         metrics.add(obs::COUNTER_BATCH_SOLVE_MISS, report.stats.solve.misses);
-        let retries: u64 = report
-            .records
-            .iter()
-            .map(|r| r.attempts.saturating_sub(1) as u64)
-            .sum();
-        let recovered = report
-            .records
-            .iter()
-            .filter(|r| r.attempts > 1 && r.result.is_ok())
-            .count();
-        metrics.add(obs::COUNTER_BATCH_RETRY_ATTEMPTS, retries);
-        metrics.add(obs::COUNTER_BATCH_RETRY_RECOVERED, recovered as u64);
-        metrics.add(obs::COUNTER_BATCH_QUARANTINE_SCENARIOS, report.quarantine.len() as u64);
-        metrics.add(
-            obs::COUNTER_BATCH_QUARANTINE_PANICS,
-            report.quarantine.count_of(FailureKind::Panic) as u64,
-        );
+        let quarantined = |kind: FailureKind| {
+            report.failures().filter(|(_, f)| f.kind == kind).count() as u64
+        };
+        metrics.add(obs::COUNTER_BATCH_QUARANTINE_SCENARIOS, report.failed() as u64);
+        metrics.add(obs::COUNTER_BATCH_QUARANTINE_PANICS, quarantined(FailureKind::Panic));
         metrics.add(
             obs::COUNTER_BATCH_QUARANTINE_BUDGET,
-            report.quarantine.count_of(FailureKind::BudgetExhausted) as u64,
+            quarantined(FailureKind::BudgetExhausted),
         );
         metrics.add(obs::COUNTER_BATCH_RESTORED, report.restored as u64);
         metrics.gauge(obs::GAUGE_BATCH_POOL, workers as f64);
@@ -882,7 +851,7 @@ fn scenario_solve_fp(grid: &ScenarioGrid, scenario: &Scenario) -> u64 {
 
 /// Fingerprint of the *whole run*: every scenario's grid point, its
 /// trace content, and the shared pipeline/fit/solve/sim configuration.
-/// A `dcc-batch-ckpt/2` checkpoint is only valid against the exact run
+/// A `dcc-batch-ckpt/3` checkpoint is only valid against the exact run
 /// that wrote it, so restored results can never silently mix grids.
 fn grid_fingerprint(
     grid: &ScenarioGrid,
@@ -914,15 +883,11 @@ fn grid_fingerprint(
 /// `None` for restored records (already in the writer's seed set).
 fn ckpt_entry_of(record: &ScenarioRecord) -> Option<CkptEntry> {
     match &record.result {
-        Ok(ScenarioResult::Computed(outcome)) => Some(CkptEntry {
-            attempts: record.attempts,
-            payload: CkptPayload::Summary(ScenarioSummary::of(outcome)),
-        }),
+        Ok(ScenarioResult::Computed(outcome)) => {
+            Some(CkptEntry::Summary(ScenarioSummary::of(outcome)))
+        }
         Ok(ScenarioResult::Restored(_)) => None,
-        Err(failure) => Some(CkptEntry {
-            attempts: record.attempts,
-            payload: CkptPayload::Failure(failure.clone()),
-        }),
+        Err(failure) => Some(CkptEntry::Failure(failure.clone())),
     }
 }
 
@@ -935,19 +900,18 @@ fn resolved_pool(pool: PoolSize, n: usize) -> usize {
     }
 }
 
-/// Runs one supervised attempt of a scenario against pre-resolved
-/// shared state, reproducing a serial engine run bit-exactly: the
-/// pre-seeded detection and fit are the same values `Engine::run_to`
-/// would compute, and the solve / construct / simulate stages run
-/// through the engine itself.
+/// Runs one scenario against pre-resolved shared state, reproducing a
+/// serial engine run bit-exactly: the pre-seeded detection and fit are
+/// the same values `Engine::run_to` would compute, and the solve /
+/// construct / simulate stages run through the engine itself.
 ///
-/// The whole attempt runs under `catch_unwind`, and each stage charges
+/// The whole scenario runs under `catch_unwind`, and each stage charges
 /// its *data-derived* work cost **before** consulting the shared slot
 /// — so work-budget exhaustion and fault injection are deterministic
 /// and pool-invariant regardless of which sibling physically computes
 /// a shared stage.
 #[allow(clippy::too_many_arguments)]
-fn run_attempt(
+fn run_scenario(
     grid: &ScenarioGrid,
     scenario: &Scenario,
     trace: &Arc<TraceDataset>,
@@ -955,10 +919,9 @@ fn run_attempt(
     fit_slot: &FitSlot,
     solve_slot: &SolveSlot,
     faults: &BatchFaultPlan,
-    attempt: usize,
     budget_units: Option<u64>,
-) -> Result<ScenarioOutcome, AttemptError> {
-    let body = || -> Result<ScenarioOutcome, AttemptError> {
+) -> Result<ScenarioOutcome, ScenarioFailure> {
+    let body = || -> Result<ScenarioOutcome, ScenarioFailure> {
         let mut budget = WorkBudget::new(budget_units);
         let mut design = grid.design;
         design.params.mu = scenario.mu;
@@ -967,35 +930,35 @@ fn run_attempt(
         // fitting.
         design
             .validate()
-            .map_err(|e| AttemptError::Error(e.to_string()))?;
+            .map_err(|e| ScenarioFailure::error(e.to_string()))?;
 
         let reviews = trace.reviews().len() as u64;
         budget.charge("detect", reviews)?;
-        faults.fire_at(scenario.id, attempt, FaultPoint::Detect)?;
+        faults.fire_at(scenario.id, FaultPoint::Detect);
         let detection = detect_slot
             .get_or_compute(|| {
-                faults.fire_in_stage(scenario.id, attempt, FaultPoint::Detect);
+                faults.fire_in_stage(scenario.id, FaultPoint::Detect);
                 Arc::new(run_pipeline(trace, grid.pipeline))
             })
-            .map_err(AttemptError::Panic)?;
+            .map_err(ScenarioFailure::panic)?;
 
         budget.charge("fit", reviews)?;
-        faults.fire_at(scenario.id, attempt, FaultPoint::Fit)?;
+        faults.fire_at(scenario.id, FaultPoint::Fit);
         let prep = fit_slot
             .get_or_compute(|| {
-                faults.fire_in_stage(scenario.id, attempt, FaultPoint::Fit);
+                faults.fire_in_stage(scenario.id, FaultPoint::Fit);
                 dcc_core::prepare_design(trace, &detection, &design)
                     .map(Arc::new)
                     .map_err(|e| e.to_string())
             })
-            .map_err(AttemptError::Panic)?
-            .map_err(AttemptError::Error)?;
+            .map_err(ScenarioFailure::panic)?
+            .map_err(ScenarioFailure::error)?;
 
         budget.charge(
             "solve",
             (prep.subproblems.len() as u64).saturating_mul(design.intervals as u64),
         )?;
-        faults.fire_at(scenario.id, attempt, FaultPoint::Solve)?;
+        faults.fire_at(scenario.id, FaultPoint::Solve);
 
         // The source is a placeholder: trace/detection/prep (and, on a
         // solve-memo hit, the solved design) are pre-seeded in stage
@@ -1019,15 +982,15 @@ fn run_attempt(
 
         let designed = solve_slot
             .get_or_compute(|| {
-                faults.fire_in_stage(scenario.id, attempt, FaultPoint::Solve);
+                faults.fire_in_stage(scenario.id, FaultPoint::Solve);
                 let mut ctx = make_ctx();
                 Engine::new()
                     .run_to(&mut ctx, StageKind::ConstructContracts)
                     .map_err(|e| e.to_string())?;
                 ctx.shared_design().map_err(|e| e.to_string())
             })
-            .map_err(AttemptError::Panic)?
-            .map_err(AttemptError::Error)?;
+            .map_err(ScenarioFailure::panic)?
+            .map_err(ScenarioFailure::error)?;
 
         let full_spend: f64 = designed
             .solution
@@ -1037,26 +1000,26 @@ fn run_attempt(
             .sum();
         let selection =
             select_within_budget(&designed.solution, scenario.budget_fraction * full_spend)
-                .map_err(|e| AttemptError::Error(e.to_string()))?;
+                .map_err(|e| ScenarioFailure::error(e.to_string()))?;
         let sim = if let Some(sim_config) = grid.sim {
             budget.charge(
                 "simulate",
                 (sim_config.rounds as u64).saturating_mul(designed.agents.len() as u64),
             )?;
-            faults.fire_at(scenario.id, attempt, FaultPoint::Simulate)?;
+            faults.fire_at(scenario.id, FaultPoint::Simulate);
             let mut ctx = make_ctx();
             ctx.set_solution(Arc::clone(&designed.solution), designed.degradation.clone());
             ctx.set_design(Arc::clone(&designed));
             Engine::new()
                 .run_to(&mut ctx, StageKind::Simulate)
-                .map_err(|e| AttemptError::Error(e.to_string()))?;
+                .map_err(|e| ScenarioFailure::error(e.to_string()))?;
             match ctx
                 .sim_outcome()
-                .map_err(|e| AttemptError::Error(e.to_string()))?
+                .map_err(|e| ScenarioFailure::error(e.to_string()))?
             {
                 EngineSimOutcome::Completed { outcome, .. } => Some(outcome.clone()),
                 EngineSimOutcome::Killed { at_round, .. } => {
-                    return Err(AttemptError::Error(format!(
+                    return Err(ScenarioFailure::error(format!(
                         "scenario simulation killed at round {at_round}"
                     )));
                 }
@@ -1075,7 +1038,7 @@ fn run_attempt(
     };
     match catch_unwind(AssertUnwindSafe(body)) {
         Ok(result) => result,
-        Err(payload) => Err(AttemptError::Panic(panic_message(payload.as_ref()))),
+        Err(payload) => Err(ScenarioFailure::panic(panic_message(payload.as_ref()))),
     }
 }
 
@@ -1115,9 +1078,8 @@ mod tests {
         for r in &report.records {
             let _ = write!(
                 out,
-                "#{} a{} d{} f{} s{} ",
+                "#{} d{} f{} s{} ",
                 r.scenario.id,
-                r.attempts,
                 u8::from(r.detect_cached),
                 u8::from(r.fit_cached),
                 u8::from(r.solve_cached)
@@ -1150,15 +1112,8 @@ mod tests {
                 }
             }
         }
-        for q in &report.quarantine.entries {
-            let _ = writeln!(
-                out,
-                "quarantine #{} {} a{} {}",
-                q.scenario,
-                q.kind.label(),
-                q.attempts,
-                q.message
-            );
+        for (id, f) in report.failures() {
+            let _ = writeln!(out, "quarantine #{id} {} {}", f.kind.label(), f.message);
         }
         out
     }
@@ -1177,8 +1132,6 @@ mod tests {
         assert_eq!(report.stats.solve.misses, 3);
         assert_eq!(report.stats.solve.hits, 0);
         assert_eq!(report.failed(), 0);
-        assert!(report.quarantine.is_empty());
-        assert!(report.records.iter().all(|r| r.attempts == 1));
         // First scenario computes, the rest reuse (serial-schedule
         // accounting).
         assert!(!report.records[0].detect_cached);
@@ -1288,12 +1241,8 @@ mod tests {
         assert!(report.records[0].result.is_ok());
         assert!(report.records[1].result.is_err());
         assert!(report.records[2].result.is_ok());
-        // Deterministic errors are quarantined on the first attempt —
-        // no retry budget is spent on them.
-        assert_eq!(report.quarantine.len(), 1);
-        assert_eq!(report.quarantine.entries[0].scenario, 1);
-        assert_eq!(report.quarantine.entries[0].kind, FailureKind::Error);
-        assert_eq!(report.quarantine.entries[0].attempts, 1);
+        let quarantine: Vec<_> = report.failures().map(|(id, f)| (id, f.kind)).collect();
+        assert_eq!(quarantine, vec![(1, FailureKind::Error)]);
     }
 
     #[test]
@@ -1362,11 +1311,7 @@ mod tests {
         let sup = SupervisorOptions {
             faults: BatchFaultPlan::new().with_fault(
                 1,
-                ScenarioFault {
-                    point: FaultPoint::Solve,
-                    mode: FaultMode::Panic,
-                    fails_before: usize::MAX,
-                },
+                ScenarioFault { point: FaultPoint::Solve, mode: FaultMode::Panic },
             ),
             ..SupervisorOptions::default()
         };
@@ -1385,76 +1330,39 @@ mod tests {
         let failure = report.records[1].failure().expect("quarantined");
         assert_eq!(failure.kind, FailureKind::Panic);
         assert!(failure.message.contains("injected fault"), "{}", failure.message);
-        assert_eq!(report.quarantine.len(), 1);
-        assert_eq!(report.quarantine.count_of(FailureKind::Panic), 1);
+        assert_eq!(report.failures().map(|(id, _)| id).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
-    fn transient_faults_recover_via_retry() {
+    fn injected_panic_quarantines_deterministically() {
+        // A failing scenario runs once, and the same run quarantines it
+        // with the same failure every time.
         let grid = ScenarioGrid::for_trace(tiny(3), &[1.5, 1.0]);
         let sup = SupervisorOptions {
-            max_retries: 2,
             faults: BatchFaultPlan::new().with_fault(
-                0,
-                ScenarioFault {
-                    point: FaultPoint::Fit,
-                    mode: FaultMode::TransientError,
-                    fails_before: 2,
-                },
+                1,
+                ScenarioFault { point: FaultPoint::Detect, mode: FaultMode::Panic },
             ),
             ..SupervisorOptions::default()
         };
-        let runner = BatchRunner::new();
-        let report = runner
+        let run = || {
+            BatchRunner::with_options(BatchOptions {
+                policy: FailurePolicy::Skip,
+                ..BatchOptions::default()
+            })
             .run_supervised(&grid, &grid.scenarios(), &sup)
             .expect("supervised run")
             .into_report()
-            .expect("completed");
-        assert_eq!(report.failed(), 0);
-        assert_eq!(report.records[0].attempts, 3, "two injected failures, then success");
-        assert_eq!(report.records[1].attempts, 1);
-        // The recovered scenario's outputs equal an unfaulted run's.
-        let clean = BatchRunner::new().run(&grid).expect("clean run");
-        assert_eq!(
-            report.records[0].summary().unwrap(),
-            clean.records[0].summary().unwrap()
-        );
-    }
-
-    #[test]
-    fn retry_exhaustion_quarantines_deterministically() {
-        let grid = ScenarioGrid::for_trace(tiny(3), &[1.5, 1.0]);
-        let sup = SupervisorOptions {
-            max_retries: 1,
-            faults: BatchFaultPlan::new().with_fault(
-                1,
-                ScenarioFault {
-                    point: FaultPoint::Detect,
-                    mode: FaultMode::TransientError,
-                    fails_before: usize::MAX,
-                },
-            ),
-            ..SupervisorOptions::default()
-        };
-        let runner = BatchRunner::with_options(BatchOptions {
-            policy: FailurePolicy::Skip,
-            ..BatchOptions::default()
-        });
-        let run = || {
-            runner
-                .run_supervised(&grid, &grid.scenarios(), &sup)
-                .expect("supervised run")
-                .into_report()
-                .expect("completed")
+            .expect("completed")
         };
         let (a, b) = (run(), run());
-        assert_eq!(a.records[1].attempts, 2, "1 try + 1 retry");
-        assert_eq!(a.quarantine, b.quarantine, "quarantine must be deterministic");
-        assert!(a.records[1]
-            .failure()
-            .expect("quarantined")
-            .to_string()
-            .contains("after 2 attempts"));
+        assert_eq!(encode(&a), encode(&b), "quarantine must be deterministic");
+        let failure = a.records[1].failure().expect("quarantined");
+        assert_eq!(failure.kind, FailureKind::Panic);
+        assert_eq!(
+            failure.to_string(),
+            "panicked: injected fault: scenario 1 panics at Detect"
+        );
     }
 
     #[test]
@@ -1477,10 +1385,8 @@ mod tests {
         for r in &report.records {
             let f = r.failure().expect("budget-exhausted");
             assert_eq!(f.kind, FailureKind::BudgetExhausted);
-            assert_eq!(r.attempts, 1, "budget exhaustion must not retry");
             assert!(f.message.contains("before detect"), "{}", f.message);
         }
-        assert_eq!(report.quarantine.count_of(FailureKind::BudgetExhausted), 2);
     }
 
     #[test]
@@ -1493,11 +1399,7 @@ mod tests {
         let sup = SupervisorOptions {
             faults: BatchFaultPlan::new().with_fault(
                 1,
-                ScenarioFault {
-                    point: FaultPoint::Solve,
-                    mode: FaultMode::PanicInStage,
-                    fails_before: usize::MAX,
-                },
+                ScenarioFault { point: FaultPoint::Solve, mode: FaultMode::PanicInStage },
             ),
             ..SupervisorOptions::default()
         };
@@ -1648,23 +1550,18 @@ mod tests {
     #[test]
     fn quarantined_failures_survive_resume_byte_identically() {
         // A quarantined panic lands in the checkpoint and is restored
-        // with kind/attempts/message intact.
+        // with kind and message intact.
         let grid = ScenarioGrid::for_trace(tiny(3), &[1.5, 1.0, 0.5]);
         let scenarios = grid.scenarios();
         let path = temp_ckpt("quarantine-resume");
         let _ = std::fs::remove_file(&path);
         let sup_faulty = |resume: bool, kill: Option<usize>| SupervisorOptions {
-            max_retries: 1,
             kill_after: kill,
             checkpoint: Some(CheckpointConfig::new(&path)),
             resume,
             faults: BatchFaultPlan::new().with_fault(
                 0,
-                ScenarioFault {
-                    point: FaultPoint::Detect,
-                    mode: FaultMode::Panic,
-                    fails_before: usize::MAX,
-                },
+                ScenarioFault { point: FaultPoint::Detect, mode: FaultMode::Panic },
             ),
             ..SupervisorOptions::default()
         };
@@ -1675,7 +1572,6 @@ mod tests {
         };
         let full = BatchRunner::with_options(options())
             .run_supervised(&grid, &scenarios, &SupervisorOptions {
-                max_retries: 1,
                 faults: sup_faulty(false, None).faults.clone(),
                 ..SupervisorOptions::default()
             })
@@ -1692,7 +1588,7 @@ mod tests {
             .into_report()
             .expect("completed");
         assert_eq!(encode(&resumed), encode(&full));
-        assert_eq!(resumed.quarantine, full.quarantine);
+        assert_eq!(resumed.failed(), 1);
         let _ = std::fs::remove_file(&path);
     }
 }

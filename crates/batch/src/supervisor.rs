@@ -1,5 +1,5 @@
-//! Scenario supervision: panic isolation, deterministic retry,
-//! work-budget enforcement, and quarantine.
+//! Scenario supervision: panic isolation, work-budget enforcement,
+//! and quarantine.
 //!
 //! The batch runner executes untrusted-ish scenario pipelines on shared
 //! worker threads over a shared [`crate::StageMemo`]. This module
@@ -10,20 +10,19 @@
 //!   initializer *resets* the cell instead of wedging it, so a waiting
 //!   sibling retries the computation itself and a panic can never leave
 //!   a partial value behind (memo-poisoning guarantee).
-//! - [`supervise_attempts`] — wraps scenario execution in the
-//!   deterministic retry schedule of [`dcc_faults::retry_with_backoff_on`];
-//!   panics and injected transient errors retry, deterministic pipeline
-//!   errors and budget exhaustion fail fast.
 //! - [`WorkBudget`] — a *logical* per-scenario timeout: stages charge
 //!   data-derived work units up front, so the budget is deterministic
 //!   and pool-invariant (a wall-clock timeout would be neither, and the
 //!   workspace lint forbids wall clocks outside `dcc-obs` anyway).
 //! - [`BatchFaultPlan`] — deterministic fault injection for tests and
-//!   chaos runs: panic, transient error, or in-stage panic at a chosen
-//!   pipeline point of a chosen scenario, for its first *k* attempts.
-//! - [`QuarantineReport`] — the typed record of scenarios that
-//!   exhausted their retries, surfaced through
-//!   [`crate::BatchReport::quarantine`].
+//!   chaos runs: a panic, at the scenario level or inside a shared
+//!   stage, at a chosen pipeline point of a chosen scenario.
+//! - [`ScenarioFailure`] — the typed failure a quarantined scenario's
+//!   record carries.
+//!
+//! Each scenario runs exactly once. Every stage is a pure function of
+//! the trace and the configuration, so running a failed scenario again
+//! would only compute the same failure.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -31,27 +30,21 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use dcc_faults::{retry_with_backoff_on, RetryError, RetryPolicy};
-
 use crate::runner::BatchReport;
 
 /// Options of a supervised batch run (see
 /// [`crate::BatchRunner::run_supervised`]).
 #[derive(Debug, Clone, Default)]
 pub struct SupervisorOptions {
-    /// Retries granted to each scenario beyond its first attempt. Only
-    /// panics and injected transient errors retry; deterministic
-    /// pipeline errors fail fast.
-    pub max_retries: usize,
-    /// Logical work-budget per scenario attempt, in data-derived work
-    /// units (reviews for detect/fit, subproblems × intervals for
-    /// solve, rounds × agents for simulate). `None` disables the check.
+    /// Logical work-budget per scenario, in data-derived work units
+    /// (reviews for detect/fit, subproblems × intervals for solve,
+    /// rounds × agents for simulate). `None` disables the check.
     pub scenario_budget: Option<u64>,
     /// Stop pulling new scenarios once this many *fresh* (non-restored)
     /// scenarios completed, flush the checkpoint, and return
     /// [`BatchOutcome::Killed`]. Requires [`SupervisorOptions::checkpoint`].
     pub kill_after: Option<usize>,
-    /// Periodic partial-results checkpointing (`dcc-batch-ckpt/2`).
+    /// Periodic partial-results checkpointing (`dcc-batch-ckpt/3`).
     pub checkpoint: Option<CheckpointConfig>,
     /// Restore completed scenarios from the checkpoint file before
     /// running; restored scenarios are not recomputed. Requires
@@ -105,17 +98,17 @@ impl BatchOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Failures and quarantine
+// Failures
 // ---------------------------------------------------------------------------
 
 /// Why a quarantined scenario failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
-    /// The final attempt panicked (caught by the supervisor).
+    /// The scenario panicked (caught by the supervisor).
     Panic,
-    /// The final attempt returned a pipeline error.
+    /// The scenario returned a pipeline error.
     Error,
-    /// The attempt exceeded its logical work budget.
+    /// The scenario exceeded its logical work budget.
     BudgetExhausted,
 }
 
@@ -140,156 +133,32 @@ impl FailureKind {
     }
 }
 
-/// The terminal failure of a supervised scenario.
+/// The failure of a quarantined scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioFailure {
-    /// What went wrong on the final attempt.
+    /// What went wrong.
     pub kind: FailureKind,
     /// The pipeline error, panic message, or budget diagnostic.
     pub message: String,
-    /// Attempts performed (1 = failed on the first try with no retry
-    /// budget left).
-    pub attempts: usize,
+}
+
+impl ScenarioFailure {
+    /// A caught panic, with its message.
+    pub(crate) fn panic(message: String) -> Self {
+        ScenarioFailure { kind: FailureKind::Panic, message }
+    }
+
+    /// A pipeline error, with its message.
+    pub(crate) fn error(message: String) -> Self {
+        ScenarioFailure { kind: FailureKind::Error, message }
+    }
 }
 
 impl std::fmt::Display for ScenarioFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.kind {
-            FailureKind::Panic => write!(f, "panicked: {}", self.message)?,
-            FailureKind::Error | FailureKind::BudgetExhausted => {
-                write!(f, "{}", self.message)?;
-            }
-        }
-        if self.attempts > 1 {
-            write!(f, " (after {} attempts)", self.attempts)?;
-        }
-        Ok(())
-    }
-}
-
-/// One quarantined scenario.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantineEntry {
-    /// Scenario id within the grid.
-    pub scenario: usize,
-    /// Final failure kind.
-    pub kind: FailureKind,
-    /// Attempts performed before quarantine.
-    pub attempts: usize,
-    /// Final failure message.
-    pub message: String,
-}
-
-/// Scenarios that exhausted supervision and were isolated from the
-/// rest of the sweep, in input (scenario-id) order — deterministic at
-/// every pool size.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QuarantineReport {
-    /// Quarantined scenarios in scenario-id order.
-    pub entries: Vec<QuarantineEntry>,
-}
-
-impl QuarantineReport {
-    /// Number of quarantined scenarios.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing was quarantined.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Quarantined scenarios whose final failure was the given kind.
-    pub fn count_of(&self, kind: FailureKind) -> usize {
-        self.entries.iter().filter(|e| e.kind == kind).count()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Attempt plumbing
-// ---------------------------------------------------------------------------
-
-/// What one supervised attempt can report. Panics and transients are
-/// retryable; pipeline errors and budget exhaustion are terminal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum AttemptError {
-    /// The attempt panicked; the supervisor caught it at the scenario
-    /// boundary (or a [`Slot`] caught it at a stage boundary).
-    Panic(String),
-    /// An injected transient failure (chaos/testing only).
-    Transient(String),
-    /// A deterministic pipeline error — retrying cannot help.
-    Error(String),
-    /// The logical work budget ran out before the named stage.
-    Budget {
-        /// Work units the attempt had consumed including the stage
-        /// that tripped the budget.
-        needed: u64,
-        /// The configured budget.
-        budget: u64,
-        /// The stage whose admission charge tripped the budget.
-        stage: &'static str,
-    },
-}
-
-impl AttemptError {
-    pub(crate) fn retryable(e: &AttemptError) -> bool {
-        matches!(e, AttemptError::Panic(_) | AttemptError::Transient(_))
-    }
-
-    fn into_failure(self, attempts: usize) -> ScenarioFailure {
-        match self {
-            AttemptError::Panic(message) => ScenarioFailure {
-                kind: FailureKind::Panic,
-                message,
-                attempts,
-            },
-            AttemptError::Transient(message) | AttemptError::Error(message) => ScenarioFailure {
-                kind: FailureKind::Error,
-                message,
-                attempts,
-            },
-            AttemptError::Budget { needed, budget, stage } => ScenarioFailure {
-                kind: FailureKind::BudgetExhausted,
-                message: format!(
-                    "work budget exhausted before {stage}: \
-                     needs {needed} logical units, budget {budget}"
-                ),
-                attempts,
-            },
-        }
-    }
-}
-
-/// Runs `attempt` under the deterministic retry schedule: panics and
-/// transient errors retry up to `max_retries` extra times, anything
-/// else fails fast. Returns the result plus attempts performed. The
-/// jitter stream is seeded per scenario so retry behaviour is a pure
-/// function of `(scenario_id, max_retries)` — never of thread timing.
-pub(crate) fn supervise_attempts<T>(
-    scenario_id: usize,
-    max_retries: usize,
-    mut attempt: impl FnMut(usize) -> Result<T, AttemptError>,
-) -> (Result<T, ScenarioFailure>, usize) {
-    let policy = RetryPolicy {
-        max_attempts: max_retries.saturating_add(1),
-        seed: scenario_id as u64,
-        ..RetryPolicy::default()
-    };
-    let mut index = 0usize;
-    let result = retry_with_backoff_on(policy, AttemptError::retryable, |_strength| {
-        let i = index;
-        index += 1;
-        attempt(i)
-    });
-    match result {
-        Ok(outcome) => (Ok(outcome.value), outcome.attempts),
-        Err(RetryError::Exhausted { attempts, last }) => {
-            (Err(last.into_failure(attempts)), attempts)
-        }
-        Err(RetryError::Fatal { attempts, error }) => {
-            (Err(error.into_failure(attempts)), attempts)
+            FailureKind::Panic => write!(f, "panicked: {}", self.message),
+            FailureKind::Error | FailureKind::BudgetExhausted => write!(f, "{}", self.message),
         }
     }
 }
@@ -310,7 +179,7 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
 // Logical work budget
 // ---------------------------------------------------------------------------
 
-/// A logical per-attempt work meter. Stages charge *data-derived* costs
+/// A logical per-scenario work meter. Stages charge *data-derived* costs
 /// before running (regardless of memo state), so exhaustion is
 /// deterministic, pool-invariant, and resume-invariant — unlike any
 /// wall-clock timeout.
@@ -325,16 +194,19 @@ impl WorkBudget {
         WorkBudget { budget, used: 0 }
     }
 
-    /// Charges `units` for the named stage; errs with
-    /// [`AttemptError::Budget`] once the running total exceeds the
-    /// budget.
-    pub(crate) fn charge(&mut self, stage: &'static str, units: u64) -> Result<(), AttemptError> {
+    /// Charges `units` for the named stage; once the running total
+    /// exceeds the budget, errs with a [`FailureKind::BudgetExhausted`]
+    /// failure naming the stage, the units needed and the budget.
+    pub(crate) fn charge(&mut self, stage: &str, units: u64) -> Result<(), ScenarioFailure> {
         self.used = self.used.saturating_add(units);
         match self.budget {
-            Some(budget) if self.used > budget => Err(AttemptError::Budget {
-                needed: self.used,
-                budget,
-                stage,
+            Some(budget) if self.used > budget => Err(ScenarioFailure {
+                kind: FailureKind::BudgetExhausted,
+                message: format!(
+                    "work budget exhausted before {stage}: \
+                     needs {} logical units, budget {budget}",
+                    self.used
+                ),
             }),
             _ => Ok(()),
         }
@@ -364,8 +236,6 @@ pub enum FaultMode {
     /// Panic at the scenario level, *before* consulting the shared
     /// stage slot — deterministic and pool-invariant.
     Panic,
-    /// Return a retryable transient error at the scenario level.
-    TransientError,
     /// Panic *inside* the shared stage computation, exercising the
     /// [`Slot`] recovery path. Deterministic only when the faulted
     /// scenario's stage key is unique in the grid (otherwise a sibling
@@ -373,17 +243,13 @@ pub enum FaultMode {
     PanicInStage,
 }
 
-/// One scheduled fault: scenario attempts `0..fails_before` fail at
-/// `point` with `mode`; later attempts run clean (so retries recover).
+/// One scheduled fault: the scenario fails at `point` with `mode`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScenarioFault {
     /// Where in the pipeline the fault fires.
     pub point: FaultPoint,
     /// How the fault manifests.
     pub mode: FaultMode,
-    /// Attempts that fail (e.g. `1` = first attempt only; `usize::MAX`
-    /// = every attempt, forcing quarantine).
-    pub fails_before: usize,
 }
 
 /// A deterministic schedule of per-scenario faults for tests and chaos
@@ -412,34 +278,24 @@ impl BatchFaultPlan {
         self.faults.is_empty()
     }
 
-    fn armed(&self, scenario: usize, attempt: usize, point: FaultPoint) -> Option<&ScenarioFault> {
+    fn armed(&self, scenario: usize, point: FaultPoint, mode: FaultMode) -> bool {
         self.faults
             .get(&scenario)
-            .filter(|f| f.point == point && attempt < f.fails_before)
+            .is_some_and(|f| f.point == point && f.mode == mode)
     }
 
-    /// Fires scenario-level faults ([`FaultMode::Panic`] panics right
-    /// here — the supervisor's `catch_unwind` catches it —
-    /// [`FaultMode::TransientError`] returns the retryable error).
-    /// Called before the stage consults its shared slot, so injection
-    /// is pool-invariant.
+    /// Fires a scenario-level [`FaultMode::Panic`] fault: panics right
+    /// here, and the supervisor's `catch_unwind` catches it. Called
+    /// before the stage consults its shared slot, so injection is
+    /// pool-invariant.
     // Panicking is this function's contract: it exists to exercise the
     // supervisor's catch_unwind isolation.
     #[allow(clippy::panic)]
-    pub(crate) fn fire_at(
-        &self,
-        scenario: usize,
-        attempt: usize,
-        point: FaultPoint,
-    ) -> Result<(), AttemptError> {
-        match self.armed(scenario, attempt, point).map(|f| f.mode) {
-            Some(FaultMode::Panic) => std::panic::panic_any(format!(
-                "injected fault: scenario {scenario} panics at {point:?} (attempt {attempt})"
-            )),
-            Some(FaultMode::TransientError) => Err(AttemptError::Transient(format!(
-                "injected fault: scenario {scenario} transient at {point:?} (attempt {attempt})"
-            ))),
-            Some(FaultMode::PanicInStage) | None => Ok(()),
+    pub(crate) fn fire_at(&self, scenario: usize, point: FaultPoint) {
+        if self.armed(scenario, point, FaultMode::Panic) {
+            std::panic::panic_any(format!(
+                "injected fault: scenario {scenario} panics at {point:?}"
+            ));
         }
     }
 
@@ -448,12 +304,10 @@ impl BatchFaultPlan {
     // Panicking is this function's contract: it exercises the Slot's
     // panic-safety and the supervisor's catch_unwind isolation.
     #[allow(clippy::panic)]
-    pub(crate) fn fire_in_stage(&self, scenario: usize, attempt: usize, point: FaultPoint) {
-        if let Some(ScenarioFault { mode: FaultMode::PanicInStage, .. }) =
-            self.armed(scenario, attempt, point)
-        {
+    pub(crate) fn fire_in_stage(&self, scenario: usize, point: FaultPoint) {
+        if self.armed(scenario, point, FaultMode::PanicInStage) {
             std::panic::panic_any(format!(
-                "injected fault: scenario {scenario} panics inside {point:?} (attempt {attempt})"
+                "injected fault: scenario {scenario} panics inside {point:?}"
             ));
         }
     }
@@ -621,89 +475,40 @@ mod tests {
     }
 
     #[test]
-    fn supervise_recovers_from_transient_failures() {
-        let (result, attempts) = supervise_attempts(3, 2, |attempt| {
-            if attempt < 2 {
-                Err(AttemptError::Transient("flaky".into()))
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(result, Ok(2));
-        assert_eq!(attempts, 3);
-    }
-
-    #[test]
-    fn supervise_quarantines_on_exhaustion() {
-        let (result, attempts) =
-            supervise_attempts(0, 1, |_| Err::<(), _>(AttemptError::Panic("boom".into())));
-        assert_eq!(attempts, 2);
-        let failure = result.unwrap_err();
-        assert_eq!(failure.kind, FailureKind::Panic);
-        assert_eq!(failure.attempts, 2);
-        assert!(failure.to_string().contains("after 2 attempts"));
-    }
-
-    #[test]
-    fn supervise_fails_fast_on_pipeline_errors() {
-        let mut calls = 0;
-        let (result, attempts) = supervise_attempts(0, 5, |_| {
-            calls += 1;
-            Err::<(), _>(AttemptError::Error("mu must be positive".into()))
-        });
-        assert_eq!(calls, 1, "deterministic errors must not retry");
-        assert_eq!(attempts, 1);
-        let failure = result.unwrap_err();
-        assert_eq!(failure.kind, FailureKind::Error);
-        assert_eq!(failure.to_string(), "mu must be positive");
-    }
-
-    #[test]
     fn budget_exhaustion_is_terminal_and_descriptive() {
         let mut budget = WorkBudget::new(Some(100));
         assert!(budget.charge("detect", 60).is_ok());
-        let err = budget.charge("solve", 50).unwrap_err();
-        match &err {
-            AttemptError::Budget { needed, budget, stage } => {
-                assert_eq!((*needed, *budget, *stage), (110, 100, "solve"));
-            }
-            other => panic!("expected Budget, got {other:?}"),
-        }
-        assert!(!AttemptError::retryable(&err));
-        let failure = err.into_failure(1);
+        let failure = budget.charge("solve", 50).unwrap_err();
         assert_eq!(failure.kind, FailureKind::BudgetExhausted);
-        assert!(failure.message.contains("before solve"), "{}", failure.message);
+        assert_eq!(
+            failure.message,
+            "work budget exhausted before solve: needs 110 logical units, budget 100"
+        );
         assert!(WorkBudget::new(None).charge("solve", u64::MAX).is_ok());
     }
 
     #[test]
-    fn fault_plan_fires_only_at_armed_attempts() {
-        let plan = BatchFaultPlan::new().with_fault(
-            2,
-            ScenarioFault {
-                point: FaultPoint::Solve,
-                mode: FaultMode::TransientError,
-                fails_before: 2,
-            },
-        );
-        assert!(plan.fire_at(2, 0, FaultPoint::Solve).is_err());
-        assert!(plan.fire_at(2, 1, FaultPoint::Solve).is_err());
-        assert!(plan.fire_at(2, 2, FaultPoint::Solve).is_ok(), "recovers at attempt 2");
-        assert!(plan.fire_at(2, 0, FaultPoint::Fit).is_ok(), "wrong point");
-        assert!(plan.fire_at(1, 0, FaultPoint::Solve).is_ok(), "wrong scenario");
+    fn fault_plan_fires_only_at_its_scenario_point_and_mode() {
+        let fault = |mode| ScenarioFault { point: FaultPoint::Solve, mode };
+        let plan = BatchFaultPlan::new()
+            .with_fault(2, fault(FaultMode::Panic))
+            .with_fault(3, fault(FaultMode::PanicInStage));
+        let panics = |f: &dyn Fn()| catch_unwind(AssertUnwindSafe(f)).is_err();
+        assert!(panics(&|| plan.fire_at(2, FaultPoint::Solve)));
+        assert!(!panics(&|| plan.fire_at(2, FaultPoint::Fit)), "wrong point");
+        assert!(!panics(&|| plan.fire_at(1, FaultPoint::Solve)), "wrong scenario");
+        assert!(!panics(&|| plan.fire_in_stage(2, FaultPoint::Solve)), "wrong mode");
+        assert!(panics(&|| plan.fire_in_stage(3, FaultPoint::Solve)));
+        assert!(!panics(&|| plan.fire_at(3, FaultPoint::Solve)), "wrong mode");
     }
 
     #[test]
     fn injected_panics_are_catchable() {
         let plan = BatchFaultPlan::new().with_fault(
             0,
-            ScenarioFault {
-                point: FaultPoint::Detect,
-                mode: FaultMode::Panic,
-                fails_before: usize::MAX,
-            },
+            ScenarioFault { point: FaultPoint::Detect, mode: FaultMode::Panic },
         );
-        let caught = catch_unwind(AssertUnwindSafe(|| plan.fire_at(0, 0, FaultPoint::Detect)));
+        let caught = catch_unwind(AssertUnwindSafe(|| plan.fire_at(0, FaultPoint::Detect)));
         let payload = caught.unwrap_err();
         assert!(panic_message(payload.as_ref()).contains("injected fault"));
     }

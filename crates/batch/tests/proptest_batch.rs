@@ -207,7 +207,6 @@ proptest! {
             faults: BatchFaultPlan::new().with_fault(1, ScenarioFault {
                 point: FaultPoint::Solve,
                 mode: FaultMode::PanicInStage,
-                fails_before: usize::MAX,
             }),
             ..SupervisorOptions::default()
         };

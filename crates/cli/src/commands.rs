@@ -873,8 +873,7 @@ pub fn cmd_metrics(args: &ParsedArgs) -> CliResult {
 }
 
 /// `dcc batch GRID.json [--pool N | --serial]
-///  [--policy abort|fallback|skip] [--metrics FILE]
-///  [--max-retries N] [--scenario-budget UNITS]
+///  [--policy abort|fallback|skip] [--metrics FILE] [--scenario-budget UNITS]
 ///  [--checkpoint FILE [--checkpoint-every N] [--kill-at K | --resume]]`
 /// — expand a `dcc-batch/1` scenario grid (traces × μ × budget
 /// fraction × strategy) and run it on the supervised deterministic
@@ -884,9 +883,11 @@ pub fn cmd_metrics(args: &ParsedArgs) -> CliResult {
 /// (exit 2, naming the offending field); a scenario failing mid-batch
 /// under `--policy abort` and an unreadable/mismatched checkpoint are
 /// runtime failures (exit 1). The other policies itemize quarantined
-/// failures in the report and exit 0. A `--kill-at` run that stops at
-/// its threshold exits 0 and names the checkpoint to `--resume` from;
-/// the resumed report is byte-identical to an uninterrupted run.
+/// failures in the report and exit 0. Each scenario runs once: it is a
+/// pure function of its inputs, so a rerun would fail the same way. A
+/// `--kill-at` run that stops at its threshold exits 0 and names the
+/// checkpoint to `--resume` from; the resumed report is byte-identical
+/// to an uninterrupted run.
 pub fn cmd_batch(args: &ParsedArgs) -> CliResult {
     let spec = args
         .positional
@@ -925,7 +926,6 @@ pub fn cmd_batch(args: &ParsedArgs) -> CliResult {
         ));
     }
     let sup = dcc_batch::SupervisorOptions {
-        max_retries: args.num_flag("max-retries", 0usize)?,
         scenario_budget: if args.flags.contains_key("scenario-budget") {
             Some(args.num_flag("scenario-budget", 0u64)?)
         } else {
@@ -1035,19 +1035,10 @@ pub fn cmd_batch(args: &ParsedArgs) -> CliResult {
         st.fit.misses, st.solve.hits, st.solve.misses
     )
     .ok();
-    if !report.quarantine.is_empty() {
-        writeln!(out, "quarantine: {} scenarios", report.quarantine.len()).ok();
-        for q in &report.quarantine.entries {
-            writeln!(
-                out,
-                "  #{:<3} {} after {} attempt{}: {}",
-                q.scenario,
-                q.kind.label(),
-                q.attempts,
-                if q.attempts == 1 { "" } else { "s" },
-                q.message
-            )
-            .ok();
+    if report.failed() > 0 {
+        writeln!(out, "quarantine: {} scenarios", report.failed()).ok();
+        for (id, f) in report.failures() {
+            writeln!(out, "  #{id:<3} {}: {}", f.kind.label(), f.message).ok();
         }
     }
     if let Some(sink) = &sink {
@@ -1628,11 +1619,11 @@ COMMANDS:
   metrics    summarize FILE                            validate + summarize a
                                                        --metrics JSON document
   batch      GRID.json [--pool N | --serial] [--policy abort|fallback|skip]
-             [--metrics FILE] [--max-retries N] [--scenario-budget UNITS]
+             [--metrics FILE] [--scenario-budget UNITS]
              [--checkpoint FILE [--checkpoint-every N] [--kill-at K | --resume]]
                                                        run a dcc-batch/1 scenario
-                                                       grid on the supervised
-                                                       batch scheduler
+                                                       grid, each scenario once,
+                                                       quarantining failures
   serve      --replay TRACE | --events FILE [--pool N] [--verify]
              [--checkpoint FILE [--kill-at N | --resume]] [--metrics FILE]
                                                        streaming contract
@@ -1657,8 +1648,92 @@ COMMANDS:
     .to_string()
 }
 
+/// The flags `design_config` reads.
+const DESIGN_FLAGS: &[&str] =
+    &["mu", "omega", "beta", "intervals", "per-worker", "policy", "fallback-amount"];
+
+/// The flags `engine_context` reads (with [`DESIGN_FLAGS`]): the
+/// `design`, `simulate`, `run` and `replay` commands.
+const ENGINE_FLAGS: &[&str] = &[
+    "trace", "strategy", "amount", "fault-plan", "kill-at", "rounds", "noise", "seed",
+    "checkpoint", "resume", "metrics", "pool", "serial",
+];
+
+/// The flags each command reads. Any other flag is a usage error, so a
+/// misspelled flag is refused instead of silently ignored.
+const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
+    ("gen", &[&["seed", "scale", "out"]]),
+    ("summary", &[&["trace"]]),
+    ("detect", &[&["trace", "estimated", "threshold"]]),
+    ("design", &[ENGINE_FLAGS, DESIGN_FLAGS, &["budget", "dump"]]),
+    ("simulate", &[ENGINE_FLAGS, DESIGN_FLAGS]),
+    ("run", &[ENGINE_FLAGS, DESIGN_FLAGS]),
+    ("replay", &[ENGINE_FLAGS, DESIGN_FLAGS]),
+    (
+        "faults",
+        &[&[
+            "agents", "rounds", "dropout", "max-dropout-len", "missing", "corrupt", "nan",
+            "delay", "max-delay", "outlier-scale", "seed", "out",
+        ]],
+    ),
+    (
+        "adversary",
+        &[&[
+            "seed", "campaigns", "rounds", "split-prob", "merge-prob", "sybil-prob",
+            "max-sybils", "underreport-prob", "min-factor", "out", "plan", "scale",
+        ]],
+    ),
+    ("trace", &[&["out"]]),
+    ("metrics", &[]),
+    (
+        "batch",
+        &[&[
+            "grid", "checkpoint", "checkpoint-every", "resume", "kill-at", "scenario-budget",
+            "metrics", "pool", "serial", "policy", "fallback-amount",
+        ]],
+    ),
+    (
+        "serve",
+        &[
+            DESIGN_FLAGS,
+            &[
+                "pool", "verify", "events", "replay", "trace", "checkpoint", "kill-at", "resume",
+                "metrics",
+            ],
+        ],
+    ),
+    (
+        "check",
+        &[&["r2", "r1", "r0", "mu", "omega", "beta", "weight", "intervals", "ymax", "plot"]],
+    ),
+    ("experiment", &[&["scale", "seed", "extensions", "csv"]]),
+    ("label", &[&["workers", "items", "mu", "seed"]]),
+    ("lint", &[&["root", "json", "sarif", "policy", "baseline", "update-baseline"]]),
+];
+
+/// Refuses a flag the command does not read, before the command runs.
+fn check_flags(args: &ParsedArgs) -> Result<(), CliError> {
+    let Some((command, known)) = COMMAND_FLAGS
+        .iter()
+        .find(|(name, _)| args.command.as_deref() == Some(*name))
+    else {
+        return Ok(());
+    };
+    match args
+        .flags
+        .keys()
+        .find(|flag| !known.iter().any(|group| group.contains(&flag.as_str())))
+    {
+        Some(flag) => Err(CliError::Usage(format!(
+            "unknown flag --{flag} for dcc {command} (see dcc help)"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Dispatches a parsed command line.
 pub fn dispatch(args: &ParsedArgs) -> CliResult {
+    check_flags(args)?;
     match args.command.as_deref() {
         Some("gen") => cmd_gen(args),
         Some("summary") => cmd_summary(args),
@@ -2245,9 +2320,9 @@ mod tests {
         assert!(out.contains("batch: 3 scenarios, 1 failed"), "{out}");
         assert!(out.contains("ERROR: "), "{out}");
         assert!(out.contains("mu must be positive"), "{out}");
-        // Terminal failures are itemized in the quarantine section.
+        // Failures are itemized in the quarantine section.
         assert!(out.contains("quarantine: 1 scenarios"), "{out}");
-        assert!(out.contains("error after 1 attempt:"), "{out}");
+        assert!(out.contains("\n  #1   error: invalid parameters:"), "{out}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

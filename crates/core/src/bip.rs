@@ -56,10 +56,6 @@ pub struct DegradedSubproblem {
     pub members: Vec<usize>,
     /// The original solver error, rendered.
     pub reason: String,
-    /// Solver attempts made before giving up: the attempt count of a
-    /// [`CoreError::Degraded`] produced by `dcc-faults`'
-    /// retry-with-backoff, or 1 for errors that were never retried.
-    pub attempts: usize,
     /// What the policy substituted.
     pub action: DegradationAction,
     /// The substituted requester utility minus the Theorem 4.1 upper
@@ -399,15 +395,6 @@ where
     }
 }
 
-/// Attempt count a solver error carries: a retried-then-degraded error
-/// knows how many tries were made; everything else failed on its first.
-fn attempts_of(err: &CoreError) -> usize {
-    match err {
-        CoreError::Degraded { attempts, .. } => (*attempts).max(1),
-        _ => 1,
-    }
-}
-
 /// Applies the failure policy to the per-subproblem results (in input
 /// order, so Abort reports the first failure) and sums the requester's
 /// objective.
@@ -430,7 +417,6 @@ fn assemble_solutions(
                     subproblem: sp.id,
                     members: sp.members.clone(),
                     reason: err.to_string(),
-                    attempts: attempts_of(&err),
                     action: DegradationAction::Fallback { amount: paid },
                     utility_delta: utility_delta(sp, params, solution.built.requester_utility()),
                 });
@@ -441,7 +427,6 @@ fn assemble_solutions(
                     subproblem: sp.id,
                     members: sp.members.clone(),
                     reason: err.to_string(),
-                    attempts: attempts_of(&err),
                     action: DegradationAction::Skipped,
                     utility_delta: utility_delta(sp, params, 0.0),
                 });
@@ -611,24 +596,6 @@ mod tests {
             .map(|s| s.built.requester_utility())
             .sum();
         assert!((sol.total_requester_utility - sum).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degradation_report_carries_attempt_counts() {
-        let sps = sample_subproblems(2);
-        let results = vec![
-            Err(CoreError::degraded(
-                "candidate solve",
-                4,
-                CoreError::InvalidInput("singular".into()),
-            )),
-            Err(CoreError::InvalidInput("bad weight".into())),
-        ];
-        let (_, report) =
-            assemble_solutions(&sps, results, &params(), FailurePolicy::Skip).unwrap();
-        assert_eq!(report.degraded.len(), 2);
-        assert_eq!(report.degraded[0].attempts, 4);
-        assert_eq!(report.degraded[1].attempts, 1);
     }
 
     #[test]

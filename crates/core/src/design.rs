@@ -1,7 +1,7 @@
 use crate::effort::fit_effort_function;
 use crate::{
     solve_subproblems, BipSolution, Contract, CoreError, DegradationReport, Discretization,
-    FailurePolicy, ModelParams, Subproblem,
+    FailurePolicy, ModelParams, Subproblem, MAX_INTERVALS,
 };
 use dcc_detect::DetectionResult;
 use dcc_numerics::{percentile, Quadratic};
@@ -65,6 +65,12 @@ impl DesignConfig {
         if self.intervals == 0 {
             return Err(CoreError::InvalidParams(format!(
                 "DesignConfig.intervals must be >= 1, got {}",
+                self.intervals
+            )));
+        }
+        if self.intervals > MAX_INTERVALS {
+            return Err(CoreError::InvalidParams(format!(
+                "DesignConfig.intervals must be <= {MAX_INTERVALS}, got {}",
                 self.intervals
             )));
         }
@@ -678,6 +684,12 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "invalid parameters: DesignConfig.intervals must be >= 1, got 0"
+        );
+
+        let err = DesignConfig { intervals: 100_000_000_000, ..base }.validate().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid parameters: DesignConfig.intervals must be <= 10000, got 100000000000"
         );
 
         let err = DesignConfig {

@@ -101,7 +101,7 @@ pub use effort::{
 };
 pub use error::{CoreError, IoSource};
 pub use optimal::{exhaustive_best_utility, first_best_utility, incentive_cost};
-pub use params::{Discretization, ModelParams};
+pub use params::{Discretization, ModelParams, MAX_INTERVALS};
 pub use proofness::{
     best_effort, coalition_payment, coalition_utility, compliant_utility, member_utility,
     worker_bias, CoalitionMember, CollusionProofParams, Deviation,

@@ -94,6 +94,13 @@ impl ModelParams {
     }
 }
 
+/// The most effort intervals a [`Discretization`] may have. A candidate
+/// set holds one contract per interval (Eq. 39–40), so `m` sizes the
+/// solve's memory before any candidate is built; the paper uses
+/// `m = 20`, and 10,000 keeps a candidate set under a megabyte. A larger
+/// `m` — say an untrusted `--intervals` — is refused, not allocated.
+pub const MAX_INTERVALS: usize = 10_000;
+
 /// The effort-region discretization of §III-A: `m` intervals of width `δ`,
 /// covering `[0, mδ)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,8 +110,8 @@ pub struct Discretization {
 }
 
 impl Discretization {
-    /// Creates a discretization with `m ≥ 1` intervals of width
-    /// `delta > 0`.
+    /// Creates a discretization with `1 ≤ m ≤` [`MAX_INTERVALS`]
+    /// intervals of width `delta > 0`.
     ///
     /// # Errors
     ///
@@ -114,6 +121,11 @@ impl Discretization {
             return Err(CoreError::InvalidParams(
                 "discretization needs at least one interval".into(),
             ));
+        }
+        if m > MAX_INTERVALS {
+            return Err(CoreError::InvalidParams(format!(
+                "discretization allows at most {MAX_INTERVALS} intervals, got {m}"
+            )));
         }
         if !(delta.is_finite() && delta > 0.0) {
             return Err(CoreError::InvalidParams(format!(
@@ -127,8 +139,8 @@ impl Discretization {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParams`] if `m == 0` or
-    /// `y_max <= 0`.
+    /// Returns [`CoreError::InvalidParams`] if `m` is 0 or above
+    /// [`MAX_INTERVALS`], or `y_max <= 0`.
     pub fn covering(m: usize, y_max: f64) -> Result<Self, CoreError> {
         if !(y_max.is_finite() && y_max > 0.0) {
             return Err(CoreError::InvalidParams(format!(
@@ -258,6 +270,23 @@ mod tests {
         assert!(Discretization::new(3, -1.0).is_err());
         assert!(Discretization::new(3, f64::INFINITY).is_err());
         assert!(Discretization::covering(5, 0.0).is_err());
+    }
+
+    #[test]
+    fn interval_count_is_capped() {
+        let largest = Discretization::covering(MAX_INTERVALS, 1.0).unwrap();
+        assert_eq!(largest.intervals(), MAX_INTERVALS);
+        for m in [MAX_INTERVALS + 1, 100_000_000_000, usize::MAX] {
+            let err = Discretization::covering(m, 1.0).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "invalid parameters: discretization allows at most {MAX_INTERVALS} \
+                     intervals, got {m}"
+                )
+            );
+            assert!(matches!(Discretization::new(m, 0.5), Err(CoreError::InvalidParams(_))));
+        }
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! # dcc-faults
 //!
-//! Fault injection, graceful degradation, and checkpoint/resume for the
-//! dyncontract simulation pipeline.
+//! Fault injection and checkpoint/resume for the dyncontract
+//! simulation pipeline.
 //!
 //! Crowdsourcing platforms are distributed systems: workers drop out and
-//! rejoin, feedback reports get lost or corrupted in flight, payments
-//! land late, and numeric pipelines occasionally hit singular systems.
-//! This crate makes all of that *reproducible*:
+//! rejoin, feedback reports get lost or corrupted in flight, and
+//! payments land late. This crate makes all of that *reproducible*:
 //!
 //! - [`FaultPlan`] / [`FaultPlanConfig`] — a fully materialized,
 //!   JSON-serializable schedule of faults. All randomness is spent at
@@ -19,10 +18,6 @@
 //!   schema check, and the simulation checkpoint on top of it: an input
 //!   fingerprint plus the number of completed rounds, which a resume
 //!   replays.
-//! - [`retry_with_backoff`] — bounded, deterministically jittered
-//!   retries for transient [`dcc_numerics::NumericsError::SingularSystem`]
-//!   failures, degrading to [`dcc_core::CoreError::Degraded`] on
-//!   exhaustion.
 //!
 //! ## Example: a faulty run killed mid-way and resumed by replay
 //!
@@ -67,7 +62,6 @@
 pub mod checkpoint;
 mod injector;
 mod plan;
-mod retry;
 
 pub use checkpoint::{
     check_fingerprint, checkpoint_document, fingerprint_json, load_checkpoint_payload,
@@ -81,8 +75,4 @@ pub use dcc_numerics::{Json, JsonError};
 pub use plan::{
     Corruption, CorruptFeedback, DropoutWindow, FaultPlan, FaultPlanConfig, MissingFeedback,
     PaymentDelay,
-};
-pub use retry::{
-    backoff_schedule, retry_with_backoff, retry_with_backoff_on, RetryError, RetryOutcome,
-    RetryPolicy,
 };

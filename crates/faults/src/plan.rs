@@ -290,7 +290,10 @@ fn miss(name: &str) -> CoreError {
 }
 
 fn idx_of(doc: &Json, name: &str) -> Result<usize, CoreError> {
-    doc.get(name).and_then(Json::as_idx).ok_or_else(|| miss(name))
+    let value = doc.get(name).ok_or_else(|| miss(name))?;
+    value.as_idx().ok_or_else(|| {
+        CoreError::InvalidInput(format!("fault plan field {name:?} is not an index: {value}"))
+    })
 }
 
 /// Parameters of the seeded fault-plan sampler. All probabilities are

@@ -34,10 +34,8 @@ const SERVE_NAMES: &[&str] = &[
     "serve.checkpoint.restored",
 ];
 
-/// The 6 supervision names added with the supervised batch scheduler.
+/// The 4 supervision names of the supervised batch scheduler.
 const BATCH_SUPERVISION_NAMES: &[&str] = &[
-    "batch.retry.attempts",
-    "batch.retry.recovered",
     "batch.quarantine.scenarios",
     "batch.quarantine.panics",
     "batch.quarantine.budget_exhausted",

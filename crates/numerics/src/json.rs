@@ -113,10 +113,17 @@ impl Json {
         }
     }
 
-    /// Decodes a nonnegative integer index.
+    /// Decodes a nonnegative integer index. A number at or above 2^64
+    /// (or above `usize::MAX`) is no index: `None`, not a saturated
+    /// `usize::MAX`, so each decoder reports its own typed error.
     pub fn as_idx(&self) -> Option<usize> {
+        // 2^64 is exact as an f64; the largest f64 below it, 2^64 − 2048,
+        // still converts to u64 exactly.
+        const TWO_POW_64: f64 = (1u128 << 64) as f64;
         match self {
-            Json::Num(x) if *x >= 0.0 && crate::exact_eq(x.fract(), 0.0) => Some(*x as usize),
+            Json::Num(x) if *x >= 0.0 && *x < TWO_POW_64 && crate::exact_eq(x.fract(), 0.0) => {
+                usize::try_from(*x as u64).ok()
+            }
             _ => None,
         }
     }
@@ -483,6 +490,23 @@ mod tests {
             assert_eq!(text, s);
             let back = Json::parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits());
+        }
+    }
+
+    #[test]
+    fn indices_stop_below_2_pow_64() {
+        let idx = |text: &str| Json::parse(text).unwrap().as_idx();
+        // 2^64 − 2048 is the largest f64 below 2^64, and an index.
+        assert_eq!(idx("18446744073709549568"), Some(18_446_744_073_709_549_568));
+        assert_eq!(idx("0"), Some(0));
+        assert_eq!(idx("-0"), Some(0));
+        assert_eq!(idx("7.0"), Some(7));
+        // 2^64 and beyond would saturate to usize::MAX; they are refused.
+        for text in ["18446744073709551616", "18446744073709551615", "1e20", "1e300"] {
+            assert_eq!(idx(text), None, "{text}");
+        }
+        for text in ["-1", "0.5", "\"NaN\"", "\"Infinity\"", "null", "[]", "{}", "\"3\""] {
+            assert_eq!(idx(text), None, "{text}");
         }
     }
 

@@ -173,22 +173,15 @@ pub mod names {
     /// determinism pass — the `_us` suffix marks it as a timing).
     pub const HIST_BATCH_SCENARIO_US: &str = "batch.scenario_us";
 
-    /// Counter: supervised retry attempts beyond each scenario's first
-    /// try, summed over the batch (recorded post-merge).
-    pub const COUNTER_BATCH_RETRY_ATTEMPTS: &str = "batch.retry.attempts";
-    /// Counter: scenarios that failed at least once and then succeeded
-    /// on a supervised retry.
-    pub const COUNTER_BATCH_RETRY_RECOVERED: &str = "batch.retry.recovered";
-    /// Counter: scenarios quarantined after exhausting retries (all
-    /// failure kinds).
+    /// Counter: quarantined scenarios, i.e. failed records of the
+    /// report (all failure kinds).
     pub const COUNTER_BATCH_QUARANTINE_SCENARIOS: &str = "batch.quarantine.scenarios";
-    /// Counter: quarantined scenarios whose final failure was a caught
-    /// panic.
+    /// Counter: quarantined scenarios whose failure was a caught panic.
     pub const COUNTER_BATCH_QUARANTINE_PANICS: &str = "batch.quarantine.panics";
     /// Counter: quarantined scenarios that exhausted their logical
     /// work budget.
     pub const COUNTER_BATCH_QUARANTINE_BUDGET: &str = "batch.quarantine.budget_exhausted";
-    /// Counter: scenarios restored from a `dcc-batch-ckpt/2` checkpoint
+    /// Counter: scenarios restored from a `dcc-batch-ckpt/3` checkpoint
     /// instead of recomputed (0 for a fresh run).
     pub const COUNTER_BATCH_RESTORED: &str = "batch.checkpoint.restored";
 

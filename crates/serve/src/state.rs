@@ -345,7 +345,6 @@ pub fn design_digest(design: &ContractDesign) -> Vec<u64> {
     digest.push(design.degradation.len() as u64);
     for d in &design.degradation.degraded {
         digest.push(d.subproblem as u64);
-        digest.push(d.attempts as u64);
     }
     digest
 }

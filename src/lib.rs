@@ -24,9 +24,8 @@
 //! - [`experiments`] — runners that regenerate every table and figure of
 //!   the paper's evaluation (§V).
 //! - [`faults`] — deterministic fault injection (dropouts, lost and
-//!   corrupted feedback, payment delays), checkpoint/resume of the
-//!   simulation loops, and bounded retries for transient numeric
-//!   failures.
+//!   corrupted feedback, payment delays) and checkpoint/resume of the
+//!   simulation loops.
 //! - [`engine`] — the staged `Ingest → Detect → FitEffort →
 //!   SolveSubproblems → ConstructContracts → Simulate` pipeline with
 //!   cached stage outputs, swappable stages, and a deterministic

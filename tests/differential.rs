@@ -450,18 +450,17 @@ proptest! {
 }
 
 /// Byte-exact encoding of a *supervised* report's deterministic
-/// surface: cache stats, attempts, cache flags, canonical summaries
-/// (every float via `to_bits`), failures, and the quarantine — the
-/// parts an interrupted-and-resumed run must reproduce exactly.
+/// surface: cache stats, cache flags, canonical summaries (every float
+/// via `to_bits`), failures, and the quarantine — the parts an
+/// interrupted-and-resumed run must reproduce exactly.
 fn encode_supervised(report: &BatchReport) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "stats {:?}", report.stats);
     for r in &report.records {
         let _ = write!(
             out,
-            "#{} a{} d{} f{} s{} ",
+            "#{} d{} f{} s{} ",
             r.scenario.id,
-            r.attempts,
             u8::from(r.detect_cached),
             u8::from(r.fit_cached),
             u8::from(r.solve_cached),
@@ -512,15 +511,8 @@ fn encode_supervised(report: &BatchReport) -> String {
             }
         }
     }
-    for q in &report.quarantine.entries {
-        let _ = writeln!(
-            out,
-            "quarantine #{} {} a{} {}",
-            q.scenario,
-            q.kind.label(),
-            q.attempts,
-            q.message
-        );
+    for (id, f) in report.failures() {
+        let _ = writeln!(out, "quarantine #{id} {} {}", f.kind.label(), f.message);
     }
     out
 }
@@ -604,7 +596,6 @@ proptest! {
             faults: BatchFaultPlan::new().with_fault(1, ScenarioFault {
                 point: FaultPoint::Solve,
                 mode: FaultMode::Panic,
-                fails_before: usize::MAX,
             }),
             ..SupervisorOptions::default()
         };
@@ -635,7 +626,6 @@ proptest! {
             }
         }
         prop_assert_eq!(out.as_str(), reference(seed_idx));
-        prop_assert_eq!(report.quarantine.len(), 1);
-        prop_assert_eq!(report.quarantine.entries[0].scenario, 1);
+        prop_assert_eq!(report.failures().map(|(id, _)| id).collect::<Vec<_>>(), vec![1]);
     }
 }
