@@ -69,9 +69,9 @@ chaos-sim:
 # CLI-level crash-recovery matrix for the supervised batch scheduler:
 # run a 10-scenario grid to completion — its two mu = -1.0 scenarios
 # are quarantined, so failed records travel through the checkpoint too
-# — kill checkpointed runs at about 25/50/75% (--kill-at 3/5/8), resume
-# each, and require the resumed report to be byte-identical to the
-# uninterrupted one.
+# — kill checkpointed runs before any work and at about 25/50/75%
+# (--kill-at 0/3/5/8), resume each, and require the resumed report to
+# be byte-identical to the uninterrupted one.
 chaos-batch:
 	rm -rf target/chaos-batch && mkdir -p target/chaos-batch
 	cargo run --release -q -p dcc-cli --bin dcc -- gen --seed 11 --scale small --out target/chaos-batch/trace
@@ -85,7 +85,7 @@ chaos-batch:
 	cargo run --release -q -p dcc-cli --bin dcc -- batch target/chaos-batch/grid.json --serial --policy skip > target/chaos-batch/full.txt
 	grep -q '^quarantine: 2 scenarios$$' target/chaos-batch/full.txt || \
 	  { echo "chaos-batch: expected 2 quarantined scenarios"; exit 1; }
-	for k in 3 5 8; do \
+	for k in 0 3 5 8; do \
 	  rm -f target/chaos-batch/batch.ckpt; \
 	  cargo run --release -q -p dcc-cli --bin dcc -- batch target/chaos-batch/grid.json --serial --policy skip \
 	    --checkpoint target/chaos-batch/batch.ckpt --kill-at $$k || exit 1; \

@@ -11,8 +11,8 @@
 //! to an uninterrupted one.
 //!
 //! It is the shared checkpoint document of `dcc_faults::checkpoint`
-//! (`{"schema", "payload"}`), written by `save_json_atomic` every
-//! [`crate::CheckpointConfig::every`] fresh completions. On load the
+//! (`{"schema", "payload"}`), written by `save_json_atomic` after every
+//! fresh completion. On load the
 //! payload's input fingerprint must match the running grid's, so a
 //! checkpoint from a different grid (or a different trace seed) is a
 //! `CoreError::CheckpointMismatch` instead of silently mixed results.
@@ -331,39 +331,26 @@ pub(crate) fn load_checkpoint(
 
 struct WriterState {
     entries: BTreeMap<usize, CkptEntry>,
-    /// Fresh completions since the last flush.
-    pending: usize,
     /// First I/O error, surfaced after the run (worker threads must
     /// not abort mid-scenario on a full disk).
     error: Option<CoreError>,
 }
 
-/// Thread-safe periodic checkpoint writer. `record` is called from
-/// worker threads as scenarios complete; the file is rewritten (whole,
-/// atomically) every `every` fresh completions and on [`CkptWriter::flush`].
+/// Thread-safe checkpoint writer. `record` is called from worker
+/// threads as scenarios complete; the file is rewritten (whole,
+/// atomically) on every fresh completion and on [`CkptWriter::flush`].
 pub(crate) struct CkptWriter {
     path: PathBuf,
-    every: usize,
     grid_fp: u64,
     state: Mutex<WriterState>,
 }
 
 impl CkptWriter {
-    pub(crate) fn new(
-        path: &Path,
-        every: usize,
-        grid_fp: u64,
-        restored: BTreeMap<usize, CkptEntry>,
-    ) -> Self {
+    pub(crate) fn new(path: &Path, grid_fp: u64, restored: BTreeMap<usize, CkptEntry>) -> Self {
         CkptWriter {
             path: path.to_path_buf(),
-            every: every.max(1),
             grid_fp,
-            state: Mutex::new(WriterState {
-                entries: restored,
-                pending: 0,
-                error: None,
-            }),
+            state: Mutex::new(WriterState { entries: restored, error: None }),
         }
     }
 
@@ -371,14 +358,11 @@ impl CkptWriter {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Records one fresh completion; flushes when `every` accumulate.
+    /// Records one fresh completion and rewrites the file.
     pub(crate) fn record(&self, id: usize, entry: CkptEntry) {
         let mut state = self.lock();
         state.entries.insert(id, entry);
-        state.pending += 1;
-        if state.pending >= self.every {
-            self.write(&mut state);
-        }
+        self.write(&mut state);
     }
 
     /// Forces a write of the current entries.
@@ -398,7 +382,6 @@ impl CkptWriter {
     }
 
     fn write(&self, state: &mut WriterState) {
-        state.pending = 0;
         let result = save_json_atomic(&self.path, &checkpoint_doc(self.grid_fp, &state.entries));
         if let (Err(e), None) = (result, &state.error) {
             state.error = Some(e);
@@ -526,14 +509,13 @@ mod tests {
     }
 
     #[test]
-    fn writer_batches_flushes_and_renames_atomically() {
+    fn writer_rewrites_the_file_on_every_completion() {
         let path = temp_path("writer.ckpt");
         let _ = std::fs::remove_file(&path);
-        let writer = CkptWriter::new(&path, 2, 9, BTreeMap::new());
+        let writer = CkptWriter::new(&path, 9, BTreeMap::new());
         writer.record(1, CkptEntry::Summary(sample_summary(false)));
-        assert!(!path.exists(), "below the flush threshold");
+        assert_eq!(load_checkpoint(&path, 9, 4).unwrap().len(), 1);
         writer.record(0, CkptEntry::Summary(sample_summary(true)));
-        assert!(path.exists(), "threshold reached");
         assert_eq!(writer.completed(), 2);
         assert_eq!(load_checkpoint(&path, 9, 4).unwrap().len(), 2);
         assert!(writer.take_error().is_none());

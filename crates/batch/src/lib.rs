@@ -13,12 +13,13 @@
 //! proves across pool sizes 1–16.
 //!
 //! The throughput win comes from the [`StageMemo`]: a content-addressed
-//! cache for the expensive Detect and Fit stage outputs, keyed on a
-//! trace fingerprint plus the stage configuration. A 16-point μ-sweep
-//! detects and fits once and re-solves 16 times, exactly like a serial
-//! [`dcc_engine::RoundContext`] μ-sweep — but the memo is shared
-//! *across* scenarios, traces, and runner invocations (warm reruns skip
-//! straight to the solve).
+//! cache for the Detect, Fit and Solve stage outputs, keyed on a trace
+//! fingerprint plus the stage configuration. A 16-point μ-sweep detects
+//! and fits once and solves 16 times, and the memo is shared *across*
+//! scenarios, traces, and runner invocations (warm reruns skip the
+//! solve too). A scenario calls the stage functions themselves
+//! (`run_pipeline`, `prepare_design`, `solve_subproblems` →
+//! `assemble_design`, `Simulation::run`), as `dcc serve` does.
 //!
 //! Every scenario executes once under **supervision**
 //! ([`BatchRunner::run_supervised`]): panics are caught and isolated

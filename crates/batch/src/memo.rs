@@ -9,26 +9,32 @@
 //! - a **pipeline fingerprint** covers the full `PipelineConfig`
 //!   (via its `Debug` form — the config is a flat `Copy` struct, so the
 //!   form is total);
-//! - a **fit fingerprint** covers exactly the design fields the
-//!   engine's own fit-stage invalidation key tracks (ω, intervals,
-//!   effort quantile, per-worker fit threshold) — deliberately *not*
-//!   μ, which only the solve stage consumes;
+//! - a **fit fingerprint** covers exactly the design fields
+//!   `prepare_design` reads (ω, intervals, effort quantile, per-worker
+//!   fit threshold) — deliberately *not* μ, which only the solve stage
+//!   consumes;
 //! - a **solve fingerprint** covers the full `DesignConfig` including
 //!   μ and the failure policy (the pool size is not part of it: the
 //!   solve is bit-identical across pool sizes) — so a grid that varies
 //!   only the budget fraction or the strategy solves each distinct
 //!   design exactly once, and a warm rerun solves nothing.
 //!
-//! Memoized values are stored behind `Arc`, so cache hits clone a
+//! Each memoized stage holds one panic-safe [`Slot`] per key, so two
+//! workers never compute the same value concurrently and a computation
+//! that panics leaves its slot empty instead of storing a partial
+//! value. Values are stored behind `Arc`, so cache hits clone a
 //! pointer, not a detection result. The memo never evicts: a batch
 //! sweep touches a handful of (trace, config) pairs, and the caller
 //! controls lifetime by dropping the [`StageMemo`].
 
+use crate::supervisor::Slot;
+use dcc_core::{ContractDesign, DesignPrep};
 use dcc_detect::{DetectionResult, PipelineConfig};
 use dcc_numerics::Fnv;
 use dcc_trace::TraceDataset;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Hit/miss counts for one memoized stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -77,17 +83,48 @@ pub(crate) type FitKey = (u64, u64, u64);
 /// solve-config) fingerprints.
 pub(crate) type SolveKey = (u64, u64, u64, u64);
 
-#[derive(Debug, Default)]
-struct Inner {
-    /// Source key → materialized trace + its content fingerprint.
-    traces: BTreeMap<String, (Arc<TraceDataset>, u64)>,
-    detect: BTreeMap<DetectKey, Arc<DetectionResult>>,
-    /// Fit outcomes are memoized *including* deterministic failures, so
-    /// a warm rerun replays the same error without re-fitting.
-    fit: BTreeMap<FitKey, Result<Arc<dcc_core::DesignPrep>, String>>,
-    /// Solved designs, memoized including deterministic failures for
-    /// the same reason as fits.
-    solve: BTreeMap<SolveKey, Result<Arc<dcc_core::ContractDesign>, String>>,
+/// One memoized stage: a compute-once [`Slot`] per key.
+pub(crate) struct StageCache<K, T> {
+    slots: Mutex<BTreeMap<K, Arc<Slot<T>>>>,
+}
+
+impl<K, T> Default for StageCache<K, T> {
+    fn default() -> Self {
+        StageCache { slots: Mutex::default() }
+    }
+}
+
+impl<K: Ord, T: Clone> StageCache<K, T> {
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<K, Arc<Slot<T>>>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The value computed under `key`, if any.
+    pub(crate) fn get(&self, key: &K) -> Option<T> {
+        let slot = self.lock().get(key).cloned()?;
+        slot.peek()
+    }
+
+    /// The value under `key`, computed by `compute` unless another
+    /// caller has computed (or is computing) it.
+    ///
+    /// # Errors
+    ///
+    /// The panic message when this caller's own `compute` panicked; the
+    /// slot is then empty again (see [`Slot::get_or_compute`]).
+    pub(crate) fn get_or_compute(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> T,
+    ) -> Result<T, String> {
+        let slot = Arc::clone(self.lock().entry(key).or_insert_with(|| Arc::new(Slot::new())));
+        slot.get_or_compute(compute)
+    }
+
+    /// Keys holding a computed value.
+    fn len(&self) -> usize {
+        self.lock().values().filter(|slot| slot.peek().is_some()).count()
+    }
 }
 
 /// Shared, thread-safe memo for Detect, Fit, and Solve stage outputs.
@@ -95,9 +132,23 @@ struct Inner {
 /// Clone the surrounding `Arc<StageMemo>` into several
 /// [`crate::BatchRunner`]s to share warm caches across runs; a fresh
 /// memo reproduces cold-start behavior.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct StageMemo {
-    inner: Mutex<Inner>,
+    /// Source key → materialized trace + its content fingerprint.
+    traces: Mutex<BTreeMap<String, (Arc<TraceDataset>, u64)>>,
+    pub(crate) detect: StageCache<DetectKey, Arc<DetectionResult>>,
+    /// Fit outcomes are memoized *including* deterministic failures, so
+    /// a warm rerun replays the same error without re-fitting.
+    pub(crate) fit: StageCache<FitKey, Result<Arc<DesignPrep>, String>>,
+    /// Solved designs, memoized including deterministic failures for
+    /// the same reason as fits.
+    pub(crate) solve: StageCache<SolveKey, Result<Arc<ContractDesign>, String>>,
+}
+
+impl fmt::Debug for StageMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StageMemo").field("len", &self.len()).finish()
+    }
 }
 
 impl StageMemo {
@@ -108,8 +159,8 @@ impl StageMemo {
 
     /// Number of memoized (trace, detection, fit, solve) entries.
     pub fn len(&self) -> (usize, usize, usize, usize) {
-        let inner = self.lock();
-        (inner.traces.len(), inner.detect.len(), inner.fit.len(), inner.solve.len())
+        let traces = self.traces.lock().unwrap_or_else(PoisonError::into_inner).len();
+        (traces, self.detect.len(), self.fit.len(), self.solve.len())
     }
 
     /// `true` when nothing is memoized yet.
@@ -118,47 +169,15 @@ impl StageMemo {
         t == 0 && d == 0 && f == 0 && s == 0
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     pub(crate) fn get_trace(&self, key: &str) -> Option<(Arc<TraceDataset>, u64)> {
-        self.lock().traces.get(key).cloned()
+        self.traces.lock().unwrap_or_else(PoisonError::into_inner).get(key).cloned()
     }
 
     pub(crate) fn insert_trace(&self, key: String, trace: Arc<TraceDataset>, fingerprint: u64) {
-        self.lock().traces.insert(key, (trace, fingerprint));
-    }
-
-    pub(crate) fn get_detect(&self, key: &DetectKey) -> Option<Arc<DetectionResult>> {
-        self.lock().detect.get(key).cloned()
-    }
-
-    pub(crate) fn insert_detect(&self, key: DetectKey, value: Arc<DetectionResult>) {
-        self.lock().detect.insert(key, value);
-    }
-
-    pub(crate) fn get_fit(&self, key: &FitKey) -> Option<Result<Arc<dcc_core::DesignPrep>, String>> {
-        self.lock().fit.get(key).cloned()
-    }
-
-    pub(crate) fn insert_fit(&self, key: FitKey, value: Result<Arc<dcc_core::DesignPrep>, String>) {
-        self.lock().fit.insert(key, value);
-    }
-
-    pub(crate) fn get_solve(
-        &self,
-        key: &SolveKey,
-    ) -> Option<Result<Arc<dcc_core::ContractDesign>, String>> {
-        self.lock().solve.get(key).cloned()
-    }
-
-    pub(crate) fn insert_solve(
-        &self,
-        key: SolveKey,
-        value: Result<Arc<dcc_core::ContractDesign>, String>,
-    ) {
-        self.lock().solve.insert(key, value);
+        self.traces
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, (trace, fingerprint));
     }
 }
 
@@ -219,12 +238,10 @@ pub(crate) fn pipeline_fingerprint(pipeline: &PipelineConfig) -> u64 {
     h.finish()
 }
 
-/// Fingerprint of the fit-relevant design fields — the same set as the
-/// engine's internal fit-stage invalidation key (see
-/// `RoundContext::set_mu`, which re-solves without re-fitting): ω,
-/// intervals, effort quantile, and the per-worker fit threshold. μ and
-/// the failure policy are deliberately excluded; they only affect the
-/// solve stage.
+/// Fingerprint of the fit-relevant design fields — the ones
+/// `prepare_design` reads: ω, intervals, effort quantile, and the
+/// per-worker fit threshold. μ and the failure policy are deliberately
+/// excluded; they only affect the solve stage, so a μ sweep fits once.
 pub(crate) fn fit_fingerprint(design: &dcc_core::DesignConfig) -> u64 {
     let mut h = Fnv::new();
     h.write_f64(design.params.omega);

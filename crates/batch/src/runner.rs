@@ -12,12 +12,14 @@
 //! (trace, pipeline, fit-config) triple fits once, and each distinct
 //! (trace, pipeline, fit-config, design-config) quadruple — μ included,
 //! budget fraction and strategy excluded — solves once, no matter how
-//! many scenarios or how many threads ask for it. In-flight
-//! deduplication uses per-key [`Slot`]s: two workers never compute the
-//! same detection concurrently, and a *panicking* computation resets
-//! its slot instead of wedging it, so a poisoned scenario can neither
-//! block nor contaminate its siblings (values reach the memo only from
-//! successfully computed slots).
+//! many scenarios or how many threads ask for it. The memo holds one
+//! panic-safe slot per key: two workers never compute the same
+//! detection concurrently, and a *panicking* computation resets its
+//! slot instead of wedging it, so a poisoned scenario can neither block
+//! nor contaminate its siblings. A scenario calls the stage functions
+//! directly, as `dcc serve` does: `run_pipeline`, `prepare_design`,
+//! `solve_subproblems` → `assemble_design`, and
+//! `BaselineStrategy::assemble` → `Simulation::run`.
 //!
 //! Every scenario runs once under supervision
 //! ([`BatchRunner::run_supervised`]): `catch_unwind` panic isolation,
@@ -41,29 +43,26 @@
 use crate::ckpt::{load_checkpoint, CkptEntry, CkptWriter, ScenarioSummary};
 use crate::grid::{strategy_label, Scenario, ScenarioGrid, TraceSpec};
 use crate::memo::{
-    fit_fingerprint, pipeline_fingerprint, solve_fingerprint, trace_fingerprint, DetectKey, FitKey,
-    MemoStats, SolveKey, StageMemo,
+    fit_fingerprint, pipeline_fingerprint, solve_fingerprint, trace_fingerprint, MemoStats,
+    SolveKey, StageMemo,
 };
 use crate::supervisor::{
-    panic_message, BatchFaultPlan, BatchOutcome, FailureKind, FaultPoint, ScenarioFailure, Slot,
+    panic_message, BatchFaultPlan, BatchOutcome, FailureKind, FaultPoint, ScenarioFailure,
     SupervisorOptions, WorkBudget,
 };
 use dcc_core::{
-    select_within_budget, BudgetedSelection, ContractDesign, CoreError, DesignPrep,
-    FailurePolicy, SimulationOutcome,
+    assemble_design, prepare_design, select_within_budget, solve_subproblems, BaselineStrategy,
+    BudgetedSelection, ContractDesign, CoreError, FailurePolicy, Simulation, SimulationOutcome,
 };
 use dcc_detect::{run_pipeline, DetectionResult};
-use dcc_engine::{
-    Engine, EngineConfig, EngineSimOutcome, PoolSize, RoundContext, StageKind, TraceSource,
-};
+use dcc_engine::{PoolSize, TraceSource};
 use dcc_numerics::Fnv;
 use dcc_obs::{names as obs, AttrValue, Metrics};
 use dcc_trace::{read_trace_columnar, read_trace_csv, TraceDataset};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 #[allow(
@@ -391,127 +390,85 @@ impl BatchRunner {
             }
             _ => BTreeMap::new(),
         };
-        let writer = sup.checkpoint.as_ref().map(|config| {
-            CkptWriter::new(&config.path, config.every, grid_fp, restored.clone())
-        });
+        let writer = sup
+            .checkpoint
+            .as_ref()
+            .map(|config| CkptWriter::new(&config.path, grid_fp, restored.clone()));
 
-        // Per-key in-flight slots, pre-seeded from the persistent memo.
-        // Cache flags are derived from the serial schedule (memo hit at
-        // run start, or a lower-id scenario shares the key).
-        let mut detect_slots: BTreeMap<DetectKey, DetectSlot> = BTreeMap::new();
-        let mut fit_slots: BTreeMap<FitKey, FitSlot> = BTreeMap::new();
-        let mut solve_slots: BTreeMap<SolveKey, SolveSlot> = BTreeMap::new();
-        let mut detect_flags = Vec::with_capacity(n);
-        let mut fit_flags = Vec::with_capacity(n);
-        let mut solve_flags = Vec::with_capacity(n);
-        for s in scenarios {
-            let Some(Some((_, trace_fp))) = traces.get(s.trace) else {
-                continue;
-            };
-            let dk: DetectKey = (*trace_fp, pipeline_fp);
-            let fk: FitKey = (*trace_fp, pipeline_fp, fit_fp);
-            let sk: SolveKey = (*trace_fp, pipeline_fp, fit_fp, scenario_solve_fp(grid, s));
-            let detect_hit = match detect_slots.entry(dk) {
-                std::collections::btree_map::Entry::Occupied(_) => true,
-                std::collections::btree_map::Entry::Vacant(v) => match self.memo.get_detect(&dk) {
-                    Some(value) => {
-                        v.insert(Slot::seeded(value));
-                        true
-                    }
-                    None => {
-                        v.insert(Slot::new());
-                        false
-                    }
-                },
-            };
-            let fit_hit = match fit_slots.entry(fk) {
-                std::collections::btree_map::Entry::Occupied(_) => true,
-                std::collections::btree_map::Entry::Vacant(v) => match self.memo.get_fit(&fk) {
-                    Some(value) => {
-                        v.insert(Slot::seeded(value));
-                        true
-                    }
-                    None => {
-                        v.insert(Slot::new());
-                        false
-                    }
-                },
-            };
-            let solve_hit = match solve_slots.entry(sk) {
-                std::collections::btree_map::Entry::Occupied(_) => true,
-                std::collections::btree_map::Entry::Vacant(v) => match self.memo.get_solve(&sk) {
-                    Some(value) => {
-                        v.insert(Slot::seeded(value));
-                        true
-                    }
-                    None => {
-                        v.insert(Slot::new());
-                        false
-                    }
-                },
-            };
-            detect_flags.push(detect_hit);
-            fit_flags.push(fit_hit);
-            solve_flags.push(solve_hit);
-            stats.detect.record(detect_hit);
-            stats.fit.record(fit_hit);
-            stats.solve.record(solve_hit);
-        }
+        // Cache flags follow the serial schedule: a scenario's key is a
+        // hit when the memo held its value at run start or a lower-id
+        // scenario shares it.
+        let keys: Vec<Option<SolveKey>> = scenarios
+            .iter()
+            .map(|s| {
+                let (_, trace_fp) = traces.get(s.trace)?.as_ref()?;
+                Some((*trace_fp, pipeline_fp, fit_fp, scenario_solve_fp(grid, s)))
+            })
+            .collect();
+        let mut seen = (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        let flags: Vec<[bool; 3]> = keys
+            .iter()
+            .map(|key| {
+                let Some(key @ (trace_fp, pipeline_fp, fit_fp, _)) = *key else {
+                    return [false; 3];
+                };
+                let (dk, fk) = ((trace_fp, pipeline_fp), (trace_fp, pipeline_fp, fit_fp));
+                let hits = [
+                    !seen.0.insert(dk) || self.memo.detect.get(&dk).is_some(),
+                    !seen.1.insert(fk) || self.memo.fit.get(&fk).is_some(),
+                    !seen.2.insert(key) || self.memo.solve.get(&key).is_some(),
+                ];
+                stats.detect.record(hits[0]);
+                stats.fit.record(hits[1]);
+                stats.solve.record(hits[2]);
+                hits
+            })
+            .collect();
 
         let workers = resolved_pool(self.options.pool, n);
         let slots: Vec<Mutex<Option<ScenarioRecord>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let fresh_done = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
+        // The kill threshold is checked before each pull, so `--kill-at
+        // 0` stops before any work.
+        let killed = || {
+            sup.kill_after
+                .is_some_and(|k| fresh_done.load(Ordering::Relaxed) >= k)
+        };
 
         let job = |i: usize, scenario: &Scenario| -> Option<ScenarioRecord> {
-            let flags = (
-                detect_flags.get(i).copied().unwrap_or(false),
-                fit_flags.get(i).copied().unwrap_or(false),
-                solve_flags.get(i).copied().unwrap_or(false),
-            );
-            if let Some(entry) = restored.get(&i) {
-                let result = match entry {
-                    CkptEntry::Summary(summary) => Ok(ScenarioResult::Restored(summary.clone())),
-                    CkptEntry::Failure(failure) => Err(failure.clone()),
-                };
-                return Some(ScenarioRecord {
-                    scenario: *scenario,
-                    result,
-                    detect_cached: flags.0,
-                    fit_cached: flags.1,
-                    solve_cached: flags.2,
-                    elapsed: Duration::ZERO,
-                });
-            }
-            let (trace, trace_fp) = traces.get(scenario.trace)?.as_ref()?;
-            let dk: DetectKey = (*trace_fp, pipeline_fp);
-            let fk: FitKey = (*trace_fp, pipeline_fp, fit_fp);
-            let sk: SolveKey = (*trace_fp, pipeline_fp, fit_fp, scenario_solve_fp(grid, scenario));
-            let detect_slot = detect_slots.get(&dk)?;
-            let fit_slot = fit_slots.get(&fk)?;
-            let solve_slot = solve_slots.get(&sk)?;
-            #[allow(
-                clippy::disallowed_types,
-                reason = "worker-measured scenario duration, recorded post-merge and redacted in deterministic output"
-            )]
-            let t0 = Instant::now();
-            let result = run_scenario(
-                grid,
-                scenario,
-                trace,
-                detect_slot,
-                fit_slot,
-                solve_slot,
-                &sup.faults,
-                sup.scenario_budget,
-            );
+            let [detect_cached, fit_cached, solve_cached] = flags.get(i).copied()?;
+            let (result, elapsed) = match restored.get(&i) {
+                Some(CkptEntry::Summary(summary)) => {
+                    (Ok(ScenarioResult::Restored(summary.clone())), Duration::ZERO)
+                }
+                Some(CkptEntry::Failure(failure)) => (Err(failure.clone()), Duration::ZERO),
+                None => {
+                    let (trace, _) = traces.get(scenario.trace)?.as_ref()?;
+                    let key = keys.get(i).copied().flatten()?;
+                    #[allow(
+                        clippy::disallowed_types,
+                        reason = "worker-measured scenario duration, recorded post-merge and redacted in deterministic output"
+                    )]
+                    let t0 = Instant::now();
+                    let result = run_scenario(
+                        grid,
+                        scenario,
+                        trace,
+                        &self.memo,
+                        key,
+                        &sup.faults,
+                        sup.scenario_budget,
+                    );
+                    (result.map(ScenarioResult::Computed), t0.elapsed())
+                }
+            };
             Some(ScenarioRecord {
                 scenario: *scenario,
-                result: result.map(ScenarioResult::Computed),
-                detect_cached: flags.0,
-                fit_cached: flags.1,
-                solve_cached: flags.2,
-                elapsed: t0.elapsed(),
+                result,
+                detect_cached,
+                fit_cached,
+                solve_cached,
+                elapsed,
             })
         };
         // Stores one finished record: snapshot to the checkpoint, count
@@ -528,16 +485,13 @@ impl BatchRunner {
                 *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(record);
             }
             if fresh {
-                let done = fresh_done.fetch_add(1, Ordering::Relaxed) + 1;
-                if sup.kill_after.is_some_and(|k| done >= k) {
-                    stop.store(true, Ordering::Relaxed);
-                }
+                fresh_done.fetch_add(1, Ordering::Relaxed);
             }
         };
 
         if workers <= 1 {
             for (i, scenario) in scenarios.iter().enumerate() {
-                if stop.load(Ordering::Relaxed) {
+                if killed() {
                     break;
                 }
                 if let Some(record) = job(i, scenario) {
@@ -549,7 +503,7 @@ impl BatchRunner {
             thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| loop {
-                        if stop.load(Ordering::Relaxed) {
+                        if killed() {
                             break;
                         }
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -565,36 +519,10 @@ impl BatchRunner {
             });
         }
 
-        // Publish freshly computed values into the persistent memo so a
-        // later run (or a shared runner) starts warm. Only `Ready`
-        // slots publish — a slot whose computation panicked is `Empty`
-        // again, so a poisoned scenario can never reach the memo.
-        for (key, slot) in &detect_slots {
-            if let Some(value) = slot.peek() {
-                if self.memo.get_detect(key).is_none() {
-                    self.memo.insert_detect(*key, value);
-                }
-            }
-        }
-        for (key, slot) in &fit_slots {
-            if let Some(value) = slot.peek() {
-                if self.memo.get_fit(key).is_none() {
-                    self.memo.insert_fit(*key, value);
-                }
-            }
-        }
-        for (key, slot) in &solve_slots {
-            if let Some(value) = slot.peek() {
-                if self.memo.get_solve(key).is_none() {
-                    self.memo.insert_solve(*key, value);
-                }
-            }
-        }
-
-        if stop.load(Ordering::Relaxed) {
+        if killed() {
             // Killed at the threshold: flush what completed and report
-            // where to resume from. (`stop` is only ever set when a
-            // kill threshold — and therefore a checkpoint — is set.)
+            // where to resume from. (A kill threshold requires a
+            // checkpoint, validated above.)
             let Some(writer) = &writer else {
                 return Err(BatchError::Checkpoint(CoreError::InvalidInput(
                     "batch killed without a checkpoint writer".to_string(),
@@ -833,9 +761,6 @@ impl BatchRunner {
     }
 }
 
-type DetectSlot = Slot<Arc<DetectionResult>>;
-type FitSlot = Slot<Result<Arc<DesignPrep>, String>>;
-type SolveSlot = Slot<Result<Arc<ContractDesign>, String>>;
 /// A materialized trace plus its content fingerprint; `None` for a
 /// grid trace index no scenario references.
 type ResolvedTrace = Option<(Arc<TraceDataset>, u64)>;
@@ -901,42 +826,40 @@ fn resolved_pool(pool: PoolSize, n: usize) -> usize {
 }
 
 /// Runs one scenario against pre-resolved shared state, reproducing a
-/// serial engine run bit-exactly: the pre-seeded detection and fit are
-/// the same values `Engine::run_to` would compute, and the solve /
-/// construct / simulate stages run through the engine itself.
+/// serial engine run bit-exactly: each stage is the function the engine
+/// stage wraps, computed once per memo key.
 ///
 /// The whole scenario runs under `catch_unwind`, and each stage charges
-/// its *data-derived* work cost **before** consulting the shared slot
-/// — so work-budget exhaustion and fault injection are deterministic
-/// and pool-invariant regardless of which sibling physically computes
-/// a shared stage.
-#[allow(clippy::too_many_arguments)]
+/// its *data-derived* work cost **before** consulting the memo — so
+/// work-budget exhaustion and fault injection are deterministic and
+/// pool-invariant regardless of which sibling physically computes a
+/// shared stage.
 fn run_scenario(
     grid: &ScenarioGrid,
     scenario: &Scenario,
-    trace: &Arc<TraceDataset>,
-    detect_slot: &DetectSlot,
-    fit_slot: &FitSlot,
-    solve_slot: &SolveSlot,
+    trace: &TraceDataset,
+    memo: &StageMemo,
+    key: SolveKey,
     faults: &BatchFaultPlan,
     budget_units: Option<u64>,
 ) -> Result<ScenarioOutcome, ScenarioFailure> {
     let body = || -> Result<ScenarioOutcome, ScenarioFailure> {
+        let error = |e: CoreError| ScenarioFailure::error(e.to_string());
+        let (trace_fp, pipeline_fp, fit_fp, _) = key;
         let mut budget = WorkBudget::new(budget_units);
         let mut design = grid.design;
         design.params.mu = scenario.mu;
         // Fail exactly where (and with exactly the message) a fresh
         // engine run would: prepare_design validates the config before
         // fitting.
-        design
-            .validate()
-            .map_err(|e| ScenarioFailure::error(e.to_string()))?;
+        design.validate().map_err(error)?;
 
         let reviews = trace.reviews().len() as u64;
         budget.charge("detect", reviews)?;
         faults.fire_at(scenario.id, FaultPoint::Detect);
-        let detection = detect_slot
-            .get_or_compute(|| {
+        let detection = memo
+            .detect
+            .get_or_compute((trace_fp, pipeline_fp), || {
                 faults.fire_in_stage(scenario.id, FaultPoint::Detect);
                 Arc::new(run_pipeline(trace, grid.pipeline))
             })
@@ -944,10 +867,11 @@ fn run_scenario(
 
         budget.charge("fit", reviews)?;
         faults.fire_at(scenario.id, FaultPoint::Fit);
-        let prep = fit_slot
-            .get_or_compute(|| {
+        let prep = memo
+            .fit
+            .get_or_compute((trace_fp, pipeline_fp, fit_fp), || {
                 faults.fire_in_stage(scenario.id, FaultPoint::Fit);
-                dcc_core::prepare_design(trace, &detection, &design)
+                prepare_design(trace, &detection, &design)
                     .map(Arc::new)
                     .map_err(|e| e.to_string())
             })
@@ -959,35 +883,21 @@ fn run_scenario(
             (prep.subproblems.len() as u64).saturating_mul(design.intervals as u64),
         )?;
         faults.fire_at(scenario.id, FaultPoint::Solve);
-
-        // The source is a placeholder: trace/detection/prep (and, on a
-        // solve-memo hit, the solved design) are pre-seeded in stage
-        // order — each setter invalidates only later stages — so the
-        // skipped stages never run and ingest never reads the source.
-        let make_ctx = || {
-            let mut config = EngineConfig::for_source(TraceSource::CsvDir(PathBuf::new()));
-            config.pipeline = grid.pipeline;
-            config.design = design;
-            config.pool = PoolSize::Sequential;
-            config.strategy = scenario.strategy;
-            if let Some(sim) = grid.sim {
-                config.sim = sim;
-            }
-            let mut ctx = RoundContext::new(config);
-            ctx.set_trace(Arc::clone(trace));
-            ctx.set_detection(Arc::clone(&detection));
-            ctx.set_prep(Arc::clone(&prep));
-            ctx
-        };
-
-        let designed = solve_slot
-            .get_or_compute(|| {
+        // Scenarios fan out across the pool, so each solve runs on its
+        // worker's thread alone.
+        let designed = memo
+            .solve
+            .get_or_compute(key, || {
                 faults.fire_in_stage(scenario.id, FaultPoint::Solve);
-                let mut ctx = make_ctx();
-                Engine::new()
-                    .run_to(&mut ctx, StageKind::ConstructContracts)
-                    .map_err(|e| e.to_string())?;
-                ctx.shared_design().map_err(|e| e.to_string())
+                let (solution, degradation) = solve_subproblems(
+                    &prep.subproblems,
+                    &design.params,
+                    1,
+                    design.failure_policy,
+                    &Metrics::noop(),
+                )
+                .map_err(|e| e.to_string())?;
+                Ok(Arc::new(assemble_design(&detection, &prep, solution, degradation)))
             })
             .map_err(ScenarioFailure::panic)?
             .map_err(ScenarioFailure::error)?;
@@ -1000,32 +910,25 @@ fn run_scenario(
             .sum();
         let selection =
             select_within_budget(&designed.solution, scenario.budget_fraction * full_spend)
-                .map_err(|e| ScenarioFailure::error(e.to_string()))?;
-        let sim = if let Some(sim_config) = grid.sim {
-            budget.charge(
-                "simulate",
-                (sim_config.rounds as u64).saturating_mul(designed.agents.len() as u64),
-            )?;
-            faults.fire_at(scenario.id, FaultPoint::Simulate);
-            let mut ctx = make_ctx();
-            ctx.set_solution(Arc::clone(&designed.solution), designed.degradation.clone());
-            ctx.set_design(Arc::clone(&designed));
-            Engine::new()
-                .run_to(&mut ctx, StageKind::Simulate)
-                .map_err(|e| ScenarioFailure::error(e.to_string()))?;
-            match ctx
-                .sim_outcome()
-                .map_err(|e| ScenarioFailure::error(e.to_string()))?
-            {
-                EngineSimOutcome::Completed { outcome, .. } => Some(outcome.clone()),
-                EngineSimOutcome::Killed { at_round, .. } => {
-                    return Err(ScenarioFailure::error(format!(
-                        "scenario simulation killed at round {at_round}"
-                    )));
-                }
+                .map_err(error)?;
+        let sim = match grid.sim {
+            Some(sim_config) => {
+                budget.charge(
+                    "simulate",
+                    (sim_config.rounds as u64).saturating_mul(designed.agents.len() as u64),
+                )?;
+                faults.fire_at(scenario.id, FaultPoint::Simulate);
+                let suspected: BTreeSet<_> = detection.suspected.iter().copied().collect();
+                let agents = BaselineStrategy::new(scenario.strategy)
+                    .assemble(&designed, design.params.omega, &suspected, trace)
+                    .map_err(error)?;
+                Some(
+                    Simulation::new(design.params, sim_config)
+                        .run(&agents)
+                        .map_err(error)?,
+                )
             }
-        } else {
-            None
+            None => None,
         };
 
         Ok(ScenarioOutcome {
@@ -1050,6 +953,7 @@ mod tests {
     use crate::supervisor::{CheckpointConfig, FaultMode, ScenarioFault};
     use dcc_core::StrategyKind;
     use dcc_trace::SyntheticConfig;
+    use std::path::PathBuf;
 
     fn tiny(seed: u64) -> TraceDataset {
         let mut cfg = SyntheticConfig::small(seed);
@@ -1197,7 +1101,7 @@ mod tests {
             trace_fingerprint(&trace),
             pipeline_fingerprint(&grid.pipeline),
         );
-        let detection = runner.memo().get_detect(&dk).expect("memoized detection");
+        let detection = runner.memo().detect.get(&dk).expect("memoized detection");
         let outcomes: Vec<(f64, &ScenarioOutcome)> = report
             .records
             .iter()
@@ -1489,6 +1393,50 @@ mod tests {
                 "resumed report must be byte-identical (kill at {kill_at})"
             );
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn kill_at_zero_stops_before_any_work() {
+        let grid = ScenarioGrid::for_trace(tiny(3), &[1.5, 1.0]);
+        let scenarios = grid.scenarios();
+        let path = temp_ckpt("kill-zero");
+        let _ = std::fs::remove_file(&path);
+        let runner = BatchRunner::new();
+        let killed = runner
+            .run_supervised(
+                &grid,
+                &scenarios,
+                &SupervisorOptions {
+                    kill_after: Some(0),
+                    checkpoint: Some(CheckpointConfig::new(&path)),
+                    ..SupervisorOptions::default()
+                },
+            )
+            .expect("killed run");
+        assert!(
+            matches!(killed, BatchOutcome::Killed { completed: 0, total: 2, .. }),
+            "{killed:?}"
+        );
+        assert_eq!(runner.memo().len(), (1, 0, 0, 0), "only the trace was resolved");
+        // The checkpoint holds no records, so a resume runs everything
+        // and matches the uninterrupted report.
+        let resumed = BatchRunner::new()
+            .run_supervised(
+                &grid,
+                &scenarios,
+                &SupervisorOptions {
+                    checkpoint: Some(CheckpointConfig::new(&path)),
+                    resume: true,
+                    ..SupervisorOptions::default()
+                },
+            )
+            .expect("resumed run")
+            .into_report()
+            .expect("completed");
+        assert_eq!(resumed.restored, 0);
+        let full = BatchRunner::new().run(&grid).expect("uninterrupted");
+        assert_eq!(encode(&resumed), encode(&full));
         let _ = std::fs::remove_file(&path);
     }
 

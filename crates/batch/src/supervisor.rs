@@ -44,7 +44,7 @@ pub struct SupervisorOptions {
     /// scenarios completed, flush the checkpoint, and return
     /// [`BatchOutcome::Killed`]. Requires [`SupervisorOptions::checkpoint`].
     pub kill_after: Option<usize>,
-    /// Periodic partial-results checkpointing (`dcc-batch-ckpt/3`).
+    /// Partial-results checkpointing (`dcc-batch-ckpt/3`).
     pub checkpoint: Option<CheckpointConfig>,
     /// Restore completed scenarios from the checkpoint file before
     /// running; restored scenarios are not recomputed. Requires
@@ -54,19 +54,18 @@ pub struct SupervisorOptions {
     pub faults: BatchFaultPlan,
 }
 
-/// Where and how often a supervised run snapshots partial results.
+/// Where a supervised run snapshots partial results: the file is
+/// rewritten after every fresh scenario completion.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Checkpoint file path (written atomically: temp file + rename).
     pub path: PathBuf,
-    /// Flush after this many fresh scenario completions (min 1).
-    pub every: usize,
 }
 
 impl CheckpointConfig {
-    /// A checkpoint at `path` flushed after every completion.
+    /// A checkpoint at `path`.
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        CheckpointConfig { path: path.into(), every: 1 }
+        CheckpointConfig { path: path.into() }
     }
 }
 
@@ -237,7 +236,7 @@ pub enum FaultMode {
     /// stage slot — deterministic and pool-invariant.
     Panic,
     /// Panic *inside* the shared stage computation, exercising the
-    /// [`Slot`] recovery path. Deterministic only when the faulted
+    /// memo slot's recovery path. Deterministic only when the faulted
     /// scenario's stage key is unique in the grid (otherwise a sibling
     /// may compute the stage first and the fault never fires).
     PanicInStage,
@@ -334,8 +333,7 @@ enum SlotState<T> {
 /// Woken waiters *re-claim the computation themselves*, so one
 /// scenario's panic never manifests as a sibling failure — and a panic
 /// can never store a partial value, which is what keeps the shared
-/// [`crate::StageMemo`] poison-free (values are published to the memo
-/// only from `Ready` slots).
+/// [`crate::StageMemo`], whose entries are slots, poison-free.
 pub(crate) struct Slot<T> {
     state: Mutex<SlotState<T>>,
     ready: Condvar,
@@ -345,14 +343,6 @@ impl<T: Clone> Slot<T> {
     pub(crate) fn new() -> Self {
         Slot {
             state: Mutex::new(SlotState::Empty),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// A slot pre-filled with a memoized value.
-    pub(crate) fn seeded(value: T) -> Self {
-        Slot {
-            state: Mutex::new(SlotState::Ready(value)),
             ready: Condvar::new(),
         }
     }
@@ -431,12 +421,6 @@ mod tests {
         assert_eq!(slot.get_or_compute(|| 9usize).unwrap(), 7);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert_eq!(slot.peek(), Some(7));
-    }
-
-    #[test]
-    fn seeded_slot_never_computes() {
-        let slot = Slot::seeded(3usize);
-        assert_eq!(slot.get_or_compute(|| 5usize).unwrap(), 3);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Engine bench: sequential vs pooled subproblem solving, and the value
-//! of the engine's stage cache on a μ sweep.
+//! Engine bench: sequential vs pooled subproblem solving, and the cost
+//! of the solve's observability. (The value of stage reuse on a μ sweep
+//! is `make batch-bench`'s naive-versus-memo comparison.)
 //!
 //! The pooled solve is required to be **bit-identical** to the
 //! sequential one (see `dcc-engine`'s property tests), so the only
@@ -159,44 +160,6 @@ fn bench_pooled_solve(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_stage_cache(c: &mut Criterion) {
-    let trace = trace();
-    let engine = Engine::new();
-    let mut group = c.benchmark_group("engine_cache");
-    group.sample_size(10);
-
-    // Cold: every μ rebuilds the context, so detection and ψ-fits rerun.
-    group.bench_function("mu_sweep_cold", |b| {
-        b.iter(|| {
-            for mu in [1.0, 1.5, 2.0] {
-                let mut config = EngineConfig::for_trace(trace.clone());
-                config.design = design_config();
-                config.design.params.mu = mu;
-                let mut ctx = RoundContext::new(config);
-                engine
-                    .run_to(&mut ctx, StageKind::ConstructContracts)
-                    .expect("design");
-                black_box(ctx.design().unwrap().total_requester_utility);
-            }
-        });
-    });
-
-    // Warm: one context; μ invalidates solve-onward only.
-    group.bench_function("mu_sweep_warm", |b| {
-        b.iter(|| {
-            let mut ctx = prepared_context(&trace);
-            for mu in [1.0, 1.5, 2.0] {
-                ctx.set_mu(mu);
-                engine
-                    .run_to(&mut ctx, StageKind::ConstructContracts)
-                    .expect("design");
-                black_box(ctx.design().unwrap().total_requester_utility);
-            }
-        });
-    });
-    group.finish();
-}
-
 fn bench_obs_overhead(c: &mut Criterion) {
     let sps = synthetic_subproblems(256, 80);
     let params = params();
@@ -221,12 +184,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    engine_benches,
-    bench_pooled_solve,
-    bench_stage_cache,
-    bench_obs_overhead
-);
+criterion_group!(engine_benches, bench_pooled_solve, bench_obs_overhead);
 
 /// Seconds one call of `f` takes.
 fn secs<F: FnMut()>(mut f: F) -> f64 {

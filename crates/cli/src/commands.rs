@@ -800,12 +800,7 @@ fn render_metrics_summary(doc: &Json) -> String {
     )
     .ok();
     writeln!(out, "\nper-stage latency:").ok();
-    writeln!(
-        out,
-        "  {:<22} {:>12} {:>8}  cause",
-        "stage", "elapsed_us", "cached"
-    )
-    .ok();
+    writeln!(out, "  {:<22} {:>12} {:>8}", "stage", "elapsed_us", "cached").ok();
     for span in spans {
         if span.get("name").and_then(Json::as_str) != Some(dcc_obs::names::SPAN_STAGE) {
             continue;
@@ -814,13 +809,12 @@ fn render_metrics_summary(doc: &Json) -> String {
         let get = |key: &str| attrs.and_then(|a| a.get(key));
         writeln!(
             out,
-            "  {:<22} {:>12} {:>8}  {}",
+            "  {:<22} {:>12} {:>8}",
             get("stage").and_then(Json::as_str).unwrap_or("?"),
             span.get("elapsed_us")
                 .and_then(Json::as_f64)
                 .map_or_else(|| "open".to_string(), |us| format!("{us:.0}")),
             get("cached").and_then(Json::as_bool).unwrap_or(false),
-            get("cause").and_then(Json::as_str).unwrap_or("-"),
         )
         .ok();
     }
@@ -874,7 +868,7 @@ pub fn cmd_metrics(args: &ParsedArgs) -> CliResult {
 
 /// `dcc batch GRID.json [--pool N | --serial]
 ///  [--policy abort|fallback|skip] [--metrics FILE] [--scenario-budget UNITS]
-///  [--checkpoint FILE [--checkpoint-every N] [--kill-at K | --resume]]`
+///  [--checkpoint FILE [--kill-at K | --resume]]`
 /// — expand a `dcc-batch/1` scenario grid (traces × μ × budget
 /// fraction × strategy) and run it on the supervised deterministic
 /// batch scheduler.
@@ -901,14 +895,10 @@ pub fn cmd_batch(args: &ParsedArgs) -> CliResult {
         .map_err(|e| CliError::Failed(format!("cannot read grid spec {spec}: {e}")))?;
     let grid = ScenarioGrid::parse(&text).map_err(|e| CliError::Usage(format!("{spec}: {e}")))?;
 
-    let checkpoint = match args.flags.get("checkpoint") {
-        Some(path) => {
-            let mut config = dcc_batch::CheckpointConfig::new(PathBuf::from(path));
-            config.every = args.num_flag("checkpoint-every", 1usize)?.max(1);
-            Some(config)
-        }
-        None => None,
-    };
+    let checkpoint = args
+        .flags
+        .get("checkpoint")
+        .map(|path| dcc_batch::CheckpointConfig::new(PathBuf::from(path)));
     let resume = args.bool_flag("resume");
     let kill_after = if args.flags.contains_key("kill-at") {
         Some(args.num_flag("kill-at", 1usize)?)
@@ -1620,7 +1610,7 @@ COMMANDS:
                                                        --metrics JSON document
   batch      GRID.json [--pool N | --serial] [--policy abort|fallback|skip]
              [--metrics FILE] [--scenario-budget UNITS]
-             [--checkpoint FILE [--checkpoint-every N] [--kill-at K | --resume]]
+             [--checkpoint FILE [--kill-at K | --resume]]
                                                        run a dcc-batch/1 scenario
                                                        grid, each scenario once,
                                                        quarantining failures
@@ -1688,8 +1678,8 @@ const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
     (
         "batch",
         &[&[
-            "grid", "checkpoint", "checkpoint-every", "resume", "kill-at", "scenario-budget",
-            "metrics", "pool", "serial", "policy", "fallback-amount",
+            "grid", "checkpoint", "resume", "kill-at", "scenario-budget", "metrics", "pool",
+            "serial", "policy", "fallback-amount",
         ]],
     ),
     (

@@ -22,6 +22,10 @@ fn a_misspelled_flag_is_a_usage_error_naming_it() {
         (&["experiment", "table2", "--sclae", "paper"][..], "--sclae"),
         (&["simulate", "no-such-trace", "--noies", "5"], "--noies"),
         (&["batch", "no-such-grid.json", "--retries", "2"], "--retries"),
+        (
+            &["batch", "no-such-grid.json", "--checkpoint", "c", "--checkpoint-every", "4"],
+            "--checkpoint-every",
+        ),
         (&["gen", "--out", out_dir, "--sede", "3"], "--sede"),
         (&["check", "--intervals", "20", "--weigth", "2"], "--weigth"),
     ] {
@@ -44,7 +48,7 @@ fn an_interval_count_past_the_cap_is_refused_not_allocated() {
     assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(
         String::from_utf8_lossy(&out.stderr),
-        "error: invalid parameters: discretization allows at most 10000 intervals, \
+        "error: invalid parameters: discretization allows at most 1024 intervals, \
          got 100000000000\n"
     );
 
@@ -61,7 +65,7 @@ fn an_interval_count_past_the_cap_is_refused_not_allocated() {
     assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("GridSpec.design: invalid parameters: DesignConfig.intervals must be <= 10000"),
+        stderr.contains("GridSpec.design: invalid parameters: DesignConfig.intervals must be <= 1024"),
         "{stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();

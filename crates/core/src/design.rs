@@ -689,7 +689,7 @@ mod tests {
         let err = DesignConfig { intervals: 100_000_000_000, ..base }.validate().unwrap_err();
         assert_eq!(
             err.to_string(),
-            "invalid parameters: DesignConfig.intervals must be <= 10000, got 100000000000"
+            "invalid parameters: DesignConfig.intervals must be <= 1024, got 100000000000"
         );
 
         let err = DesignConfig {

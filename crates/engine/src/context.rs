@@ -1,5 +1,5 @@
 use crate::error::EngineError;
-use crate::stage::StageKind;
+use crate::stages::StageKind;
 use dcc_core::{
     BipSolution, ContractDesign, DegradationReport, DesignConfig, DesignPrep, SimulationConfig,
     SimulationOutcome, StrategyKind,
@@ -27,8 +27,7 @@ pub enum TraceSource {
 /// Worker-pool sizing for [`StageKind::SolveSubproblems`].
 ///
 /// Any choice produces **bit-identical** results — the pool only decides
-/// how many scoped threads share the deterministic chunked fan-out — so
-/// changing it never invalidates cached outputs.
+/// how many scoped threads share the deterministic chunked fan-out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoolSize {
     /// Solve on the calling thread.
@@ -140,18 +139,16 @@ pub enum EngineSimOutcome {
 
 /// The shared blackboard the stages read from and write to.
 ///
-/// The context owns the configuration and one cached output slot per
-/// stage. The trace, detection, fit, solution and design slots hold
-/// their outputs behind [`Arc`]s: a setter takes either an owned value
-/// or an `Arc` (`impl Into<Arc<T>>`), so a caller that already shares
-/// an output (the batch memo) seeds a context without copying it, and
-/// cloning a context copies pointers, not stage outputs. Getters
-/// borrow, and return [`EngineError::MissingOutput`] until the
-/// corresponding stage has run; setters store an output and discard
-/// every later stage's cache. Config mutators invalidate only the
-/// stages that actually depend on the touched field, so e.g. a μ-sweep
-/// re-solves the subproblems each step but reuses the detection result
-/// and the quadratic ψ-fits across the whole sweep.
+/// The context owns the configuration, fixed once the context is built,
+/// and one cached output slot per stage. The trace, detection, fit,
+/// solution and design slots hold their outputs behind [`Arc`]s: a
+/// setter takes either an owned value or an `Arc`
+/// (`impl Into<Arc<T>>`), so a caller that already shares an output
+/// seeds a context without copying it, and cloning a context copies
+/// pointers, not stage outputs. Getters borrow, and return
+/// [`EngineError::MissingOutput`] until the corresponding stage has
+/// run; setters store an output and discard every later stage's. A run
+/// over other settings (another μ, strategy, pool, …) is a new context.
 #[derive(Debug, Clone)]
 pub struct RoundContext {
     config: EngineConfig,
@@ -161,21 +158,6 @@ pub struct RoundContext {
     solved: Option<(Arc<BipSolution>, DegradationReport)>,
     design: Option<Arc<ContractDesign>>,
     sim_outcome: Option<EngineSimOutcome>,
-    /// Why each stage's cache slot was last invalidated (the mutator
-    /// name). `None` for a slot that has never held data ("initial") or
-    /// whose output is currently cached. Surfaced as the `cause`
-    /// attribute on stage spans.
-    causes: [Option<&'static str>; 6],
-}
-
-/// The inputs of the fit stage that, when changed, force a refit.
-fn fit_key(design: &DesignConfig) -> (u64, usize, u64, Option<usize>) {
-    (
-        design.params.omega.to_bits(),
-        design.intervals,
-        design.effort_quantile.to_bits(),
-        design.per_worker_fit_min_reviews,
-    )
 }
 
 impl RoundContext {
@@ -189,11 +171,10 @@ impl RoundContext {
             solved: None,
             design: None,
             sim_outcome: None,
-            causes: [None; 6],
         }
     }
 
-    /// The active configuration.
+    /// The configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
     }
@@ -210,52 +191,16 @@ impl RoundContext {
         }
     }
 
-    /// Discards the cached outputs of `kind` and every later stage.
-    pub fn invalidate_from(&mut self, kind: StageKind) {
-        self.invalidate_from_cause(kind, "invalidate_from");
-    }
-
-    /// Why `kind`'s cache slot was last invalidated (the responsible
-    /// mutator's name), or `None` when the slot has never held data or
-    /// currently holds its output.
-    pub fn invalidation_cause(&self, kind: StageKind) -> Option<&'static str> {
-        self.causes[kind.index()]
-    }
-
-    fn invalidate_from_cause(&mut self, kind: StageKind, cause: &'static str) {
-        for k in StageKind::ALL {
-            if k.index() >= kind.index() {
-                self.clear_with(k, cause);
-            }
-        }
-    }
-
-    fn clear(&mut self, kind: StageKind) {
-        match kind {
-            StageKind::Ingest => self.trace = None,
-            StageKind::Detect => self.detection = None,
-            StageKind::FitEffort => self.prep = None,
-            StageKind::SolveSubproblems => self.solved = None,
-            StageKind::ConstructContracts => self.design = None,
-            StageKind::Simulate => self.sim_outcome = None,
-        }
-    }
-
-    /// Clears `kind`'s slot, attributing the invalidation to `cause` —
-    /// but only when the slot actually held data, so a still-pending
-    /// cause (e.g. `set_mu` on a stage that has not re-run yet) is not
-    /// overwritten by a later no-op invalidation.
-    fn clear_with(&mut self, kind: StageKind, cause: &'static str) {
-        if self.has(kind) {
-            self.causes[kind.index()] = Some(cause);
-            self.clear(kind);
-        }
-    }
-
+    /// Discards the cached outputs of every stage after `kind`.
     fn invalidate_after(&mut self, kind: StageKind) {
-        for k in StageKind::ALL {
-            if k.index() > kind.index() {
-                self.clear_with(k, "upstream_output");
+        for later in StageKind::ALL.into_iter().filter(|&k| k > kind) {
+            match later {
+                StageKind::Ingest => self.trace = None,
+                StageKind::Detect => self.detection = None,
+                StageKind::FitEffort => self.prep = None,
+                StageKind::SolveSubproblems => self.solved = None,
+                StageKind::ConstructContracts => self.design = None,
+                StageKind::Simulate => self.sim_outcome = None,
             }
         }
     }
@@ -319,18 +264,6 @@ impl RoundContext {
         })
     }
 
-    /// The assembled design's shared allocation, for a caller that keeps
-    /// the design past the context (the batch memo) without copying it.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::MissingOutput`] until the construct stage has run.
-    pub fn shared_design(&self) -> Result<Arc<ContractDesign>, EngineError> {
-        self.design.clone().ok_or(EngineError::MissingOutput {
-            stage: StageKind::ConstructContracts,
-        })
-    }
-
     /// The simulation outcome.
     ///
     /// # Errors
@@ -346,7 +279,6 @@ impl RoundContext {
     /// stages.
     pub fn set_trace(&mut self, trace: impl Into<Arc<TraceDataset>>) {
         self.trace = Some(trace.into());
-        self.causes[StageKind::Ingest.index()] = None;
         self.invalidate_after(StageKind::Ingest);
     }
 
@@ -354,7 +286,6 @@ impl RoundContext {
     /// stages.
     pub fn set_detection(&mut self, detection: impl Into<Arc<DetectionResult>>) {
         self.detection = Some(detection.into());
-        self.causes[StageKind::Detect.index()] = None;
         self.invalidate_after(StageKind::Detect);
     }
 
@@ -362,7 +293,6 @@ impl RoundContext {
     /// stages.
     pub fn set_prep(&mut self, prep: impl Into<Arc<DesignPrep>>) {
         self.prep = Some(prep.into());
-        self.causes[StageKind::FitEffort.index()] = None;
         self.invalidate_after(StageKind::FitEffort);
     }
 
@@ -374,7 +304,6 @@ impl RoundContext {
         degradation: DegradationReport,
     ) {
         self.solved = Some((solution.into(), degradation));
-        self.causes[StageKind::SolveSubproblems.index()] = None;
         self.invalidate_after(StageKind::SolveSubproblems);
     }
 
@@ -382,97 +311,11 @@ impl RoundContext {
     /// simulate stage.
     pub fn set_design(&mut self, design: impl Into<Arc<ContractDesign>>) {
         self.design = Some(design.into());
-        self.causes[StageKind::ConstructContracts.index()] = None;
         self.invalidate_after(StageKind::ConstructContracts);
     }
 
     /// Publishes the simulate output.
     pub fn set_outcome(&mut self, outcome: EngineSimOutcome) {
         self.sim_outcome = Some(outcome);
-        self.causes[StageKind::Simulate.index()] = None;
-    }
-
-    // --- Config mutators with precise invalidation ---------------------
-
-    /// Replaces the trace source and invalidates everything.
-    pub fn set_source(&mut self, source: TraceSource) {
-        self.config.source = source;
-        self.invalidate_from_cause(StageKind::Ingest, "set_source");
-    }
-
-    /// Replaces the detection configuration and invalidates from the
-    /// detect stage on.
-    pub fn set_pipeline_config(&mut self, pipeline: PipelineConfig) {
-        if self.config.pipeline != pipeline {
-            self.config.pipeline = pipeline;
-            self.invalidate_from_cause(StageKind::Detect, "set_pipeline_config");
-        }
-    }
-
-    /// Replaces the design configuration.
-    ///
-    /// Invalidation is precise: only when a *fit-relevant* field changes
-    /// (`params.omega`, `intervals`, `effort_quantile`,
-    /// `per_worker_fit_min_reviews`) are the cached ψ-fits discarded;
-    /// any other change (μ, β, failure policy, …) re-solves from
-    /// [`StageKind::SolveSubproblems`] and reuses the fits.
-    pub fn set_design_config(&mut self, design: DesignConfig) {
-        self.set_design_config_cause(design, "set_design_config");
-    }
-
-    fn set_design_config_cause(&mut self, design: DesignConfig, cause: &'static str) {
-        if fit_key(&self.config.design) != fit_key(&design) {
-            self.config.design = design;
-            self.invalidate_from_cause(StageKind::FitEffort, cause);
-        } else if self.config.design != design {
-            self.config.design = design;
-            self.invalidate_from_cause(StageKind::SolveSubproblems, cause);
-        }
-    }
-
-    /// Sets the compensation weight μ (Eq. 7), re-solving from
-    /// [`StageKind::SolveSubproblems`] while keeping detection and fits
-    /// cached — the cheap path for a μ-sweep.
-    pub fn set_mu(&mut self, mu: f64) {
-        let mut design = self.config.design;
-        design.params.mu = mu;
-        self.set_design_config_cause(design, "set_mu");
-    }
-
-    /// Changes the worker-pool size. Never invalidates: the solve is
-    /// bit-identical across pool sizes.
-    pub fn set_pool(&mut self, pool: PoolSize) {
-        self.config.pool = pool;
-    }
-
-    /// Changes the simulated strategy, invalidating only the simulate
-    /// stage.
-    pub fn set_strategy(&mut self, strategy: StrategyKind) {
-        if self.config.strategy != strategy {
-            self.config.strategy = strategy;
-            self.invalidate_from_cause(StageKind::Simulate, "set_strategy");
-        }
-    }
-
-    /// Changes the repeated-game configuration, invalidating only the
-    /// simulate stage.
-    pub fn set_sim_config(&mut self, sim: SimulationConfig) {
-        if self.config.sim != sim {
-            self.config.sim = sim;
-            self.invalidate_from_cause(StageKind::Simulate, "set_sim_config");
-        }
-    }
-
-    /// Changes fault/checkpoint options, invalidating only the simulate
-    /// stage.
-    pub fn set_sim_options(&mut self, options: SimOptions) {
-        self.config.sim_options = options;
-        self.invalidate_from_cause(StageKind::Simulate, "set_sim_options");
-    }
-
-    /// Installs an observability sink. Never invalidates: recording is
-    /// output-neutral (the metric stream is a pure side channel).
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.config.metrics = metrics;
     }
 }

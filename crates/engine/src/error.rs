@@ -1,4 +1,4 @@
-use crate::stage::StageKind;
+use crate::stages::StageKind;
 use dcc_core::CoreError;
 use std::fmt;
 
@@ -7,9 +7,9 @@ use std::fmt;
 pub enum EngineError {
     /// A stage propagated a core solver/simulation error.
     Core(CoreError),
-    /// A stage asked the [`crate::RoundContext`] for an output that an
-    /// earlier stage has not produced yet — the engine was not run far
-    /// enough, or a custom stage forgot to call the matching setter.
+    /// A caller or stage asked the [`crate::RoundContext`] for an output
+    /// that an earlier stage has not produced yet — the engine was not
+    /// run far enough.
     MissingOutput {
         /// The stage whose output is missing.
         stage: StageKind,

@@ -2,27 +2,27 @@
 //!
 //! A staged pipeline engine unifying the paper's end-to-end flow —
 //! `Ingest → Detect → FitEffort → SolveSubproblems → ConstructContracts
-//! → Simulate` — behind typed, swappable [`Stage`]s over a shared
-//! [`RoundContext`].
+//! → Simulate` — over a shared [`RoundContext`].
 //!
 //! Before the engine, every consumer (CLI commands, the figure/table
 //! experiments, the benches) hand-wired the same
-//! `run_pipeline → design_contracts → Simulation` chain and recomputed
-//! detection results and quadratic ψ-fits on every call. The engine
-//! fixes both problems:
+//! `run_pipeline → design_contracts → Simulation` chain. The engine
+//! wires it once:
 //!
-//! - **Caching** — each stage's output lives in the context; re-running
-//!   the engine after a config change recomputes only the stages that
-//!   depend on it. A μ-sweep ([`RoundContext::set_mu`]) re-solves the
-//!   §IV-B subproblems but reuses detection and fits across the sweep.
+//! - **Caching** — each stage's output lives in the context, and
+//!   [`Engine::run_to`] skips a stage whose output the context already
+//!   holds, so a context run through `ConstructContracts` and then
+//!   through `Simulate` designs once. A context's configuration is
+//!   fixed when it is built; sweeps that share stage outputs across
+//!   settings (a μ sweep, a strategy comparison) go through the batch
+//!   runner's memo (`dcc-batch`).
 //! - **Determinism** — the solve stage fans the independent subproblems
 //!   across a `std::thread::scope` worker pool with a deterministic
 //!   chunked merge, so results are **bit-identical** to the sequential
 //!   path at every pool size ([`PoolSize`] is a pure throughput knob).
-//! - **Pluggability** — experiments swap individual stages
-//!   ([`Engine::with_stage`]) instead of copying the chain; e.g. the
-//!   collusion ablation installs a collusion-blind detect stage and
-//!   keeps everything else.
+//! - **Seeding** — the output setters take an owned value or an `Arc`,
+//!   so a caller can hand a context a stage output it computed itself
+//!   (a test corrupting one subproblem's ψ, say) and run the rest.
 //!
 //! ## Example
 //!
@@ -40,11 +40,10 @@
 //! let designed = ctx.design()?.agents.len();
 //! assert!(designed > 0);
 //!
-//! // …then sweep μ: detection and ψ-fits stay cached.
-//! ctx.set_mu(3.0);
-//! let report = engine.run_to(&mut ctx, StageKind::ConstructContracts)?;
-//! assert!(report.was_cached(StageKind::Detect));
-//! assert!(report.was_cached(StageKind::FitEffort));
+//! // …then simulate them: the design stages stay cached.
+//! let report = engine.run(&mut ctx)?;
+//! assert!(report.was_cached(StageKind::ConstructContracts));
+//! assert!(!report.was_cached(StageKind::Simulate));
 //! # Ok(())
 //! # }
 //! ```
@@ -55,7 +54,6 @@
 mod context;
 mod engine;
 mod error;
-mod stage;
 mod stages;
 
 pub use context::{
@@ -63,8 +61,4 @@ pub use context::{
 };
 pub use engine::{Engine, EngineReport, StageRun};
 pub use error::EngineError;
-pub use stage::{Stage, StageKind};
-pub use stages::{
-    DefaultConstruct, DefaultDetect, DefaultFitEffort, DefaultIngest, DefaultSimulate,
-    DefaultSolve,
-};
+pub use stages::StageKind;

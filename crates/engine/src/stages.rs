@@ -1,9 +1,10 @@
-//! The six default stage implementations — each a thin, swappable
-//! wrapper over the corresponding `dcc-detect` / `dcc-core` entry point.
+//! The six pipeline stages: [`StageKind`] names them, and one function
+//! per stage wraps the corresponding `dcc-detect` / `dcc-core` entry
+//! point, reading its inputs from the [`RoundContext`] and publishing
+//! its output through the matching setter.
 
 use crate::context::{EngineSimOutcome, RoundContext, TraceSource};
 use crate::error::EngineError;
-use crate::stage::{Stage, StageKind};
 use dcc_core::{assemble_design, prepare_design, solve_subproblems, BaselineStrategy, Simulation};
 use dcc_detect::run_pipeline;
 use dcc_faults::{
@@ -12,6 +13,7 @@ use dcc_faults::{
 use dcc_obs::{names as obs, AttrValue};
 use dcc_trace::{read_trace_columnar, read_trace_csv};
 use std::collections::BTreeSet;
+use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 #[allow(
@@ -20,172 +22,200 @@ use std::sync::Arc;
 )]
 use std::time::Instant;
 
-/// Materializes the trace from the configured [`TraceSource`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DefaultIngest;
+/// The six stages of the engine pipeline, in execution order.
+///
+/// The ordering (`Ingest < Detect < … < Simulate`) is the order
+/// [`crate::Engine::run_to`] runs them in, and publishing a stage's
+/// output discards the outputs of every later stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum StageKind {
+    /// Materialize the [`dcc_trace::TraceDataset`] from the configured
+    /// source (provided in memory, CSV directory, or synthetic).
+    Ingest,
+    /// Run the §IV detection pipeline (consensus, suspects, communities,
+    /// Eq. 5 weights).
+    Detect,
+    /// Fit per-class (and optionally per-worker) quadratic effort
+    /// functions and decompose into §IV-B subproblems.
+    FitEffort,
+    /// Solve the independent subproblems with the §IV-C candidate
+    /// algorithm, fanned across a deterministic worker pool.
+    SolveSubproblems,
+    /// Assemble the solved decomposition into per-worker contracts.
+    ConstructContracts,
+    /// Play the repeated Stackelberg game (with optional fault plan and
+    /// checkpointing).
+    Simulate,
+}
 
-impl Stage for DefaultIngest {
-    fn kind(&self) -> StageKind {
-        StageKind::Ingest
-    }
+impl StageKind {
+    /// All stages in execution order.
+    pub const ALL: [StageKind; 6] = [
+        StageKind::Ingest,
+        StageKind::Detect,
+        StageKind::FitEffort,
+        StageKind::SolveSubproblems,
+        StageKind::ConstructContracts,
+        StageKind::Simulate,
+    ];
 
-    fn run(&self, ctx: &mut RoundContext) -> Result<(), EngineError> {
-        #[allow(
-            clippy::disallowed_types,
-            reason = "trace-load timing fed to metrics.span_at below"
-        )]
-        let started = ctx.config().metrics.enabled().then(Instant::now);
-        let (trace, source_kind) = match &ctx.config().source {
-            TraceSource::Provided(trace) => (trace.clone(), "provided"),
-            TraceSource::CsvDir(dir) => (
-                read_trace_csv(Path::new(dir)).map_err(|e| {
-                    EngineError::Ingest(format!("cannot read trace {}: {e}", dir.display()))
-                })?,
-                "csv",
-            ),
-            TraceSource::Columnar(path) => (
-                read_trace_columnar(path)
-                    .and_then(|col| col.to_dataset())
-                    .map_err(|e| {
-                        EngineError::Ingest(format!("cannot read trace {}: {e}", path.display()))
-                    })?,
-                "columnar",
-            ),
-            TraceSource::Synthetic(config) => (config.generate(), "synthetic"),
-        };
-        let metrics = &ctx.config().metrics;
-        if metrics.enabled() {
-            if let Some(started) = started {
-                metrics.span_at(
-                    obs::SPAN_TRACE_LOAD,
-                    &[("source", AttrValue::from(source_kind))],
-                    started.elapsed(),
-                );
-            }
-            metrics.add(obs::COUNTER_TRACE_REVIEWS, trace.reviews().len() as u64);
-            metrics.add(obs::COUNTER_TRACE_REVIEWERS, trace.reviewers().len() as u64);
-            metrics.gauge(obs::GAUGE_TRACE_WORKERS, trace.reviewers().len() as f64);
+    /// The stage's kebab-case name (used in reports and error messages).
+    pub fn name(self) -> &'static str {
+        match self {
+            StageKind::Ingest => "ingest",
+            StageKind::Detect => "detect",
+            StageKind::FitEffort => "fit-effort",
+            StageKind::SolveSubproblems => "solve-subproblems",
+            StageKind::ConstructContracts => "construct-contracts",
+            StageKind::Simulate => "simulate",
         }
-        ctx.set_trace(trace);
-        Ok(())
     }
+}
+
+impl fmt::Display for StageKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// Computes `kind`'s output from the context and stores it back.
+///
+/// # Errors
+///
+/// [`EngineError::MissingOutput`] when an earlier stage has not run, or
+/// the failure of the underlying computation.
+pub(crate) fn run(kind: StageKind, ctx: &mut RoundContext) -> Result<(), EngineError> {
+    match kind {
+        StageKind::Ingest => ingest(ctx),
+        StageKind::Detect => detect(ctx),
+        StageKind::FitEffort => fit_effort(ctx),
+        StageKind::SolveSubproblems => solve(ctx),
+        StageKind::ConstructContracts => construct(ctx),
+        StageKind::Simulate => simulate(ctx),
+    }
+}
+
+/// Materializes the trace from the configured [`TraceSource`].
+fn ingest(ctx: &mut RoundContext) -> Result<(), EngineError> {
+    #[allow(
+        clippy::disallowed_types,
+        reason = "trace-load timing fed to metrics.span_at below"
+    )]
+    let started = ctx.config().metrics.enabled().then(Instant::now);
+    let (trace, source_kind) = match &ctx.config().source {
+        TraceSource::Provided(trace) => (trace.clone(), "provided"),
+        TraceSource::CsvDir(dir) => (
+            read_trace_csv(Path::new(dir)).map_err(|e| {
+                EngineError::Ingest(format!("cannot read trace {}: {e}", dir.display()))
+            })?,
+            "csv",
+        ),
+        TraceSource::Columnar(path) => (
+            read_trace_columnar(path)
+                .and_then(|col| col.to_dataset())
+                .map_err(|e| {
+                    EngineError::Ingest(format!("cannot read trace {}: {e}", path.display()))
+                })?,
+            "columnar",
+        ),
+        TraceSource::Synthetic(config) => (config.generate(), "synthetic"),
+    };
+    let metrics = &ctx.config().metrics;
+    if metrics.enabled() {
+        if let Some(started) = started {
+            metrics.span_at(
+                obs::SPAN_TRACE_LOAD,
+                &[("source", AttrValue::from(source_kind))],
+                started.elapsed(),
+            );
+        }
+        metrics.add(obs::COUNTER_TRACE_REVIEWS, trace.reviews().len() as u64);
+        metrics.add(obs::COUNTER_TRACE_REVIEWERS, trace.reviewers().len() as u64);
+        metrics.gauge(obs::GAUGE_TRACE_WORKERS, trace.reviewers().len() as f64);
+    }
+    ctx.set_trace(trace);
+    Ok(())
 }
 
 /// Runs the two-pass §IV detection pipeline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DefaultDetect;
-
-impl Stage for DefaultDetect {
-    fn kind(&self) -> StageKind {
-        StageKind::Detect
+fn detect(ctx: &mut RoundContext) -> Result<(), EngineError> {
+    let detection = run_pipeline(ctx.trace()?, ctx.config().pipeline);
+    let metrics = &ctx.config().metrics;
+    if metrics.enabled() {
+        metrics.add(obs::COUNTER_DETECT_SUSPECTED, detection.suspected.len() as u64);
+        metrics.add(
+            obs::COUNTER_DETECT_COMMUNITIES,
+            detection.collusion.communities.len() as u64,
+        );
     }
-
-    fn run(&self, ctx: &mut RoundContext) -> Result<(), EngineError> {
-        let detection = run_pipeline(ctx.trace()?, ctx.config().pipeline);
-        let metrics = &ctx.config().metrics;
-        if metrics.enabled() {
-            metrics.add(obs::COUNTER_DETECT_SUSPECTED, detection.suspected.len() as u64);
-            metrics.add(
-                obs::COUNTER_DETECT_COMMUNITIES,
-                detection.collusion.communities.len() as u64,
-            );
-        }
-        ctx.set_detection(detection);
-        Ok(())
-    }
+    ctx.set_detection(detection);
+    Ok(())
 }
 
 /// Fits effort functions and decomposes into §IV-B subproblems.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DefaultFitEffort;
-
-impl Stage for DefaultFitEffort {
-    fn kind(&self) -> StageKind {
-        StageKind::FitEffort
+fn fit_effort(ctx: &mut RoundContext) -> Result<(), EngineError> {
+    let prep = prepare_design(ctx.trace()?, ctx.detection()?, &ctx.config().design)?;
+    let metrics = &ctx.config().metrics;
+    if metrics.enabled() {
+        metrics.add(obs::COUNTER_FIT_SUBPROBLEMS, prep.subproblems.len() as u64);
     }
-
-    fn run(&self, ctx: &mut RoundContext) -> Result<(), EngineError> {
-        let prep = prepare_design(ctx.trace()?, ctx.detection()?, &ctx.config().design)?;
-        let metrics = &ctx.config().metrics;
-        if metrics.enabled() {
-            metrics.add(obs::COUNTER_FIT_SUBPROBLEMS, prep.subproblems.len() as u64);
-        }
-        ctx.set_prep(prep);
-        Ok(())
-    }
+    ctx.set_prep(prep);
+    Ok(())
 }
 
 /// Solves the decomposition across the configured worker pool.
 ///
 /// Results are bit-identical for every pool size (deterministic chunked
-/// fan-out, see [`solve_subproblems`]), so the engine treats the pool as
-/// a pure throughput knob.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DefaultSolve;
-
-impl Stage for DefaultSolve {
-    fn kind(&self) -> StageKind {
-        StageKind::SolveSubproblems
-    }
-
-    fn run(&self, ctx: &mut RoundContext) -> Result<(), EngineError> {
-        let config = ctx.config();
-        let (solution, degradation) = solve_subproblems(
-            &ctx.prep()?.subproblems,
-            &config.design.params,
-            config.pool.resolve(),
-            config.design.failure_policy,
-            &config.metrics,
-        )?;
-        ctx.set_solution(solution, degradation);
-        Ok(())
-    }
+/// fan-out, see [`solve_subproblems`]), so the pool is a pure
+/// throughput knob.
+fn solve(ctx: &mut RoundContext) -> Result<(), EngineError> {
+    let config = ctx.config();
+    let (solution, degradation) = solve_subproblems(
+        &ctx.prep()?.subproblems,
+        &config.design.params,
+        config.pool.resolve(),
+        config.design.failure_policy,
+        &config.metrics,
+    )?;
+    ctx.set_solution(solution, degradation);
+    Ok(())
 }
 
 /// Assembles the solved decomposition into per-worker contracts.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DefaultConstruct;
-
-impl Stage for DefaultConstruct {
-    fn kind(&self) -> StageKind {
-        StageKind::ConstructContracts
-    }
-
-    fn run(&self, ctx: &mut RoundContext) -> Result<(), EngineError> {
-        let (solution, degradation) = ctx.solved()?;
-        let design = assemble_design(
-            ctx.detection()?,
-            ctx.prep()?,
-            Arc::clone(solution),
-            degradation.clone(),
-        );
-        let metrics = &ctx.config().metrics;
-        if metrics.enabled() {
-            metrics.add(obs::COUNTER_DESIGN_AGENTS, design.agents.len() as u64);
-            metrics.gauge(obs::GAUGE_DESIGN_UTILITY, design.total_requester_utility);
-            for d in &design.degradation.degraded {
-                metrics.event(
-                    obs::EVENT_DESIGN_DEGRADED,
-                    &[
-                        ("subproblem", d.subproblem.into()),
-                        (
-                            "action",
-                            AttrValue::from(match d.action {
-                                dcc_core::DegradationAction::Fallback { .. } => "fallback",
-                                dcc_core::DegradationAction::Skipped => "skipped",
-                            }),
-                        ),
-                        (
-                            "utility_delta",
-                            d.utility_delta.map_or(AttrValue::from("unknown"), AttrValue::from),
-                        ),
-                    ],
-                );
-            }
+fn construct(ctx: &mut RoundContext) -> Result<(), EngineError> {
+    let (solution, degradation) = ctx.solved()?;
+    let design = assemble_design(
+        ctx.detection()?,
+        ctx.prep()?,
+        Arc::clone(solution),
+        degradation.clone(),
+    );
+    let metrics = &ctx.config().metrics;
+    if metrics.enabled() {
+        metrics.add(obs::COUNTER_DESIGN_AGENTS, design.agents.len() as u64);
+        metrics.gauge(obs::GAUGE_DESIGN_UTILITY, design.total_requester_utility);
+        for d in &design.degradation.degraded {
+            metrics.event(
+                obs::EVENT_DESIGN_DEGRADED,
+                &[
+                    ("subproblem", d.subproblem.into()),
+                    (
+                        "action",
+                        AttrValue::from(match d.action {
+                            dcc_core::DegradationAction::Fallback { .. } => "fallback",
+                            dcc_core::DegradationAction::Skipped => "skipped",
+                        }),
+                    ),
+                    (
+                        "utility_delta",
+                        d.utility_delta.map_or(AttrValue::from("unknown"), AttrValue::from),
+                    ),
+                ],
+            );
         }
-        ctx.set_design(design);
-        Ok(())
     }
+    ctx.set_design(design);
+    Ok(())
 }
 
 /// Plays the repeated game under the configured strategy, fault plan,
@@ -196,106 +226,96 @@ impl Stage for DefaultConstruct {
 /// then replays the recorded rounds through the same loop with a fresh
 /// injector before going on, so a kill-at/resume pair reproduces the
 /// uninterrupted run bit-exactly: outcome, fault log and metrics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DefaultSimulate;
-
-impl Stage for DefaultSimulate {
-    fn kind(&self) -> StageKind {
-        StageKind::Simulate
+fn simulate(ctx: &mut RoundContext) -> Result<(), EngineError> {
+    let config = ctx.config();
+    let options = &config.sim_options;
+    if options.resume && options.checkpoint.is_none() {
+        return Err(EngineError::Config(
+            "--resume requires --checkpoint FILE".into(),
+        ));
+    }
+    if options.kill_at.is_some() && options.checkpoint.is_none() {
+        return Err(EngineError::Config(
+            "--kill-at requires --checkpoint FILE".into(),
+        ));
     }
 
-    fn run(&self, ctx: &mut RoundContext) -> Result<(), EngineError> {
-        let config = ctx.config();
-        let options = &config.sim_options;
-        if options.resume && options.checkpoint.is_none() {
-            return Err(EngineError::Config(
-                "--resume requires --checkpoint FILE".into(),
-            ));
-        }
-        if options.kill_at.is_some() && options.checkpoint.is_none() {
-            return Err(EngineError::Config(
-                "--kill-at requires --checkpoint FILE".into(),
-            ));
-        }
+    let design = ctx.design()?;
+    let suspected: BTreeSet<_> = ctx.detection()?.suspected.iter().copied().collect();
+    let agents = BaselineStrategy::new(config.strategy).assemble(
+        design,
+        config.design.params.omega,
+        &suspected,
+        ctx.trace()?,
+    )?;
+    let sim = Simulation::new(config.design.params, config.sim);
+    let mut injector = FaultInjector::new(&options.fault_plan);
+    let kill_at = options.kill_at;
+    let sim_config = config.sim;
+    let faults_scheduled = options.fault_plan.len();
+    let metrics = config.metrics.clone();
 
-        let design = ctx.design()?;
-        let suspected: BTreeSet<_> = ctx.detection()?.suspected.iter().copied().collect();
-        let agents = BaselineStrategy::new(config.strategy).assemble(
-            design,
-            config.design.params.omega,
-            &suspected,
-            ctx.trace()?,
-        )?;
-        let sim = Simulation::new(config.design.params, config.sim);
-        let mut injector = FaultInjector::new(&options.fault_plan);
-        let kill_at = options.kill_at;
-        let sim_config = config.sim;
-        let faults_scheduled = options.fault_plan.len();
-        let metrics = config.metrics.clone();
+    // Only a checkpointed run pays for the fingerprint.
+    let checkpoint = options.checkpoint.clone().map(|cp| {
+        let fp = sim_fingerprint(&config.design.params, &sim_config, &options.fault_plan, &agents);
+        (cp, fp)
+    });
+    let replay_to = match (&checkpoint, options.resume) {
+        (Some((cp, fp)), true) => load_sim_checkpoint(cp, *fp, sim_config.rounds)?,
+        _ => 0,
+    };
 
-        // Only a checkpointed run pays for the fingerprint.
-        let checkpoint = options.checkpoint.clone().map(|cp| {
-            let fp =
-                sim_fingerprint(&config.design.params, &sim_config, &options.fault_plan, &agents);
-            (cp, fp)
-        });
-        let replay_to = match (&checkpoint, options.resume) {
-            (Some((cp, fp)), true) => load_sim_checkpoint(cp, *fp, sim_config.rounds)?,
-            _ => 0,
-        };
-
-        let mut state = sim.start(&agents)?;
-        let outcome = loop {
-            if state.next_round >= replay_to && !state.is_complete(&sim_config) {
-                if let (Some(k), Some((cp, fp))) = (kill_at, &checkpoint) {
-                    if state.next_round >= k {
-                        save_json_atomic(cp, &sim_checkpoint(*fp, state.next_round))?;
-                        break EngineSimOutcome::Killed {
-                            at_round: state.next_round,
-                            total_rounds: sim_config.rounds,
-                            checkpoint: cp.clone(),
-                        };
-                    }
-                }
-            }
-            if !sim.step(&agents, &mut state, &mut injector) {
-                break EngineSimOutcome::Completed {
-                    outcome: sim.outcome_of(&state)?,
-                    faults_scheduled,
-                    faults_fired: injector.log().len(),
-                };
-            }
-            if metrics.enabled() {
-                metrics.add(obs::COUNTER_SIM_ROUNDS, 1);
-                if let Some(rec) = state.rounds.last() {
-                    metrics.event(
-                        obs::EVENT_SIM_ROUND,
-                        &[
-                            ("round", rec.round.into()),
-                            ("benefit", rec.benefit.into()),
-                            ("payment", rec.payment.into()),
-                            ("u_req", rec.requester_utility.into()),
-                        ],
-                    );
-                }
-            }
-            // Replayed rounds are already on disk.
-            if let Some((cp, fp)) = &checkpoint {
-                if state.next_round > replay_to {
+    let mut state = sim.start(&agents)?;
+    let outcome = loop {
+        if state.next_round >= replay_to && !state.is_complete(&sim_config) {
+            if let (Some(k), Some((cp, fp))) = (kill_at, &checkpoint) {
+                if state.next_round >= k {
                     save_json_atomic(cp, &sim_checkpoint(*fp, state.next_round))?;
+                    break EngineSimOutcome::Killed {
+                        at_round: state.next_round,
+                        total_rounds: sim_config.rounds,
+                        checkpoint: cp.clone(),
+                    };
                 }
             }
-        };
-        if metrics.enabled() {
-            metrics.gauge(obs::GAUGE_FAULTS_SCHEDULED, faults_scheduled as f64);
-            let counts = injector.hit_counts();
-            metrics.add(obs::COUNTER_FAULTS_FIRED, counts.total() as u64);
-            metrics.add(obs::COUNTER_FAULTS_DROPPED, counts.dropped as u64);
-            metrics.add(obs::COUNTER_FAULTS_LOST, counts.lost_feedback as u64);
-            metrics.add(obs::COUNTER_FAULTS_CORRUPTED, counts.corrupted_feedback as u64);
-            metrics.add(obs::COUNTER_FAULTS_DELAYED, counts.delayed_payments as u64);
         }
-        ctx.set_outcome(outcome);
-        Ok(())
+        if !sim.step(&agents, &mut state, &mut injector) {
+            break EngineSimOutcome::Completed {
+                outcome: sim.outcome_of(&state)?,
+                faults_scheduled,
+                faults_fired: injector.log().len(),
+            };
+        }
+        if metrics.enabled() {
+            metrics.add(obs::COUNTER_SIM_ROUNDS, 1);
+            if let Some(rec) = state.rounds.last() {
+                metrics.event(
+                    obs::EVENT_SIM_ROUND,
+                    &[
+                        ("round", rec.round.into()),
+                        ("benefit", rec.benefit.into()),
+                        ("payment", rec.payment.into()),
+                        ("u_req", rec.requester_utility.into()),
+                    ],
+                );
+            }
+        }
+        // Replayed rounds are already on disk.
+        if let Some((cp, fp)) = &checkpoint {
+            if state.next_round > replay_to {
+                save_json_atomic(cp, &sim_checkpoint(*fp, state.next_round))?;
+            }
+        }
+    };
+    if metrics.enabled() {
+        metrics.gauge(obs::GAUGE_FAULTS_SCHEDULED, faults_scheduled as f64);
+        let counts = injector.hit_counts();
+        metrics.add(obs::COUNTER_FAULTS_FIRED, counts.total() as u64);
+        metrics.add(obs::COUNTER_FAULTS_DROPPED, counts.dropped as u64);
+        metrics.add(obs::COUNTER_FAULTS_LOST, counts.lost_feedback as u64);
+        metrics.add(obs::COUNTER_FAULTS_CORRUPTED, counts.corrupted_feedback as u64);
+        metrics.add(obs::COUNTER_FAULTS_DELAYED, counts.delayed_payments as u64);
     }
+    ctx.set_outcome(outcome);
+    Ok(())
 }

@@ -1,6 +1,6 @@
 //! Observability integration: the engine's metric stream must agree
 //! with what the pipeline actually did — six stage spans with cache
-//! flags and invalidation causes, per-subproblem solve spans, per-round
+//! flags, per-subproblem solve spans, per-round
 //! simulation events, and degraded-mode / fault-injection accounting
 //! that matches the `DegradationReport` and the injector log exactly.
 
@@ -30,15 +30,14 @@ fn small_config(seed: u64) -> EngineConfig {
     config
 }
 
-fn recording_ctx(config: EngineConfig) -> (Arc<JsonRecorder>, RoundContext) {
+fn recording_ctx(mut config: EngineConfig) -> (Arc<JsonRecorder>, RoundContext) {
     let recorder = Arc::new(JsonRecorder::new());
-    let mut ctx = RoundContext::new(config);
-    ctx.set_metrics(Metrics::new(recorder.clone()));
-    (recorder, ctx)
+    config.metrics = Metrics::new(recorder.clone());
+    (recorder, RoundContext::new(config))
 }
 
 #[test]
-fn all_six_stages_emit_spans_with_cache_flags_and_causes() {
+fn all_six_stages_emit_spans_with_cache_flags() {
     let (recorder, mut ctx) = recording_ctx(small_config(11));
     Engine::new().run(&mut ctx).unwrap();
     assert_eq!(recorder.span_count(names::SPAN_ENGINE_RUN), 1);
@@ -57,10 +56,9 @@ fn all_six_stages_emit_spans_with_cache_flags_and_causes() {
             "missing span for stage {stage}"
         );
     }
-    // A cold run computes everything: no cache hits, cause "initial".
+    // A cold run computes everything: no cache hits.
     assert!(json.contains("\"cached\":false"));
     assert!(!json.contains("\"cached\":true"));
-    assert!(json.contains("\"cause\":\"initial\""));
     // Per-subproblem solve spans rode along, nested under the engine run.
     assert!(recorder.span_count(names::SPAN_SUBPROBLEM) > 0);
     assert!(json.contains("\"iterations\":"));
@@ -70,20 +68,6 @@ fn all_six_stages_emit_spans_with_cache_flags_and_causes() {
     assert_eq!(recorder.span_count(names::SPAN_STAGE), 12);
     let json = recorder.to_json();
     assert!(json.contains("\"cached\":true"));
-    assert!(json.contains("\"cause\":\"cached\""));
-}
-
-#[test]
-fn mu_sweep_spans_carry_the_invalidation_cause() {
-    let (recorder, mut ctx) = recording_ctx(small_config(11));
-    let engine = Engine::new();
-    engine.run(&mut ctx).unwrap();
-    ctx.set_mu(0.9);
-    engine.run(&mut ctx).unwrap();
-    let json = recorder.to_json();
-    assert!(json.contains("\"cause\":\"set_mu\""), "re-solved stages name set_mu");
-    assert!(json.contains("\"cause\":\"cached\""), "detection and fits stayed cached");
-    assert_eq!(recorder.span_count(names::SPAN_STAGE), 12);
 }
 
 #[test]

@@ -185,8 +185,9 @@ proptest! {
         let fx = &fixtures()[seed_idx];
         let render = || {
             let recorder = Arc::new(JsonRecorder::new());
-            let mut ctx = RoundContext::new(engine_config(fx, PoolSize::Fixed(pool)));
-            ctx.set_metrics(Metrics::new(recorder.clone()));
+            let mut config = engine_config(fx, PoolSize::Fixed(pool));
+            config.metrics = Metrics::new(recorder.clone());
+            let mut ctx = RoundContext::new(config);
             Engine::new().run(&mut ctx).unwrap();
             recorder.to_json_redacted()
         };

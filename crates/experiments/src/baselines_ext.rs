@@ -7,7 +7,8 @@ use crate::render::fmt_f;
 use crate::{batch_error, batch_runner, ExperimentScale, TextTable};
 use dcc_batch::{Scenario, ScenarioGrid, ScenarioRecord};
 use dcc_core::{
-    BaselineStrategy, CoreError, LinearPricingBandit, SimulationConfig, StrategyKind,
+    AgentSpec, BaselineStrategy, CoreError, LinearPricingBandit, ModelParams, SimulationConfig,
+    StrategyKind,
 };
 use dcc_trace::TraceDataset;
 use std::collections::BTreeSet;
@@ -61,14 +62,36 @@ impl BaselineLadderResult {
     }
 }
 
-/// Runs E12 on an existing trace.
+/// One μ of the strategy comparison that Fig. 8(c) reports and E12
+/// extends with its learned linear contract.
+pub(crate) struct StrategyRuns {
+    /// μ used throughout.
+    pub(crate) mu: f64,
+    /// Mean per-round utility of the §IV-C dynamic contracts.
+    pub(crate) dynamic: f64,
+    /// … of the exclude-all-malicious baseline.
+    pub(crate) exclude: f64,
+    /// … of a fixed payment matched to the dynamic design's spend per
+    /// in-system agent.
+    pub(crate) fixed: f64,
+    /// The requester parameters at this μ.
+    pub(crate) params: ModelParams,
+    /// The dynamic design's simulated agents.
+    pub(crate) agents: Vec<AgentSpec>,
+}
+
+/// Simulates the dynamic contracts, the exclusion baseline and the
+/// matched fixed payment at each μ.
 ///
 /// # Errors
 ///
-/// Propagates design, simulation and bandit failures.
-pub fn run_on(trace: &TraceDataset, mus: &[f64]) -> Result<BaselineLadderResult, CoreError> {
+/// Propagates design and simulation failures.
+pub(crate) fn strategy_runs(
+    trace: &TraceDataset,
+    mus: &[f64],
+) -> Result<Vec<StrategyRuns>, CoreError> {
     // Two batch passes over one shared memo: detection and the ψ-fits
-    // run once for the whole ladder. The first pass sweeps
+    // run once for the whole comparison. The first pass sweeps
     // μ × {dynamic, exclude}; the fixed-payment amount depends on each
     // μ's dynamic design, so those scenarios are built afterwards and
     // run as an explicit list (warm memo: all cache hits).
@@ -88,22 +111,18 @@ pub fn run_on(trace: &TraceDataset, mus: &[f64]) -> Result<BaselineLadderResult,
         };
         let mu = dynamic_rec.scenario.mu;
         let outcome = scenario_outcome(dynamic_rec)?;
-        let dynamic = sim_mean_utility(dynamic_rec)?;
-        let exclude = sim_mean_utility(exclude_rec)?;
-
         let design = &outcome.design;
         let mut params = grid.design.params;
         params.mu = mu;
         let suspected: BTreeSet<_> = outcome.detection.suspected.iter().copied().collect();
         let agents = BaselineStrategy::new(StrategyKind::DynamicContract)
             .assemble(design, params.omega, &suspected, trace)?;
-        let bandit = LinearPricingBandit::default().run(&params, &agents)?;
 
         let in_system = agents.iter().filter(|a| a.in_system).count().max(1);
         let spend: f64 = design.agents.iter().map(|a| a.compensation).sum();
         let amount = (spend / in_system as f64).max(0.0);
 
-        partial.push((mu, dynamic, exclude, bandit));
+        partial.push((dynamic_rec, exclude_rec, params, agents));
         fixed_scenarios.push(Scenario {
             id: i,
             trace: 0,
@@ -116,19 +135,42 @@ pub fn run_on(trace: &TraceDataset, mus: &[f64]) -> Result<BaselineLadderResult,
     let fixed_report = runner
         .run_scenarios(&grid, &fixed_scenarios)
         .map_err(batch_error)?;
-    let mut rows = Vec::with_capacity(mus.len());
-    for ((mu, dynamic, exclude, bandit), fixed_rec) in
-        partial.into_iter().zip(&fixed_report.records)
-    {
-        rows.push(BaselineLadderRow {
-            mu,
-            dynamic,
-            learned_linear: bandit.late_mean_utility,
-            exclude,
-            fixed: sim_mean_utility(fixed_rec)?,
-            learned_slope: bandit.best_slope,
-        });
-    }
+    partial
+        .into_iter()
+        .zip(&fixed_report.records)
+        .map(|((dynamic_rec, exclude_rec, params, agents), fixed_rec)| {
+            Ok(StrategyRuns {
+                mu: params.mu,
+                dynamic: sim_mean_utility(dynamic_rec)?,
+                exclude: sim_mean_utility(exclude_rec)?,
+                fixed: sim_mean_utility(fixed_rec)?,
+                params,
+                agents,
+            })
+        })
+        .collect()
+}
+
+/// Runs E12 on an existing trace.
+///
+/// # Errors
+///
+/// Propagates design, simulation and bandit failures.
+pub fn run_on(trace: &TraceDataset, mus: &[f64]) -> Result<BaselineLadderResult, CoreError> {
+    let rows = strategy_runs(trace, mus)?
+        .into_iter()
+        .map(|run| {
+            let bandit = LinearPricingBandit::default().run(&run.params, &run.agents)?;
+            Ok(BaselineLadderRow {
+                mu: run.mu,
+                dynamic: run.dynamic,
+                learned_linear: bandit.late_mean_utility,
+                exclude: run.exclude,
+                fixed: run.fixed,
+                learned_slope: bandit.best_slope,
+            })
+        })
+        .collect::<Result<_, CoreError>>()?;
     Ok(BaselineLadderResult { rows })
 }
 

@@ -7,14 +7,15 @@
 //! evaluates both under the *same* reference weights.
 
 use crate::render::fmt_f;
-use crate::{core_error, engine_context, ExperimentScale, TextTable};
+use crate::{current_metrics, ExperimentScale, TextTable};
 use dcc_core::{
-    BaselineStrategy, CoreError, ModelParams, Simulation, SimulationConfig, StrategyKind,
+    assemble_design, prepare_design, solve_subproblems, BaselineStrategy, ContractDesign,
+    CoreError, DesignConfig, DesignPrep, ModelParams, Simulation, SimulationConfig, StrategyKind,
 };
 use dcc_detect::{
-    run_pipeline, CollusionReport, DetectionResult, FeedbackWeights, WeightParams,
+    run_pipeline, CollusionReport, DetectionResult, FeedbackWeights, PipelineConfig, WeightParams,
 };
-use dcc_engine::{Engine, EngineError, RoundContext, Stage, StageKind};
+use dcc_engine::PoolSize;
 use dcc_trace::{ReviewerId, TraceDataset};
 use std::collections::BTreeSet;
 
@@ -67,33 +68,9 @@ impl CollusionAblationResult {
 
 /// A collusion-blind variant of a detection result: same estimates and
 /// consensus, but every suspect is a singleton (no communities, so no
-/// γ-penalty and no meta-worker aggregation).
-/// The collusion-blind detector as a swappable engine [`Stage`]: it
-/// fills the [`StageKind::Detect`] slot, runs the regular pipeline, and
-/// then dissolves every community — so
-/// `Engine::new().with_stage(Box::new(BlindDetectStage))` is the whole
-/// ablation counterfactual while every other stage (fitting, solving,
-/// construction, simulation) stays the default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BlindDetectStage;
-
-impl Stage for BlindDetectStage {
-    fn kind(&self) -> StageKind {
-        StageKind::Detect
-    }
-
-    fn name(&self) -> &'static str {
-        "blind-detect"
-    }
-
-    fn run(&self, ctx: &mut RoundContext) -> Result<(), EngineError> {
-        let aware = run_pipeline(ctx.trace()?, ctx.config().pipeline);
-        let blind = blind_detection(ctx.trace()?, &aware);
-        ctx.set_detection(blind);
-        Ok(())
-    }
-}
-
+/// γ-penalty and no meta-worker aggregation) — the ablation's
+/// counterfactual, while fitting, solving, construction and simulation
+/// stay the same.
 fn blind_detection(trace: &TraceDataset, aware: &DetectionResult) -> DetectionResult {
     let blind_collusion = CollusionReport {
         communities: Vec::new(),
@@ -163,54 +140,52 @@ fn evaluate(
     Ok((outcome.mean_round_utility, cm_pay))
 }
 
+/// The design under `config` over a fitted decomposition.
+fn design_at(
+    detection: &DetectionResult,
+    prep: &DesignPrep,
+    config: &DesignConfig,
+) -> Result<ContractDesign, CoreError> {
+    let (solution, degradation) = solve_subproblems(
+        &prep.subproblems,
+        &config.params,
+        PoolSize::Auto.resolve(),
+        config.failure_policy,
+        &current_metrics(),
+    )?;
+    Ok(assemble_design(detection, prep, solution, degradation))
+}
+
 /// Runs E11 on an existing trace.
 ///
 /// # Errors
 ///
 /// Propagates design and simulation failures.
 pub fn run_on(trace: &TraceDataset, mus: &[f64]) -> Result<CollusionAblationResult, CoreError> {
-    // Two engines over the same trace: the default stage set, and one
-    // with the detect slot swapped for the blind counterfactual. Both
-    // contexts keep their detection and ψ-fits cached across the sweep.
-    let aware_engine = Engine::new();
-    let blind_engine = Engine::new().with_stage(Box::new(BlindDetectStage));
-    let mut aware_ctx = engine_context(trace);
-    let mut blind_ctx = engine_context(trace);
-
-    aware_engine
-        .run_to(&mut aware_ctx, StageKind::Detect)
-        .map_err(core_error)?;
-    let suspected: BTreeSet<ReviewerId> = aware_ctx
-        .detection()
-        .map_err(core_error)?
-        .suspected
-        .iter()
-        .copied()
-        .collect();
+    // One detection and its blind counterfactual, each fitted once; the
+    // μ sweep only re-solves.
+    let base = DesignConfig::default();
+    let aware = run_pipeline(trace, PipelineConfig::default());
+    let blind = blind_detection(trace, &aware);
+    let aware_prep = prepare_design(trace, &aware, &base)?;
+    let blind_prep = prepare_design(trace, &blind, &base)?;
+    let suspected: BTreeSet<ReviewerId> = aware.suspected.iter().copied().collect();
 
     let mut rows = Vec::with_capacity(mus.len());
     for &mu in mus {
-        aware_ctx.set_mu(mu);
-        blind_ctx.set_mu(mu);
-        aware_engine
-            .run_to(&mut aware_ctx, StageKind::ConstructContracts)
-            .map_err(core_error)?;
-        blind_engine
-            .run_to(&mut blind_ctx, StageKind::ConstructContracts)
-            .map_err(core_error)?;
-        let params = aware_ctx.config().design.params;
-        let reference = aware_ctx.detection().map_err(core_error)?;
+        let mut config = base;
+        config.params.mu = mu;
         let (aware_u, cm_pay_aware) = evaluate(
-            aware_ctx.design().map_err(core_error)?,
-            reference,
-            &params,
+            &design_at(&aware, &aware_prep, &config)?,
+            &aware,
+            &config.params,
             &suspected,
             trace,
         )?;
         let (blind_u, cm_pay_blind) = evaluate(
-            blind_ctx.design().map_err(core_error)?,
-            reference,
-            &params,
+            &design_at(&blind, &blind_prep, &config)?,
+            &aware,
+            &config.params,
             &suspected,
             trace,
         )?;

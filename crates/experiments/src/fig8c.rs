@@ -7,12 +7,11 @@
 //! within an acceptable accuracy range, while near-worthless feedback is
 //! automatically devalued by Eq. 5.
 
+use crate::baselines_ext::strategy_runs;
 use crate::render::fmt_f;
-use crate::{core_error, engine_context, ExperimentScale, TextTable};
-use dcc_core::{BaselineStrategy, CoreError, StrategyKind};
-use dcc_engine::{Engine, EngineSimOutcome, RoundContext};
+use crate::{ExperimentScale, TextTable};
+use dcc_core::CoreError;
 use dcc_trace::TraceDataset;
-use std::collections::BTreeSet;
 
 /// One μ row of the comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,64 +54,23 @@ impl Fig8cResult {
     }
 }
 
-/// Runs E7 on an existing trace.
+/// Runs E7 on an existing trace: the dynamic, exclusion and fixed-payment
+/// columns of E12's baseline ladder.
 ///
 /// # Errors
 ///
 /// Propagates design and simulation failures.
 pub fn run_on(trace: &TraceDataset, mus: &[f64]) -> Result<Fig8cResult, CoreError> {
-    let mut ctx = engine_context(trace);
-    let engine = Engine::new();
-    let mut rows = Vec::with_capacity(mus.len());
-    for &mu in mus {
-        // μ invalidates solve-onward; switching the strategy afterwards
-        // re-runs only the simulate stage over the cached design.
-        ctx.set_mu(mu);
-        ctx.set_strategy(StrategyKind::DynamicContract);
-        engine.run(&mut ctx).map_err(core_error)?;
-        let ours = mean_utility(&ctx)?;
-
-        // Fixed payment matched to our mean per-agent spend.
-        let design = ctx.design().map_err(core_error)?;
-        let params = ctx.config().design.params;
-        let suspected: BTreeSet<_> = ctx
-            .detection()
-            .map_err(core_error)?
-            .suspected
-            .iter()
-            .copied()
-            .collect();
-        let ours_agents = BaselineStrategy::new(StrategyKind::DynamicContract)
-            .assemble(design, params.omega, &suspected, ctx.trace().map_err(core_error)?)?;
-        let in_system = ours_agents.iter().filter(|a| a.in_system).count().max(1);
-        let total_spend: f64 = design.agents.iter().map(|a| a.compensation).sum();
-        let amount = (total_spend / in_system as f64).max(0.0);
-
-        ctx.set_strategy(StrategyKind::ExcludeMalicious);
-        engine.run(&mut ctx).map_err(core_error)?;
-        let exclude = mean_utility(&ctx)?;
-
-        ctx.set_strategy(StrategyKind::FixedPayment { amount });
-        engine.run(&mut ctx).map_err(core_error)?;
-        let fixed = mean_utility(&ctx)?;
-
-        rows.push(Fig8cRow {
-            mu,
-            ours,
-            exclude,
-            fixed,
-        });
-    }
+    let rows = strategy_runs(trace, mus)?
+        .into_iter()
+        .map(|run| Fig8cRow {
+            mu: run.mu,
+            ours: run.dynamic,
+            exclude: run.exclude,
+            fixed: run.fixed,
+        })
+        .collect();
     Ok(Fig8cResult { rows })
-}
-
-/// The mean per-round requester utility of the context's completed
-/// simulation.
-fn mean_utility(ctx: &RoundContext) -> Result<f64, CoreError> {
-    match ctx.sim_outcome().map_err(core_error)? {
-        EngineSimOutcome::Completed { outcome, .. } => Ok(outcome.mean_round_utility),
-        EngineSimOutcome::Killed { .. } => unreachable!("no kill round is configured"),
-    }
 }
 
 /// Runs E7 at the given scale and seed with the paper's μ values.

@@ -179,7 +179,9 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] on malformed or incomplete
-    /// documents.
+    /// documents, and on entries [`FaultPlanConfig::generate`] never
+    /// writes: a dropout window that is never active (`until <= from`)
+    /// and a payment delay of 0.
     pub fn from_json(doc: &Json) -> Result<FaultPlan, CoreError> {
         let field = |name: &str| {
             doc.get(name)
@@ -188,12 +190,20 @@ impl FaultPlan {
         };
         let dropouts = field("dropouts")?
             .iter()
-            .map(|d| {
-                Ok(DropoutWindow {
+            .enumerate()
+            .map(|(i, d)| {
+                let window = DropoutWindow {
                     agent: idx_of(d, "agent")?,
                     from: idx_of(d, "from")?,
                     until: idx_of(d, "until")?,
-                })
+                };
+                if window.until <= window.from {
+                    return Err(CoreError::InvalidInput(format!(
+                        "fault plan dropouts[{i}] field \"until\" ({}) must exceed \"from\" ({})",
+                        window.until, window.from
+                    )));
+                }
+                Ok(window)
             })
             .collect::<Result<_, CoreError>>()?;
         let missing = field("missing")?
@@ -237,12 +247,19 @@ impl FaultPlan {
             .collect::<Result<_, CoreError>>()?;
         let delays = field("delays")?
             .iter()
-            .map(|d| {
-                Ok(PaymentDelay {
+            .enumerate()
+            .map(|(i, d)| {
+                let delay = PaymentDelay {
                     agent: idx_of(d, "agent")?,
                     round: idx_of(d, "round")?,
                     delay: idx_of(d, "delay")?,
-                })
+                };
+                if delay.delay == 0 {
+                    return Err(CoreError::InvalidInput(format!(
+                        "fault plan delays[{i}] field \"delay\" must be at least 1, got 0"
+                    )));
+                }
+                Ok(delay)
             })
             .collect::<Result<_, CoreError>>()?;
         Ok(FaultPlan {

@@ -8,7 +8,9 @@
 //! plan with one number replaced by a value that is no index (`1e300`,
 //! `-1`, `0.5`, `2^64`, `"NaN"`, `null`, `[]`, `{}`). An index field
 //! holding such a value is refused; a corruption `value` holding a
-//! number or `"NaN"` decodes.
+//! number or `"NaN"` decodes. Entries the generator never writes — a
+//! dropout window that is never active, a payment delay of 0 — are
+//! refused by name.
 
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
@@ -146,4 +148,29 @@ fn an_index_at_or_above_2_pow_64_is_refused_by_name() {
     let largest = r#"{"dropouts":[],"missing":[],"corrupt":[],"delays":[{"agent":0,"round":1,"delay":18446744073709549568}]}"#;
     let plan = FaultPlan::from_json_str(largest).unwrap();
     assert_eq!(plan.delays[0].delay, 18_446_744_073_709_549_568);
+}
+
+#[test]
+fn entries_the_generator_never_writes_are_refused_by_name() {
+    let plan = |dropouts: &str, delays: &str| {
+        format!(r#"{{"dropouts":[{dropouts}],"missing":[],"corrupt":[],"delays":[{delays}]}}"#)
+    };
+    let window = r#"{"agent":0,"from":1,"until":3}"#;
+    let delay = r#"{"agent":0,"round":1,"delay":2}"#;
+    assert!(FaultPlan::from_json_str(&plan(window, delay)).is_ok());
+    let never_active = format!(r#"{window},{{"agent":0,"from":5,"until":2}}"#);
+    let zero_delay = format!(r#"{delay},{{"agent":0,"round":1,"delay":0}}"#);
+    for (text, entry, field) in [
+        (plan(&never_active, ""), "dropouts[1]", "\"until\""),
+        (plan(r#"{"agent":3,"from":4,"until":4}"#, ""), "dropouts[0]", "\"until\""),
+        (plan("", &zero_delay), "delays[1]", "\"delay\""),
+    ] {
+        let err = FaultPlan::from_json_str(&text).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidInput(_)), "{text}: {err}");
+        let message = err.to_string();
+        assert!(
+            message.contains(entry) && message.contains(field),
+            "{text}: {message}"
+        );
+    }
 }

@@ -503,8 +503,8 @@ trait T { fn decl(&self); fn with_default(&self) { self.decl(); } }
 
     #[test]
     fn impl_trait_for_type_uses_the_type() {
-        let parsed = parse("impl<'a> Stage for DefaultIngest<'a> { fn run(&self) {} }\n");
-        assert_eq!(parsed.fns[0].qual, "DefaultIngest::run");
+        let parsed = parse("impl<'a> Display for TraceRef<'a> { fn fmt(&self) {} }\n");
+        assert_eq!(parsed.fns[0].qual, "TraceRef::fmt");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ```text
 //! # comment
 //! launder path:crates/obs/ -- timing redaction strips wall-clock values
-//! launder fn:crates/engine/src/stages.rs#DefaultIngest::run -- span timing only
+//! launder fn:crates/engine/src/stages.rs#ingest -- span timing only
 //! launder call:seed_from_u64 -- seeded RNG construction is sanctioned
 //! sink fn:FaultPlan::save -- plan serialization must stay deterministic
 //! ```
@@ -203,7 +203,7 @@ mod tests {
 # header comment
 launder path:crates/obs/ -- redacted downstream
 
-launder fn:crates/engine/src/stages.rs#DefaultIngest::run -- span timing
+launder fn:crates/engine/src/engine.rs#Engine::run -- span timing
 launder fn:solve_subproblems -- fixed-order merge
 launder call:seed_from_u64 -- seeded construction
 sink fn:FaultPlan::save -- deterministic serialization
@@ -215,13 +215,13 @@ sink fn:FaultPlan::save -- deterministic serialization
             .pattern
             .matches_fn("crates/obs/src/recorder.rs", "JsonRecorder::span", "span"));
         assert!(p.entries[1].pattern.matches_fn(
-            "crates/engine/src/stages.rs",
-            "DefaultIngest::run",
+            "crates/engine/src/engine.rs",
+            "Engine::run",
             "run"
         ));
         assert!(!p.entries[1].pattern.matches_fn(
-            "crates/engine/src/engine.rs",
-            "DefaultIngest::run",
+            "crates/engine/src/stages.rs",
+            "Engine::run",
             "run"
         ));
         assert!(p.entries[2].pattern.matches_fn(

@@ -419,16 +419,33 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     if start == *pos {
         return Err(err(start, "expected a value"));
     }
-    std::str::from_utf8(&bytes[start..*pos])
+    let x = std::str::from_utf8(&bytes[start..*pos])
         .map_err(|_| err(start, "invalid number"))?
         .parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| err(start, "invalid number"))
+        .map_err(|_| err(start, "invalid number"))?;
+    // A literal past the f64 range (`1e999`) parses to an infinity,
+    // which `Json::Num` must not hold: it would render as `inf`, which
+    // no JSON parser reads back.
+    if x.is_finite() {
+        Ok(Json::Num(x))
+    } else {
+        Err(err(start, "number out of range"))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn numbers_past_the_f64_range_are_refused() {
+        for text in ["1e999", "-1e999", "[0,1e400]"] {
+            let err = Json::parse(text).unwrap_err();
+            assert!(err.message.contains("out of range"), "{text}: {err}");
+        }
+        assert_eq!(Json::parse("1e-999"), Ok(Json::Num(0.0)));
+        assert_eq!(Json::parse("1e308"), Ok(Json::Num(1e308)));
+    }
 
     #[test]
     fn nesting_past_the_limit_is_an_error_not_an_abort() {

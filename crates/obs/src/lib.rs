@@ -73,7 +73,7 @@ pub use recorder::{AttrValue, Metrics, NoopRecorder, Recorder, Span};
 pub mod names {
     /// Span: one full `Engine::run_to` invocation.
     pub const SPAN_ENGINE_RUN: &str = "engine.run";
-    /// Span: one pipeline stage (attrs: `stage`, `cached`, `cause`).
+    /// Span: one pipeline stage (attrs: `stage`, `cached`).
     pub const SPAN_STAGE: &str = "stage";
     /// Span: one §IV-B subproblem solve (attrs: `id`, `iterations`,
     /// `degraded`), recorded post-merge with the worker-measured time.

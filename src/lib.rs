@@ -28,8 +28,7 @@
 //!   simulation loops.
 //! - [`engine`] — the staged `Ingest → Detect → FitEffort →
 //!   SolveSubproblems → ConstructContracts → Simulate` pipeline with
-//!   cached stage outputs, swappable stages, and a deterministic
-//!   parallel solve.
+//!   cached stage outputs and a deterministic parallel solve.
 //! - [`obs`] — the dependency-free observability layer: span stack,
 //!   typed counters/gauges/histograms, and the `Noop`/`Json` recorders
 //!   the engine publishes its stage spans and solve/sim metrics
