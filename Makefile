@@ -4,7 +4,7 @@
 CHAOS_CASES ?= 512
 SCALE_BENCH_SCALES ?= 10,100
 
-.PHONY: build test lint lint-baseline clippy chaos chaos-sim chaos-batch chaos-serve experiments experiments-smoke engine-bench batch-bench scale-bench e2ebench-smoke metrics-check slow-tests ci
+.PHONY: build test lint lint-baseline clippy chaos chaos-batch chaos-serve experiments experiments-smoke engine-bench batch-bench scale-bench e2ebench-smoke metrics-check slow-tests ci
 
 build:
 	cargo build --release
@@ -33,38 +33,14 @@ lint-baseline:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings -A clippy::indexing_slicing
 
-# Chaos pass: the CLI-level simulate, batch and serve kill/resume
-# matrices, then the whole workspace with elevated property-test
-# iterations, then the fault-tolerance integration suite on its own
-# (kill/resume, determinism, degraded design). See docs/robustness.md.
-chaos: chaos-sim chaos-batch chaos-serve
+# Chaos pass: the CLI-level batch and serve kill/resume matrices, then
+# the whole workspace with elevated property-test iterations, then the
+# fault-tolerance integration suite on its own (faulty simulation
+# through the engine, determinism, degraded design). See
+# docs/robustness.md.
+chaos: chaos-batch chaos-serve
 	PROPTEST_CASES=$(CHAOS_CASES) cargo test -q --workspace
 	PROPTEST_CASES=$(CHAOS_CASES) cargo test -q --test fault_tolerance
-
-# CLI-level crash-recovery matrix for the faulty simulation: run a
-# 16-round simulation under a busy fault plan to completion, kill
-# checkpointed runs at 25/50/75% of the rounds (--kill-at 4/8/12),
-# resume each, and require the resumed run's full output (accounting
-# line and fired-fault count) to be byte-identical to the uninterrupted
-# run.
-chaos-sim:
-	rm -rf target/chaos-sim && mkdir -p target/chaos-sim
-	cargo run --release -q -p dcc-cli --bin dcc -- gen --seed 11 --scale small --out target/chaos-sim/trace
-	cargo run --release -q -p dcc-cli --bin dcc -- faults gen --agents 2000 --rounds 16 \
-	  --dropout 0.05 --missing 0.08 --corrupt 0.05 --nan 0.02 --delay 0.05 --seed 7 \
-	  --out target/chaos-sim/plan.json
-	cargo run --release -q -p dcc-cli --bin dcc -- simulate target/chaos-sim/trace --rounds 16 \
-	  --fault-plan target/chaos-sim/plan.json > target/chaos-sim/full.txt
-	for k in 4 8 12; do \
-	  rm -f target/chaos-sim/sim.ckpt; \
-	  cargo run --release -q -p dcc-cli --bin dcc -- simulate target/chaos-sim/trace --rounds 16 \
-	    --fault-plan target/chaos-sim/plan.json --checkpoint target/chaos-sim/sim.ckpt --kill-at $$k > /dev/null || exit 1; \
-	  cargo run --release -q -p dcc-cli --bin dcc -- simulate target/chaos-sim/trace --rounds 16 \
-	    --fault-plan target/chaos-sim/plan.json --checkpoint target/chaos-sim/sim.ckpt --resume > target/chaos-sim/resumed-$$k.txt || exit 1; \
-	  cmp target/chaos-sim/full.txt target/chaos-sim/resumed-$$k.txt || \
-	    { echo "chaos-sim: resume at kill-at=$$k diverged from the uninterrupted run"; exit 1; }; \
-	  echo "chaos-sim: kill-at=$$k resume is byte-identical"; \
-	done
 
 # CLI-level crash-recovery matrix for the supervised batch scheduler:
 # run a 10-scenario grid to completion — its two mu = -1.0 scenarios

@@ -16,8 +16,9 @@
 //! Knobs (also used by CI):
 //! - `DCC_SCALE_BENCH_SCALES` — comma-separated multiples, default
 //!   `10,100`.
-//! - `DCC_SCALE_BENCH_MIN_WPS` — optional end-to-end workers/sec floor;
-//!   the run panics (fails `make scale-bench`) below it.
+//! - `DCC_SCALE_BENCH_MIN_WPS` — optional floor on the workers/sec of
+//!   generation plus the solve (no detect, fit or construct); the run
+//!   panics (fails `make scale-bench`) below it.
 
 // Benchmark harnesses are measurement code, not library surface;
 // panicking on a broken setup is the correct failure mode here.
@@ -56,7 +57,8 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-/// Runs one scale multiple; returns end-to-end workers/sec.
+/// Runs one scale multiple; returns the workers/sec of generation plus
+/// the solve.
 fn run_scale(scale: usize, pool: usize) -> f64 {
     let config = scaled(scale, 42);
 
@@ -113,12 +115,8 @@ fn run_scale(scale: usize, pool: usize) -> f64 {
          ({:.0} workers/sec), total requester utility {total_utility:.3}",
         workers as f64 / solve_secs
     );
-    match peak_rss_mib() {
-        Some(mib) => println!(
-            "scale {scale}x: end-to-end {wps:.0} workers/sec, peak RSS {mib:.0} MiB"
-        ),
-        None => println!("scale {scale}x: end-to-end {wps:.0} workers/sec, peak RSS unavailable"),
-    }
+    let rss = peak_rss_mib().map_or_else(|| "unavailable".into(), |mib| format!("{mib:.0} MiB"));
+    println!("scale {scale}x: generation + solve {wps:.0} workers/sec, peak RSS {rss}");
     wps
 }
 
@@ -141,8 +139,8 @@ fn main() {
         if let Some(floor) = min_wps {
             assert!(
                 wps >= floor,
-                "scale {scale}x: end-to-end throughput {wps:.0} workers/sec is below \
-                 the DCC_SCALE_BENCH_MIN_WPS floor of {floor:.0}"
+                "scale {scale}x: generation + solve throughput {wps:.0} workers/sec is \
+                 below the DCC_SCALE_BENCH_MIN_WPS floor of {floor:.0}"
             );
         }
     }

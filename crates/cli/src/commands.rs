@@ -9,8 +9,7 @@ use dcc_core::{
 };
 use dcc_detect::{run_pipeline, PipelineConfig, SuspectSource};
 use dcc_engine::{
-    Engine, EngineConfig, EngineSimOutcome, PoolSize, RoundContext, SimOptions, StageKind,
-    TraceSource,
+    Engine, EngineConfig, EngineSimOutcome, PoolSize, RoundContext, StageKind, TraceSource,
 };
 use dcc_experiments::suite::{Input, ARTIFACTS, PAPER_ARTIFACTS};
 use dcc_experiments::ExperimentScale;
@@ -217,11 +216,6 @@ fn engine_context(args: &ParsedArgs) -> Result<(RoundContext, Option<MetricsSink
         Some(file) => FaultPlan::load(Path::new(file))?,
         None => FaultPlan::default(),
     };
-    let kill_at = if args.flags.contains_key("kill-at") {
-        Some(args.num_flag("kill-at", 0usize)?)
-    } else {
-        None
-    };
     let mut config = EngineConfig::for_source(trace_source_of(&dir));
     config.design = design_config(args)?;
     config.pool = pool_size(args)?;
@@ -231,12 +225,7 @@ fn engine_context(args: &ParsedArgs) -> Result<(RoundContext, Option<MetricsSink
         feedback_noise_sd: args.num_flag("noise", 0.5)?,
         seed: args.num_flag("seed", 7)?,
     };
-    config.sim_options = SimOptions {
-        fault_plan,
-        checkpoint: args.flags.get("checkpoint").map(PathBuf::from),
-        kill_at,
-        resume: args.bool_flag("resume"),
-    };
+    config.fault_plan = fault_plan;
     let sink = args.flags.get("metrics").map(|file| {
         let recorder = Arc::new(JsonRecorder::new());
         config.metrics = Metrics::new(recorder.clone());
@@ -351,57 +340,38 @@ pub fn cmd_design(args: &ParsedArgs) -> CliResult {
 
 /// `dcc simulate TRACE_DIR [--rounds N] [--strategy dynamic|exclude|fixed|collusion-proof]
 ///  [--amount F] [--noise F] [--mu F] [--fault-plan FILE]
-///  [--checkpoint FILE [--kill-at N | --resume]]
 ///  [--policy abort|fallback|skip [--fallback-amount F]]`
 ///
-/// With `--checkpoint` the run's input fingerprint and completed round
-/// count are saved after every round; `--kill-at N` stops the run
-/// before round `N` (simulating a crash), and `--resume` replays the
-/// recorded rounds and continues. The run is a pure function of its
-/// inputs, so a killed-and-resumed run prints exactly what the
-/// uninterrupted run prints; a checkpoint of any other run is refused.
+/// The run is a pure function of its inputs (trace, parameters, noise
+/// seed, fault plan), so rerunning it reproduces its output exactly.
 pub fn cmd_simulate(args: &ParsedArgs) -> CliResult {
     let (mut ctx, sink) = engine_context(args)?;
     Engine::new().run(&mut ctx)?;
-    let mut out = match ctx.sim_outcome()? {
-        EngineSimOutcome::Killed {
-            at_round,
-            total_rounds,
-            checkpoint,
-        } => format!(
-            "killed at round {} of {}; checkpoint saved to {} (continue with --resume)",
-            at_round,
-            total_rounds,
-            checkpoint.display()
-        ),
-        EngineSimOutcome::Completed {
-            outcome,
-            faults_scheduled,
-            faults_fired,
-        } => {
-            let mut out = format!(
-                "strategy {:?}: mean round utility {:.3}, cumulative {:.3} over {} rounds",
-                args.str_flag("strategy", "dynamic"),
-                outcome.mean_round_utility,
-                outcome.cumulative_requester_utility,
-                outcome.rounds.len()
-            );
-            if *faults_scheduled > 0 {
-                write!(
-                    out,
-                    "\nfault plan: {faults_scheduled} scheduled events, {faults_fired} fired this invocation"
-                )
-                .ok();
-            }
-            let mut degraded = String::new();
-            report_degradation(&mut degraded, &ctx.design()?.degradation);
-            if !degraded.is_empty() {
-                out.push('\n');
-                out.push_str(degraded.trim_end());
-            }
-            out
-        }
-    };
+    let EngineSimOutcome {
+        outcome,
+        faults_scheduled,
+        faults_fired,
+    } = ctx.sim_outcome()?;
+    let mut out = format!(
+        "strategy {:?}: mean round utility {:.3}, cumulative {:.3} over {} rounds",
+        args.str_flag("strategy", "dynamic"),
+        outcome.mean_round_utility,
+        outcome.cumulative_requester_utility,
+        outcome.rounds.len()
+    );
+    if *faults_scheduled > 0 {
+        write!(
+            out,
+            "\nfault plan: {faults_scheduled} scheduled events, {faults_fired} fired this invocation"
+        )
+        .ok();
+    }
+    let mut degraded = String::new();
+    report_degradation(&mut degraded, &ctx.design()?.degradation);
+    if !degraded.is_empty() {
+        out.push('\n');
+        out.push_str(degraded.trim_end());
+    }
     if let Some(sink) = &sink {
         sink.flush(&mut out)?;
     }
@@ -425,43 +395,26 @@ pub fn cmd_run(args: &ParsedArgs) -> CliResult {
     )
     .ok();
     report_degradation(&mut out, &design.degradation);
-    match ctx.sim_outcome()? {
-        EngineSimOutcome::Killed {
-            at_round,
-            total_rounds,
-            checkpoint,
-        } => {
-            writeln!(
-                out,
-                "killed at round {} of {}; checkpoint saved to {} (continue with --resume)",
-                at_round,
-                total_rounds,
-                checkpoint.display()
-            )
-            .ok();
-        }
-        EngineSimOutcome::Completed {
-            outcome,
-            faults_scheduled,
-            faults_fired,
-        } => {
-            writeln!(
-                out,
-                "strategy {:?}: mean round utility {:.3}, cumulative {:.3} over {} rounds",
-                args.str_flag("strategy", "dynamic"),
-                outcome.mean_round_utility,
-                outcome.cumulative_requester_utility,
-                outcome.rounds.len()
-            )
-            .ok();
-            if *faults_scheduled > 0 {
-                writeln!(
-                    out,
-                    "fault plan: {faults_scheduled} scheduled events, {faults_fired} fired this invocation"
-                )
-                .ok();
-            }
-        }
+    let EngineSimOutcome {
+        outcome,
+        faults_scheduled,
+        faults_fired,
+    } = ctx.sim_outcome()?;
+    writeln!(
+        out,
+        "strategy {:?}: mean round utility {:.3}, cumulative {:.3} over {} rounds",
+        args.str_flag("strategy", "dynamic"),
+        outcome.mean_round_utility,
+        outcome.cumulative_requester_utility,
+        outcome.rounds.len()
+    )
+    .ok();
+    if *faults_scheduled > 0 {
+        writeln!(
+            out,
+            "fault plan: {faults_scheduled} scheduled events, {faults_fired} fired this invocation"
+        )
+        .ok();
     }
     if let Some(sink) = &sink {
         sink.flush(&mut out)?;
@@ -1586,8 +1539,7 @@ COMMANDS:
   design     TRACE_DIR [--mu F --omega F --intervals N --serial --pool N]
                                                        design all contracts
   simulate   TRACE_DIR [--strategy dynamic|exclude|fixed|collusion-proof --rounds N --noise F]
-             [--fault-plan FILE] [--checkpoint FILE [--kill-at N | --resume]]
-             [--policy abort|fallback|skip [--fallback-amount F]]
+             [--fault-plan FILE] [--policy abort|fallback|skip [--fallback-amount F]]
                                                        run the repeated game
   run        TRACE_DIR [design + simulate flags] [--pool N] [--metrics FILE]
                                                        full staged pipeline with
@@ -1645,8 +1597,8 @@ const DESIGN_FLAGS: &[&str] =
 /// The flags `engine_context` reads (with [`DESIGN_FLAGS`]): the
 /// `design`, `simulate`, `run` and `replay` commands.
 const ENGINE_FLAGS: &[&str] = &[
-    "trace", "strategy", "amount", "fault-plan", "kill-at", "rounds", "noise", "seed",
-    "checkpoint", "resume", "metrics", "pool", "serial",
+    "trace", "strategy", "amount", "fault-plan", "rounds", "noise", "seed", "metrics", "pool",
+    "serial",
 ];
 
 /// The flags each command reads. Any other flag is a usage error, so a
@@ -2022,96 +1974,6 @@ mod tests {
     }
 
     #[test]
-    fn simulate_kill_then_resume_matches_uninterrupted_run() {
-        let dir = temp_dir("killresume");
-        dispatch(&parse(&format!("gen --seed 9 --scale small --out {dir}"))).unwrap();
-        let plan = format!("{dir}/plan.json");
-        dispatch(&parse(&format!(
-            "faults gen --agents 400 --rounds 8 --dropout 0.05 --missing 0.1 --corrupt 0.1 \
-             --delay 0.1 --seed 4 --out {plan}"
-        )))
-        .unwrap();
-
-        let base = format!("simulate {dir} --rounds 8 --fault-plan {plan}");
-        let uninterrupted = dispatch(&parse(&base)).unwrap();
-
-        let cp = format!("{dir}/sim.ckpt.json");
-        let killed = dispatch(&parse(&format!("{base} --checkpoint {cp} --kill-at 4"))).unwrap();
-        assert!(killed.contains("killed at round 4"), "{killed}");
-        let resumed =
-            dispatch(&parse(&format!("{base} --checkpoint {cp} --resume"))).unwrap();
-
-        // The resume replays the recorded rounds, so it prints exactly
-        // what the uninterrupted run prints, fired-fault count included.
-        assert_eq!(uninterrupted, resumed);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn simulate_resume_refuses_another_runs_checkpoint() {
-        let dir = temp_dir("simmismatch");
-        let trace = |seed: u64| {
-            let out = format!("{dir}/t{seed}");
-            dispatch(&parse(&format!("gen --seed {seed} --scale small --out {out}"))).unwrap();
-            out
-        };
-        // Seeds 11 and 12 design the same number of agents; seed 9 does not.
-        let (a, same_count, other_count) = (trace(11), trace(12), trace(9));
-        let agents = |dir: &str| {
-            let out = dispatch(&parse(&format!("design {dir}"))).unwrap();
-            out.split_whitespace().nth(1).unwrap().to_string()
-        };
-        assert_eq!(agents(&a), agents(&same_count));
-        assert_ne!(agents(&a), agents(&other_count));
-        let plan = |seed: u64| {
-            let file = format!("{dir}/plan{seed}.json");
-            dispatch(&parse(&format!(
-                "faults gen --agents 2000 --rounds 8 --dropout 0.05 --missing 0.1 --seed {seed} \
-                 --out {file}"
-            )))
-            .unwrap();
-            file
-        };
-        let (plan4, plan5) = (plan(4), plan(5));
-        let cp = format!("{dir}/sim.ckpt.json");
-        let killed = dispatch(&parse(&format!(
-            "simulate {a} --rounds 8 --fault-plan {plan4} --checkpoint {cp} --kill-at 4"
-        )))
-        .unwrap();
-        assert!(killed.contains("killed at round 4"), "{killed}");
-
-        for other in [
-            format!("simulate {same_count} --rounds 8 --fault-plan {plan4}"),
-            format!("simulate {other_count} --rounds 8 --fault-plan {plan4}"),
-            format!("simulate {a} --rounds 8 --fault-plan {plan4} --mu 1.2"),
-            format!("simulate {a} --rounds 8 --fault-plan {plan4} --seed 8"),
-            format!("simulate {a} --rounds 9 --fault-plan {plan4}"),
-            format!("simulate {a} --rounds 8 --fault-plan {plan4} --strategy exclude"),
-            format!("simulate {a} --rounds 8 --fault-plan {plan5}"),
-            format!("simulate {a} --rounds 8"),
-        ] {
-            let err = dispatch(&parse(&format!("{other} --checkpoint {cp} --resume"))).unwrap_err();
-            assert_eq!(err.exit_code(), 1, "{other}: {err}");
-            assert!(
-                matches!(err, CliError::Core(CoreError::CheckpointMismatch { .. })),
-                "{other}: {err}"
-            );
-            assert!(err.to_string().contains(&cp), "{err}");
-        }
-
-        // A checkpoint in the earlier state-snapshot format is refused by
-        // its schema.
-        std::fs::write(&cp, r#"{"version":1,"kind":"sim","next_round":4}"#).unwrap();
-        let err = dispatch(&parse(&format!(
-            "simulate {a} --rounds 8 --fault-plan {plan4} --checkpoint {cp} --resume"
-        )))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 1, "{err}");
-        assert!(err.to_string().contains("schema"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn replay_refuses_a_round_index_past_the_review_count() {
         // One review's round set far past the trace: a replay emits one
         // record per round, so the trace is refused instead of sizing an
@@ -2173,19 +2035,6 @@ mod tests {
         let resumed =
             dispatch(&parse(&format!("serve --replay {a} --checkpoint {cp} --resume"))).unwrap();
         assert_eq!(resumed, dispatch(&parse(&format!("serve --replay {a}"))).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn simulate_checkpoint_flag_misuse_is_a_usage_error() {
-        let dir = temp_dir("ckptmisuse");
-        dispatch(&parse(&format!("gen --seed 9 --scale small --out {dir}"))).unwrap();
-        let err =
-            dispatch(&parse(&format!("simulate {dir} --rounds 4 --kill-at 2"))).unwrap_err();
-        assert_eq!(err.exit_code(), 2);
-        let err =
-            dispatch(&parse(&format!("simulate {dir} --rounds 4 --resume"))).unwrap_err();
-        assert_eq!(err.exit_code(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -57,13 +57,10 @@ impl From<CoreError> for CliError {
     }
 }
 
-// Engine configuration mistakes (e.g. `--resume` without a checkpoint)
-// are the user's, so they exit with code 2 like any other usage error;
-// everything else from the engine is a runtime failure.
+// Every engine error is a runtime failure (exit 1).
 impl From<EngineError> for CliError {
     fn from(e: EngineError) -> Self {
         match e {
-            EngineError::Config(m) => CliError::Usage(m),
             EngineError::Core(c) => CliError::Core(c),
             other => CliError::Failed(other.to_string()),
         }
@@ -94,10 +91,6 @@ mod tests {
 
     #[test]
     fn engine_errors_keep_their_exit_codes() {
-        let usage = CliError::from(EngineError::Config(
-            "--resume requires --checkpoint FILE".into(),
-        ));
-        assert_eq!(usage.exit_code(), 2);
         let core = CliError::from(EngineError::Core(CoreError::InvalidInput("x".into())));
         assert_eq!(core.exit_code(), 1);
         let ingest = CliError::from(EngineError::Ingest("cannot read trace".into()));

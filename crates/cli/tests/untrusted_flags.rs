@@ -1,7 +1,9 @@
 //! Flags as a user types them, through the built binary: a flag the
 //! command does not read is a usage error (exit 2) that names it,
-//! raised before the command does any work, and an interval count too
-//! large to allocate fails with a typed error instead of aborting.
+//! raised before the command does any work; an interval count too
+//! large to allocate fails with a typed error instead of aborting; and
+//! a plan generator refuses a value it cannot sample from instead of
+//! panicking.
 
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
@@ -40,6 +42,53 @@ fn a_misspelled_flag_is_a_usage_error_naming_it() {
     }
     // Refused before any work: gen wrote no trace.
     assert!(!std::path::Path::new(out_dir).exists());
+}
+
+#[test]
+fn only_batch_and_serve_take_checkpoint_flags() {
+    for command in ["simulate", "run", "design", "replay"] {
+        for (flags, flag) in [
+            (&["--checkpoint", "sim.ckpt"][..], "--checkpoint"),
+            (&["--kill-at", "4"], "--kill-at"),
+            (&["--resume"], "--resume"),
+        ] {
+            let args: Vec<&str> = [command, "no-such-trace"].iter().chain(flags).copied().collect();
+            let out = dcc(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.starts_with(&format!("error: unknown flag {flag} for dcc {command}")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_plan_generator_refuses_a_range_it_cannot_sample() {
+    let dir = std::env::temp_dir().join(format!("dcc_flags_plans_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_file = dir.join("plan.json");
+    let out_file = out_file.to_str().unwrap();
+    for scale in ["1", "0.5", "nan", "inf"] {
+        let out = dcc(&[
+            "faults", "gen", "--agents", "3", "--corrupt", "1", "--outlier-scale", scale,
+            "--out", out_file,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--outlier-scale {scale}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(stderr.contains("outlier_scale"), "{stderr}");
+    }
+    let out = dcc(&[
+        "adversary", "gen", "--underreport-prob", "1", "--min-factor", "1", "--out", out_file,
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("min_factor"), "{stderr}");
+    assert!(!std::path::Path::new(out_file).exists(), "no plan was written");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -110,6 +110,5 @@ pub use replay::{replay_trace, ReplayOutcome};
 pub use response::{best_response, BestResponse};
 pub use risk::{best_response_risk_averse, risk_effort_drop, RiskProfile};
 pub use sim::{
-    AgentSpec, NoFaults, RoundFaults, RoundRecord, SimState, Simulation, SimulationConfig,
-    SimulationOutcome,
+    AgentSpec, NoFaults, RoundFaults, RoundRecord, Simulation, SimulationConfig, SimulationOutcome,
 };

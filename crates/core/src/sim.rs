@@ -78,7 +78,7 @@ impl Default for SimulationConfig {
     }
 }
 
-/// Per-round fault hook consulted by [`Simulation::step`].
+/// Per-round fault hook consulted by [`Simulation::run_with_faults`].
 ///
 /// Implementations inject operational faults into the repeated game —
 /// worker dropout, lost or corrupted feedback, payment delays — without
@@ -120,37 +120,39 @@ pub struct NoFaults;
 
 impl RoundFaults for NoFaults {}
 
-/// The mid-run state of a [`Simulation`]: produced by
-/// [`Simulation::start`], advanced by [`Simulation::step`], summarized
-/// by [`Simulation::outcome_of`].
-///
-/// Checkpoints never store it. A run is a pure function of its agents,
-/// parameters, configuration and fault plan, so a checkpoint records
-/// only how many rounds completed, and a resume replays those rounds
-/// from a fresh `start` (see `dcc_faults::checkpoint`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimState {
+/// The mid-run state of a [`Simulation`]: produced by `start`,
+/// advanced by `step`, summarized by `into_outcome`.
+#[derive(Debug)]
+struct SimState {
     /// The next round to simulate (`rounds.len()` so far).
-    pub next_round: usize,
+    next_round: usize,
     /// The noise RNG, positioned exactly after round `next_round - 1`.
-    pub rng: StdRng,
+    rng: StdRng,
     /// Stationary best-response efforts, indexed like the agents.
-    pub efforts: Vec<f64>,
+    efforts: Vec<f64>,
     /// The payment each agent is owed next round (Eq. 1's lag).
-    pub pending_payment: Vec<f64>,
+    pending_payment: Vec<f64>,
     /// Delayed payments per agent: `(due_round, amount)` entries queued
     /// by [`RoundFaults::payment_delay`], credited once due.
-    pub delayed_payments: Vec<Vec<(usize, f64)>>,
+    delayed_payments: Vec<Vec<(usize, f64)>>,
     /// Total compensation paid to each agent so far.
-    pub agent_compensation: Vec<f64>,
+    agent_compensation: Vec<f64>,
     /// Per-round records of the completed rounds.
-    pub rounds: Vec<RoundRecord>,
+    rounds: Vec<RoundRecord>,
 }
 
 impl SimState {
-    /// Whether all configured rounds have been simulated.
-    pub fn is_complete(&self, config: &SimulationConfig) -> bool {
-        self.next_round >= config.rounds
+    /// Summarizes the simulated rounds. `start` refuses a zero-round
+    /// horizon, so a finished state holds at least one.
+    fn into_outcome(self) -> SimulationOutcome {
+        let cumulative: f64 = self.rounds.iter().map(|r| r.requester_utility).sum();
+        SimulationOutcome {
+            mean_round_utility: cumulative / self.rounds.len() as f64,
+            cumulative_requester_utility: cumulative,
+            agent_compensation: self.agent_compensation,
+            agent_effort: self.efforts,
+            rounds: self.rounds,
+        }
     }
 }
 
@@ -257,10 +259,10 @@ impl Simulation {
     ) -> Result<SimulationOutcome, CoreError> {
         let mut state = self.start(agents)?;
         while self.step(agents, &mut state, faults) {}
-        self.outcome_of(&state)
+        Ok(state.into_outcome())
     }
 
-    /// Prepares the initial [`SimState`]: seeds the RNG, computes each
+    /// Prepares the initial state: seeds the RNG, computes each
     /// agent's stationary best response, and sets up the lagged payments
     /// (round 0 pays the base rate `f(ψ(0))`).
     ///
@@ -278,7 +280,7 @@ impl Simulation {
     /// Returns [`CoreError::InvalidParams`] for a zero-round horizon or
     /// a negative or non-finite noise level, and propagates
     /// best-response failures (invalid ψ).
-    pub fn start(&self, agents: &[AgentSpec]) -> Result<SimState, CoreError> {
+    fn start(&self, agents: &[AgentSpec]) -> Result<SimState, CoreError> {
         if self.config.rounds == 0 {
             return Err(CoreError::InvalidParams(
                 "simulation needs at least one round".into(),
@@ -333,10 +335,7 @@ impl Simulation {
     /// dropouts, feedback perturbation, and payment delays. Returns
     /// `false` (without touching the state) once all configured rounds
     /// are done.
-    ///
-    /// `agents` and the configuration must be the ones the state was
-    /// started under; the caller owns that pairing.
-    pub fn step(
+    fn step(
         &self,
         agents: &[AgentSpec],
         state: &mut SimState,
@@ -406,27 +405,6 @@ impl Simulation {
         });
         state.next_round = t + 1;
         true
-    }
-
-    /// Summarizes a (fully or partially) simulated state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if no round has completed yet.
-    pub fn outcome_of(&self, state: &SimState) -> Result<SimulationOutcome, CoreError> {
-        if state.rounds.is_empty() {
-            return Err(CoreError::InvalidInput(
-                "no completed rounds to summarize".into(),
-            ));
-        }
-        let cumulative: f64 = state.rounds.iter().map(|r| r.requester_utility).sum();
-        Ok(SimulationOutcome {
-            mean_round_utility: cumulative / state.rounds.len() as f64,
-            cumulative_requester_utility: cumulative,
-            agent_compensation: state.agent_compensation.clone(),
-            agent_effort: state.efforts.clone(),
-            rounds: state.rounds.clone(),
-        })
     }
 }
 
@@ -608,41 +586,7 @@ mod tests {
         let mut state = s.start(&agents).unwrap();
         assert!(s.step(&agents, &mut state, &mut NoFaults));
         assert_eq!(state.rounds.len(), 1);
-        assert!(!state.is_complete(&s.config));
-    }
-
-    #[test]
-    fn stepwise_no_faults_is_bit_identical_to_run() {
-        let agents = vec![built_agent(0, 0.0, 1.0, true), built_agent(1, 0.5, 0.6, true)];
-        let s = sim(0.5);
-        let direct = s.run(&agents).unwrap();
-        let mut state = s.start(&agents).unwrap();
-        let mut faults = NoFaults;
-        while s.step(&agents, &mut state, &mut faults) {}
-        let stepped = s.outcome_of(&state).unwrap();
-        assert_eq!(direct, stepped);
-    }
-
-    #[test]
-    fn state_restart_mid_run_is_bit_identical() {
-        // Clone the state after a few rounds and finish twice: both
-        // continuations must agree exactly (the basis of checkpointing).
-        let agents = vec![built_agent(0, 0.0, 1.0, true), built_agent(1, 0.4, 0.8, true)];
-        let s = sim(0.5);
-        let mut state = s.start(&agents).unwrap();
-        let mut faults = NoFaults;
-        for _ in 0..5 {
-            assert!(s.step(&agents, &mut state, &mut faults));
-        }
-        let snapshot = state.clone();
-        while s.step(&agents, &mut state, &mut faults) {}
-        let mut resumed = snapshot;
-        while s.step(&agents, &mut resumed, &mut faults) {}
-        assert_eq!(state, resumed);
-        assert_eq!(
-            s.outcome_of(&state).unwrap(),
-            s.outcome_of(&resumed).unwrap()
-        );
+        assert_eq!(state.next_round, 1);
     }
 
     struct DropAgentAlways(usize);
@@ -754,12 +698,5 @@ mod tests {
             let err = sim(noise).run(&agents).unwrap_err();
             assert!(matches!(err, CoreError::InvalidParams(_)), "{noise}: {err}");
         }
-    }
-
-    #[test]
-    fn outcome_of_unstarted_state_is_rejected() {
-        let s = sim(0.0);
-        let state = s.start(&[]).unwrap();
-        assert!(s.outcome_of(&state).is_err());
     }
 }

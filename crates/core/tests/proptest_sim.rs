@@ -1,7 +1,7 @@
-//! `Simulation::start` computes one best response per distinct
-//! (ω, ψ, contract) bit pattern. These properties pin it to the plain
-//! per-agent loop: the same efforts by bits, and on failure the same
-//! error as the first failing agent.
+//! `Simulation::run` computes one best response per distinct
+//! (ω, ψ, contract) bit pattern. These properties pin the efforts it
+//! reports to the plain per-agent loop: the same efforts by bits, and on
+//! failure the same error as the first failing agent.
 
 // Test code may panic freely; helpers outside `#[test]` fns miss
 // clippy.toml's in-tests exemption, so allow at file scope.
@@ -80,7 +80,7 @@ fn sim() -> Simulation {
     )
 }
 
-/// The per-agent loop `start` replaces.
+/// The per-agent loop the grouping replaces.
 fn per_agent(agents: &[AgentSpec]) -> Result<Vec<f64>, String> {
     agents
         .iter()
@@ -101,8 +101,8 @@ fn per_agent(agents: &[AgentSpec]) -> Result<Vec<f64>, String> {
 
 fn grouped(agents: &[AgentSpec]) -> Result<Vec<f64>, String> {
     sim()
-        .start(agents)
-        .map(|state| state.efforts)
+        .run(agents)
+        .map(|outcome| outcome.agent_effort)
         .map_err(|e| e.to_string())
 }
 
@@ -145,7 +145,7 @@ proptest! {
     /// Lists mix repeated keys, ω = 0.0 next to −0.0 and agents out of
     /// the system; half of them may also hold failing agents.
     #[test]
-    fn grouped_start_matches_per_agent_best_responses(
+    fn grouped_efforts_match_per_agent_best_responses(
         picks in proptest::collection::vec((0usize..16, 0u8..4), 0..40),
         with_failures in any::<bool>(),
     ) {

@@ -52,22 +52,6 @@ impl PoolSize {
     }
 }
 
-/// Fault-injection and checkpointing options for the simulate stage,
-/// mirroring the `dcc simulate` flags.
-#[derive(Debug, Clone, Default)]
-pub struct SimOptions {
-    /// Deterministic fault schedule to inject each round.
-    pub fault_plan: FaultPlan,
-    /// After every round, record here the run's input fingerprint and
-    /// the rounds completed (`dcc-sim-ckpt/2`); a resume replays them.
-    pub checkpoint: Option<PathBuf>,
-    /// Stop (simulating a crash) before this round; requires `checkpoint`.
-    pub kill_at: Option<usize>,
-    /// Replay the rounds the checkpoint records, then go on; requires
-    /// `checkpoint`.
-    pub resume: bool,
-}
-
 /// Everything the six stages need, in one place.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -83,8 +67,9 @@ pub struct EngineConfig {
     pub strategy: StrategyKind,
     /// Repeated-game configuration.
     pub sim: SimulationConfig,
-    /// Fault plan and checkpoint/kill/resume options.
-    pub sim_options: SimOptions,
+    /// Deterministic fault schedule the simulate stage injects each
+    /// round (empty by default).
+    pub fault_plan: FaultPlan,
     /// Observability sink. Defaults to the inert noop recorder, so the
     /// hot path costs nothing unless a real recorder is installed (e.g.
     /// `Metrics::new(Arc::new(JsonRecorder::new()))` for `--metrics`).
@@ -107,34 +92,22 @@ impl EngineConfig {
             pool: PoolSize::Auto,
             strategy: StrategyKind::DynamicContract,
             sim: SimulationConfig::default(),
-            sim_options: SimOptions::default(),
+            fault_plan: FaultPlan::default(),
             metrics: Metrics::noop(),
         }
     }
 }
 
-/// How the simulate stage ended.
+/// What the simulate stage produced.
 #[derive(Debug, Clone, PartialEq)]
-pub enum EngineSimOutcome {
-    /// The horizon completed; the outcome plus fault accounting.
-    Completed {
-        /// The repeated-game outcome.
-        outcome: SimulationOutcome,
-        /// Events in the configured fault plan.
-        faults_scheduled: usize,
-        /// Events that actually fired during this invocation.
-        faults_fired: usize,
-    },
-    /// The run was killed at `at_round` (per [`SimOptions::kill_at`])
-    /// with the state checkpointed for a later resume.
-    Killed {
-        /// The round the simulated crash happened before.
-        at_round: usize,
-        /// The configured horizon.
-        total_rounds: usize,
-        /// Where the state was saved.
-        checkpoint: PathBuf,
-    },
+pub struct EngineSimOutcome {
+    /// The repeated-game outcome.
+    pub outcome: SimulationOutcome,
+    /// Events in the configured fault plan.
+    pub faults_scheduled: usize,
+    /// Fault hits during the run (a dropout window counts once per
+    /// round it covers).
+    pub faults_fired: usize,
 }
 
 /// The shared blackboard the stages read from and write to.

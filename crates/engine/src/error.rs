@@ -14,9 +14,6 @@ pub enum EngineError {
         /// The stage whose output is missing.
         stage: StageKind,
     },
-    /// The [`crate::EngineConfig`] is inconsistent (e.g. `--resume`
-    /// without a checkpoint path). Maps to a usage error in the CLI.
-    Config(String),
     /// The trace source could not be materialized (unreadable CSV
     /// directory, …).
     Ingest(String),
@@ -30,7 +27,6 @@ impl fmt::Display for EngineError {
                 f,
                 "stage {stage} has produced no output yet; run the engine through it first"
             ),
-            EngineError::Config(msg) => write!(f, "{msg}"),
             EngineError::Ingest(msg) => write!(f, "{msg}"),
         }
     }

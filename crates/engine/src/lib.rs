@@ -56,9 +56,7 @@ mod engine;
 mod error;
 mod stages;
 
-pub use context::{
-    EngineConfig, EngineSimOutcome, PoolSize, RoundContext, SimOptions, TraceSource,
-};
+pub use context::{EngineConfig, EngineSimOutcome, PoolSize, RoundContext, TraceSource};
 pub use engine::{Engine, EngineReport, StageRun};
 pub use error::EngineError;
 pub use stages::StageKind;

@@ -7,9 +7,7 @@ use crate::context::{EngineSimOutcome, RoundContext, TraceSource};
 use crate::error::EngineError;
 use dcc_core::{assemble_design, prepare_design, solve_subproblems, BaselineStrategy, Simulation};
 use dcc_detect::run_pipeline;
-use dcc_faults::{
-    load_sim_checkpoint, save_json_atomic, sim_checkpoint, sim_fingerprint, FaultInjector,
-};
+use dcc_faults::FaultInjector;
 use dcc_obs::{names as obs, AttrValue};
 use dcc_trace::{read_trace_columnar, read_trace_csv};
 use std::collections::BTreeSet;
@@ -43,8 +41,7 @@ pub enum StageKind {
     SolveSubproblems,
     /// Assemble the solved decomposition into per-worker contracts.
     ConstructContracts,
-    /// Play the repeated Stackelberg game (with optional fault plan and
-    /// checkpointing).
+    /// Play the repeated Stackelberg game (with an optional fault plan).
     Simulate,
 }
 
@@ -218,28 +215,11 @@ fn construct(ctx: &mut RoundContext) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Plays the repeated game under the configured strategy, fault plan,
-/// and checkpoint options — the same round loop as `dcc simulate`.
-///
-/// A checkpoint records the run's input fingerprint and how many rounds
-/// completed. A resume refuses a checkpoint with another fingerprint,
-/// then replays the recorded rounds through the same loop with a fresh
-/// injector before going on, so a kill-at/resume pair reproduces the
-/// uninterrupted run bit-exactly: outcome, fault log and metrics.
+/// Plays the repeated game under the configured strategy and fault
+/// plan — the same round loop as `dcc simulate` — with a fresh
+/// injector, then publishes the per-round records and fault hits.
 fn simulate(ctx: &mut RoundContext) -> Result<(), EngineError> {
     let config = ctx.config();
-    let options = &config.sim_options;
-    if options.resume && options.checkpoint.is_none() {
-        return Err(EngineError::Config(
-            "--resume requires --checkpoint FILE".into(),
-        ));
-    }
-    if options.kill_at.is_some() && options.checkpoint.is_none() {
-        return Err(EngineError::Config(
-            "--kill-at requires --checkpoint FILE".into(),
-        ));
-    }
-
     let design = ctx.design()?;
     let suspected: BTreeSet<_> = ctx.detection()?.suspected.iter().copied().collect();
     let agents = BaselineStrategy::new(config.strategy).assemble(
@@ -248,74 +228,36 @@ fn simulate(ctx: &mut RoundContext) -> Result<(), EngineError> {
         &suspected,
         ctx.trace()?,
     )?;
-    let sim = Simulation::new(config.design.params, config.sim);
-    let mut injector = FaultInjector::new(&options.fault_plan);
-    let kill_at = options.kill_at;
-    let sim_config = config.sim;
-    let faults_scheduled = options.fault_plan.len();
-    let metrics = config.metrics.clone();
-
-    // Only a checkpointed run pays for the fingerprint.
-    let checkpoint = options.checkpoint.clone().map(|cp| {
-        let fp = sim_fingerprint(&config.design.params, &sim_config, &options.fault_plan, &agents);
-        (cp, fp)
-    });
-    let replay_to = match (&checkpoint, options.resume) {
-        (Some((cp, fp)), true) => load_sim_checkpoint(cp, *fp, sim_config.rounds)?,
-        _ => 0,
-    };
-
-    let mut state = sim.start(&agents)?;
-    let outcome = loop {
-        if state.next_round >= replay_to && !state.is_complete(&sim_config) {
-            if let (Some(k), Some((cp, fp))) = (kill_at, &checkpoint) {
-                if state.next_round >= k {
-                    save_json_atomic(cp, &sim_checkpoint(*fp, state.next_round))?;
-                    break EngineSimOutcome::Killed {
-                        at_round: state.next_round,
-                        total_rounds: sim_config.rounds,
-                        checkpoint: cp.clone(),
-                    };
-                }
-            }
-        }
-        if !sim.step(&agents, &mut state, &mut injector) {
-            break EngineSimOutcome::Completed {
-                outcome: sim.outcome_of(&state)?,
-                faults_scheduled,
-                faults_fired: injector.log().len(),
-            };
-        }
-        if metrics.enabled() {
-            metrics.add(obs::COUNTER_SIM_ROUNDS, 1);
-            if let Some(rec) = state.rounds.last() {
-                metrics.event(
-                    obs::EVENT_SIM_ROUND,
-                    &[
-                        ("round", rec.round.into()),
-                        ("benefit", rec.benefit.into()),
-                        ("payment", rec.payment.into()),
-                        ("u_req", rec.requester_utility.into()),
-                    ],
-                );
-            }
-        }
-        // Replayed rounds are already on disk.
-        if let Some((cp, fp)) = &checkpoint {
-            if state.next_round > replay_to {
-                save_json_atomic(cp, &sim_checkpoint(*fp, state.next_round))?;
-            }
-        }
-    };
+    let mut injector = FaultInjector::new(&config.fault_plan);
+    let outcome = Simulation::new(config.design.params, config.sim)
+        .run_with_faults(&agents, &mut injector)?;
+    let faults_scheduled = config.fault_plan.len();
+    let counts = injector.hit_counts();
+    let metrics = &config.metrics;
     if metrics.enabled() {
+        metrics.add(obs::COUNTER_SIM_ROUNDS, outcome.rounds.len() as u64);
+        for rec in &outcome.rounds {
+            metrics.event(
+                obs::EVENT_SIM_ROUND,
+                &[
+                    ("round", rec.round.into()),
+                    ("benefit", rec.benefit.into()),
+                    ("payment", rec.payment.into()),
+                    ("u_req", rec.requester_utility.into()),
+                ],
+            );
+        }
         metrics.gauge(obs::GAUGE_FAULTS_SCHEDULED, faults_scheduled as f64);
-        let counts = injector.hit_counts();
         metrics.add(obs::COUNTER_FAULTS_FIRED, counts.total() as u64);
         metrics.add(obs::COUNTER_FAULTS_DROPPED, counts.dropped as u64);
         metrics.add(obs::COUNTER_FAULTS_LOST, counts.lost_feedback as u64);
         metrics.add(obs::COUNTER_FAULTS_CORRUPTED, counts.corrupted_feedback as u64);
         metrics.add(obs::COUNTER_FAULTS_DELAYED, counts.delayed_payments as u64);
     }
-    ctx.set_outcome(outcome);
+    ctx.set_outcome(EngineSimOutcome {
+        outcome,
+        faults_scheduled,
+        faults_fired: counts.total(),
+    });
     Ok(())
 }

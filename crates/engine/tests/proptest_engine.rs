@@ -10,7 +10,7 @@
 
 use dcc_core::{prepare_design, solve_subproblems, DesignConfig, DesignPrep, FailurePolicy};
 use dcc_detect::{run_pipeline, DetectionResult, PipelineConfig};
-use dcc_engine::{Engine, EngineConfig, EngineSimOutcome, PoolSize, RoundContext, SimOptions};
+use dcc_engine::{Engine, EngineConfig, EngineSimOutcome, PoolSize, RoundContext};
 use dcc_faults::FaultPlanConfig;
 use dcc_numerics::Quadratic;
 use dcc_obs::{JsonRecorder, Metrics};
@@ -40,22 +40,19 @@ fn design_config() -> DesignConfig {
     }
 }
 
-fn engine_config(fx: &Fixture, pool: PoolSize) -> EngineConfig {
-    let mut config = EngineConfig::for_trace(fx.trace.clone());
-    config.design = fx.config;
+fn engine_config(trace: &TraceDataset, pool: PoolSize) -> EngineConfig {
+    let mut config = EngineConfig::for_trace(trace.clone());
+    config.design = design_config();
     config.pool = pool;
     config.sim.rounds = 10;
-    config.sim_options = SimOptions {
-        fault_plan: FaultPlanConfig {
-            agents: fx.trace.reviewers().len(),
-            rounds: 10,
-            seed: fx.trace.reviewers().len() as u64,
-            ..FaultPlanConfig::default()
-        }
-        .generate()
-        .expect("default probabilities are valid"),
-        ..SimOptions::default()
-    };
+    config.fault_plan = FaultPlanConfig {
+        agents: trace.reviewers().len(),
+        rounds: 10,
+        seed: trace.reviewers().len() as u64,
+        ..FaultPlanConfig::default()
+    }
+    .generate()
+    .expect("default probabilities are valid");
     config
 }
 
@@ -75,22 +72,10 @@ fn fixtures() -> &'static [Fixture] {
                 let detection = run_pipeline(&trace, PipelineConfig::default());
                 let config = design_config();
                 let prep = prepare_design(&trace, &detection, &config).expect("fixture fits");
-                let mut fx = Fixture {
-                    trace,
-                    detection,
-                    config,
-                    prep,
-                    reference: EngineSimOutcome::Killed {
-                        at_round: 0,
-                        total_rounds: 0,
-                        checkpoint: Default::default(),
-                    },
-                };
-                let mut ctx =
-                    RoundContext::new(engine_config(&fx, PoolSize::Sequential));
+                let mut ctx = RoundContext::new(engine_config(&trace, PoolSize::Sequential));
                 Engine::new().run(&mut ctx).expect("reference engine run");
-                fx.reference = ctx.sim_outcome().expect("simulated").clone();
-                fx
+                let reference = ctx.sim_outcome().expect("simulated").clone();
+                Fixture { trace, detection, config, prep, reference }
             })
             .collect()
     })
@@ -164,7 +149,7 @@ proptest! {
         pool in 2usize..=8,
     ) {
         let fx = &fixtures()[seed_idx];
-        let mut ctx = RoundContext::new(engine_config(fx, PoolSize::Fixed(pool)));
+        let mut ctx = RoundContext::new(engine_config(&fx.trace, PoolSize::Fixed(pool)));
         Engine::new().run(&mut ctx).unwrap();
         prop_assert_eq!(ctx.sim_outcome().unwrap(), &fx.reference);
         prop_assert_eq!(
@@ -185,7 +170,7 @@ proptest! {
         let fx = &fixtures()[seed_idx];
         let render = || {
             let recorder = Arc::new(JsonRecorder::new());
-            let mut config = engine_config(fx, PoolSize::Fixed(pool));
+            let mut config = engine_config(&fx.trace, PoolSize::Fixed(pool));
             config.metrics = Metrics::new(recorder.clone());
             let mut ctx = RoundContext::new(config);
             Engine::new().run(&mut ctx).unwrap();

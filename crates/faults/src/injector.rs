@@ -3,61 +3,22 @@
 //! simulation's per-round queries from precomputed lookup maps.
 //!
 //! The injector is *pure* in `(agent, round)` — all randomness was spent
-//! when the plan was generated — so re-creating it from the same plan
-//! after a checkpoint restore reproduces the remaining run bit-exactly.
+//! when the plan was generated — so a fresh injector from the same plan
+//! reproduces a run bit-exactly.
 
 use crate::plan::{Corruption, FaultPlan};
 use dcc_core::RoundFaults;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One fault that actually fired during a run, for post-hoc reporting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FiredFault {
-    /// The agent was absent this round.
-    Dropped {
-        /// Affected agent.
-        agent: usize,
-        /// Round of the absence.
-        round: usize,
-    },
-    /// The agent's report was lost.
-    LostFeedback {
-        /// Affected agent.
-        agent: usize,
-        /// Round of the loss.
-        round: usize,
-    },
-    /// The agent's report was corrupted.
-    CorruptedFeedback {
-        /// Affected agent.
-        agent: usize,
-        /// Round of the corruption.
-        round: usize,
-        /// The value before corruption.
-        original: f64,
-        /// The value after corruption (possibly non-finite).
-        corrupted: f64,
-    },
-    /// The agent's payment was deferred.
-    DelayedPayment {
-        /// Affected agent.
-        agent: usize,
-        /// Round whose payment was deferred.
-        round: usize,
-        /// Number of rounds the payment slips.
-        delay: usize,
-    },
-}
-
-/// A stateless (apart from its log) [`RoundFaults`] implementation backed
-/// by a [`FaultPlan`].
+/// A [`RoundFaults`] implementation backed by a [`FaultPlan`], stateless
+/// apart from its tally of the faults that fired.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     dropouts: BTreeMap<usize, Vec<(usize, usize)>>,
     missing: BTreeSet<(usize, usize)>,
     corrupt: BTreeMap<(usize, usize), Corruption>,
     delays: BTreeMap<(usize, usize), usize>,
-    log: Vec<FiredFault>,
+    hits: FaultHitCounts,
 }
 
 impl FaultInjector {
@@ -80,39 +41,20 @@ impl FaultInjector {
                 .iter()
                 .map(|d| ((d.agent, d.round), d.delay))
                 .collect(),
-            log: Vec::new(),
+            hits: FaultHitCounts::default(),
         }
-    }
-
-    /// The faults that have fired so far, in simulation order.
-    pub fn log(&self) -> &[FiredFault] {
-        &self.log
-    }
-
-    /// Drops the accumulated log (e.g. after persisting it).
-    pub fn clear_log(&mut self) {
-        self.log.clear();
     }
 
     /// Per-kind totals of the faults fired so far — the numbers the
     /// engine's simulate stage publishes as `sim.faults.*` counters.
     pub fn hit_counts(&self) -> FaultHitCounts {
-        let mut counts = FaultHitCounts::default();
-        for fired in &self.log {
-            match fired {
-                FiredFault::Dropped { .. } => counts.dropped += 1,
-                FiredFault::LostFeedback { .. } => counts.lost_feedback += 1,
-                FiredFault::CorruptedFeedback { .. } => counts.corrupted_feedback += 1,
-                FiredFault::DelayedPayment { .. } => counts.delayed_payments += 1,
-            }
-        }
-        counts
+        self.hits
     }
 }
 
-/// Per-kind totals from a [`FaultInjector`] log.
+/// Per-kind totals of the faults a [`FaultInjector`] fired.
 ///
-/// One log entry is one *hit*: a dropout window contributes one hit per
+/// One count is one *hit*: a dropout window contributes one hit per
 /// round it covers, not one per scheduled window — so `total()` can
 /// exceed the plan's event count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -128,7 +70,7 @@ pub struct FaultHitCounts {
 }
 
 impl FaultHitCounts {
-    /// Sum over every kind — always equal to the log length.
+    /// Sum over every kind.
     pub fn total(&self) -> usize {
         self.dropped + self.lost_feedback + self.corrupted_feedback + self.delayed_payments
     }
@@ -141,30 +83,24 @@ impl RoundFaults for FaultInjector {
             .get(&agent)
             .is_some_and(|ws| ws.iter().any(|&(from, until)| round >= from && round < until));
         if out {
-            self.log.push(FiredFault::Dropped { agent, round });
+            self.hits.dropped += 1;
         }
         out
     }
 
     fn perturb_feedback(&mut self, agent: usize, round: usize, feedback: f64) -> Option<f64> {
         if self.missing.contains(&(agent, round)) {
-            self.log.push(FiredFault::LostFeedback { agent, round });
+            self.hits.lost_feedback += 1;
             return None;
         }
         if let Some(corruption) = self.corrupt.get(&(agent, round)) {
-            let corrupted = match *corruption {
+            self.hits.corrupted_feedback += 1;
+            return Some(match *corruption {
                 Corruption::Scale(x) => feedback * x,
                 Corruption::Offset(x) => feedback + x,
                 Corruption::Replace(x) => x,
                 Corruption::NaN => f64::NAN,
-            };
-            self.log.push(FiredFault::CorruptedFeedback {
-                agent,
-                round,
-                original: feedback,
-                corrupted,
             });
-            return Some(corrupted);
         }
         Some(feedback)
     }
@@ -172,7 +108,7 @@ impl RoundFaults for FaultInjector {
     fn payment_delay(&mut self, agent: usize, round: usize) -> usize {
         let delay = self.delays.get(&(agent, round)).copied().unwrap_or(0);
         if delay > 0 {
-            self.log.push(FiredFault::DelayedPayment { agent, round, delay });
+            self.hits.delayed_payments += 1;
         }
         delay
     }
@@ -242,41 +178,26 @@ mod tests {
     }
 
     #[test]
-    fn log_records_only_fired_faults() {
-        let mut inj = FaultInjector::new(&tiny_plan());
-        inj.dropped(0, 0); // miss
-        inj.dropped(0, 2); // hit
-        inj.perturb_feedback(1, 0, 3.0); // lost
-        inj.perturb_feedback(1, 5, 3.0); // clean
-        inj.payment_delay(0, 0); // delayed
-        assert_eq!(
-            inj.log(),
-            &[
-                FiredFault::Dropped { agent: 0, round: 2 },
-                FiredFault::LostFeedback { agent: 1, round: 0 },
-                FiredFault::DelayedPayment {
-                    agent: 0,
-                    round: 0,
-                    delay: 2
-                },
-            ]
-        );
-        inj.clear_log();
-        assert!(inj.log().is_empty());
-    }
-
-    #[test]
-    fn hit_counts_tally_the_log_per_kind() {
+    fn hit_counts_tally_only_fired_faults_per_kind() {
         let mut inj = FaultInjector::new(&tiny_plan());
         assert_eq!(inj.hit_counts(), FaultHitCounts::default());
-        inj.dropped(0, 2);
-        inj.perturb_feedback(1, 0, 0.5);
-        inj.payment_delay(0, 0);
-        let counts = inj.hit_counts();
-        assert_eq!(counts.dropped, 1);
-        assert_eq!(counts.lost_feedback, 1);
-        assert_eq!(counts.delayed_payments, 1);
-        assert_eq!(counts.total(), inj.log().len());
+        inj.dropped(0, 0); // miss
+        inj.dropped(0, 2); // hit
+        inj.perturb_feedback(1, 0, 0.5); // lost
+        inj.perturb_feedback(1, 1, 0.5); // corrupted
+        inj.perturb_feedback(1, 5, 0.5); // clean
+        inj.payment_delay(0, 0); // delayed
+        inj.payment_delay(0, 1); // on time
+        assert_eq!(
+            inj.hit_counts(),
+            FaultHitCounts {
+                dropped: 1,
+                lost_feedback: 1,
+                corrupted_feedback: 1,
+                delayed_payments: 1,
+            }
+        );
+        assert_eq!(inj.hit_counts().total(), 4);
     }
 
     #[test]
@@ -289,6 +210,6 @@ mod tests {
                 assert_eq!(inj.payment_delay(agent, round), 0);
             }
         }
-        assert!(inj.log().is_empty());
+        assert_eq!(inj.hit_counts(), FaultHitCounts::default());
     }
 }

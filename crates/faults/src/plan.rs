@@ -4,8 +4,7 @@
 //! A plan can be written by hand, or sampled from a [`FaultPlanConfig`]
 //! with a seeded RNG. Either way, *all* randomness lives in the plan —
 //! replaying the same plan against the same simulation seed reproduces
-//! the identical run, which is what makes fault scenarios debuggable and
-//! checkpoint-resumable.
+//! the identical run, which is what makes fault scenarios debuggable.
 
 use dcc_numerics::Json;
 use dcc_core::CoreError;
@@ -368,8 +367,10 @@ impl FaultPlanConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParams`] when a probability is outside
-    /// `[0, 1]` or a length/delay maximum is zero while its probability
-    /// is positive.
+    /// `[0, 1]`, a length/delay maximum is zero while its probability
+    /// is positive, or `outlier_scale` is not a finite number above 1
+    /// while `corrupt_prob` is positive (the scale range
+    /// `[1/outlier_scale, outlier_scale)` would be empty).
     pub fn generate(&self) -> Result<FaultPlan, CoreError> {
         for (name, p) in [
             ("dropout_prob", self.dropout_prob),
@@ -393,6 +394,12 @@ impl FaultPlanConfig {
             return Err(CoreError::InvalidParams(
                 "max_delay must be >= 1 when delay_prob > 0".into(),
             ));
+        }
+        let scale = self.outlier_scale;
+        if self.corrupt_prob > 0.0 && !(scale.is_finite() && scale > 1.0) {
+            return Err(CoreError::InvalidParams(format!(
+                "outlier_scale must be a finite number > 1 when corrupt_prob > 0, got {scale}"
+            )));
         }
 
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -569,6 +576,22 @@ mod tests {
             ..FaultPlanConfig::default()
         };
         assert!(bad_delay.generate().is_err());
+        for outlier_scale in [1.0, 0.5, f64::NAN, f64::INFINITY] {
+            let empty_range = FaultPlanConfig {
+                corrupt_prob: 0.5,
+                outlier_scale,
+                ..FaultPlanConfig::default()
+            };
+            let err = empty_range.generate().unwrap_err();
+            assert!(matches!(err, CoreError::InvalidParams(_)), "{outlier_scale}: {err}");
+        }
+        // Without corruption the scale is never sampled.
+        let unused = FaultPlanConfig {
+            corrupt_prob: 0.0,
+            outlier_scale: 1.0,
+            ..FaultPlanConfig::default()
+        };
+        assert!(unused.generate().is_ok());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! dependency-free, and deterministic across runs and platforms
 //! (unlike `DefaultHasher`, whose seed is randomized), so it backs the
 //! columnar trace checksum, the batch memo keys and grid fingerprint,
-//! the serve round digests, and the simulation checkpoint fingerprint.
+//! and the serve round digests.
 
 /// An incremental FNV-1a 64-bit hasher. Every multi-byte write hashes
 /// the value's little-endian bytes.

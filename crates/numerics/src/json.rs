@@ -105,10 +105,12 @@ impl Json {
         }
     }
 
-    /// Decodes an exact `u64` from its decimal-string encoding.
+    /// Decodes an exact `u64` from its decimal-string encoding: ASCII
+    /// digits only (Rust's integer parser would also take a leading
+    /// `+`).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Str(s) => s.parse().ok(),
+            Json::Str(s) if s.bytes().all(|b| b.is_ascii_digit()) => s.parse().ok(),
             _ => None,
         }
     }
@@ -376,13 +378,15 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = bytes
+                        let code = bytes
                             .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| err(*pos, "non-ascii \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "invalid \\u escape"))?;
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .map(|hex| {
+                                hex.iter().fold(0, |code, &b| {
+                                    code * 16 + char::from(b).to_digit(16).unwrap_or(0)
+                                })
+                            })
+                            .ok_or_else(|| err(*pos, "a \\u escape needs four hex digits"))?;
                         // Surrogate pairs are not needed for our payloads;
                         // map unpaired surrogates to the replacement char.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -409,15 +413,45 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
+/// Parses a number by RFC 8259's grammar,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. `f64::from_str`
+/// alone would also read `+1`, `.5`, `5.` and `1.e5`; a leading zero
+/// ends the number, so `01` fails as trailing text.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    // Skips a run of digits and returns its length.
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    if start == *pos {
-        return Err(err(start, "expected a value"));
+    match bytes.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ if *pos == start => return Err(err(start, "expected a value")),
+        _ => return Err(err(start, "invalid number")),
+    }
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(pos) == 0 {
+            return Err(err(start, "invalid number"));
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(err(start, "invalid number"));
+        }
     }
     let x = std::str::from_utf8(&bytes[start..*pos])
         .map_err(|_| err(start, "invalid number"))?
@@ -532,6 +566,25 @@ mod tests {
         let x = u64::MAX - 12345;
         let text = Json::u64(x).to_string();
         assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(x));
+    }
+
+    #[test]
+    fn only_json_numbers_escapes_and_u64_strings_are_read() {
+        for bad in [
+            "+1", ".5", "5.", "01", "-01", "1.e5", "1e", "1e+", "-", "--1", "0x10", "[+0]",
+            "{\"from\":0.}", "\"\\u+041\"", "\"\\u-041\"", "\"\\u 041\"", "\"\\u04\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+        let good = [("-0", -0.0f64), ("0.5", 0.5), ("1E5", 1e5), ("1e+5", 1e5), ("-2e-3", -2e-3)];
+        for (good, x) in good {
+            assert_eq!(Json::parse(good).unwrap().as_f64().unwrap().to_bits(), x.to_bits());
+        }
+        assert_eq!(Json::parse("\"\\u0041\\u00e9\"").unwrap().as_str(), Some("Aé"));
+        for text in ["\"+1\"", "\"-1\"", "\" 1\"", "\"\""] {
+            assert_eq!(Json::parse(text).unwrap().as_u64(), None, "{text}");
+        }
+        assert_eq!(Json::parse("\"18446744073709551615\"").unwrap().as_u64(), Some(u64::MAX));
     }
 
     #[test]

@@ -211,7 +211,9 @@ impl AdversaryPlan {
     /// # Errors
     ///
     /// Returns [`TraceError::InvalidDataset`] on a missing/unknown
-    /// schema tag or malformed fields.
+    /// schema tag, malformed fields, or an event no base trace admits (a
+    /// sybil count of 0, a campaign merged with itself, an under-report
+    /// factor outside `[0, 1]`).
     pub fn from_json(doc: &Json) -> Result<AdversaryPlan, TraceError> {
         match doc.get("schema").and_then(Json::as_str) {
             Some(ADVERSARY_SCHEMA) => {}
@@ -273,13 +275,15 @@ impl AdversaryPlan {
                 })
             })
             .collect::<Result<_, TraceError>>()?;
-        Ok(AdversaryPlan {
+        let plan = AdversaryPlan {
             seed,
             sybils,
             splits,
             merges,
             underreports,
-        })
+        };
+        plan.check_events()?;
+        Ok(plan)
     }
 
     /// Deserializes a plan from a JSON string.
@@ -310,7 +314,8 @@ impl AdversaryPlan {
         Self::from_json_str(&std::fs::read_to_string(path)?)
     }
 
-    /// Validates event references against a base trace's shape.
+    /// Validates event references against a base trace's shape, after
+    /// the checks the loader applies too.
     ///
     /// # Errors
     ///
@@ -318,6 +323,7 @@ impl AdversaryPlan {
     /// indices or rounds, degenerate merges, zero sybil counts, or
     /// factors outside `[0, 1]`.
     pub fn validate(&self, n_campaigns: usize, n_rounds: usize) -> Result<(), TraceError> {
+        self.check_events()?;
         let bad = |msg: String| Err(TraceError::InvalidDataset(msg));
         let check_campaign = |what: &str, c: usize| {
             if c >= n_campaigns {
@@ -340,9 +346,6 @@ impl AdversaryPlan {
         for s in &self.sybils {
             check_campaign("sybil influx", s.campaign)?;
             check_round("sybil influx", s.round)?;
-            if s.count == 0 {
-                return bad("sybil influx has count 0".into());
-            }
         }
         for s in &self.splits {
             check_campaign("split", s.campaign)?;
@@ -352,19 +355,27 @@ impl AdversaryPlan {
             check_campaign("merge", m.first)?;
             check_campaign("merge", m.second)?;
             check_round("merge", m.round)?;
-            if m.first == m.second {
-                return bad(format!("merge of campaign {} with itself", m.first));
-            }
         }
         for u in &self.underreports {
             check_campaign("under-report", u.campaign)?;
             check_round("under-report", u.from_round)?;
-            if !(0.0..=1.0).contains(&u.factor) {
-                return bad(format!(
-                    "under-report factor {} outside [0, 1]",
-                    u.factor
-                ));
-            }
+        }
+        Ok(())
+    }
+
+    /// The checks that need no base trace: every sybil influx adds a
+    /// sybil, no campaign merges with itself, and every under-report
+    /// factor lies in `[0, 1]`.
+    fn check_events(&self) -> Result<(), TraceError> {
+        let bad = |msg: String| Err(TraceError::InvalidDataset(msg));
+        if self.sybils.iter().any(|s| s.count == 0) {
+            return bad("sybil influx has count 0".into());
+        }
+        if let Some(m) = self.merges.iter().find(|m| m.first == m.second) {
+            return bad(format!("merge of campaign {} with itself", m.first));
+        }
+        if let Some(u) = self.underreports.iter().find(|u| !(0.0..=1.0).contains(&u.factor)) {
+            return bad(format!("under-report factor {} outside [0, 1]", u.factor));
         }
         Ok(())
     }
@@ -425,9 +436,11 @@ impl AdversaryPlanConfig {
     /// # Errors
     ///
     /// Returns [`TraceError::InvalidDataset`] when a probability is
-    /// outside `[0, 1]`, `min_factor` is outside `[0, 1]`, `max_sybils`
-    /// is zero while `sybil_prob` is positive, or fewer than two rounds
-    /// exist while any event probability is positive.
+    /// outside `[0, 1]`, `min_factor` is outside `[0, 1]` (or is 1 while
+    /// `underreport_prob` is positive: the factor range `[min_factor, 1)`
+    /// would be empty), `max_sybils` is zero while `sybil_prob` is
+    /// positive, or fewer than two rounds exist while any event
+    /// probability is positive.
     pub fn generate(&self) -> Result<AdversaryPlan, TraceError> {
         let bad = |msg: String| Err(TraceError::InvalidDataset(msg));
         for (name, p) in [
@@ -442,6 +455,12 @@ impl AdversaryPlanConfig {
         }
         if !(0.0..=1.0).contains(&self.min_factor) {
             return bad(format!("min_factor must be in [0, 1], got {}", self.min_factor));
+        }
+        if self.underreport_prob > 0.0 && self.min_factor >= 1.0 {
+            return bad(format!(
+                "min_factor must be below 1 when underreport_prob > 0, got {}",
+                self.min_factor
+            ));
         }
         if self.sybil_prob > 0.0 && self.max_sybils == 0 {
             return bad("max_sybils must be >= 1 when sybil_prob > 0".into());
@@ -890,15 +909,57 @@ mod tests {
     }
 
     #[test]
+    fn the_loader_refuses_events_no_trace_admits() {
+        let underreport = |factor| AdversaryPlan {
+            underreports: vec![UnderReport { campaign: 0, from_round: 1, factor }],
+            ..AdversaryPlan::default()
+        };
+        for (plan, what) in [
+            (underreport(f64::NAN), "factor NaN outside"),
+            (underreport(-5.0), "factor -5 outside"),
+            (
+                AdversaryPlan {
+                    sybils: vec![SybilInflux { campaign: 0, round: 1, count: 0 }],
+                    ..AdversaryPlan::default()
+                },
+                "count 0",
+            ),
+            (
+                AdversaryPlan {
+                    merges: vec![CommunityMerge { first: 1, second: 1, round: 1 }],
+                    ..AdversaryPlan::default()
+                },
+                "with itself",
+            ),
+        ] {
+            let err = AdversaryPlan::from_json_str(&plan.to_json_string()).unwrap_err();
+            assert!(matches!(err, TraceError::InvalidDataset(_)), "{err}");
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
+    }
+
+    #[test]
     fn invalid_sampler_configs_are_rejected() {
         for bad in [
             AdversaryPlanConfig { split_prob: 1.5, ..AdversaryPlanConfig::default() },
             AdversaryPlanConfig { min_factor: -0.1, ..AdversaryPlanConfig::default() },
             AdversaryPlanConfig { sybil_prob: 0.5, max_sybils: 0, ..AdversaryPlanConfig::default() },
             AdversaryPlanConfig { n_rounds: 1, ..AdversaryPlanConfig::default() },
+            AdversaryPlanConfig {
+                underreport_prob: 1.0,
+                min_factor: 1.0,
+                ..AdversaryPlanConfig::default()
+            },
         ] {
             assert!(bad.generate().is_err());
         }
+        // Without under-reporting the factor is never sampled.
+        let unused = AdversaryPlanConfig {
+            underreport_prob: 0.0,
+            min_factor: 1.0,
+            ..AdversaryPlanConfig::default()
+        };
+        assert!(unused.generate().is_ok());
     }
 
     #[test]

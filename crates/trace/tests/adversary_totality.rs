@@ -10,8 +10,9 @@
 //! overwritten; 200,000-deep nesting; and a plan with one number
 //! replaced by `1e300`, `-1`, `0.5`, `18446744073709551616`, `"NaN"`,
 //! `null` or `[]`. An index field holding such a value is refused; an
-//! under-report `factor` holding a number or `"NaN"` loads, since its
-//! range is checked against the base trace by `AdversaryPlan::validate`.
+//! under-report `factor` loads only as `0.5`, the one value in `[0, 1]`.
+//! Every plan the loader accepts passes `AdversaryPlan::validate`'s
+//! checks that need no base trace.
 
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
@@ -89,6 +90,9 @@ fn load_is_total(text: &str) -> Result<bool, TestCaseError> {
     );
     match outcome {
         Ok(plan) => {
+            // Against a trace with every campaign and round, only the
+            // checks that need no base trace can fail.
+            prop_assert!(plan.validate(usize::MAX, usize::MAX).is_ok(), "{text:?}");
             let again = AdversaryPlan::from_json_str(&plan.to_json_string()).unwrap();
             prop_assert_eq!(again.to_json_string(), plan.to_json_string());
             Ok(true)
@@ -147,10 +151,10 @@ proptest! {
             return Ok(());
         };
         let loaded = load_is_total(&doc.to_string())?;
-        // A factor is a float (or "NaN"); every other number of a plan
-        // is an index.
-        let float = key == "factor" && replacement <= 4;
-        prop_assert_eq!(loaded, float, "{} = {}", key, REPLACEMENTS[replacement]);
+        // A factor is a float in [0, 1]; every other number of a plan is
+        // an index.
+        let factor = key == "factor" && REPLACEMENTS[replacement] == "0.5";
+        prop_assert_eq!(loaded, factor, "{} = {}", key, REPLACEMENTS[replacement]);
     }
 }
 

@@ -24,8 +24,8 @@
 //! - [`experiments`] — runners that regenerate every table and figure of
 //!   the paper's evaluation (§V).
 //! - [`faults`] — deterministic fault injection (dropouts, lost and
-//!   corrupted feedback, payment delays) and checkpoint/resume of the
-//!   simulation loops.
+//!   corrupted feedback, payment delays) into the simulation, and the
+//!   checkpoint document the batch and serve runs share.
 //! - [`engine`] — the staged `Ingest → Detect → FitEffort →
 //!   SolveSubproblems → ConstructContracts → Simulate` pipeline with
 //!   cached stage outputs and a deterministic parallel solve.

@@ -1,12 +1,11 @@
-//! Fault-tolerance integration: deterministic fault injection, degraded
-//! contract design, and checkpointed simulation — end to end through the
-//! meta-crate's public API.
+//! Fault-tolerance integration: deterministic fault injection and
+//! degraded contract design — end to end through the meta-crate's
+//! public API.
 //!
 //! The headline guarantees exercised here:
-//! - a run killed mid-way and resumed from its checkpoint (which records
-//!   only the input fingerprint and the completed rounds, replayed on
-//!   resume) reproduces the uninterrupted run's `SimulationOutcome`
-//!   *bit-exactly*,
+//! - the engine's simulate stage under a busy fault plan reproduces
+//!   `Simulation::run_with_faults` with a fresh `FaultInjector`
+//!   *bit-exactly*, fault hits included,
 //! - the same `(seed, FaultPlan)` pair always yields the identical
 //!   outcome,
 //! - `design_contracts` under `FallbackBaseline` completes (with a
@@ -23,7 +22,7 @@ use dyncontract::core::{
     FailurePolicy, ModelParams, Simulation, SimulationConfig, StrategyKind, Subproblem,
 };
 use dyncontract::detect::{run_pipeline, PipelineConfig};
-use dyncontract::engine::{Engine, EngineConfig, EngineSimOutcome, RoundContext, SimOptions};
+use dyncontract::engine::{Engine, EngineConfig, EngineSimOutcome, RoundContext};
 use dyncontract::faults::{FaultInjector, FaultPlan, FaultPlanConfig};
 use dyncontract::numerics::Quadratic;
 use dyncontract::obs::Metrics;
@@ -60,7 +59,7 @@ fn busy_plan(agents: usize, rounds: usize, seed: u64) -> FaultPlan {
 }
 
 #[test]
-fn killed_and_resumed_run_reproduces_the_uninterrupted_outcome() {
+fn engine_simulate_stage_matches_run_with_faults() {
     let trace = SyntheticConfig::small(271).generate();
     let (params, agents) = assembled_agents();
     let rounds = 16;
@@ -71,48 +70,26 @@ fn killed_and_resumed_run_reproduces_the_uninterrupted_outcome() {
         seed: 29,
     };
 
-    // Ground truth: one uninterrupted faulty run.
+    // Ground truth: the faulty run with a fresh injector.
     let sim = Simulation::new(params, sim_config);
     let mut injector = FaultInjector::new(&plan);
-    let uninterrupted = sim.run_with_faults(&agents, &mut injector).expect("run");
+    let reference = sim.run_with_faults(&agents, &mut injector).expect("run");
 
-    // The same run through the engine, checkpointed every round and
-    // "crashed" before round 7: the checkpoint holds only the input
-    // fingerprint and the 7 completed rounds.
-    let dir = std::env::temp_dir().join(format!("dcc_ft_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let ckpt = dir.join("sim.ckpt.json");
-    let engine_run = |kill_at: Option<usize>, resume: bool| {
-        let mut config = EngineConfig::for_trace(trace.clone());
-        config.sim = sim_config;
-        config.sim_options = SimOptions {
-            fault_plan: plan.clone(),
-            checkpoint: Some(ckpt.clone()),
-            kill_at,
-            resume,
-        };
-        let mut ctx = RoundContext::new(config);
-        Engine::new().run(&mut ctx).expect("engine run");
-        ctx.sim_outcome().expect("simulate ran").clone()
-    };
-    assert!(matches!(
-        engine_run(Some(7), false),
-        EngineSimOutcome::Killed { at_round: 7, .. }
-    ));
-    let text = std::fs::read_to_string(&ckpt).expect("checkpoint written");
-    assert!(text.contains("\"schema\":\"dcc-sim-ckpt/2\""), "{text}");
-    assert!(text.contains("\"rounds_done\":7"), "{text}");
-
-    // Resume in a fresh engine: it rebuilds the agents, checks the
-    // fingerprint, replays rounds 0..7 with a fresh injector built from
-    // the same plan, and continues.
-    let EngineSimOutcome::Completed { outcome: resumed, faults_fired, .. } = engine_run(None, true)
-    else {
-        panic!("the resumed run must complete");
-    };
-    assert_eq!(uninterrupted, resumed, "resume must be bit-exact");
-    assert_eq!(faults_fired, injector.log().len(), "the replay fires the same faults");
-    std::fs::remove_dir_all(&dir).ok();
+    // The same run through the engine's simulate stage.
+    let mut config = EngineConfig::for_trace(trace);
+    config.sim = sim_config;
+    config.fault_plan = plan.clone();
+    let mut ctx = RoundContext::new(config);
+    Engine::new().run(&mut ctx).expect("engine run");
+    let EngineSimOutcome { outcome, faults_scheduled, faults_fired } =
+        ctx.sim_outcome().expect("simulate ran");
+    // Debug prints each float's shortest round-trip form, so equal
+    // strings mean equal bits.
+    assert_eq!(format!("{outcome:?}"), format!("{reference:?}"), "bit-exact");
+    assert_eq!(*faults_scheduled, plan.len());
+    let hits = injector.hit_counts().total();
+    assert!(hits > 0, "a busy plan must fire");
+    assert_eq!(*faults_fired, hits, "the engine fires the same faults");
 }
 
 #[test]
