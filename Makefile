@@ -170,4 +170,6 @@ metrics-check:
 slow-tests:
 	DCC_SLOW_TESTS=1 cargo test --release --test stress
 
-ci: build test lint clippy metrics-check experiments-smoke
+# The local mirror of CI; e2ebench-smoke checks that the benchmark still
+# builds against the crates' public types.
+ci: build test lint clippy metrics-check experiments-smoke e2ebench-smoke

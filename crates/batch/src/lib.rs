@@ -13,13 +13,15 @@
 //! proves across pool sizes 1–16.
 //!
 //! The throughput win comes from the [`StageMemo`]: a content-addressed
-//! cache for the Detect, Fit and Solve stage outputs, keyed on a trace
-//! fingerprint plus the stage configuration. A 16-point μ-sweep detects
-//! and fits once and solves 16 times, and the memo is shared *across*
+//! cache for the Detect, Fit, Solve and Simulate stage outputs, keyed on
+//! a trace fingerprint plus the stage configuration. A 16-point μ-sweep
+//! detects and fits once and solves 16 times, a budget sweep simulates
+//! each (design, strategy) once, and the memo is shared *across*
 //! scenarios, traces, and runner invocations (warm reruns skip the
-//! solve too). A scenario calls the stage functions themselves
-//! (`run_pipeline`, `prepare_design`, `solve_subproblems` →
-//! `assemble_design`, `Simulation::run`), as `dcc serve` does.
+//! solve and the simulation too). A scenario calls the stage functions
+//! themselves (`run_pipeline`, `prepare_design`, `solve_subproblems` →
+//! `assemble_design`, `BaselineStrategy::assemble` → `Simulation::run`),
+//! as `dcc serve` does.
 //!
 //! Every scenario executes once under **supervision**
 //! ([`BatchRunner::run_supervised`]): panics are caught and isolated

@@ -1,5 +1,5 @@
 //! The content-addressed stage memo: cross-scenario (and cross-run)
-//! reuse of the Detect, Fit, and Solve/Construct stage outputs.
+//! reuse of the Detect, Fit, Solve/Construct and Simulate stage outputs.
 //!
 //! Keys are FNV-1a 64 fingerprints:
 //!
@@ -17,7 +17,12 @@
 //!   μ and the failure policy (the pool size is not part of it: the
 //!   solve is bit-identical across pool sizes) — so a grid that varies
 //!   only the budget fraction or the strategy solves each distinct
-//!   design exactly once, and a warm rerun solves nothing.
+//!   design exactly once, and a warm rerun solves nothing;
+//! - a **simulate fingerprint** covers the strategy and the simulation
+//!   config (via their `Debug` forms, total for the same reason) and
+//!   joins the solve key — deliberately *not* the budget fraction, which
+//!   the simulation never reads — so a budget sweep simulates each
+//!   (design, strategy) once.
 //!
 //! Each memoized stage holds one panic-safe [`Slot`] per key, so two
 //! workers never compute the same value concurrently and a computation
@@ -28,7 +33,7 @@
 //! controls lifetime by dropping the [`StageMemo`].
 
 use crate::supervisor::Slot;
-use dcc_core::{ContractDesign, DesignPrep};
+use dcc_core::{ContractDesign, DesignPrep, SimulationConfig, SimulationOutcome, StrategyKind};
 use dcc_detect::{DetectionResult, PipelineConfig};
 use dcc_numerics::Fnv;
 use dcc_trace::TraceDataset;
@@ -73,6 +78,9 @@ pub struct MemoStats {
     /// Subproblem-solve + contract-construction runs (per distinct
     /// design configuration, μ included).
     pub solve: CacheStats,
+    /// Strategy-assembly + simulation runs (per distinct solve key,
+    /// strategy and simulation config); zero for design-only grids.
+    pub simulate: CacheStats,
 }
 
 /// Key of a memoized detection result: (trace, pipeline) fingerprints.
@@ -82,6 +90,9 @@ pub(crate) type FitKey = (u64, u64, u64);
 /// Key of a memoized solved design: (trace, pipeline, fit-config,
 /// solve-config) fingerprints.
 pub(crate) type SolveKey = (u64, u64, u64, u64);
+/// Key of a memoized simulation: the solve key and the
+/// strategy-and-sim-config fingerprint.
+pub(crate) type SimKey = (SolveKey, u64);
 
 /// One memoized stage: a compute-once [`Slot`] per key.
 pub(crate) struct StageCache<K, T> {
@@ -127,7 +138,8 @@ impl<K: Ord, T: Clone> StageCache<K, T> {
     }
 }
 
-/// Shared, thread-safe memo for Detect, Fit, and Solve stage outputs.
+/// Shared, thread-safe memo for Detect, Fit, Solve and Simulate stage
+/// outputs.
 ///
 /// Clone the surrounding `Arc<StageMemo>` into several
 /// [`crate::BatchRunner`]s to share warm caches across runs; a fresh
@@ -143,6 +155,9 @@ pub struct StageMemo {
     /// Solved designs, memoized including deterministic failures for
     /// the same reason as fits.
     pub(crate) solve: StageCache<SolveKey, Result<Arc<ContractDesign>, String>>,
+    /// Simulated outcomes, memoized including deterministic failures
+    /// for the same reason as fits.
+    pub(crate) simulate: StageCache<SimKey, Result<Arc<SimulationOutcome>, String>>,
 }
 
 impl fmt::Debug for StageMemo {
@@ -157,16 +172,22 @@ impl StageMemo {
         StageMemo::default()
     }
 
-    /// Number of memoized (trace, detection, fit, solve) entries.
-    pub fn len(&self) -> (usize, usize, usize, usize) {
+    /// Number of memoized (trace, detection, fit, solve, simulate)
+    /// entries.
+    pub fn len(&self) -> (usize, usize, usize, usize, usize) {
         let traces = self.traces.lock().unwrap_or_else(PoisonError::into_inner).len();
-        (traces, self.detect.len(), self.fit.len(), self.solve.len())
+        (
+            traces,
+            self.detect.len(),
+            self.fit.len(),
+            self.solve.len(),
+            self.simulate.len(),
+        )
     }
 
     /// `true` when nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
-        let (t, d, f, s) = self.len();
-        t == 0 && d == 0 && f == 0 && s == 0
+        self.len() == (0, 0, 0, 0, 0)
     }
 
     pub(crate) fn get_trace(&self, key: &str) -> Option<(Arc<TraceDataset>, u64)> {
@@ -267,6 +288,17 @@ pub(crate) fn solve_fingerprint(design: &dcc_core::DesignConfig) -> u64 {
     h.finish()
 }
 
+/// Fingerprint of what a simulation reads besides its solved design:
+/// the strategy (a fixed payment's amount and the collusion-proof
+/// parameters included) and the simulation config, both flat `Copy`
+/// values whose `Debug` forms are total.
+pub(crate) fn simulate_fingerprint(strategy: StrategyKind, sim: &SimulationConfig) -> u64 {
+    let mut h = Fnv::new();
+    h.write_bytes(format!("{strategy:?}").as_bytes());
+    h.write_bytes(format!("{sim:?}").as_bytes());
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
@@ -317,6 +349,26 @@ mod tests {
     }
 
     #[test]
+    fn simulate_fingerprint_tracks_the_strategy_and_sim_config() {
+        let sim = SimulationConfig::default();
+        let fixed = |amount| simulate_fingerprint(StrategyKind::FixedPayment { amount }, &sim);
+        assert_eq!(fixed(1.0), fixed(1.0));
+        assert_ne!(fixed(1.0), fixed(0.5));
+        assert_ne!(
+            fixed(1.0),
+            simulate_fingerprint(StrategyKind::DynamicContract, &sim)
+        );
+        let reseeded = SimulationConfig {
+            seed: sim.seed + 1,
+            ..sim
+        };
+        assert_ne!(
+            simulate_fingerprint(StrategyKind::DynamicContract, &sim),
+            simulate_fingerprint(StrategyKind::DynamicContract, &reseeded)
+        );
+    }
+
+    #[test]
     fn memo_roundtrips_entries() {
         let memo = StageMemo::new();
         assert!(memo.is_empty());
@@ -326,6 +378,6 @@ mod tests {
         let (got, got_fp) = memo.get_trace("synthetic:x").expect("trace entry");
         assert_eq!(got_fp, fp);
         assert_eq!(got.reviews().len(), trace.reviews().len());
-        assert_eq!(memo.len(), (1, 0, 0, 0));
+        assert_eq!(memo.len(), (1, 0, 0, 0, 0));
     }
 }

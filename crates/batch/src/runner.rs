@@ -9,10 +9,12 @@
 //!
 //! Cross-scenario reuse goes through the shared [`StageMemo`]: each
 //! distinct (trace, pipeline) pair runs detection once, each distinct
-//! (trace, pipeline, fit-config) triple fits once, and each distinct
+//! (trace, pipeline, fit-config) triple fits once, each distinct
 //! (trace, pipeline, fit-config, design-config) quadruple — μ included,
-//! budget fraction and strategy excluded — solves once, no matter how
-//! many scenarios or how many threads ask for it. The memo holds one
+//! budget fraction and strategy excluded — solves once, and each
+//! distinct (solve key, strategy, sim-config) simulates once — budget
+//! fraction excluded — no matter how many scenarios or how many threads
+//! ask for it. The memo holds one
 //! panic-safe slot per key: two workers never compute the same
 //! detection concurrently, and a *panicking* computation resets its
 //! slot instead of wedging it, so a poisoned scenario can neither block
@@ -43,12 +45,12 @@
 use crate::ckpt::{load_checkpoint, CkptEntry, CkptWriter, ScenarioSummary};
 use crate::grid::{strategy_label, Scenario, ScenarioGrid, TraceSpec};
 use crate::memo::{
-    fit_fingerprint, pipeline_fingerprint, solve_fingerprint, trace_fingerprint, MemoStats,
-    SolveKey, StageMemo,
+    fit_fingerprint, pipeline_fingerprint, simulate_fingerprint, solve_fingerprint,
+    trace_fingerprint, MemoStats, SimKey, SolveKey, StageMemo,
 };
 use crate::supervisor::{
-    panic_message, BatchFaultPlan, BatchOutcome, FailureKind, FaultPoint, ScenarioFailure,
-    SupervisorOptions, WorkBudget,
+    panic_message, BatchOutcome, FailureKind, FaultPoint, ScenarioFailure, SupervisorOptions,
+    WorkBudget,
 };
 use dcc_core::{
     assemble_design, prepare_design, select_within_budget, solve_subproblems, BaselineStrategy,
@@ -142,8 +144,11 @@ pub struct ScenarioOutcome {
     pub budget: BudgetedSelection,
     /// Total designed spend at fraction 1.0 (the budget baseline).
     pub full_spend: f64,
-    /// Repeated-game outcome; `None` for design-only grids.
-    pub sim: Option<SimulationOutcome>,
+    /// Repeated-game outcome; `None` for design-only grids. The memo's
+    /// own allocation, so every scenario with the same solve key and
+    /// strategy (a budget sweep) points at one outcome: the simulation
+    /// never reads the budget fraction.
+    pub sim: Option<Arc<SimulationOutcome>>,
     /// The memo's detection result the design used.
     pub detection: Arc<DetectionResult>,
 }
@@ -405,10 +410,27 @@ impl BatchRunner {
                 Some((*trace_fp, pipeline_fp, fit_fp, scenario_solve_fp(grid, s)))
             })
             .collect();
-        let mut seen = (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        // A design-only grid has no simulate keys.
+        let sim_keys: Vec<Option<SimKey>> = keys
+            .iter()
+            .zip(scenarios)
+            .map(|(key, s)| {
+                Some((
+                    (*key)?,
+                    simulate_fingerprint(s.strategy, grid.sim.as_ref()?),
+                ))
+            })
+            .collect();
+        let mut seen = (
+            BTreeSet::new(),
+            BTreeSet::new(),
+            BTreeSet::new(),
+            BTreeSet::new(),
+        );
         let flags: Vec<[bool; 3]> = keys
             .iter()
-            .map(|key| {
+            .zip(&sim_keys)
+            .map(|(key, sim_key)| {
                 let Some(key @ (trace_fp, pipeline_fp, fit_fp, _)) = *key else {
                     return [false; 3];
                 };
@@ -421,6 +443,11 @@ impl BatchRunner {
                 stats.detect.record(hits[0]);
                 stats.fit.record(hits[1]);
                 stats.solve.record(hits[2]);
+                if let Some(sk) = *sim_key {
+                    stats
+                        .simulate
+                        .record(!seen.3.insert(sk) || self.memo.simulate.get(&sk).is_some());
+                }
                 hits
             })
             .collect();
@@ -445,20 +472,13 @@ impl BatchRunner {
                 None => {
                     let (trace, _) = traces.get(scenario.trace)?.as_ref()?;
                     let key = keys.get(i).copied().flatten()?;
+                    let sim_key = sim_keys.get(i).copied().flatten();
                     #[allow(
                         clippy::disallowed_types,
                         reason = "worker-measured scenario duration, recorded post-merge and redacted in deterministic output"
                     )]
                     let t0 = Instant::now();
-                    let result = run_scenario(
-                        grid,
-                        scenario,
-                        trace,
-                        &self.memo,
-                        key,
-                        &sup.faults,
-                        sup.scenario_budget,
-                    );
+                    let result = run_scenario(grid, scenario, trace, &self.memo, key, sim_key, sup);
                     (result.map(ScenarioResult::Computed), t0.elapsed())
                 }
             };
@@ -744,6 +764,8 @@ impl BatchRunner {
         metrics.add(obs::COUNTER_BATCH_FIT_MISS, report.stats.fit.misses);
         metrics.add(obs::COUNTER_BATCH_SOLVE_HIT, report.stats.solve.hits);
         metrics.add(obs::COUNTER_BATCH_SOLVE_MISS, report.stats.solve.misses);
+        metrics.add(obs::COUNTER_BATCH_SIMULATE_HIT, report.stats.simulate.hits);
+        metrics.add(obs::COUNTER_BATCH_SIMULATE_MISS, report.stats.simulate.misses);
         let quarantined = |kind: FailureKind| {
             report.failures().filter(|(_, f)| f.kind == kind).count() as u64
         };
@@ -827,7 +849,8 @@ fn resolved_pool(pool: PoolSize, n: usize) -> usize {
 
 /// Runs one scenario against pre-resolved shared state, reproducing a
 /// serial engine run bit-exactly: each stage is the function the engine
-/// stage wraps, computed once per memo key.
+/// stage wraps, computed once per memo key. `sim_key` is `None` exactly
+/// when the grid simulates nothing.
 ///
 /// The whole scenario runs under `catch_unwind`, and each stage charges
 /// its *data-derived* work cost **before** consulting the memo — so
@@ -840,13 +863,14 @@ fn run_scenario(
     trace: &TraceDataset,
     memo: &StageMemo,
     key: SolveKey,
-    faults: &BatchFaultPlan,
-    budget_units: Option<u64>,
+    sim_key: Option<SimKey>,
+    sup: &SupervisorOptions,
 ) -> Result<ScenarioOutcome, ScenarioFailure> {
     let body = || -> Result<ScenarioOutcome, ScenarioFailure> {
         let error = |e: CoreError| ScenarioFailure::error(e.to_string());
         let (trace_fp, pipeline_fp, fit_fp, _) = key;
-        let mut budget = WorkBudget::new(budget_units);
+        let faults = &sup.faults;
+        let mut budget = WorkBudget::new(sup.scenario_budget);
         let mut design = grid.design;
         design.params.mu = scenario.mu;
         // Fail exactly where (and with exactly the message) a fresh
@@ -911,22 +935,29 @@ fn run_scenario(
         let selection =
             select_within_budget(&designed.solution, scenario.budget_fraction * full_spend)
                 .map_err(error)?;
-        let sim = match grid.sim {
-            Some(sim_config) => {
+        let sim = match grid.sim.zip(sim_key) {
+            Some((sim_config, sim_key)) => {
                 budget.charge(
                     "simulate",
                     (sim_config.rounds as u64).saturating_mul(designed.agents.len() as u64),
                 )?;
                 faults.fire_at(scenario.id, FaultPoint::Simulate);
-                let suspected: BTreeSet<_> = detection.suspected.iter().copied().collect();
-                let agents = BaselineStrategy::new(scenario.strategy)
-                    .assemble(&designed, design.params.omega, &suspected, trace)
-                    .map_err(error)?;
-                Some(
-                    Simulation::new(design.params, sim_config)
-                        .run(&agents)
-                        .map_err(error)?,
-                )
+                let outcome = memo
+                    .simulate
+                    .get_or_compute(sim_key, || {
+                        faults.fire_in_stage(scenario.id, FaultPoint::Simulate);
+                        let suspected: BTreeSet<_> = detection.suspected.iter().copied().collect();
+                        let agents = BaselineStrategy::new(scenario.strategy)
+                            .assemble(&designed, design.params.omega, &suspected, trace)
+                            .map_err(|e| e.to_string())?;
+                        Simulation::new(design.params, sim_config)
+                            .run(&agents)
+                            .map(Arc::new)
+                            .map_err(|e| e.to_string())
+                    })
+                    .map_err(ScenarioFailure::panic)?
+                    .map_err(ScenarioFailure::error)?;
+                Some(outcome)
             }
             None => None,
         };
@@ -950,7 +981,7 @@ mod tests {
     #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
     use super::*;
-    use crate::supervisor::{CheckpointConfig, FaultMode, ScenarioFault};
+    use crate::supervisor::{BatchFaultPlan, CheckpointConfig, FaultMode, ScenarioFault};
     use dcc_core::StrategyKind;
     use dcc_trace::SyntheticConfig;
     use std::path::PathBuf;
@@ -1319,7 +1350,7 @@ mod tests {
         assert_eq!(report.failed(), 1);
         assert_eq!(report.records[1].failure().expect("quarantined").kind, FailureKind::Panic);
         // Memo state: trace + detect + fit + the two healthy solves.
-        let (traces, detects, fits, solves) = runner.memo().len();
+        let (traces, detects, fits, solves, _) = runner.memo().len();
         assert_eq!((traces, detects, fits), (1, 1, 1));
         assert_eq!(solves, 2, "the poisoned solve must not be memoized");
         // A rerun without the fault computes the poisoned solve fresh
@@ -1332,6 +1363,54 @@ mod tests {
         let clean = BatchRunner::new().run(&grid).expect("clean run");
         for (h, c) in healed.records.iter().zip(&clean.records) {
             assert_eq!(h.summary().unwrap(), c.summary().unwrap());
+        }
+    }
+
+    #[test]
+    fn panicking_simulation_never_poisons_the_memo() {
+        // Each μ is its own simulate key, so the in-stage panic fires in
+        // scenario 1's own slot and leaves it empty.
+        let mut grid = ScenarioGrid::for_trace(tiny(3), &[1.5, 1.0, 0.5]);
+        grid.sim = Some(dcc_core::SimulationConfig {
+            rounds: 2,
+            ..dcc_core::SimulationConfig::default()
+        });
+        let sup = SupervisorOptions {
+            faults: BatchFaultPlan::new().with_fault(
+                1,
+                ScenarioFault { point: FaultPoint::Simulate, mode: FaultMode::PanicInStage },
+            ),
+            ..SupervisorOptions::default()
+        };
+        let runner = BatchRunner::with_options(BatchOptions {
+            policy: FailurePolicy::Skip,
+            ..BatchOptions::default()
+        });
+        let report = runner
+            .run_supervised(&grid, &grid.scenarios(), &sup)
+            .expect("supervised run")
+            .into_report()
+            .expect("completed");
+        assert_eq!(report.failed(), 1);
+        let failure = report.records[1].failure().expect("quarantined");
+        assert_eq!(failure.kind, FailureKind::Panic);
+        assert!(failure.message.contains("injected fault"), "{}", failure.message);
+        assert_eq!(runner.memo().len(), (1, 1, 1, 3, 2), "no partial simulation is memoized");
+        // A rerun without the fault simulates scenario 1 fresh and agrees
+        // with a fully clean runner bit for bit.
+        let healed = runner
+            .run_supervised(&grid, &grid.scenarios(), &SupervisorOptions::default())
+            .expect("healed run")
+            .into_report()
+            .expect("completed");
+        assert_eq!(
+            (healed.stats.simulate.hits, healed.stats.simulate.misses),
+            (2, 1)
+        );
+        let clean = BatchRunner::new().run(&grid).expect("clean run");
+        for (h, c) in healed.records.iter().zip(&clean.records) {
+            assert_eq!(h.summary().unwrap(), c.summary().unwrap());
+            assert_eq!(h.outcome().unwrap().sim, c.outcome().unwrap().sim);
         }
     }
 
@@ -1418,7 +1497,7 @@ mod tests {
             matches!(killed, BatchOutcome::Killed { completed: 0, total: 2, .. }),
             "{killed:?}"
         );
-        assert_eq!(runner.memo().len(), (1, 0, 0, 0), "only the trace was resolved");
+        assert_eq!(runner.memo().len(), (1, 0, 0, 0, 0), "only the trace was resolved");
         // The checkpoint holds no records, so a resume runs everything
         // and matches the uninterrupted report.
         let resumed = BatchRunner::new()

@@ -225,7 +225,7 @@ pub enum FaultPoint {
     Fit,
     /// Before/inside the solve/construct stage.
     Solve,
-    /// Before the simulation stage.
+    /// Before/inside the simulation stage.
     Simulate,
 }
 

@@ -228,7 +228,7 @@ proptest! {
         // Memo contents: 1 trace, 1 detect, 1 fit, and only the two
         // healthy solves — the panicked computation must not leave a
         // poisoned entry behind.
-        let (traces, detects, fits, solves) = runner.memo().len();
+        let (traces, detects, fits, solves, _) = runner.memo().len();
         prop_assert_eq!((traces, detects, fits, solves), (1, 1, 1, 2));
         // Siblings are bit-identical to the sequential unfaulted run.
         let clean = BatchRunner::with_options(BatchOptions {

@@ -64,7 +64,7 @@ fn synthetic_subproblems(n: usize, m: usize) -> Vec<Subproblem> {
     (0..n)
         .map(|i| Subproblem {
             id: i,
-            members: vec![i],
+            members: vec![i].into(),
             omega: if i % 4 == 0 { 0.5 } else { 0.0 },
             weight: 0.3 + (i % 7) as f64 * 0.5,
             psi: Quadratic::new(-0.15, 2.5, 1.0),

@@ -92,7 +92,7 @@ fn run_scale(scale: usize, pool: usize) -> f64 {
                 let malicious = columns.reviewer_class.get(i).copied().unwrap_or(0) != 0;
                 Subproblem {
                     id: i,
-                    members: vec![i],
+                    members: vec![i].into(),
                     omega: if malicious { 0.5 } else { 0.0 },
                     weight: 0.3 + (i % 7) as f64 * 0.5,
                     psi,

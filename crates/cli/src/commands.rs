@@ -973,9 +973,9 @@ pub fn cmd_batch(args: &ParsedArgs) -> CliResult {
     let st = &report.stats;
     writeln!(
         out,
-        "cache: trace {}h/{}m, detect {}h/{}m, fit {}h/{}m, solve {}h/{}m",
+        "cache: trace {}h/{}m, detect {}h/{}m, fit {}h/{}m, solve {}h/{}m, simulate {}h/{}m",
         st.trace.hits, st.trace.misses, st.detect.hits, st.detect.misses, st.fit.hits,
-        st.fit.misses, st.solve.hits, st.solve.misses
+        st.fit.misses, st.solve.hits, st.solve.misses, st.simulate.hits, st.simulate.misses
     )
     .ok();
     if report.failed() > 0 {
@@ -1594,12 +1594,13 @@ COMMANDS:
 const DESIGN_FLAGS: &[&str] =
     &["mu", "omega", "beta", "intervals", "per-worker", "policy", "fallback-amount"];
 
-/// The flags `engine_context` reads (with [`DESIGN_FLAGS`]): the
-/// `design`, `simulate`, `run` and `replay` commands.
-const ENGINE_FLAGS: &[&str] = &[
-    "trace", "strategy", "amount", "fault-plan", "rounds", "noise", "seed", "metrics", "pool",
-    "serial",
-];
+/// The flags `engine_context` reads (with [`DESIGN_FLAGS`]) for every
+/// engine command: `design`, `simulate`, `run` and `replay`.
+const ENGINE_FLAGS: &[&str] = &["trace", "metrics", "pool", "serial"];
+
+/// The flags `engine_context` reads for the simulate stage, so only
+/// `simulate` and `run`, the commands that reach it, accept them.
+const SIMULATE_FLAGS: &[&str] = &["strategy", "amount", "fault-plan", "rounds", "noise", "seed"];
 
 /// The flags each command reads. Any other flag is a usage error, so a
 /// misspelled flag is refused instead of silently ignored.
@@ -1608,8 +1609,8 @@ const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
     ("summary", &[&["trace"]]),
     ("detect", &[&["trace", "estimated", "threshold"]]),
     ("design", &[ENGINE_FLAGS, DESIGN_FLAGS, &["budget", "dump"]]),
-    ("simulate", &[ENGINE_FLAGS, DESIGN_FLAGS]),
-    ("run", &[ENGINE_FLAGS, DESIGN_FLAGS]),
+    ("simulate", &[ENGINE_FLAGS, DESIGN_FLAGS, SIMULATE_FLAGS]),
+    ("run", &[ENGINE_FLAGS, DESIGN_FLAGS, SIMULATE_FLAGS]),
     ("replay", &[ENGINE_FLAGS, DESIGN_FLAGS]),
     (
         "faults",

@@ -65,12 +65,37 @@ fn only_batch_and_serve_take_checkpoint_flags() {
 }
 
 #[test]
+fn only_simulate_and_run_take_simulate_flags() {
+    // design and replay stop at the construct stage, so a strategy, a
+    // horizon, a noise seed or a fault plan could only be ignored.
+    for command in ["design", "replay"] {
+        for (flags, flag) in [
+            (&["--strategy", "fixed"][..], "--strategy"),
+            (&["--amount", "2"], "--amount"),
+            (&["--rounds", "3"], "--rounds"),
+            (&["--noise", "9"], "--noise"),
+            (&["--seed", "99"], "--seed"),
+            (&["--fault-plan", "no-such-plan.json"], "--fault-plan"),
+        ] {
+            let args: Vec<&str> = [command, "no-such-trace"].iter().chain(flags).copied().collect();
+            let out = dcc(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.starts_with(&format!("error: unknown flag {flag} for dcc {command}")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn a_plan_generator_refuses_a_range_it_cannot_sample() {
     let dir = std::env::temp_dir().join(format!("dcc_flags_plans_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let out_file = dir.join("plan.json");
     let out_file = out_file.to_str().unwrap();
-    for scale in ["1", "0.5", "nan", "inf"] {
+    for scale in ["1", "0.5", "nan", "inf", "1e308"] {
         let out = dcc(&[
             "faults", "gen", "--agents", "3", "--corrupt", "1", "--outlier-scale", scale,
             "--out", out_file,

@@ -194,7 +194,7 @@ mod tests {
                 omega: 0.0,
                 weight: 1.0 + 0.1 * (id % 5) as f64,
                 psi,
-                contract: Contract::zero(psi.eval(0.0), psi.eval(8.0)).unwrap(),
+                contract: std::sync::Arc::new(Contract::zero(psi.eval(0.0), psi.eval(8.0)).unwrap()),
                 in_system: true,
             })
             .collect()

@@ -3,6 +3,7 @@ use crate::{AgentSpec, Contract, ContractDesign, CoreError};
 use dcc_numerics::Quadratic;
 use dcc_trace::{ReviewerId, TraceDataset};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The pricing strategies compared in Fig. 8(c), plus the
 /// collusion-proof baseline from the adversarial head-to-head.
@@ -42,7 +43,10 @@ pub enum StrategyKind {
 ///   payment.
 ///
 /// One [`AgentSpec`] per subproblem is produced (communities stay
-/// aggregated, matching the meta-worker semantics of Eq. 3).
+/// aggregated, matching the meta-worker semantics of Eq. 3). Designed
+/// contracts are shared with the design, not copied; the flat
+/// contracts of the fixed-payment and collusion-proof strategies are
+/// built per agent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineStrategy {
     /// Which pricing strategy to assemble.
@@ -79,9 +83,11 @@ impl BaselineStrategy {
     ) -> Result<Vec<AgentSpec>, CoreError> {
         let mut agents = Vec::with_capacity(design.solution.solutions.len());
         for sol in &design.solution.solutions {
-            let members: Vec<ReviewerId> = sol.members.iter().map(|&m| ReviewerId(m)).collect();
-            let is_suspected = members.iter().any(|m| suspected.contains(m));
-            let is_community = members.len() > 1;
+            let is_suspected = sol
+                .members
+                .iter()
+                .any(|&m| suspected.contains(&ReviewerId(m)));
+            let is_community = sol.members.len() > 1;
             let (honest_psi, ncm_psi, cm_psi) = design.class_psis;
             let psi: Quadratic = if is_community {
                 cm_psi
@@ -93,14 +99,14 @@ impl BaselineStrategy {
             let weight = sol.built.weight();
 
             let (contract, in_system) = match self.kind {
-                StrategyKind::DynamicContract => (sol.built.contract().clone(), true),
+                StrategyKind::DynamicContract => (Arc::clone(sol.built.shared_contract()), true),
                 StrategyKind::ExcludeMalicious => {
-                    (sol.built.contract().clone(), !is_suspected)
+                    (Arc::clone(sol.built.shared_contract()), !is_suspected)
                 }
                 StrategyKind::FixedPayment { amount } => {
                     let knots = sol.built.contract().feedback_knots();
                     let (lo, hi) = (knots[0], knots[knots.len() - 1]);
-                    (Contract::fixed(lo, hi, amount)?, true)
+                    (Arc::new(Contract::fixed(lo, hi, amount)?), true)
                 }
                 StrategyKind::CollusionProof { params } => {
                     params.validate()?;
@@ -109,14 +115,16 @@ impl BaselineStrategy {
                     // Bias-based, feedback-independent pay: within a
                     // round the contract is flat, so no amount of
                     // coalition upvoting moves it.
+                    let members: Vec<ReviewerId> =
+                        sol.members.iter().map(|&m| ReviewerId(m)).collect();
                     let amount = coalition_payment(trace, &params, &members);
-                    (Contract::fixed(lo, hi, amount)?, true)
+                    (Arc::new(Contract::fixed(lo, hi, amount)?), true)
                 }
             };
 
             agents.push(AgentSpec {
                 id: sol.id,
-                members: members.len(),
+                members: sol.members.len(),
                 omega: if is_suspected || is_community { omega } else { 0.0 },
                 weight,
                 psi,

@@ -5,6 +5,9 @@ use crate::{
 use dcc_numerics::Quadratic;
 use dcc_obs::{names, Metrics};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 #[allow(
     clippy::disallowed_types,
     reason = "subproblem timings are measured here and routed into dcc-obs via span_at"
@@ -89,6 +92,53 @@ impl DegradationReport {
     }
 }
 
+/// The worker indices one subproblem covers, read as a slice: a single
+/// worker inline, a community's members in one shared allocation. A
+/// solution clones its subproblem's list, which copies no members and,
+/// for the single workers that make up almost every solve, counts no
+/// reference either.
+#[derive(Clone)]
+pub enum Members {
+    /// An individual worker.
+    One(usize),
+    /// A community's members (or any other count than one).
+    Many(Arc<[usize]>),
+}
+
+impl Deref for Members {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        match self {
+            Members::One(worker) => std::slice::from_ref(worker),
+            Members::Many(workers) => workers,
+        }
+    }
+}
+
+impl From<Vec<usize>> for Members {
+    fn from(workers: Vec<usize>) -> Self {
+        match workers.as_slice() {
+            [worker] => Members::One(*worker),
+            _ => Members::Many(workers.into()),
+        }
+    }
+}
+
+/// Members compare as the slices they hold.
+impl PartialEq for Members {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+/// Prints the slice, as the `Vec` it replaced did.
+impl fmt::Debug for Members {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// One subproblem of the §IV-B decomposition: the contract design for a
 /// single worker, or for a collusive community treated as one
 /// "meta-worker" (Eq. 3).
@@ -97,8 +147,9 @@ pub struct Subproblem {
     /// Caller-chosen identifier (e.g. a worker id or community id).
     pub id: usize,
     /// Worker indices covered by this subproblem (singleton for
-    /// individual workers; all members for a community).
-    pub members: Vec<usize>,
+    /// individual workers; all members for a community), shared with
+    /// its solution.
+    pub members: Members,
     /// The feedback weight ω in the follower's utility: 0 for honest
     /// workers, `params.omega` for malicious ones.
     pub omega: f64,
@@ -117,8 +168,8 @@ pub struct Subproblem {
 pub struct SubproblemSolution {
     /// The subproblem's identifier.
     pub id: usize,
-    /// Worker indices covered.
-    pub members: Vec<usize>,
+    /// Worker indices covered: the subproblem's own list.
+    pub members: Members,
     /// The §IV-C result.
     pub built: BuiltContract,
 }
@@ -144,7 +195,9 @@ pub struct BipSolution {
 /// one member is solved in place by [`ContractBuilder::build`], which is
 /// the same two halves. Members of a key have the same inputs bit for
 /// bit, so every solution is bit-identical to building its subproblem
-/// alone. Sets live only for this call.
+/// alone. A set builds each selected candidate's contract once, and
+/// every solution that selects it shares that allocation; each solution
+/// also shares its subproblem's member list.
 ///
 /// The subproblems are independent by construction — the requester's
 /// objective separates across non-collusive workers and communities — so
@@ -231,7 +284,7 @@ pub fn solve_subproblems(
             names::SPAN_SUBPROBLEM,
             &[
                 ("id", sp.id.into()),
-                ("iterations", sol.built.diagnostics().len().into()),
+                ("iterations", sol.built.candidate_count().into()),
                 ("degraded", degraded.into()),
             ],
             *elapsed,
@@ -415,7 +468,7 @@ fn assemble_solutions(
                 let (solution, paid) = fallback_solution(sp, params, amount);
                 report.degraded.push(DegradedSubproblem {
                     subproblem: sp.id,
-                    members: sp.members.clone(),
+                    members: sp.members.to_vec(),
                     reason: err.to_string(),
                     action: DegradationAction::Fallback { amount: paid },
                     utility_delta: utility_delta(sp, params, solution.built.requester_utility()),
@@ -425,7 +478,7 @@ fn assemble_solutions(
             (Err(err), FailurePolicy::Skip) => {
                 report.degraded.push(DegradedSubproblem {
                     subproblem: sp.id,
-                    members: sp.members.clone(),
+                    members: sp.members.to_vec(),
                     reason: err.to_string(),
                     action: DegradationAction::Skipped,
                     utility_delta: utility_delta(sp, params, 0.0),
@@ -562,7 +615,7 @@ mod tests {
         (0..n)
             .map(|i| Subproblem {
                 id: i,
-                members: vec![i],
+                members: Members::One(i),
                 omega: if i % 3 == 0 { 0.0 } else { 0.4 },
                 weight: 0.5 + (i % 5) as f64 * 0.4,
                 psi: Quadratic::new(-0.05, 2.0, 0.5),
@@ -678,7 +731,7 @@ mod tests {
     /// subproblem and, for the degraded policies, one corrupted weight.
     fn policy_cases() -> Vec<(Vec<Subproblem>, FailurePolicy)> {
         let mut clean = sample_subproblems(37);
-        clean[11].members = vec![11, 40, 41];
+        clean[11].members = vec![11, 40, 41].into();
         let mut broken = clean.clone();
         broken[7].weight = f64::NAN;
         vec![

@@ -99,7 +99,7 @@ mod tests {
         let subproblems: Vec<Subproblem> = (0..n)
             .map(|i| Subproblem {
                 id: i,
-                members: vec![i],
+                members: vec![i].into(),
                 omega: 0.0,
                 weight: 0.8 + 0.25 * (i % 6) as f64,
                 psi: Quadratic::new(-0.15, 2.5, 1.0),

@@ -1,7 +1,9 @@
 use crate::{
     best_response, bounds, BestResponse, Contract, CoreError, Discretization, ModelParams,
 };
-use dcc_numerics::Quadratic;
+use dcc_numerics::{exact_eq, Quadratic};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Diagnostics of one candidate contract evaluated during the search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,20 +22,32 @@ pub struct CandidateDiagnostics {
 
 /// The outcome of the §IV-C contract construction for one worker (or one
 /// collusive community treated as a meta-worker).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The contract is its candidate set's own allocation, so every worker
+/// that selects the same candidate of one (ω, ψ, δ) key points at one
+/// contract, and the per-candidate diagnostics are derived on demand from
+/// the set's weight-free responses, which the result keeps.
+#[derive(Clone)]
 pub struct BuiltContract {
-    contract: Contract,
+    contract: Arc<Contract>,
     k_opt: Option<usize>,
     response: BestResponse,
     requester_utility: f64,
     weight: f64,
-    diagnostics: Vec<CandidateDiagnostics>,
+    /// The candidate set's responses; `None` for a degraded result.
+    responses: Option<Arc<Responses>>,
     utility_bounds: Option<(f64, f64)>,
 }
 
 impl BuiltContract {
     /// The selected contract.
     pub fn contract(&self) -> &Contract {
+        &self.contract
+    }
+
+    /// The selected contract as the shared allocation every worker that
+    /// selected the same candidate points at.
+    pub fn shared_contract(&self) -> &Arc<Contract> {
         &self.contract
     }
 
@@ -75,9 +89,31 @@ impl BuiltContract {
     }
 
     /// Per-candidate diagnostics (one entry per evaluated `k`, plus the
-    /// zero contract), in evaluation order.
-    pub fn diagnostics(&self) -> &[CandidateDiagnostics] {
-        &self.diagnostics
+    /// zero contract), in evaluation order; empty for a degraded result.
+    /// Each utility is [`CandidateSet::select`]'s own expression at this
+    /// result's weight, so it matches the selection bit for bit.
+    pub fn diagnostics(&self) -> Vec<CandidateDiagnostics> {
+        let Some(responses) = &self.responses else {
+            return Vec::new();
+        };
+        responses
+            .candidates
+            .iter()
+            .map(|cand| CandidateDiagnostics {
+                k: cand.k,
+                effort: cand.response.effort,
+                compensation: cand.response.compensation,
+                requester_utility: requester_utility(self.weight, responses.mu, &cand.response),
+                clamped: cand.clamped,
+            })
+            .collect()
+    }
+
+    /// How many candidates the selection scored (0 for a degraded
+    /// result): the length of [`BuiltContract::diagnostics`], without
+    /// deriving them.
+    pub(crate) fn candidate_count(&self) -> usize {
+        self.responses.as_ref().map_or(0, |r| r.candidates.len())
     }
 
     /// The Theorem 4.1 bracket `(lower, upper)` on the requester utility,
@@ -99,14 +135,44 @@ impl BuiltContract {
         weight: f64,
     ) -> Self {
         BuiltContract {
-            contract,
+            contract: Arc::new(contract),
             k_opt: None,
             response,
             requester_utility,
             weight,
-            diagnostics: Vec::new(),
+            responses: None,
             utility_bounds: None,
         }
+    }
+}
+
+/// Compares the fields a derived `PartialEq` would, in declaration
+/// order, with the diagnostics in place of the shared responses.
+impl PartialEq for BuiltContract {
+    fn eq(&self, other: &Self) -> bool {
+        self.contract == other.contract
+            && self.k_opt == other.k_opt
+            && self.response == other.response
+            && exact_eq(self.requester_utility, other.requester_utility)
+            && exact_eq(self.weight, other.weight)
+            && self.diagnostics() == other.diagnostics()
+            && self.utility_bounds == other.utility_bounds
+    }
+}
+
+/// Prints what a derived `Debug` would, with the diagnostics in place of
+/// the shared responses.
+impl fmt::Debug for BuiltContract {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BuiltContract")
+            .field("contract", &self.contract)
+            .field("k_opt", &self.k_opt)
+            .field("response", &self.response)
+            .field("requester_utility", &self.requester_utility)
+            .field("weight", &self.weight)
+            .field("diagnostics", &self.diagnostics())
+            .field("utility_bounds", &self.utility_bounds)
+            .finish()
     }
 }
 
@@ -256,12 +322,17 @@ impl ContractBuilder {
                 clamped: cand.clamped,
             });
         }
+        let contracts = (0..candidates.len()).map(|_| OnceLock::new()).collect();
         Ok(CandidateSet {
             params: self.params,
             disc: self.disc,
             psi: self.psi,
             margin: self.margin,
-            candidates,
+            responses: Arc::new(Responses {
+                mu: self.params.mu,
+                candidates,
+            }),
+            contracts,
         })
     }
 }
@@ -274,15 +345,29 @@ impl ContractBuilder {
 /// The set depends on ω, ψ, δ, the model parameters, the incentive
 /// margin and whether the zero contract is included — not on the
 /// worker's weight — so one set serves every worker that shares them.
-/// It keeps no contracts: [`CandidateSet::select`] rebuilds the winner's
-/// with the same deterministic construction, so the result is
-/// bit-identical to [`ContractBuilder::build`].
+/// It builds a candidate's contract the first time
+/// [`CandidateSet::select`] picks it, with the same deterministic
+/// construction that verified it, and hands that one allocation to every
+/// later pick: a set whose selections all land on one candidate builds
+/// one contract, and every result is bit-identical to
+/// [`ContractBuilder::build`].
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
     params: ModelParams,
     disc: Discretization,
     psi: Quadratic,
     margin: f64,
+    responses: Arc<Responses>,
+    /// Per candidate, its contract once selected.
+    contracts: Vec<OnceLock<Arc<Contract>>>,
+}
+
+/// The weight-free half of a candidate set, shared with every result it
+/// selects: the candidates in evaluation order and the μ that scores
+/// them.
+#[derive(Debug)]
+struct Responses {
+    mu: f64,
     candidates: Vec<Evaluated>,
 }
 
@@ -295,68 +380,74 @@ struct Evaluated {
     clamped: bool,
 }
 
+/// The requester's utility `w·q − μ·c` at a candidate's response: the
+/// one expression both the selection and its diagnostics evaluate.
+fn requester_utility(weight: f64, mu: f64, response: &BestResponse) -> f64 {
+    weight * response.feedback - mu * response.compensation
+}
+
 impl CandidateSet {
     /// Number of candidates in the set (the zero contract included).
     pub(crate) fn len(&self) -> usize {
-        self.candidates.len()
+        self.responses.candidates.len()
     }
 
     /// The Eq. 43 choice for a worker of feedback weight `weight`: the
     /// candidate maximizing `w·q − μ·c`, where a later candidate wins
     /// only by more than 1e-12 in utility, or by a tie within 1e-12 and a
-    /// compensation lower by more than 1e-12. Also reports every
-    /// candidate's diagnostics and, for an honest worker's non-zero pick,
-    /// the Theorem 4.1 bracket.
+    /// compensation lower by more than 1e-12. For an honest worker's
+    /// non-zero pick it also reports the Theorem 4.1 bracket; the
+    /// candidates' diagnostics are derived on demand
+    /// ([`BuiltContract::diagnostics`]).
     ///
     /// # Errors
     ///
     /// Rejects a non-finite weight; propagates the (deterministic, so
-    /// already passed) rebuild of the winning contract.
+    /// already passed) construction of the winning contract.
     pub fn select(&self, weight: f64) -> Result<BuiltContract, CoreError> {
         check_weight(weight)?;
-        let mut diagnostics = Vec::with_capacity(self.candidates.len());
-        let mut best: Option<(&Evaluated, f64)> = None;
-        for cand in &self.candidates {
+        let mu = self.responses.mu;
+        let mut best: Option<(&Evaluated, &OnceLock<Arc<Contract>>, f64)> = None;
+        for (cand, contract) in self.responses.candidates.iter().zip(&self.contracts) {
             let response = &cand.response;
-            let utility = weight * response.feedback - self.params.mu * response.compensation;
-            diagnostics.push(CandidateDiagnostics {
-                k: cand.k,
-                effort: response.effort,
-                compensation: response.compensation,
-                requester_utility: utility,
-                clamped: cand.clamped,
-            });
+            let utility = requester_utility(weight, mu, response);
             let better = match best {
                 None => true,
-                Some((prev, prev_u)) => {
+                Some((prev, _, prev_u)) => {
                     utility > prev_u + 1e-12
                         || (utility > prev_u - 1e-12
                             && response.compensation < prev.response.compensation - 1e-12)
                 }
             };
             if better {
-                best = Some((cand, utility));
+                best = Some((cand, contract, utility));
             }
         }
 
-        let (winner, requester_utility) = best.ok_or_else(|| {
+        let (winner, slot, requester_utility) = best.ok_or_else(|| {
             CoreError::InvalidContract("no candidate contract could be evaluated".into())
         })?;
-        let contract = match winner.k {
-            None => zero_contract(&self.psi, &self.disc)?,
-            Some(k) => {
-                crate::build_candidate_with_margin(
-                    &self.params,
-                    &self.disc,
-                    &self.psi,
-                    k,
-                    self.margin,
-                )?
-                .contract
+        let contract = match slot.get() {
+            Some(contract) => Arc::clone(contract),
+            None => {
+                let built = match winner.k {
+                    None => zero_contract(&self.psi, &self.disc)?,
+                    Some(k) => {
+                        crate::build_candidate_with_margin(
+                            &self.params,
+                            &self.disc,
+                            &self.psi,
+                            k,
+                            self.margin,
+                        )?
+                        .contract
+                    }
+                };
+                Arc::clone(slot.get_or_init(|| Arc::new(built)))
             }
         };
         let utility_bounds = match winner.k {
-            Some(k) if dcc_numerics::exact_eq(self.params.omega, 0.0) => Some((
+            Some(k) if exact_eq(self.params.omega, 0.0) => Some((
                 bounds::requester_utility_lower_bound(
                     weight,
                     &self.params,
@@ -375,7 +466,7 @@ impl CandidateSet {
             response: winner.response,
             requester_utility,
             weight,
-            diagnostics,
+            responses: Some(Arc::clone(&self.responses)),
             utility_bounds,
         })
     }

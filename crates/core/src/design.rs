@@ -1,7 +1,7 @@
 use crate::effort::fit_effort_function;
 use crate::{
     solve_subproblems, BipSolution, Contract, CoreError, DegradationReport, Discretization,
-    FailurePolicy, ModelParams, Subproblem, MAX_INTERVALS,
+    FailurePolicy, Members, ModelParams, Subproblem, MAX_INTERVALS,
 };
 use dcc_detect::DetectionResult;
 use dcc_numerics::{percentile, Quadratic};
@@ -97,9 +97,10 @@ impl DesignConfig {
 pub struct AgentContract {
     /// The worker.
     pub worker: ReviewerId,
-    /// The contract (shared with community partners for collusive
-    /// workers, per §III).
-    pub contract: Contract,
+    /// The contract: its subproblem's selected contract, one allocation
+    /// shared with every worker whose subproblem selected the same
+    /// candidate (community partners included, per §III).
+    pub contract: Arc<Contract>,
     /// This worker's share of the induced compensation (meta-worker
     /// payments are split equally among members).
     pub compensation: f64,
@@ -348,7 +349,7 @@ pub fn prepare_design(
 
         subproblems.push(Subproblem {
             id: next_id,
-            members: vec![reviewer.id.index()],
+            members: Members::One(reviewer.id.index()),
             omega: if is_suspect { config.params.omega } else { 0.0 },
             weight,
             psi,
@@ -369,7 +370,7 @@ pub fn prepare_design(
         };
         subproblems.push(Subproblem {
             id: next_id,
-            members: members.iter().map(|m| m.index()).collect(),
+            members: members.iter().map(|m| m.index()).collect::<Vec<_>>().into(),
             omega: config.params.omega,
             weight,
             psi: cm.0,
@@ -386,8 +387,9 @@ pub fn prepare_design(
 }
 
 /// The assignment half of [`design_contracts`]: maps a solved
-/// decomposition back to per-worker contracts. Community members share
-/// the community's contract and split its payment equally.
+/// decomposition back to per-worker contracts, each pointing at its
+/// subproblem's contract. Community members share the community's
+/// contract and split its payment equally.
 ///
 /// `solution` must come from solving `prep.subproblems` (any pool size —
 /// the solve is bit-identical across pool sizes): `solution.solutions[i]`
@@ -408,11 +410,11 @@ pub fn assemble_design(
     for (sol, sp) in solution.solutions.iter().zip(&prep.subproblems) {
         let share = sol.members.len().max(1) as f64;
         let is_community = sol.id >= prep.first_community_subproblem;
-        for &member in &sol.members {
+        for &member in sol.members.iter() {
             let worker = ReviewerId(member);
             agents.push(AgentContract {
                 worker,
-                contract: sol.built.contract().clone(),
+                contract: Arc::clone(sol.built.shared_contract()),
                 compensation: sol.built.compensation() / share,
                 induced_effort: sol.built.induced_effort() / share,
                 subproblem: sol.id,
@@ -794,6 +796,66 @@ mod tests {
                 a.worker
             );
         }
+    }
+
+    #[test]
+    fn a_design_holds_one_contract_per_selected_candidate() {
+        let trace = SyntheticConfig::small(42).generate();
+        let detection = run_pipeline(&trace, PipelineConfig::default());
+        let config = DesignConfig::default();
+        let prep = prepare_design(&trace, &detection, &config).unwrap();
+        let (solution, degradation) = solve_subproblems(
+            &prep.subproblems,
+            &config.params,
+            2,
+            config.failure_policy,
+            &Metrics::noop(),
+        )
+        .unwrap();
+        let design = assemble_design(&detection, &prep, solution, degradation);
+        for a in &design.agents {
+            let sol = design
+                .solution
+                .solutions
+                .iter()
+                .find(|sol| sol.id == a.subproblem)
+                .expect("every agent's subproblem is solved");
+            assert!(
+                Arc::ptr_eq(&a.contract, sol.built.shared_contract()),
+                "{:?}",
+                a.worker
+            );
+        }
+        let keys: BTreeSet<[u64; 6]> = prep
+            .subproblems
+            .iter()
+            .map(|sp| {
+                [
+                    sp.omega.to_bits(),
+                    sp.psi.r2().to_bits(),
+                    sp.psi.r1().to_bits(),
+                    sp.psi.r0().to_bits(),
+                    sp.disc.intervals() as u64,
+                    sp.disc.delta().to_bits(),
+                ]
+            })
+            .collect();
+        let contracts: BTreeSet<*const Contract> = design
+            .agents
+            .iter()
+            .map(|a| Arc::as_ptr(&a.contract))
+            .collect();
+        assert!(
+            contracts.len() <= keys.len() * (config.intervals + 1),
+            "{} contracts for {} keys",
+            contracts.len(),
+            keys.len()
+        );
+        assert!(
+            contracts.len() < design.agents.len() / 10,
+            "{}",
+            contracts.len()
+        );
     }
 
     #[test]

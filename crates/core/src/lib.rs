@@ -86,7 +86,7 @@ pub use baseline::{BaselineStrategy, StrategyKind};
 pub use behavior::ConductModel;
 pub use bip::{
     solve_subproblems, BipSolution, DegradationAction, DegradationReport, DegradedSubproblem,
-    FailurePolicy, Subproblem, SubproblemSolution,
+    FailurePolicy, Members, Subproblem, SubproblemSolution,
 };
 pub use builder::{BuiltContract, CandidateDiagnostics, CandidateSet, ContractBuilder};
 pub use candidate::{build_candidate, build_candidate_with_margin, Candidate};

@@ -4,6 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::{btree_map::Entry, BTreeMap};
+use std::sync::Arc;
 
 /// One agent in the repeated Stackelberg game: an individual worker or a
 /// collusive community acting as a meta-worker.
@@ -19,8 +20,9 @@ pub struct AgentSpec {
     pub weight: f64,
     /// The agent's *true* effort→feedback response.
     pub psi: Quadratic,
-    /// The contract offered to the agent.
-    pub contract: Contract,
+    /// The contract offered to the agent; a design's contracts are
+    /// shared, not copied, into its agents.
+    pub contract: Arc<Contract>,
     /// Whether the agent participates at all; excluded agents (the
     /// baseline of Fig. 8c) produce no feedback and receive no pay.
     pub in_system: bool,
@@ -451,7 +453,7 @@ mod tests {
             omega,
             weight,
             psi,
-            contract: built.contract().clone(),
+            contract: Arc::clone(built.shared_contract()),
             in_system,
         }
     }

@@ -39,7 +39,7 @@ fn agent(omega: f64, psi: Quadratic, contract: &Contract) -> AgentSpec {
         omega,
         weight: 1.0,
         psi,
-        contract: contract.clone(),
+        contract: contract.clone().into(),
         in_system: true,
     }
 }

@@ -368,9 +368,11 @@ impl FaultPlanConfig {
     ///
     /// Returns [`CoreError::InvalidParams`] when a probability is outside
     /// `[0, 1]`, a length/delay maximum is zero while its probability
-    /// is positive, or `outlier_scale` is not a finite number above 1
-    /// while `corrupt_prob` is positive (the scale range
-    /// `[1/outlier_scale, outlier_scale)` would be empty).
+    /// is positive, or `outlier_scale` is not a number above 1 whose
+    /// doubled width `2 * outlier_scale` is finite while `corrupt_prob`
+    /// is positive (the scale range `[1/outlier_scale, outlier_scale)`
+    /// would be empty, or the offset range
+    /// `[-outlier_scale, outlier_scale)` too wide to sample finitely).
     pub fn generate(&self) -> Result<FaultPlan, CoreError> {
         for (name, p) in [
             ("dropout_prob", self.dropout_prob),
@@ -396,9 +398,10 @@ impl FaultPlanConfig {
             ));
         }
         let scale = self.outlier_scale;
-        if self.corrupt_prob > 0.0 && !(scale.is_finite() && scale > 1.0) {
+        if self.corrupt_prob > 0.0 && !(scale > 1.0 && (2.0 * scale).is_finite()) {
             return Err(CoreError::InvalidParams(format!(
-                "outlier_scale must be a finite number > 1 when corrupt_prob > 0, got {scale}"
+                "outlier_scale must be > 1 with a finite width 2 * outlier_scale \
+                 when corrupt_prob > 0, got {scale:?}"
             )));
         }
 
@@ -576,7 +579,7 @@ mod tests {
             ..FaultPlanConfig::default()
         };
         assert!(bad_delay.generate().is_err());
-        for outlier_scale in [1.0, 0.5, f64::NAN, f64::INFINITY] {
+        for outlier_scale in [1.0, 0.5, f64::NAN, f64::INFINITY, 1e308] {
             let empty_range = FaultPlanConfig {
                 corrupt_prob: 0.5,
                 outlier_scale,

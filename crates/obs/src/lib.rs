@@ -164,6 +164,11 @@ pub mod names {
     pub const COUNTER_BATCH_SOLVE_HIT: &str = "batch.cache.solve.hit";
     /// Counter: scenarios that had to run the solve/construct stages.
     pub const COUNTER_BATCH_SOLVE_MISS: &str = "batch.cache.solve.miss";
+    /// Counter: simulated scenarios whose simulation came from the
+    /// stage memo.
+    pub const COUNTER_BATCH_SIMULATE_HIT: &str = "batch.cache.simulate.hit";
+    /// Counter: simulated scenarios that had to run the simulation.
+    pub const COUNTER_BATCH_SIMULATE_MISS: &str = "batch.cache.simulate.miss";
     /// Gauge: resolved scenario-level worker-pool size of the batch run.
     pub const GAUGE_BATCH_POOL: &str = "batch.pool";
     /// Gauge: scenario throughput of the batch run (redacted by the

@@ -6,7 +6,8 @@
 //! This is the external check backing `dcc-batch`'s central claim: the
 //! batch scheduler is an optimization, never a semantic change. The
 //! grouped solve — one candidate set per (ω, ψ, δ) key — is checked the
-//! same way, against building every subproblem alone. CI runs
+//! same way, against building every subproblem alone, and so is every
+//! simulated batch outcome, against the engine's simulate stage. CI runs
 //! this suite at `PROPTEST_CASES=256` (`.github/workflows/ci.yml`,
 //! `batch` job); the in-file default keeps local runs quick.
 
@@ -19,8 +20,9 @@ use dyncontract::batch::{
     FailureKind, FaultMode, FaultPoint, ScenarioFault, ScenarioGrid, SupervisorOptions,
 };
 use dyncontract::core::{
-    solve_subproblems, BipSolution, ContractBuilder, ContractDesign, CoreError, Discretization,
-    FailurePolicy, ModelParams, Subproblem, SubproblemSolution,
+    solve_subproblems, BipSolution, CollusionProofParams, ContractBuilder, ContractDesign,
+    CoreError, Discretization, FailurePolicy, ModelParams, SimulationConfig, SimulationOutcome,
+    StrategyKind, Subproblem, SubproblemSolution,
 };
 use dyncontract::engine::{Engine, EngineConfig, PoolSize, RoundContext, StageKind};
 use dyncontract::numerics::Quadratic;
@@ -28,7 +30,7 @@ use dyncontract::obs::Metrics;
 use dyncontract::trace::{SyntheticConfig, TraceDataset};
 use proptest::prelude::*;
 use std::fmt::Write as _;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The μ-sweep all three executions run.
 const MUS: [f64; 3] = [1.5, 1.0, 0.6];
@@ -300,7 +302,8 @@ fn grouping_subproblems(rows: &[(usize, usize, bool)]) -> Vec<Subproblem> {
                     vec![i, 100 + i, 200 + i]
                 } else {
                     vec![i]
-                },
+                }
+                .into(),
                 omega,
                 weight: GROUPING_WEIGHTS[weight % GROUPING_WEIGHTS.len()],
                 psi,
@@ -627,5 +630,151 @@ proptest! {
         }
         prop_assert_eq!(out.as_str(), reference(seed_idx));
         prop_assert_eq!(report.failures().map(|(id, _)| id).collect::<Vec<_>>(), vec![1]);
+    }
+}
+
+/// The strategies of the simulated grid: all four, the fixed payment at
+/// two amounts.
+fn sim_strategies() -> [StrategyKind; 5] {
+    [
+        StrategyKind::DynamicContract,
+        StrategyKind::ExcludeMalicious,
+        StrategyKind::FixedPayment { amount: 1.0 },
+        StrategyKind::FixedPayment { amount: 0.4 },
+        StrategyKind::CollusionProof {
+            params: CollusionProofParams::default(),
+        },
+    ]
+}
+
+/// The short, noisy simulation the simulated grid runs.
+const SIM: SimulationConfig = SimulationConfig {
+    rounds: 3,
+    feedback_noise_sd: 0.5,
+    seed: 13,
+};
+
+/// Two μ × three budget fractions × [`sim_strategies`], simulated.
+fn sim_grid(seed: u64, sim: SimulationConfig) -> ScenarioGrid {
+    let mut grid = ScenarioGrid::for_trace(trace(seed), &MUS[..2]);
+    grid.budget_fractions = vec![0.3, 0.7, 1.0];
+    grid.strategies = sim_strategies().to_vec();
+    grid.sim = Some(sim);
+    grid
+}
+
+/// Every field of a simulated outcome, floats via `to_bits`.
+fn encode_sim(sim: &SimulationOutcome) -> String {
+    let mut out = String::new();
+    let _ = write!(
+        out,
+        "cum={:016x} mean={:016x}",
+        sim.cumulative_requester_utility.to_bits(),
+        sim.mean_round_utility.to_bits()
+    );
+    for r in &sim.rounds {
+        let _ = write!(
+            out,
+            " [{} {:016x} {:016x} {:016x}]",
+            r.round,
+            r.benefit.to_bits(),
+            r.payment.to_bits(),
+            r.requester_utility.to_bits()
+        );
+    }
+    for (c, y) in sim.agent_compensation.iter().zip(&sim.agent_effort) {
+        let _ = write!(out, " {:016x}:{:016x}", c.to_bits(), y.to_bits());
+    }
+    let _ = write!(
+        out,
+        " agents={}/{}",
+        sim.agent_compensation.len(),
+        sim.agent_effort.len()
+    );
+    out
+}
+
+/// The engine's simulate stage for every (μ, strategy) of the simulated
+/// grid, one fresh serial context each, computed once per seed.
+fn engine_sims(seed_idx: usize) -> &'static [Vec<String>] {
+    static SIMS: OnceLock<Vec<Vec<Vec<String>>>> = OnceLock::new();
+    &SIMS.get_or_init(|| {
+        SEEDS
+            .iter()
+            .map(|&seed| {
+                MUS[..2]
+                    .iter()
+                    .map(|&mu| {
+                        sim_strategies()
+                            .iter()
+                            .map(|&strategy| {
+                                let mut config = EngineConfig::for_trace(trace(seed));
+                                config.design.params.mu = mu;
+                                config.pool = PoolSize::Sequential;
+                                config.strategy = strategy;
+                                config.sim = SIM;
+                                let mut ctx = RoundContext::new(config);
+                                Engine::new()
+                                    .run_to(&mut ctx, StageKind::Simulate)
+                                    .expect("engine simulation");
+                                encode_sim(&ctx.sim_outcome().expect("simulated").outcome)
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    })[seed_idx]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every simulated batch record equals, bit for bit, the engine's
+    /// simulate stage for its (μ, strategy), at every pool size; the
+    /// records of one (μ, strategy) share one outcome, whatever their
+    /// budget fraction, and no others do; and a warm runner handed a
+    /// grid that differs only in the simulation seed simulates again.
+    #[test]
+    fn simulated_batch_outcomes_match_the_engine(
+        seed_idx in 0usize..SEEDS.len(),
+        pool in 1usize..=8,
+    ) {
+        let grid = sim_grid(SEEDS[seed_idx], SIM);
+        let runner = BatchRunner::with_options(options(PoolSize::Fixed(pool), FailurePolicy::Abort));
+        let report = runner.run(&grid).expect("simulated batch");
+        let strategies = sim_strategies();
+        let sims: Vec<(usize, usize, &Arc<SimulationOutcome>)> = report
+            .records
+            .iter()
+            .map(|r| {
+                let mu = MUS.iter().position(|m| m.to_bits() == r.scenario.mu.to_bits());
+                let strategy = strategies.iter().position(|s| *s == r.scenario.strategy);
+                let sim = r.outcome().expect("scenario ok").sim.as_ref().expect("simulated");
+                (mu.expect("grid mu"), strategy.expect("grid strategy"), sim)
+            })
+            .collect();
+        prop_assert_eq!(sims.len(), 30);
+        let reference = engine_sims(seed_idx);
+        for &(mu, strategy, sim) in &sims {
+            prop_assert_eq!(&encode_sim(sim), &reference[mu][strategy], "mu {} strategy {}", mu, strategy);
+            for &(other_mu, other_strategy, other) in &sims {
+                prop_assert_eq!(
+                    Arc::ptr_eq(sim, other),
+                    (mu, strategy) == (other_mu, other_strategy),
+                    "outcomes are shared exactly within a (mu, strategy)"
+                );
+            }
+        }
+        prop_assert_eq!((report.stats.simulate.hits, report.stats.simulate.misses), (20, 10));
+
+        let reseeded = sim_grid(SEEDS[seed_idx], SimulationConfig { seed: SIM.seed + 1, ..SIM });
+        let rerun = runner.run(&reseeded).expect("reseeded batch");
+        prop_assert_eq!((rerun.stats.solve.hits, rerun.stats.solve.misses), (30, 0));
+        prop_assert_eq!((rerun.stats.simulate.hits, rerun.stats.simulate.misses), (20, 10));
+        for (record, &(_, _, first)) in rerun.records.iter().zip(&sims) {
+            let sim = record.outcome().expect("scenario ok").sim.as_ref().expect("simulated");
+            prop_assert!(!Arc::ptr_eq(sim, first), "a new seed is a new simulation");
+        }
     }
 }

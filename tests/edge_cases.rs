@@ -95,7 +95,7 @@ fn community_meta_agent_simulates() {
         omega: 0.4,
         weight: 0.9,
         psi,
-        contract: built.contract().clone(),
+        contract: built.contract().clone().into(),
         in_system: true,
     };
     let outcome = Simulation::new(

@@ -165,7 +165,7 @@ fn subproblems(n: usize, psi: Quadratic, m: usize, y_max: f64) -> Vec<Subproblem
     (0..n)
         .map(|i| Subproblem {
             id: i,
-            members: vec![i],
+            members: vec![i].into(),
             omega: 0.0,
             weight: 1.0 + 0.2 * i as f64,
             psi,
@@ -252,7 +252,7 @@ proptest! {
                 omega: 0.0,
                 weight: 1.0,
                 psi,
-                contract: built.contract().clone(),
+                contract: built.contract().clone().into(),
                 in_system: true,
             })
             .collect();

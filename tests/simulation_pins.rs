@@ -299,7 +299,7 @@ fn bandit_outcomes_are_pinned() {
             omega: if id % 4 == 3 { 0.4 } else { 0.0 },
             weight: 1.0 + 0.1 * (id % 5) as f64,
             psi,
-            contract: dyncontract::core::Contract::zero(psi.eval(0.0), psi.eval(8.0)).unwrap(),
+            contract: dyncontract::core::Contract::zero(psi.eval(0.0), psi.eval(8.0)).unwrap().into(),
             in_system: true,
         })
         .collect();
