@@ -4,7 +4,7 @@
 CHAOS_CASES ?= 512
 SCALE_BENCH_SCALES ?= 10,100
 
-.PHONY: build test lint lint-baseline clippy chaos chaos-batch chaos-serve experiments experiments-smoke engine-bench batch-bench scale-bench e2ebench-smoke metrics-check slow-tests ci
+.PHONY: build test lint clippy chaos chaos-batch chaos-serve experiments experiments-smoke engine-bench batch-bench scale-bench e2ebench-smoke metrics-check slow-tests ci
 
 build:
 	cargo build --release
@@ -14,18 +14,11 @@ test:
 
 # Semantic source analysis (docs/static-analysis.md): the float-eq
 # token rule, the metric-registry cross-check, and the interprocedural
-# determinism-taint pass over the workspace call graph — ratcheted
-# against the committed dcc-lint.baseline (fails on fresh findings AND
-# stale entries) and emitting SARIF 2.1.0 for code scanning. Exits
-# nonzero on any fresh finding, stale baseline entry, or stale
-# suppression.
+# determinism-taint pass over the workspace call graph, emitting SARIF
+# 2.1.0 for code scanning. Exits nonzero on any finding, stale policy
+# entry, or stale suppression.
 lint:
-	cargo run -q -p dcc-cli --bin dcc -- lint --root . --baseline dcc-lint.baseline --sarif target/dcc-lint.sarif
-
-# Absorb the current findings into dcc-lint.baseline (fresh entries get
-# a TODO justification to fill in; fixed entries are dropped).
-lint-baseline:
-	cargo run -q -p dcc-cli --bin dcc -- lint --root . --baseline dcc-lint.baseline --update-baseline
+	cargo run -q -p dcc-cli --bin dcc -- lint --root . --sarif target/dcc-lint.sarif
 
 # `indexing_slicing` is advisory (workspace lint level "warn"): the
 # numeric kernels index tight loops on purpose, so it is surfaced in

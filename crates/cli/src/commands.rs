@@ -1102,157 +1102,37 @@ pub fn cmd_label(args: &ParsedArgs) -> CliResult {
     ))
 }
 
-/// `dcc lint [PATHS...] [--root DIR] [--json] [--sarif FILE]
-///  [--policy FILE] [--baseline FILE] [--update-baseline]` — runs the
-/// dcc-lint determinism & numeric-safety analyzer. With no paths the
-/// whole workspace under `--root` (default `.`) is walked, the
-/// `metric-registry` cross-check runs, and the interprocedural
-/// `determinism-taint` pass analyzes the call graph (laundering points
-/// come from `--policy`, default `dcc-lint.policy` at the root when
-/// present); with explicit paths only those files/directories are
-/// checked with the token rules. `--sarif FILE` additionally writes a
-/// SARIF 2.1.0 document for code scanning. `--baseline FILE` applies
-/// the ratchet: the run fails on findings *not* in the baseline and on
-/// baseline entries that no longer fire; `--update-baseline`
-/// regenerates the file from current findings, preserving
-/// justifications. Exit 0 when clean; exit 1 with the findings (text
-/// or `--json`) otherwise.
+/// `dcc lint [--root DIR] [--sarif FILE] [--policy FILE]` — runs the
+/// dcc-lint determinism & numeric-safety analyzer over every `.rs` file
+/// under `--root` (default `.`): the token rules, the `metric-registry`
+/// cross-check, and the interprocedural `determinism-taint` pass over
+/// the call graph (laundering points come from `--policy`, default
+/// `dcc-lint.policy` at the root when present). `--sarif FILE`
+/// additionally writes a SARIF 2.1.0 document for code scanning. Exit 0
+/// when clean; exit 1 with the findings otherwise.
 pub fn cmd_lint(args: &ParsedArgs) -> CliResult {
-    let root = PathBuf::from(args.str_flag("root", "."));
-    let mut cfg = if args.positional.is_empty() {
-        dcc_lint::Config::workspace(root)
-    } else {
-        dcc_lint::Config::explicit(
-            root,
-            args.positional.iter().map(PathBuf::from).collect(),
-        )
-    };
+    if let Some(path) = args.positional.first() {
+        return Err(CliError::Usage(format!(
+            "dcc lint takes no paths, got {path:?}; lint a directory with --root DIR"
+        )));
+    }
+    let mut cfg = dcc_lint::Config::workspace(args.str_flag("root", "."));
     let policy_flag = args.str_flag("policy", "");
     if !policy_flag.is_empty() {
         cfg.policy = Some(PathBuf::from(&policy_flag));
     }
     let report = dcc_lint::run(&cfg).map_err(CliError::Usage)?;
 
-    let baseline_flag = args.str_flag("baseline", "");
-    if args.bool_flag("update-baseline") {
-        if baseline_flag.is_empty() {
-            return Err(CliError::Usage(
-                "--update-baseline requires --baseline FILE".to_string(),
-            ));
-        }
-        let bpath = cfg.root.join(&baseline_flag);
-        // A missing file is an empty baseline: every finding gets a
-        // TODO justification to fill in.
-        let prev_src = std::fs::read_to_string(&bpath).unwrap_or_default();
-        let prev = dcc_lint::baseline::Baseline::parse(&baseline_flag, &prev_src)
-            .map_err(CliError::Usage)?;
-        let rendered = dcc_lint::baseline::render(&report.findings, &prev);
-        std::fs::write(&bpath, &rendered)
-            .map_err(|e| CliError::Failed(format!("write {}: {e}", bpath.display())))?;
-        return Ok(format!(
-            "dcc-lint: wrote {} with {} entr{}",
-            baseline_flag,
-            report.findings.len(),
-            if report.findings.len() == 1 { "y" } else { "ies" }
-        ));
-    }
-
-    let outcome = if baseline_flag.is_empty() {
-        None
-    } else {
-        let bpath = cfg.root.join(&baseline_flag);
-        // Unlike --update-baseline, ratchet mode refuses a missing
-        // file: silently treating it as empty would flip every
-        // baselined finding to fresh (or hide a typo'd path).
-        let prev_src = std::fs::read_to_string(&bpath).map_err(|e| {
-            CliError::Usage(format!("--baseline {}: {e}", bpath.display()))
-        })?;
-        let prev = dcc_lint::baseline::Baseline::parse(&baseline_flag, &prev_src)
-            .map_err(CliError::Usage)?;
-        Some(prev.apply(report.findings.clone()))
-    };
-
     let sarif_flag = args.str_flag("sarif", "");
     if !sarif_flag.is_empty() {
-        let doc = match &outcome {
-            None => report.to_sarif(),
-            Some(out) => {
-                // Fresh findings are open results; baselined ones carry
-                // an external suppression. Merge back into the global
-                // (path, line, rule) order for determinism.
-                let mut merged: Vec<dcc_lint::sarif::SarifResult<'_>> = out
-                    .fresh
-                    .iter()
-                    .map(|f| dcc_lint::sarif::SarifResult {
-                        finding: f,
-                        justification: None,
-                    })
-                    .chain(out.suppressed.iter().map(|(f, j)| {
-                        dcc_lint::sarif::SarifResult {
-                            finding: f,
-                            justification: Some(j.as_str()),
-                        }
-                    }))
-                    .collect();
-                merged.sort_by(|a, b| {
-                    (a.finding.path.as_str(), a.finding.line, a.finding.rule)
-                        .cmp(&(b.finding.path.as_str(), b.finding.line, b.finding.rule))
-                });
-                dcc_lint::sarif::render(&merged)
-            }
-        };
-        std::fs::write(&sarif_flag, &doc)
+        std::fs::write(&sarif_flag, report.to_sarif())
             .map_err(|e| CliError::Failed(format!("write {sarif_flag}: {e}")))?;
     }
 
-    match outcome {
-        None => {
-            let rendered = if args.bool_flag("json") {
-                report.to_json()
-            } else {
-                report.to_text()
-            };
-            if report.findings.is_empty() {
-                Ok(rendered)
-            } else {
-                Err(CliError::Failed(rendered))
-            }
-        }
-        Some(out) => {
-            let mut rendered = if args.bool_flag("json") {
-                dcc_lint::report::render_json(&out.fresh, report.files_scanned)
-            } else {
-                // render_text appends its own summary line; strip it —
-                // the ratchet summary below replaces it.
-                let mut text = dcc_lint::report::render_text(&out.fresh, 0);
-                if let Some(pos) = text.rfind("dcc-lint:") {
-                    text.truncate(pos);
-                }
-                text
-            };
-            if !args.bool_flag("json") {
-                for e in &out.stale {
-                    rendered.push_str(&format!(
-                        "{}:{}: [baseline] entry no longer fires: {} {}:{} — delete it\n",
-                        baseline_flag, e.file_line, e.rule, e.path, e.line
-                    ));
-                }
-                rendered.push_str(&format!(
-                    "dcc-lint: {} files, {} fresh finding{}, {} baselined, {} stale baseline entr{}\n",
-                    report.files_scanned,
-                    out.fresh.len(),
-                    if out.fresh.len() == 1 { "" } else { "s" },
-                    out.suppressed.len(),
-                    out.stale.len(),
-                    if out.stale.len() == 1 { "y" } else { "ies" }
-                ));
-            }
-            if out.clean() {
-                Ok(rendered)
-            } else {
-                Err(CliError::Failed(rendered))
-            }
-        }
+    if report.findings.is_empty() {
+        Ok(report.to_text())
+    } else {
+        Err(CliError::Failed(report.to_text()))
     }
 }
 
@@ -1580,11 +1460,10 @@ COMMANDS:
              [--scale small|paper --seed N] [--extensions --csv DIR]
                                                        regenerate paper artifacts
   label      [--workers N --items N --mu F]            classification extension
-  lint       [PATHS...] [--root DIR --json] [--sarif FILE] [--policy FILE]
-             [--baseline FILE [--update-baseline]]     determinism & numeric-safety
-                                                       static analysis with the
-                                                       taint pass, SARIF output,
-                                                       and the baseline ratchet
+  lint       [--root DIR --sarif FILE --policy FILE]   determinism & numeric-safety
+                                                       static analysis of every .rs
+                                                       file under DIR, with the
+                                                       taint pass and SARIF output
   help                                                 this text
 "
     .to_string()
@@ -1651,7 +1530,7 @@ const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
     ),
     ("experiment", &[&["scale", "seed", "extensions", "csv"]]),
     ("label", &[&["workers", "items", "mu", "seed"]]),
-    ("lint", &[&["root", "json", "sarif", "policy", "baseline", "update-baseline"]]),
+    ("lint", &[&["root", "sarif", "policy"]]),
 ];
 
 /// Refuses a flag the command does not read, before the command runs.

@@ -1,6 +1,7 @@
 //! Flags as a user types them, through the built binary: a flag the
 //! command does not read is a usage error (exit 2) that names it,
-//! raised before the command does any work; an interval count too
+//! raised before the command does any work, and `dcc lint` refuses a
+//! path the same way; an interval count too
 //! large to allocate fails with a typed error instead of aborting; and
 //! a plan generator refuses a value it cannot sample from instead of
 //! panicking.
@@ -87,6 +88,58 @@ fn only_simulate_and_run_take_simulate_flags() {
             );
         }
     }
+}
+
+#[test]
+fn lint_refuses_what_it_no_longer_reads() {
+    // A clean root, and an empty baseline file for the removed flags to
+    // read.
+    let root = std::env::temp_dir().join(format!("dcc_flags_lint_{}", std::process::id()));
+    std::fs::create_dir_all(root.join("src")).unwrap();
+    std::fs::write(root.join("src/lib.rs"), "pub fn f() {}\n").unwrap();
+    std::fs::write(root.join("lint.baseline"), "").unwrap();
+    let root_str = root.to_str().unwrap();
+    for (flags, flag) in [
+        (&["--baseline", "lint.baseline"][..], "--baseline"),
+        (
+            &["--baseline", "lint.baseline", "--update-baseline"],
+            "--baseline",
+        ),
+        (&["--update-baseline"], "--update-baseline"),
+        (&["--json"], "--json"),
+    ] {
+        let args: Vec<&str> = ["lint", "--root", root_str]
+            .iter()
+            .chain(flags)
+            .copied()
+            .collect();
+        let out = dcc(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: unknown flag {flag} for dcc lint")),
+            "{args:?}: {stderr}"
+        );
+    }
+    // Refused before any work: the baseline file was not rewritten.
+    assert_eq!(
+        std::fs::read_to_string(root.join("lint.baseline")).unwrap(),
+        ""
+    );
+
+    // A path is refused, not ignored in favour of walking the default
+    // root, and the refusal names the flag that lints it.
+    let out = dcc(&["lint", "src/lib.rs", "--root", root_str]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: dcc lint takes no paths"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("--root"), "{stderr}");
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]

@@ -26,15 +26,13 @@
 //!
 //! Findings are suppressible inline with
 //! `// dcc-lint: allow(<rule>, reason = "…")` — the reason is
-//! mandatory, and unused suppressions are themselves findings — or
-//! ratcheted via a committed [`baseline`] file. Output formats: text,
-//! `dcc-lint/2` JSON, and SARIF 2.1.0 ([`sarif`]). See
+//! mandatory, and unused suppressions are themselves findings. Output
+//! formats: text and SARIF 2.1.0 ([`sarif`]). See
 //! `docs/static-analysis.md` for the full rule catalogue.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod classify;
 pub mod lexer;
 pub mod parse;
@@ -109,21 +107,17 @@ impl Finding {
 /// Analyzer configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Workspace root; findings are reported relative to it.
+    /// Workspace root: every `.rs` file under it is linted, and
+    /// findings are reported relative to it.
     pub root: PathBuf,
-    /// Explicit files/directories to lint (workspace-walk when empty).
-    /// Explicit mode runs the token rules only — the `metric-registry`
-    /// cross-check needs the whole workspace to be meaningful.
-    pub paths: Vec<PathBuf>,
     /// Root-relative path of the file holding the `pub mod names`
     /// metric registry (direction 2 of `metric-registry`).
     pub registry_module: Option<PathBuf>,
     /// Root-relative path of the metric documentation table.
     pub registry_doc: Option<PathBuf>,
     /// Root-relative path of the taint policy file (launder/sink
-    /// declarations for `determinism-taint`). The taint pass runs in
-    /// workspace mode regardless; without a policy nothing is
-    /// sanctioned.
+    /// declarations for `determinism-taint`). Without a policy nothing
+    /// is sanctioned.
     pub policy: Option<PathBuf>,
 }
 
@@ -141,21 +135,9 @@ impl Config {
         let policy = root.join(&policy).is_file().then_some(policy);
         Config {
             root,
-            paths: Vec::new(),
             registry_module: both.then(|| module.clone()),
             registry_doc: both.then_some(doc),
             policy,
-        }
-    }
-
-    /// Lints only `paths` (files or directories), token rules only.
-    pub fn explicit(root: impl Into<PathBuf>, paths: Vec<PathBuf>) -> Config {
-        Config {
-            root: root.into(),
-            paths,
-            registry_module: None,
-            registry_doc: None,
-            policy: None,
         }
     }
 }
@@ -175,24 +157,9 @@ impl Report {
         report::render_text(&self.findings, self.files_scanned)
     }
 
-    /// Machine-readable `dcc-lint/2` JSON.
-    pub fn to_json(&self) -> String {
-        report::render_json(&self.findings, self.files_scanned)
-    }
-
-    /// SARIF 2.1.0 document with no baseline applied (every finding is
-    /// an open result). For ratchet-aware emission build
-    /// [`sarif::SarifResult`]s from a [`baseline::Outcome`].
+    /// SARIF 2.1.0 document: every finding is an open result.
     pub fn to_sarif(&self) -> String {
-        let results: Vec<sarif::SarifResult<'_>> = self
-            .findings
-            .iter()
-            .map(|f| sarif::SarifResult {
-                finding: f,
-                justification: None,
-            })
-            .collect();
-        sarif::render(&results)
+        sarif::render(&self.findings)
     }
 }
 
@@ -205,25 +172,11 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "shims", "fixtures"];
 ///
 /// # Errors
 ///
-/// Returns a message when the root or an explicit path cannot be read.
+/// Returns a message when the root, a `.rs` file under it, the policy
+/// or the registry doc cannot be read.
 pub fn run(cfg: &Config) -> Result<Report, String> {
     let mut files = Vec::new();
-    if cfg.paths.is_empty() {
-        walk(&cfg.root, &mut files).map_err(|e| format!("walk {}: {e}", cfg.root.display()))?;
-    } else {
-        for p in &cfg.paths {
-            let abs = if p.is_absolute() { p.clone() } else { cfg.root.join(p) };
-            if abs.is_dir() {
-                walk(&abs, &mut files).map_err(|e| format!("walk {}: {e}", abs.display()))?;
-            } else if abs.is_file() {
-                files.push(abs);
-            } else {
-                return Err(format!("no such file or directory: {}", p.display()));
-            }
-        }
-    }
-    files.sort();
-    files.dedup();
+    walk(&cfg.root, &mut files).map_err(|e| format!("walk {}: {e}", cfg.root.display()))?;
 
     let mut per_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
     let mut suppressions: BTreeMap<String, Vec<suppress::Suppression>> = BTreeMap::new();
@@ -231,9 +184,7 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
     let mut const_refs: Vec<registry::ConstRef> = Vec::new();
     let mut reg_consts: BTreeMap<String, String> = BTreeMap::new();
     let mut files_scanned = 0usize;
-    // Parsed files retained for the interprocedural taint pass (runs in
-    // workspace-walk mode only — explicit paths cannot see the graph).
-    let taint_mode = cfg.paths.is_empty();
+    // Parsed files retained for the interprocedural taint pass.
     struct TaintUnit {
         parsed: parse::ParsedFile,
         tokens: Vec<lexer::Tok>,
@@ -243,9 +194,7 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
 
     for file in &files {
         let rel = rel_path(&cfg.root, file);
-        let Ok(source) = std::fs::read_to_string(file) else {
-            continue;
-        };
+        let source = std::fs::read_to_string(file).map_err(|e| format!("read {rel}: {e}"))?;
         files_scanned += 1;
         if classify::is_test_path(&rel) {
             continue;
@@ -281,36 +230,32 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
             }
         }
 
-        if taint_mode {
-            taint_units.push(TaintUnit {
-                parsed: parse::parse_file(&rel, &lexed.tokens),
-                tokens: lexed.tokens,
-                regions,
-            });
-        }
+        taint_units.push(TaintUnit {
+            parsed: parse::parse_file(&rel, &lexed.tokens),
+            tokens: lexed.tokens,
+            regions,
+        });
     }
 
-    if taint_mode {
-        let mut pol = match &cfg.policy {
-            Some(rel) => {
-                let abs = cfg.root.join(rel);
-                let src = std::fs::read_to_string(&abs)
-                    .map_err(|e| format!("read {}: {e}", abs.display()))?;
-                policy::Policy::parse(&rel.to_string_lossy().replace('\\', "/"), &src)?
-            }
-            None => policy::Policy::default(),
-        };
-        let units: Vec<taint::Unit<'_>> = taint_units
-            .iter()
-            .map(|u| taint::Unit {
-                parsed: &u.parsed,
-                tokens: &u.tokens,
-                test_regions: &u.regions,
-            })
-            .collect();
-        for f in taint::analyze(&units, &mut pol) {
-            per_file.entry(f.path.clone()).or_default().push(f);
+    let mut pol = match &cfg.policy {
+        Some(rel) => {
+            let abs = cfg.root.join(rel);
+            let src = std::fs::read_to_string(&abs)
+                .map_err(|e| format!("read {}: {e}", abs.display()))?;
+            policy::Policy::parse(&rel.to_string_lossy().replace('\\', "/"), &src)?
         }
+        None => policy::Policy::default(),
+    };
+    let units: Vec<taint::Unit<'_>> = taint_units
+        .iter()
+        .map(|u| taint::Unit {
+            parsed: &u.parsed,
+            tokens: &u.tokens,
+            test_regions: &u.regions,
+        })
+        .collect();
+    for f in taint::analyze(&units, &mut pol) {
+        per_file.entry(f.path.clone()).or_default().push(f);
     }
 
     if let Some(doc_rel) = &cfg.registry_doc {

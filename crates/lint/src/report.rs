@@ -1,9 +1,7 @@
-//! Rendering: human-readable text and the machine-readable
-//! `dcc-lint/2` JSON document (v2 adds per-finding taint `trace`
-//! arrays; everything else is v1-compatible).
+//! Rendering: human-readable text, and the JSON string escaping the
+//! SARIF emitter uses.
 
 use crate::Finding;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Renders findings as `path:line: [rule] message` lines plus a
@@ -36,59 +34,8 @@ pub fn render_text(findings: &[Finding], files_scanned: usize) -> String {
     out
 }
 
-/// Renders the `dcc-lint/2` JSON document: a versioned object with the
-/// finding list (taint findings carry a `trace` array) and per-rule
-/// counts, deterministically ordered.
-pub fn render_json(findings: &[Finding], files_scanned: usize) -> String {
-    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-    for f in findings {
-        *counts.entry(f.rule).or_insert(0) += 1;
-    }
-    let mut out = String::from("{\"schema\":\"dcc-lint/2\",");
-    let _ = write!(out, "\"files_scanned\":{files_scanned},\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"rule\":{},\"path\":{},\"line\":{},\"message\":{}",
-            escape(f.rule),
-            escape(&f.path),
-            f.line,
-            escape(&f.message)
-        );
-        if !f.trace.is_empty() {
-            out.push_str(",\"trace\":[");
-            for (j, step) in f.trace.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"path\":{},\"line\":{},\"note\":{}}}",
-                    escape(&step.path),
-                    step.line,
-                    escape(&step.note)
-                );
-            }
-            out.push(']');
-        }
-        out.push('}');
-    }
-    out.push_str("],\"counts\":{");
-    for (i, (rule, n)) in counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}:{n}", escape(rule));
-    }
-    out.push_str("}}");
-    out
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-/// Shared with the SARIF emitter.
+/// JSON string escaping (quotes, backslashes, control characters)
+/// for the SARIF emitter.
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -114,7 +61,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn text_and_json_round_trip_the_essentials() {
+    fn text_and_escaping_keep_the_essentials() {
         let findings = vec![
             Finding::new("float-eq", "a.rs", 3, "float `==` comparison".to_string()),
             Finding::new(
@@ -127,15 +74,11 @@ mod tests {
         let text = render_text(&findings, 2);
         assert!(text.contains("a.rs:3: [float-eq]"));
         assert!(text.contains("2 findings"));
-        let json = render_json(&findings, 2);
-        assert!(json.starts_with("{\"schema\":\"dcc-lint/2\""));
-        assert!(json.contains("\"files_scanned\":2"));
-        assert!(json.contains("\\\" and \\\\ back"));
-        assert!(json.contains("\"counts\":{\"float-eq\":1,\"metric-registry\":1}"));
+        assert_eq!(escape(&findings[1].message), "\"quote \\\" and \\\\ back\"");
     }
 
     #[test]
-    fn taint_traces_render_in_text_and_json() {
+    fn taint_traces_render_in_text() {
         let f = Finding::with_trace(
             "determinism-taint",
             "b.rs",
@@ -157,16 +100,10 @@ mod tests {
         let text = render_text(std::slice::from_ref(&f), 2);
         assert!(text.contains("    1. a.rs:2: wall-clock source"), "{text}");
         assert!(text.contains("    2. b.rs:9: sink call"), "{text}");
-        let json = render_json(std::slice::from_ref(&f), 2);
-        assert!(
-            json.contains("\"trace\":[{\"path\":\"a.rs\",\"line\":2,"),
-            "{json}"
-        );
     }
 
     #[test]
     fn empty_findings_render_cleanly() {
         assert!(render_text(&[], 5).contains("no findings"));
-        assert!(render_json(&[], 5).contains("\"findings\":[]"));
     }
 }

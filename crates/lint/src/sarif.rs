@@ -5,22 +5,11 @@
 //! (in first-appearance order, referenced by `ruleIndex`), and nothing
 //! time- or environment-dependent is embedded — no timestamps, no
 //! absolute paths, no invocation records. Taint traces render as
-//! `codeFlows`/`threadFlows`; baselined findings carry an `external`
-//! suppression with the baseline justification so code scanning shows
-//! them as suppressed instead of open.
+//! `codeFlows`/`threadFlows`.
 
 use crate::report::escape;
 use crate::Finding;
 use std::fmt::Write as _;
-
-/// One result to emit: a finding, plus the baseline justification when
-/// the finding is baselined (suppressed) rather than fresh.
-pub struct SarifResult<'a> {
-    /// The finding.
-    pub finding: &'a Finding,
-    /// Baseline justification, if this finding is ratchet-suppressed.
-    pub justification: Option<&'a str>,
-}
 
 /// One-line rule descriptions for the SARIF rules array.
 fn rule_description(rule: &str) -> &'static str {
@@ -37,14 +26,14 @@ fn rule_description(rule: &str) -> &'static str {
     }
 }
 
-/// Renders a complete SARIF 2.1.0 document. `results` must already be
-/// sorted by (path, line, rule).
-pub fn render(results: &[SarifResult<'_>]) -> String {
+/// Renders a complete SARIF 2.1.0 document. `findings` must already
+/// be sorted by (path, line, rule).
+pub fn render(findings: &[Finding]) -> String {
     // Rules array: first-appearance order, deduped.
     let mut rules: Vec<&str> = Vec::new();
-    for r in results {
-        if !rules.contains(&r.finding.rule) {
-            rules.push(r.finding.rule);
+    for f in findings {
+        if !rules.contains(&f.rule) {
+            rules.push(f.rule);
         }
     }
     let rule_index = |rule: &str| rules.iter().position(|r| *r == rule).unwrap_or(0);
@@ -66,11 +55,10 @@ pub fn render(results: &[SarifResult<'_>]) -> String {
         );
     }
     out.push_str("]}},\"results\":[");
-    for (i, r) in results.iter().enumerate() {
+    for (i, f) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let f = r.finding;
         let _ = write!(
             out,
             "{{\"ruleId\":{},\"ruleIndex\":{},\"level\":\"error\",\"message\":{{\"text\":{}}},\"locations\":[{}]",
@@ -92,13 +80,6 @@ pub fn render(results: &[SarifResult<'_>]) -> String {
                 );
             }
             out.push_str("]}]}]");
-        }
-        if let Some(just) = r.justification {
-            let _ = write!(
-                out,
-                ",\"suppressions\":[{{\"kind\":\"external\",\"justification\":{}}}]",
-                escape(just)
-            );
         }
         out.push('}');
     }
@@ -146,26 +127,15 @@ mod tests {
                 },
             ],
         );
-        let results = [
-            SarifResult {
-                finding: &plain,
-                justification: None,
-            },
-            SarifResult {
-                finding: &taint,
-                justification: Some("legacy flow, staged burn-down"),
-            },
-        ];
-        let doc = render(&results);
+        let findings = [plain, taint];
+        let doc = render(&findings);
         assert!(doc.contains("\"version\":\"2.1.0\""));
         assert!(doc.contains("\"id\":\"float-eq\""));
         assert!(doc.contains("\"ruleIndex\":1"), "{doc}");
         assert!(doc.contains("\"codeFlows\""));
         assert!(doc.contains("\"startLine\":9"));
-        assert!(doc.contains("\"suppressions\":[{\"kind\":\"external\""));
-        assert!(doc.contains("legacy flow, staged burn-down"));
         // Determinism: same input, same bytes.
-        assert_eq!(doc, render(&results));
+        assert_eq!(doc, render(&findings));
         // No timestamps or absolute paths sneak in.
         assert!(!doc.contains("/root/"));
     }

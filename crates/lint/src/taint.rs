@@ -32,8 +32,8 @@
 //! checkpoint serialization (`save_checkpoint`, `save_json_atomic`, …),
 //! golden-snapshot writers, and metric emission (`.add`/`.gauge`/
 //! `.observe`/`.event`) — or when a sink function is itself tainted.
-//! Each finding carries the full source→…→sink trace, rendered in both
-//! `dcc-lint/2` JSON and SARIF code flows.
+//! Each finding carries the full source→…→sink trace, rendered as
+//! numbered steps in text output and as SARIF code flows.
 
 use crate::classify::TestRegions;
 use crate::lexer::{Tok, TokKind};

@@ -12,31 +12,29 @@ fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
 }
 
-fn one_violation(file: &str, rule: &str, line: u32) {
-    let cfg = Config::explicit(fixture_root(), vec![PathBuf::from(file)]);
-    let report = run(&cfg).expect("fixture lint runs");
+fn one_violation(dir: &str, file: &str, rule: &str, line: u32) {
+    let report = run(&Config::workspace(fixture_root().join(dir))).expect("fixture lint runs");
     assert_eq!(
         report.findings.len(),
         1,
-        "{file}: expected exactly one finding, got {:#?}",
+        "{dir}/{file}: expected exactly one finding, got {:#?}",
         report.findings
     );
     let f = &report.findings[0];
     assert_eq!(f.rule, rule);
     assert_eq!(f.line, line);
-    assert!(f.path.ends_with(file), "path {} should end with {file}", f.path);
+    assert_eq!(f.path, file);
 }
 
 #[test]
 fn float_eq_fixture() {
-    one_violation("violations/float_eq.rs", "float-eq", 4);
+    one_violation("violations", "float_eq.rs", "float-eq", 4);
 }
 
 #[test]
 fn metric_registry_fixture() {
     let cfg = Config {
         root: fixture_root().join("registry"),
-        paths: Vec::new(),
         registry_module: None,
         registry_doc: Some(PathBuf::from("registry.md")),
         policy: None,
@@ -70,7 +68,6 @@ fn metric_registry_fixture() {
 fn clean_fixture_has_zero_findings() {
     let cfg = Config {
         root: fixture_root().join("clean"),
-        paths: Vec::new(),
         registry_module: None,
         registry_doc: None,
         policy: None,
@@ -88,7 +85,6 @@ fn clean_fixture_has_zero_findings() {
 fn violations_dir_walk_finds_every_rule_once() {
     let cfg = Config {
         root: fixture_root().join("violations"),
-        paths: Vec::new(),
         registry_module: None,
         registry_doc: None,
         policy: None,
@@ -98,16 +94,24 @@ fn violations_dir_walk_finds_every_rule_once() {
     assert_eq!(rules, ["float-eq"]);
 }
 
+/// A `.rs` file the walk cannot read fails the run with its path, as an
+/// unwalkable root does: skipping it would report the root clean with
+/// that file's findings unread.
 #[test]
-fn json_output_is_machine_readable() {
-    let cfg = Config::explicit(
-        fixture_root(),
-        vec![PathBuf::from("violations/float_eq.rs")],
-    );
-    let report = run(&cfg).expect("fixture lint runs");
-    let json = report.to_json();
-    assert!(json.starts_with("{\"schema\":\"dcc-lint/2\""));
-    assert!(json.contains("\"rule\":\"float-eq\""));
-    assert!(json.contains("\"line\":4"));
-    assert!(json.contains("\"counts\":{\"float-eq\":1}"));
+fn an_unreadable_file_is_an_error_not_a_clean_pass() {
+    let root = std::env::temp_dir().join(format!("dcc-lint-unreadable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("src")).expect("mkdir");
+    let lib = root.join("src/lib.rs");
+    let source = b"fn f(x: f64) -> bool { x == 0.5 }\n";
+    std::fs::write(&lib, source).expect("write lib.rs");
+    let report = run(&Config::workspace(&root)).expect("a readable root lints");
+    let rules: Vec<_> = report.findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, ["float-eq"]);
+
+    // One byte that is not UTF-8, inside a comment.
+    std::fs::write(&lib, [&source[..], b"// \xff\n"].concat()).expect("write lib.rs");
+    let err = run(&Config::workspace(&root)).expect_err("an unreadable file must fail the run");
+    assert!(err.starts_with("read src/lib.rs: "), "{err}");
+    let _ = std::fs::remove_dir_all(&root);
 }
