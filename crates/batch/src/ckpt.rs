@@ -392,6 +392,7 @@ impl CkptWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir::TempDir;
 
     fn sample_summary(sim: bool) -> ScenarioSummary {
         ScenarioSummary {
@@ -444,13 +445,6 @@ mod tests {
         }
     }
 
-    fn temp_path(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("dcc-batch-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
-
     fn sample_entries() -> BTreeMap<usize, CkptEntry> {
         let mut entries = BTreeMap::new();
         entries.insert(0, CkptEntry::Summary(sample_summary(true)));
@@ -467,7 +461,8 @@ mod tests {
     #[test]
     fn documents_round_trip_and_validate() {
         let entries = sample_entries();
-        let path = temp_path("roundtrip.ckpt");
+        let dir = TempDir::new("dcc-batch-ckpt-roundtrip");
+        let path = dir.join("roundtrip.ckpt");
         save_json_atomic(&path, &checkpoint_doc(0xdead_beef, &entries)).unwrap();
         let back = load_checkpoint(&path, 0xdead_beef, 6).unwrap();
         assert_eq!(back, entries);
@@ -489,7 +484,6 @@ mod tests {
             assert!(matches!(err, CoreError::InvalidInput(_)), "{err}");
             assert!(err.to_string().contains(&format!("has schema \"{old}\"")), "{err}");
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -510,8 +504,8 @@ mod tests {
 
     #[test]
     fn writer_rewrites_the_file_on_every_completion() {
-        let path = temp_path("writer.ckpt");
-        let _ = std::fs::remove_file(&path);
+        let dir = TempDir::new("dcc-batch-ckpt-writer");
+        let path = dir.join("writer.ckpt");
         let writer = CkptWriter::new(&path, 9, BTreeMap::new());
         writer.record(1, CkptEntry::Summary(sample_summary(false)));
         assert_eq!(load_checkpoint(&path, 9, 4).unwrap().len(), 1);
@@ -519,7 +513,6 @@ mod tests {
         assert_eq!(writer.completed(), 2);
         assert_eq!(load_checkpoint(&path, 9, 4).unwrap().len(), 2);
         assert!(writer.take_error().is_none());
-        std::fs::remove_file(&path).ok();
     }
 
     /// Well-formed JSON that is not a `/3` batch checkpoint: wrong
@@ -558,7 +551,8 @@ mod tests {
                 .to_string()
                 .into_bytes(),
             };
-            let path = temp_path("total.ckpt");
+            let dir = TempDir::new("dcc-batch-ckpt-total");
+            let path = dir.join("total.ckpt");
             std::fs::write(&path, &input).unwrap();
             match load_checkpoint(&path, 9, 6) {
                 Ok(loaded) => {

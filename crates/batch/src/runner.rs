@@ -982,6 +982,7 @@ mod tests {
 
     use super::*;
     use crate::supervisor::{BatchFaultPlan, CheckpointConfig, FaultMode, ScenarioFault};
+    use crate::temp_dir::TempDir;
     use dcc_core::StrategyKind;
     use dcc_trace::SyntheticConfig;
     use std::path::PathBuf;
@@ -996,13 +997,12 @@ mod tests {
         cfg.generate()
     }
 
-    fn temp_ckpt(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "dcc-batch-runner-{tag}-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir.join("batch.ckpt")
+    /// A checkpoint path in a directory of the test's own, removed
+    /// when the returned guard drops.
+    fn temp_ckpt(tag: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new(&format!("dcc-batch-runner-{tag}"));
+        let path = dir.join("batch.ckpt");
+        (dir, path)
     }
 
     /// Canonical byte encoding of a report's deterministic surface.
@@ -1419,7 +1419,7 @@ mod tests {
         let mut grid = ScenarioGrid::for_trace(tiny(7), &[2.0, 1.5, 1.0, -1.0]);
         grid.budget_fractions = vec![0.5, 1.0];
         let scenarios = grid.scenarios();
-        let path = temp_ckpt("kill-resume");
+        let (_dir, path) = temp_ckpt("kill-resume");
         let full = BatchRunner::with_options(BatchOptions {
             policy: FailurePolicy::Skip,
             ..BatchOptions::default()
@@ -1472,15 +1472,13 @@ mod tests {
                 "resumed report must be byte-identical (kill at {kill_at})"
             );
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn kill_at_zero_stops_before_any_work() {
         let grid = ScenarioGrid::for_trace(tiny(3), &[1.5, 1.0]);
         let scenarios = grid.scenarios();
-        let path = temp_ckpt("kill-zero");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = temp_ckpt("kill-zero");
         let runner = BatchRunner::new();
         let killed = runner
             .run_supervised(
@@ -1516,15 +1514,13 @@ mod tests {
         assert_eq!(resumed.restored, 0);
         let full = BatchRunner::new().run(&grid).expect("uninterrupted");
         assert_eq!(encode(&resumed), encode(&full));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn mismatched_checkpoints_are_rejected() {
         let grid_a = ScenarioGrid::for_trace(tiny(3), &[1.5, 1.0]);
         let grid_b = ScenarioGrid::for_trace(tiny(4), &[1.5, 1.0]);
-        let path = temp_ckpt("mismatch");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = temp_ckpt("mismatch");
         // Complete run of grid A leaves a full checkpoint behind.
         let outcome = BatchRunner::new()
             .run_supervised(
@@ -1571,7 +1567,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(no_ckpt, BatchError::Spec(_)));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1580,8 +1575,7 @@ mod tests {
         // with kind and message intact.
         let grid = ScenarioGrid::for_trace(tiny(3), &[1.5, 1.0, 0.5]);
         let scenarios = grid.scenarios();
-        let path = temp_ckpt("quarantine-resume");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = temp_ckpt("quarantine-resume");
         let sup_faulty = |resume: bool, kill: Option<usize>| SupervisorOptions {
             kill_after: kill,
             checkpoint: Some(CheckpointConfig::new(&path)),
@@ -1616,6 +1610,5 @@ mod tests {
             .expect("completed");
         assert_eq!(encode(&resumed), encode(&full));
         assert_eq!(resumed.failed(), 1);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -1106,10 +1106,13 @@ pub fn cmd_label(args: &ParsedArgs) -> CliResult {
 /// dcc-lint determinism & numeric-safety analyzer over every `.rs` file
 /// under `--root` (default `.`): the token rules, the `metric-registry`
 /// cross-check, and the interprocedural `determinism-taint` pass over
-/// the call graph (laundering points come from `--policy`, default
-/// `dcc-lint.policy` at the root when present). `--sarif FILE`
+/// the call graph (laundering points come from `--policy`, a path
+/// relative to `--root`, default `dcc-lint.policy` there when present).
+/// `--sarif FILE`, a path relative to the working directory,
 /// additionally writes a SARIF 2.1.0 document for code scanning. Exit 0
-/// when clean; exit 1 with the findings otherwise.
+/// when clean; exit 1 with the findings, or when the root, a source
+/// file or the policy cannot be read; exit 2 for a path or an unknown
+/// flag.
 pub fn cmd_lint(args: &ParsedArgs) -> CliResult {
     if let Some(path) = args.positional.first() {
         return Err(CliError::Usage(format!(
@@ -1121,7 +1124,7 @@ pub fn cmd_lint(args: &ParsedArgs) -> CliResult {
     if !policy_flag.is_empty() {
         cfg.policy = Some(PathBuf::from(&policy_flag));
     }
-    let report = dcc_lint::run(&cfg).map_err(CliError::Usage)?;
+    let report = dcc_lint::run(&cfg).map_err(CliError::Failed)?;
 
     let sarif_flag = args.str_flag("sarif", "");
     if !sarif_flag.is_empty() {
@@ -1464,6 +1467,9 @@ COMMANDS:
                                                        static analysis of every .rs
                                                        file under DIR, with the
                                                        taint pass and SARIF output
+                                                       (--policy is relative to
+                                                       DIR, --sarif to the working
+                                                       directory)
   help                                                 this text
 "
     .to_string()

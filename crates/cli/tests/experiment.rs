@@ -3,6 +3,9 @@
 
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
+mod common;
+
+use common::TempDir;
 use std::process::{Command, Output};
 
 fn dcc(args: &[&str]) -> Output {
@@ -29,8 +32,9 @@ fn an_unknown_scale_or_experiment_is_a_usage_error() {
 
 #[test]
 fn all_with_extensions_writes_every_csv_and_the_metrics_document() {
-    let dir = std::env::temp_dir().join(format!("dcc_experiment_csv_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let temp = TempDir::new("dcc_experiment_csv");
+    // The command creates the directory it writes to.
+    let dir = temp.path().join("csv");
     let out = dcc(&[
         "experiment",
         "all",
@@ -62,5 +66,4 @@ fn all_with_extensions_writes_every_csv_and_the_metrics_document() {
     let summary = dcc(&["metrics", "summarize", metrics.to_str().unwrap()]);
     assert_eq!(summary.status.code(), Some(0), "{}", String::from_utf8_lossy(&summary.stderr));
     assert!(String::from_utf8_lossy(&summary.stdout).contains("batch.scenarios"));
-    std::fs::remove_dir_all(&dir).ok();
 }

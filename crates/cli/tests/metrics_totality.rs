@@ -13,12 +13,14 @@
 
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
+mod common;
+
+use common::TempDir;
 use dcc_engine::{Engine, EngineConfig, PoolSize, RoundContext};
 use dcc_numerics::Json;
 use dcc_obs::{JsonRecorder, Metrics};
 use dcc_trace::SyntheticConfig;
 use proptest::prelude::*;
-use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -106,16 +108,15 @@ fn replace_value(
 /// the summary or a typed error; returns whether it printed the summary.
 fn summarize_is_total(bytes: &[u8]) -> Result<bool, TestCaseError> {
     static CASE: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!("dcc_metrics_totality_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path: PathBuf = dir.join(format!("{}.json", CASE.fetch_add(1, Ordering::Relaxed)));
+    let case = CASE.fetch_add(1, Ordering::Relaxed);
+    let dir = TempDir::new(&format!("dcc_metrics_totality_{case}"));
+    let path = dir.path().join("metrics.json");
     std::fs::write(&path, bytes).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_dcc"))
         .args(["metrics", "summarize"])
         .arg(&path)
         .output()
         .expect("dcc runs");
-    std::fs::remove_file(&path).ok();
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     let input = String::from_utf8_lossy(bytes);

@@ -8,6 +8,9 @@
 
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
+mod common;
+
+use common::TempDir;
 use std::process::{Command, Output};
 
 fn dcc(args: &[&str]) -> Output {
@@ -94,7 +97,8 @@ fn only_simulate_and_run_take_simulate_flags() {
 fn lint_refuses_what_it_no_longer_reads() {
     // A clean root, and an empty baseline file for the removed flags to
     // read.
-    let root = std::env::temp_dir().join(format!("dcc_flags_lint_{}", std::process::id()));
+    let dir = TempDir::new("dcc_flags_lint");
+    let root = dir.path();
     std::fs::create_dir_all(root.join("src")).unwrap();
     std::fs::write(root.join("src/lib.rs"), "pub fn f() {}\n").unwrap();
     std::fs::write(root.join("lint.baseline"), "").unwrap();
@@ -139,14 +143,12 @@ fn lint_refuses_what_it_no_longer_reads() {
         "{stderr}"
     );
     assert!(stderr.contains("--root"), "{stderr}");
-    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
 fn a_plan_generator_refuses_a_range_it_cannot_sample() {
-    let dir = std::env::temp_dir().join(format!("dcc_flags_plans_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out_file = dir.join("plan.json");
+    let dir = TempDir::new("dcc_flags_plans");
+    let out_file = dir.path().join("plan.json");
     let out_file = out_file.to_str().unwrap();
     for scale in ["1", "0.5", "nan", "inf", "1e308"] {
         let out = dcc(&[
@@ -166,7 +168,6 @@ fn a_plan_generator_refuses_a_range_it_cannot_sample() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(stderr.contains("min_factor"), "{stderr}");
     assert!(!std::path::Path::new(out_file).exists(), "no plan was written");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -179,9 +180,8 @@ fn an_interval_count_past_the_cap_is_refused_not_allocated() {
          got 100000000000\n"
     );
 
-    let dir = std::env::temp_dir().join(format!("dcc_intervals_grid_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let grid = dir.join("grid.json");
+    let dir = TempDir::new("dcc_intervals_grid");
+    let grid = dir.path().join("grid.json");
     std::fs::write(
         &grid,
         r#"{"traces": [{"scale": "small", "seed": 1}], "mus": [1.0],
@@ -195,5 +195,4 @@ fn an_interval_count_past_the_cap_is_refused_not_allocated() {
         stderr.contains("GridSpec.design: invalid parameters: DesignConfig.intervals must be <= 1024"),
         "{stderr}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }

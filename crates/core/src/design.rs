@@ -3,11 +3,10 @@ use crate::{
     solve_subproblems, BipSolution, Contract, CoreError, DegradationReport, Discretization,
     FailurePolicy, Members, ModelParams, Subproblem, MAX_INTERVALS,
 };
-use dcc_detect::DetectionResult;
+use dcc_detect::{DetectionResult, SuspectMask};
 use dcc_numerics::{percentile, Quadratic};
 use dcc_obs::Metrics;
 use dcc_trace::{ReviewerId, TraceDataset};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Configuration of the end-to-end contract design.
@@ -209,35 +208,37 @@ struct ClassPoints {
     /// Community aggregate `(Σ effort, Σ feedback)` points, in community
     /// order.
     community: Vec<(f64, f64)>,
-    /// Every reviewing worker's own `(mean effort, mean feedback)` point.
-    worker_points: BTreeMap<ReviewerId, (f64, f64)>,
+    /// Per reviewer id, the worker's own `(mean effort, mean feedback)`
+    /// point; `None` for a worker without reviews.
+    worker_points: Vec<Option<(f64, f64)>>,
 }
 
 /// Collects the observation point of every reviewing worker and groups
-/// the points by detection class.
-fn collect_class_points(trace: &TraceDataset, detection: &DetectionResult) -> ClassPoints {
-    let suspected: BTreeSet<ReviewerId> = detection.suspected.iter().copied().collect();
-    let in_community: BTreeSet<ReviewerId> = detection
-        .collusion
-        .communities
-        .iter()
-        .flatten()
-        .copied()
-        .collect();
-
-    let mut points = ClassPoints::default();
+/// the points by detection class: `suspected` workers are malicious, and
+/// those `in_community` collusive.
+fn collect_class_points(
+    trace: &TraceDataset,
+    detection: &DetectionResult,
+    suspected: &SuspectMask,
+    in_community: &SuspectMask,
+) -> ClassPoints {
+    let mut points = ClassPoints {
+        worker_points: Vec::with_capacity(trace.reviewers().len()),
+        ..ClassPoints::default()
+    };
     for reviewer in trace.reviewers() {
         let reviews = trace.reviews_by(reviewer.id);
         if reviews.is_empty() {
+            points.worker_points.push(None);
             continue;
         }
         let n = reviews.len() as f64;
         let eff = reviews.iter().map(|r| trace.effort_of(r)).sum::<f64>() / n;
         let fb = reviews.iter().map(|r| trace.feedback_of(r)).sum::<f64>() / n;
-        points.worker_points.insert(reviewer.id, (eff, fb));
-        if !suspected.contains(&reviewer.id) {
+        points.worker_points.push(Some((eff, fb)));
+        if !suspected.contains(reviewer.id) {
             points.honest.push((eff, fb));
-        } else if in_community.contains(&reviewer.id) {
+        } else if in_community.contains(reviewer.id) {
             points.cm.push((eff, fb));
         } else {
             points.ncm.push((eff, fb));
@@ -251,7 +252,7 @@ fn collect_class_points(trace: &TraceDataset, detection: &DetectionResult) -> Cl
         .map(|members| {
             members
                 .iter()
-                .filter_map(|m| points.worker_points.get(m))
+                .filter_map(|m| points.worker_points.get(m.index()).copied().flatten())
                 .fold((0.0, 0.0), |acc, p| (acc.0 + p.0, acc.1 + p.1))
         })
         .collect();
@@ -296,7 +297,10 @@ pub fn prepare_design(
     config: &DesignConfig,
 ) -> Result<DesignPrep, CoreError> {
     config.validate()?;
-    let points = collect_class_points(trace, detection);
+    let workers = trace.reviewers().len();
+    let suspected = SuspectMask::new(workers, &detection.suspected);
+    let in_community = SuspectMask::new(workers, detection.collusion.communities.iter().flatten());
+    let points = collect_class_points(trace, detection, &suspected, &in_community);
     let honest = fit_class_model(&points.honest, config)?;
     let ncm = if points.ncm.len() >= 3 {
         fit_class_model(&points.ncm, config)?
@@ -311,23 +315,14 @@ pub fn prepare_design(
         ncm
     };
 
-    let suspected: BTreeSet<ReviewerId> = detection.suspected.iter().copied().collect();
-    let in_community: BTreeSet<ReviewerId> = detection
-        .collusion
-        .communities
-        .iter()
-        .flatten()
-        .copied()
-        .collect();
-
     let mut subproblems = Vec::new();
     let mut next_id = 0usize;
-    for reviewer in trace.reviewers() {
-        if in_community.contains(&reviewer.id) || !points.worker_points.contains_key(&reviewer.id) {
+    for (reviewer, point) in trace.reviewers().iter().zip(&points.worker_points) {
+        if in_community.contains(reviewer.id) || point.is_none() {
             continue;
         }
         let weight = detection.weights.weight(reviewer.id).unwrap_or(0.0);
-        let is_suspect = suspected.contains(&reviewer.id);
+        let is_suspect = suspected.contains(reviewer.id);
 
         // Individual fit for prolific non-suspected workers, when enabled.
         let individual = match (config.per_worker_fit_min_reviews, is_suspect) {
@@ -404,8 +399,15 @@ pub fn assemble_design(
     degradation: DegradationReport,
 ) -> ContractDesign {
     let solution = solution.into();
-    let suspected: BTreeSet<ReviewerId> = detection.suspected.iter().copied().collect();
-    let partner_counts = detection.collusion.partner_counts();
+    // Dense tables over every worker the solution names.
+    let workers = solution
+        .solutions
+        .iter()
+        .flat_map(|sol| sol.members.iter())
+        .max()
+        .map_or(0, |&last| last + 1);
+    let suspected = SuspectMask::new(workers, &detection.suspected);
+    let partners = detection.collusion.partner_table(workers);
     let mut agents = Vec::with_capacity(solution.solutions.len());
     for (sol, sp) in solution.solutions.iter().zip(&prep.subproblems) {
         let share = sol.members.len().max(1) as f64;
@@ -420,8 +422,8 @@ pub fn assemble_design(
                 subproblem: sol.id,
                 k_opt: sol.built.k_opt(),
                 delta: sp.disc.delta(),
-                suspected: is_community || suspected.contains(&worker),
-                partners: partner_counts.get(&worker).copied().unwrap_or(0),
+                suspected: is_community || suspected.contains(worker),
+                partners: partners[member],
             });
         }
     }
@@ -478,6 +480,7 @@ mod tests {
     use super::*;
     use dcc_detect::{run_pipeline, PipelineConfig};
     use dcc_trace::{SyntheticConfig, WorkerClass};
+    use std::collections::BTreeSet;
 
     fn designed() -> (TraceDataset, ContractDesign) {
         let trace = SyntheticConfig::small(101).generate();

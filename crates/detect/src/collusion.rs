@@ -41,6 +41,27 @@ impl CollusionReport {
         map
     }
 
+    /// [`CollusionReport::partner_counts`] as a dense table over reviewer
+    /// ids `0..workers`: `A_i` for every worker, 0 outside the report.
+    /// Ids at or above `workers` are dropped.
+    pub fn partner_table(&self, workers: usize) -> Vec<usize> {
+        let mut table = vec![0; workers];
+        for c in &self.communities {
+            for m in c {
+                if let Some(slot) = table.get_mut(m.index()) {
+                    *slot = c.len() - 1;
+                }
+            }
+        }
+        // A worker listed as a singleton too reads 0, as in the map.
+        for s in &self.singletons {
+            if let Some(slot) = table.get_mut(s.index()) {
+                *slot = 0;
+            }
+        }
+        table
+    }
+
     /// Community-size histogram over the Table II buckets, as
     /// `(bucket label, count)`; the final bucket aggregates sizes ≥ 7
     /// (displayed as "≥10" to match the paper, whose trace had no 7–9

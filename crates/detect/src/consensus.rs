@@ -32,8 +32,9 @@ impl Tally {
 }
 
 /// Dense suspect flags indexed by [`ReviewerId::index`]: the workers whose
-/// reviews the refined consensus leaves out of the crowd mean. An id past
-/// the end is not suspected.
+/// reviews the refined consensus leaves out of the crowd mean, or any
+/// other set of workers looked up by id (the design's community
+/// members). An id past the end is not suspected.
 #[derive(Debug, Clone, Default)]
 pub struct SuspectMask {
     flags: Vec<bool>,
@@ -43,7 +44,7 @@ impl SuspectMask {
     /// The mask of `suspected` over a trace of `reviewers` workers. Ids
     /// outside `0..reviewers` are dropped: no review of that trace can
     /// name them.
-    pub fn new(reviewers: usize, suspected: &[ReviewerId]) -> Self {
+    pub fn new<'a>(reviewers: usize, suspected: impl IntoIterator<Item = &'a ReviewerId>) -> Self {
         let mut flags = vec![false; reviewers];
         for id in suspected {
             if let Some(flag) = flags.get_mut(id.index()) {

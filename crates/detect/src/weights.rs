@@ -62,12 +62,7 @@ impl FeedbackWeights {
         params: WeightParams,
     ) -> Self {
         let tallies = consensus.worker_tallies(trace);
-        let mut partners = vec![0; tallies.len()];
-        for (worker, count) in collusion.partner_counts() {
-            if let Some(slot) = partners.get_mut(worker.index()) {
-                *slot = count;
-            }
-        }
+        let partners = collusion.partner_table(tallies.len());
         let weights = tallies
             .iter()
             .zip(partners)

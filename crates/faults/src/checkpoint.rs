@@ -123,14 +123,9 @@ fn malformed(path: &Path, what: &str) -> CoreError {
 mod tests {
     #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
     use super::*;
+    use crate::temp_dir::TempDir;
 
     const SCHEMA: &str = "dcc-test-ckpt/1";
-
-    fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dcc-faults-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
 
     fn document(fingerprint: u64) -> Json {
         checkpoint_document(
@@ -141,7 +136,8 @@ mod tests {
 
     #[test]
     fn temp_files_are_distinct_from_each_other_and_their_targets() {
-        let targets = ["x.tmp", "x.ckpt", "x.json"].map(temp_path);
+        let dir = TempDir::new("dcc-faults-ckpt-temps");
+        let targets = ["x.tmp", "x.ckpt", "x.json"].map(|name| dir.join(name));
         let temps = targets.clone().map(|target| temp_sibling(&target));
         for (i, target) in targets.iter().enumerate() {
             assert!(!temps.contains(target), "{} is a temp file", target.display());
@@ -160,7 +156,8 @@ mod tests {
 
     #[test]
     fn a_document_round_trips_and_refuses_other_runs() {
-        let path = temp_path("doc.json");
+        let dir = TempDir::new("dcc-faults-ckpt-doc");
+        let path = dir.join("doc.json");
         save_json_atomic(&path, &document(5)).unwrap();
         let payload = load_checkpoint_payload(&path, SCHEMA).unwrap();
         check_fingerprint(&path, &payload, 5).unwrap();
@@ -172,8 +169,7 @@ mod tests {
         let err = load_checkpoint_payload(&path, "dcc-other-ckpt/1").unwrap_err();
         assert!(err.to_string().contains("has schema"), "{err}");
 
-        let err = load_checkpoint_payload(&temp_path("missing.json"), SCHEMA).unwrap_err();
+        let err = load_checkpoint_payload(&dir.join("missing.json"), SCHEMA).unwrap_err();
         assert!(matches!(err, CoreError::Io { .. }), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 }

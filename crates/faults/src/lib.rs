@@ -58,3 +58,34 @@ pub use plan::{
     Corruption, CorruptFeedback, DropoutWindow, FaultPlan, FaultPlanConfig, MissingFeedback,
     PaymentDelay,
 };
+
+#[cfg(test)]
+mod temp_dir {
+    #![allow(clippy::expect_used)]
+    use std::path::PathBuf;
+
+    /// A fresh directory of one test's own under the system temp dir,
+    /// removed with everything in it when dropped, so also when the test
+    /// fails.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl TempDir {
+        pub(crate) fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("create temp dir");
+            TempDir(dir)
+        }
+
+        /// The path of `file` inside the directory.
+        pub(crate) fn join(&self, file: &str) -> PathBuf {
+            self.0.join(file)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}

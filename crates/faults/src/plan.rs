@@ -600,8 +600,7 @@ mod tests {
     #[test]
     fn file_round_trip_and_io_errors() {
         let plan = busy_config(5).generate().unwrap();
-        let dir = std::env::temp_dir().join("dcc-faults-plan-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::temp_dir::TempDir::new("dcc-faults-plan-test");
         let path = dir.join("plan.json");
         plan.save(&path).unwrap();
         assert_eq!(FaultPlan::load(&path).unwrap(), plan);

@@ -161,23 +161,42 @@ mod tests {
     use proptest::prelude::*;
     use std::path::PathBuf;
 
-    fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dcc-serve-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir.join(name)
+    /// A fresh directory of one test's own under the system temp dir,
+    /// removed with everything in it when dropped, so also when the test
+    /// fails.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("create temp dir");
+            TempDir(dir)
+        }
+
+        /// The path of `file` inside the directory.
+        fn join(&self, file: &str) -> PathBuf {
+            self.0.join(file)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
     fn checkpoint_round_trips_the_event_log() {
         let events = events_from_trace(&SyntheticConfig::small(9).generate());
-        let path = temp_path("ckpt.json");
+        let dir = TempDir::new("dcc-serve-ckpt-round-trip");
+        let path = dir.join("ckpt.json");
         // Mid-round and at the end of the stream.
         for n in [events.len() / 2, events.len()] {
             save_checkpoint(&path, &EventLog::of(&events[..n])).expect("save");
             assert_eq!(load_checkpoint(&path, &events).expect("load"), n);
         }
         assert!(std::fs::metadata(&path).expect("stat").len() < 1024);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -191,7 +210,8 @@ mod tests {
             panic!("event {changed} is not a review");
         };
         *stars = -0.0;
-        let path = temp_path("other.json");
+        let dir = TempDir::new("dcc-serve-ckpt-other");
+        let path = dir.join("other.json");
         save_checkpoint(&path, &EventLog::of(&a[..boundaries[3] + 5])).expect("save");
         let err = load_checkpoint(&path, &b).expect_err("must refuse");
         assert!(matches!(err, CoreError::CheckpointMismatch { .. }), "{err}");
@@ -202,12 +222,12 @@ mod tests {
         assert!(err.to_string().contains("round 2 "), "{err}");
         let err = load_checkpoint(&path, &a[..changed]).expect_err("must refuse");
         assert!(err.to_string().contains("input has only"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn earlier_formats_are_refused() {
-        let path = temp_path("old.json");
+        let dir = TempDir::new("dcc-serve-ckpt-old");
+        let path = dir.join("old.json");
         for old in [
             r#"{"format":"dcc-serve-ckpt/1","events":[]}"#,
             r#"{"schema":"dcc-serve-ckpt/2","payload":{"events":[]}}"#,
@@ -217,7 +237,6 @@ mod tests {
             assert!(matches!(err, CoreError::InvalidInput(_)), "{err}");
             assert!(err.to_string().contains("dcc-serve-ckpt/3"), "{err}");
         }
-        std::fs::remove_file(&path).ok();
     }
 
     fn small_log() -> Vec<ServeEvent> {
@@ -249,13 +268,13 @@ mod tests {
 
     #[test]
     fn round_entries_out_of_order_or_past_the_end_are_invalid() {
-        let path = temp_path("rounds.json");
+        let dir = TempDir::new("dcc-serve-ckpt-rounds");
+        let path = dir.join("rounds.json");
         for doc in &WRONG_SHAPES[6..8] {
             std::fs::write(&path, doc).expect("write");
             let err = load_checkpoint(&path, &small_log()).expect_err("must reject");
             assert!(matches!(&err, CoreError::InvalidInput(m) if m.contains("in order")), "{err}");
         }
-        std::fs::remove_file(&path).ok();
     }
 
     proptest! {
@@ -267,7 +286,8 @@ mod tests {
             prefix in 0usize..6,
         ) {
             let log = small_log();
-            let path = temp_path("total.json");
+            let dir = TempDir::new("dcc-serve-ckpt-total");
+            let path = dir.join("total.json");
             save_checkpoint(&path, &EventLog::of(&log[..4])).unwrap();
             let valid = std::fs::read(&path).unwrap();
             match kind {

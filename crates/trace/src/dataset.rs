@@ -1,4 +1,5 @@
 use crate::{Campaign, Product, ProductId, Review, Reviewer, ReviewerId, TraceError, WorkerClass};
+use std::sync::OnceLock;
 
 /// Scale applied to `expertise × length_chars` so effort levels land in a
 /// numerically comfortable range (thousands of characters).
@@ -27,9 +28,10 @@ pub struct TraceDataset {
     reviewers: Vec<Reviewer>,
     reviews: Vec<Review>,
     campaigns: Vec<Campaign>,
-    // Indices: review positions by reviewer / by product.
-    by_reviewer: Vec<Vec<usize>>,
-    by_product: Vec<Vec<usize>>,
+    /// Review positions by reviewer and by product. [`TraceDataset::new`]
+    /// builds it, [`TraceDataset::push_review`] drops it, and the first
+    /// read after that rebuilds it from `reviews`.
+    index: OnceLock<ReviewIndex>,
     /// Per reviewer, the running sum of their upvotes, added in review
     /// order from [`EMPTY_SUM`] by both [`TraceDataset::new`] and
     /// [`TraceDataset::push_review`], so a dataset grown review by review
@@ -45,6 +47,80 @@ pub struct TraceDataset {
 /// `Iterator::sum::<f64>` starts from, so a reviewer whose upvotes are
 /// all −0.0 has expertise −0.0.
 const EMPTY_SUM: f64 = -0.0;
+
+/// Review positions grouped by one key, in compressed-sparse-row form:
+/// key `k`'s reviews are `positions[offsets[k]..offsets[k + 1]]`, in
+/// review order.
+#[derive(Debug, Clone)]
+struct Csr {
+    offsets: Vec<usize>,
+    positions: Vec<usize>,
+}
+
+impl Csr {
+    /// A table whose runs are sized by `counts` (one slot per key plus a
+    /// trailing 0): prefix sums turn `counts[k]` into the end of key
+    /// `k`'s run, which [`Csr::place`] then fills from the back.
+    fn sized(mut counts: Vec<usize>) -> Self {
+        let mut end = 0;
+        for slot in &mut counts {
+            end += *slot;
+            *slot = end;
+        }
+        Csr {
+            offsets: counts,
+            positions: vec![0; end],
+        }
+    }
+
+    /// Writes review position `at` into the back of key `key`'s unfilled
+    /// run. Called for every review in reverse review order, it leaves
+    /// each run in review order and `offsets[key]` at the run's start.
+    fn place(&mut self, key: usize, at: usize) {
+        self.offsets[key] -= 1;
+        self.positions[self.offsets[key]] = at;
+    }
+
+    /// The positions listed under `key`; empty for a key past the table
+    /// (an entity pushed after the table was built has no reviews yet).
+    fn get(&self, key: usize) -> &[usize] {
+        match self.offsets.get(key..) {
+            Some(&[start, end, ..]) => self.positions.get(start..end).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+}
+
+/// A dataset's review index: its reviews' positions by reviewer and by
+/// product.
+#[derive(Debug, Clone)]
+struct ReviewIndex {
+    by_reviewer: Csr,
+    by_product: Csr,
+}
+
+impl ReviewIndex {
+    /// Indexes `reviews`, whose reviewer and product ids are below
+    /// `reviewers` and `products`: one pass counts each key's reviews,
+    /// and one pass over the reviews, last first, places their positions.
+    fn build(reviews: &[Review], reviewers: usize, products: usize) -> Self {
+        let mut by_reviewer = vec![0; reviewers + 1];
+        let mut by_product = vec![0; products + 1];
+        for review in reviews {
+            by_reviewer[review.reviewer.index()] += 1;
+            by_product[review.product.index()] += 1;
+        }
+        let mut index = ReviewIndex {
+            by_reviewer: Csr::sized(by_reviewer),
+            by_product: Csr::sized(by_product),
+        };
+        for (at, review) in reviews.iter().enumerate().rev() {
+            index.by_reviewer.place(review.reviewer.index(), at);
+            index.by_product.place(review.product.index(), at);
+        }
+        index
+    }
+}
 
 /// The reviews one index entry lists — a reviewer's or a product's — in
 /// review order, borrowed from the dataset without copying.
@@ -103,7 +179,7 @@ impl<'a> Iterator for IndexedReviewsIter<'a> {
 }
 
 impl TraceDataset {
-    /// Assembles a dataset and builds its indices.
+    /// Assembles a dataset and builds its review index.
     ///
     /// # Errors
     ///
@@ -132,8 +208,6 @@ impl TraceDataset {
                 )));
             }
         }
-        let mut by_reviewer = vec![Vec::new(); reviewers.len()];
-        let mut by_product = vec![Vec::new(); products.len()];
         let mut upvote_sums = vec![EMPTY_SUM; reviewers.len()];
         let mut expert_stars = vec![(EMPTY_SUM, 0); products.len()];
         for (idx, review) in reviews.iter().enumerate() {
@@ -155,8 +229,6 @@ impl TraceDataset {
                     review.stars
                 )));
             }
-            by_reviewer[w].push(idx);
-            by_product[p].push(idx);
             upvote_sums[w] += review.upvotes;
             if reviewers[w].is_expert {
                 let (sum, count) = &mut expert_stars[p];
@@ -174,13 +246,13 @@ impl TraceDataset {
                 }
             }
         }
+        let index = ReviewIndex::build(&reviews, reviewers.len(), products.len());
         Ok(TraceDataset {
             products,
             reviewers,
             reviews,
             campaigns,
-            by_reviewer,
-            by_product,
+            index: OnceLock::from(index),
             upvote_sums,
             expert_stars,
         })
@@ -198,8 +270,7 @@ impl TraceDataset {
             reviewers: Vec::new(),
             reviews: Vec::new(),
             campaigns: Vec::new(),
-            by_reviewer: Vec::new(),
-            by_product: Vec::new(),
+            index: OnceLock::new(),
             upvote_sums: Vec::new(),
             expert_stars: Vec::new(),
         }
@@ -220,7 +291,6 @@ impl TraceDataset {
             )));
         }
         self.products.push(product);
-        self.by_product.push(Vec::new());
         self.expert_stars.push((EMPTY_SUM, 0));
         Ok(())
     }
@@ -240,16 +310,16 @@ impl TraceDataset {
             )));
         }
         self.reviewers.push(reviewer);
-        self.by_reviewer.push(Vec::new());
         self.upvote_sums.push(EMPTY_SUM);
         Ok(())
     }
 
-    /// Appends a review, updating the reviewer/product indices, the
-    /// reviewer's running upvote sum and the product's expert tally in
-    /// constant time. Both are folded in insertion order exactly as
-    /// [`TraceDataset::new`] folds them, so the derived expertise and
-    /// expert consensus are bit-identical to a batch rebuild.
+    /// Appends a review, updating the reviewer's running upvote sum and
+    /// the product's expert tally in constant time. Both are folded in
+    /// insertion order exactly as [`TraceDataset::new`] folds them, so
+    /// the derived expertise and expert consensus are bit-identical to a
+    /// batch rebuild. The review index is dropped; the next read rebuilds
+    /// it once, however many reviews were pushed in between.
     ///
     /// # Errors
     ///
@@ -283,8 +353,7 @@ impl TraceDataset {
             *count += 1;
         }
         self.reviews.push(review);
-        self.by_reviewer[w].push(idx);
-        self.by_product[p].push(idx);
+        self.index.take();
         Ok(())
     }
 
@@ -369,20 +438,28 @@ impl TraceDataset {
     /// The reviews written by `id`, in review order (empty for an
     /// unknown reviewer).
     pub fn reviews_by(&self, id: ReviewerId) -> IndexedReviews<'_> {
-        self.indexed(self.by_reviewer.get(id.index()))
+        self.indexed(self.index().by_reviewer.get(id.index()))
     }
 
     /// The reviews written for product `id`, in review order (empty for
     /// an unknown product).
     pub fn reviews_for(&self, id: ProductId) -> IndexedReviews<'_> {
-        self.indexed(self.by_product.get(id.index()))
+        self.indexed(self.index().by_product.get(id.index()))
     }
 
-    fn indexed<'a>(&'a self, positions: Option<&'a Vec<usize>>) -> IndexedReviews<'a> {
+    fn indexed<'a>(&'a self, positions: &'a [usize]) -> IndexedReviews<'a> {
         IndexedReviews {
             reviews: &self.reviews,
-            positions: positions.map_or(&[], Vec::as_slice),
+            positions,
         }
+    }
+
+    /// The review index, rebuilt first if a review was pushed since it
+    /// was last built.
+    fn index(&self) -> &ReviewIndex {
+        self.index.get_or_init(|| {
+            ReviewIndex::build(&self.reviews, self.reviewers.len(), self.products.len())
+        })
     }
 
     /// A reviewer's *expertise*: average upvotes over all their reviews
@@ -399,8 +476,8 @@ impl TraceDataset {
     /// The mean upvotes of reviewer index `w`, 0.0 without reviews;
     /// `None` for an unknown reviewer.
     fn mean_upvotes(&self, w: usize) -> Option<f64> {
-        let reviews = self.by_reviewer.get(w)?.len();
         let sum = self.upvote_sums.get(w)?;
+        let reviews = self.index().by_reviewer.get(w).len();
         Some(if reviews == 0 {
             0.0
         } else {
@@ -453,9 +530,10 @@ impl TraceDataset {
     /// workers (those who have at least 20 reviews in history)" filter of
     /// Fig. 8(a).
     pub fn prolific_workers(&self, class: WorkerClass, min_reviews: usize) -> Vec<ReviewerId> {
+        let by_reviewer = &self.index().by_reviewer;
         self.workers_of_class(class)
             .into_iter()
-            .filter(|id| self.by_reviewer[id.index()].len() >= min_reviews)
+            .filter(|id| by_reviewer.get(id.index()).len() >= min_reviews)
             .collect()
     }
 
@@ -634,8 +712,39 @@ mod tests {
                 inc.add_campaign_member(c.id, m).unwrap();
             }
         }
-        for rv in batch.reviews() {
+        for (at, rv) in batch.reviews().iter().enumerate() {
             inc.push_review(rv.clone()).unwrap();
+            if at % 97 == 0 {
+                // A read between pushes rebuilds the index over the
+                // reviews so far: each list is a prefix of the batch
+                // list, ending in the review just pushed.
+                let (grown, full) = (inc.index(), batch.index());
+                for (g, f, key) in [
+                    (&grown.by_reviewer, &full.by_reviewer, rv.reviewer.index()),
+                    (&grown.by_product, &full.by_product, rv.product.index()),
+                ] {
+                    let list = g.get(key);
+                    assert_eq!(list.last(), Some(&at));
+                    assert_eq!(list, &f.get(key)[..list.len()]);
+                }
+            }
+        }
+        // Every list, both ways of building, equals the definition: the
+        // positions of the key's reviews, in review order.
+        let mut by_reviewer = vec![Vec::new(); batch.reviewers().len()];
+        let mut by_product = vec![Vec::new(); batch.products().len()];
+        for (at, rv) in batch.reviews().iter().enumerate() {
+            by_reviewer[rv.reviewer.index()].push(at);
+            by_product[rv.product.index()].push(at);
+        }
+        for built in [&batch, &inc] {
+            let index = built.index();
+            for (key, expected) in by_reviewer.iter().enumerate() {
+                assert_eq!(index.by_reviewer.get(key), expected, "reviewer {key}");
+            }
+            for (key, expected) in by_product.iter().enumerate() {
+                assert_eq!(index.by_product.get(key), expected, "product {key}");
+            }
         }
         assert_eq!(inc.products(), batch.products());
         assert_eq!(inc.reviewers(), batch.reviewers());

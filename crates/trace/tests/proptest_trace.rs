@@ -4,7 +4,9 @@
 // clippy.toml's in-tests exemption, so allow at file scope.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use dcc_trace::{SyntheticConfig, TraceDataset, WorkerClass};
+use dcc_trace::{
+    Product, ProductId, Review, Reviewer, ReviewerId, SyntheticConfig, TraceDataset, WorkerClass,
+};
 use proptest::prelude::*;
 
 fn tiny_config() -> impl Strategy<Value = SyntheticConfig> {
@@ -26,6 +28,99 @@ fn tiny_config() -> impl Strategy<Value = SyntheticConfig> {
             cfg.n_products = 400 + 8 * (n_ncm + n_cm);
             cfg
         })
+}
+
+/// One step of growing a dataset: a push, a read of everything the
+/// dataset derives, or replacing it with its clone.
+#[derive(Debug, Clone)]
+enum Step {
+    Product,
+    Reviewer {
+        expert: bool,
+    },
+    /// A review by reviewer `reviewer % n` of product `product % m`,
+    /// skipped while either kind of entity is missing.
+    Review {
+        reviewer: usize,
+        product: usize,
+        stars: f64,
+        upvotes: f64,
+    },
+    Read,
+    Clone,
+}
+
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    let step = (
+        0u8..11,
+        any::<usize>(),
+        any::<usize>(),
+        1.0f64..5.0,
+        0u8..4,
+        0.0f64..20.0,
+    )
+        .prop_map(|(kind, a, b, stars, upvote_kind, upvotes)| match kind {
+            0 => Step::Product,
+            1 => Step::Reviewer { expert: a % 2 == 0 },
+            2 | 3 => Step::Read,
+            4 => Step::Clone,
+            _ => Step::Review {
+                reviewer: a,
+                product: b,
+                stars,
+                upvotes: match upvote_kind {
+                    0 => -0.0,
+                    1 => f64::NAN,
+                    _ => upvotes,
+                },
+            },
+        });
+    proptest::collection::vec(step, 0..80)
+}
+
+/// Checks that `grown` derives exactly what `built` does: each reviewer's
+/// and product's reviews (a review's `round` is its position), expertise
+/// bits, prolific workers and expert consensus, for every entity and one
+/// id past the last.
+fn same_derived(grown: &TraceDataset, built: &TraceDataset) -> Result<(), TestCaseError> {
+    let positions = |reviews: dcc_trace::IndexedReviews<'_>| -> Vec<usize> {
+        reviews.iter().map(|r| r.round).collect()
+    };
+    for w in 0..=built.reviewers().len() {
+        let id = ReviewerId(w);
+        prop_assert_eq!(
+            positions(grown.reviews_by(id)),
+            positions(built.reviews_by(id))
+        );
+        prop_assert_eq!(
+            grown.expertise(id).ok().map(f64::to_bits),
+            built.expertise(id).ok().map(f64::to_bits)
+        );
+    }
+    for p in 0..=built.products().len() {
+        let id = ProductId(p);
+        prop_assert_eq!(
+            positions(grown.reviews_for(id)),
+            positions(built.reviews_for(id))
+        );
+        prop_assert_eq!(
+            grown.expert_consensus(id).map(f64::to_bits),
+            built.expert_consensus(id).map(f64::to_bits)
+        );
+    }
+    for class in [
+        WorkerClass::Honest,
+        WorkerClass::NonCollusiveMalicious,
+        WorkerClass::CollusiveMalicious,
+    ] {
+        for min_reviews in 0..4 {
+            prop_assert_eq!(
+                grown.prolific_workers(class, min_reviews),
+                built.prolific_workers(class, min_reviews)
+            );
+        }
+    }
+    Ok(())
 }
 
 fn check_structure(cfg: &SyntheticConfig, trace: &TraceDataset) -> Result<(), TestCaseError> {
@@ -65,6 +160,66 @@ fn check_structure(cfg: &SyntheticConfig, trace: &TraceDataset) -> Result<(), Te
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A dataset grown by pushes, read at any point (which rebuilds the
+    /// review index after a review push) and cloned between a push and
+    /// the next read, derives exactly what `TraceDataset::new` derives
+    /// over the same rows.
+    #[test]
+    fn grown_dataset_matches_one_built_at_once(steps in steps()) {
+        let (mut products, mut reviewers, mut reviews) = (Vec::new(), Vec::new(), Vec::new());
+        let mut grown = TraceDataset::empty();
+        for step in steps.iter().chain([&Step::Read]) {
+            match *step {
+                Step::Product => {
+                    let product = Product { id: ProductId(products.len()), true_quality: 3.0 };
+                    grown.push_product(product.clone()).unwrap();
+                    products.push(product);
+                }
+                Step::Reviewer { expert } => {
+                    let w = reviewers.len();
+                    let reviewer = Reviewer {
+                        id: ReviewerId(w),
+                        class: [
+                            WorkerClass::Honest,
+                            WorkerClass::NonCollusiveMalicious,
+                            WorkerClass::CollusiveMalicious,
+                        ][w % 3],
+                        campaign: None,
+                        is_expert: expert,
+                    };
+                    grown.push_reviewer(reviewer.clone()).unwrap();
+                    reviewers.push(reviewer);
+                }
+                Step::Review { reviewer, product, stars, upvotes } => {
+                    if reviewers.is_empty() || products.is_empty() {
+                        continue;
+                    }
+                    let review = Review {
+                        reviewer: ReviewerId(reviewer % reviewers.len()),
+                        product: ProductId(product % products.len()),
+                        round: reviews.len(),
+                        stars,
+                        length_chars: 10,
+                        upvotes,
+                    };
+                    grown.push_review(review.clone()).unwrap();
+                    reviews.push(review);
+                }
+                Step::Read => {
+                    let built = TraceDataset::new(
+                        products.clone(),
+                        reviewers.clone(),
+                        reviews.clone(),
+                        vec![],
+                    )
+                    .unwrap();
+                    same_derived(&grown, &built)?;
+                }
+                Step::Clone => grown = grown.clone(),
+            }
+        }
+    }
 
     /// Structural invariants hold for arbitrary small configurations.
     #[test]
