@@ -125,7 +125,7 @@ batch-bench:
 	cargo bench -p dcc-bench --bench batch
 
 # Million-worker throughput of the columnar trace path: stream a
-# synthetic trace into a dcc-trace-col/1 buffer, solve one subproblem
+# synthetic trace into a dcc-trace-col/2 buffer, solve one subproblem
 # per worker with solve_subproblems in flat-memory chunks of rows,
 # and report workers/sec + peak RSS per scale (multiples of the paper's
 # ~19.7k-worker workload; 100x ~= 2M workers). Override the scales with

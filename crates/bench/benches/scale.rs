@@ -3,7 +3,7 @@
 //! For each requested multiple of the paper's §V workload (~19.7k
 //! workers at 1×) this harness:
 //!
-//! 1. streams a synthetic trace straight into a `dcc-trace-col/1`
+//! 1. streams a synthetic trace straight into a `dcc-trace-col/2`
 //!    columnar buffer (`generate_columnar` — no `Vec<Reviewer>` is ever
 //!    materialized),
 //! 2. builds per-worker §IV-B subproblems directly from the column view

@@ -18,9 +18,8 @@ use dcc_label::{LabelMarket, MarketConfig};
 use dcc_obs::{JsonRecorder, Metrics};
 use dcc_serve::{events_from_trace, ServeEvent, ServeService};
 use dcc_trace::{
-    read_trace_columnar, read_trace_csv, write_trace_columnar, write_trace_csv, AdversarialConfig,
-    AdversaryPlan, AdversaryPlanConfig, ColumnarTrace, TraceDataset, TraceSummary, WorkerClass,
-    COLUMNAR_VERSION,
+    read_trace_columnar, read_trace_csv, write_trace_csv, AdversarialConfig, AdversaryPlan,
+    AdversaryPlanConfig, ColumnarTrace, TraceDataset, TraceSummary, WorkerClass, COLUMNAR_VERSION,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -47,7 +46,7 @@ pub fn cmd_gen(args: &ParsedArgs) -> CliResult {
     ))
 }
 
-/// A plain file is a `dcc-trace-col/1` columnar trace; a directory is a
+/// A plain file is a `dcc-trace-col/2` columnar trace; a directory is a
 /// CSV trace. Every TRACE-taking command accepts either.
 fn trace_source_of(path: &str) -> TraceSource {
     if Path::new(path).is_file() {
@@ -592,10 +591,11 @@ pub fn cmd_adversary(args: &ParsedArgs) -> CliResult {
 }
 
 /// `dcc trace convert SRC DEST` — convert a CSV trace directory to a
-/// `dcc-trace-col/1` columnar file, or a columnar file back to a CSV
+/// `dcc-trace-col/2` columnar file, or a columnar file back to a CSV
 /// directory (direction inferred from whether SRC is a file or a
 /// directory); `dcc trace info FILE` — header report for a columnar
-/// trace without materializing any rows.
+/// trace: it reads the whole file and verifies its checksum, but
+/// materializes no rows.
 pub fn cmd_trace(args: &ParsedArgs) -> CliResult {
     const USAGE: &str = "usage: dcc trace convert SRC DEST | dcc trace info FILE";
     match args.positional.first().map(String::as_str) {
@@ -621,9 +621,9 @@ pub fn cmd_trace(args: &ParsedArgs) -> CliResult {
                     trace.products().len()
                 ))
             } else {
-                write_trace_columnar(&trace, Path::new(&dest))
-                    .map_err(|e| CliError::Failed(format!("cannot write trace {dest}: {e}")))?;
                 let col = ColumnarTrace::from_dataset(&trace);
+                col.write_file(Path::new(&dest))
+                    .map_err(|e| CliError::Failed(format!("cannot write trace {dest}: {e}")))?;
                 Ok(format!(
                     "wrote {} reviews / {} reviewers / {} products to {dest} \
                      (dcc-trace-col/{COLUMNAR_VERSION}, {} bytes, checksum {:016x})",
@@ -1438,7 +1438,7 @@ COMMANDS:
                                                        plans (sybils, community
                                                        splits/merges,
                                                        under-reporting)
-  trace      convert SRC DEST | info FILE              CSV dir <-> dcc-trace-col/1
+  trace      convert SRC DEST | info FILE              CSV dir <-> dcc-trace-col/2
                                                        columnar file; every TRACE
                                                        below accepts either form
   metrics    summarize FILE                            validate + summarize a
@@ -1639,13 +1639,18 @@ mod tests {
         dispatch(&parse(&format!("gen --seed 9 --scale small --out {dir}/csv"))).unwrap();
 
         let col = format!("{dir}/trace.dcol");
+        let version = format!("dcc-trace-col/{COLUMNAR_VERSION}");
         let out = dispatch(&parse(&format!("trace convert {dir}/csv {col}"))).unwrap();
-        assert!(out.contains("dcc-trace-col/1"), "{out}");
-        assert!(out.contains("checksum"), "{out}");
+        assert!(out.contains(&version), "{out}");
 
         let info = dispatch(&parse(&format!("trace info {col}"))).unwrap();
-        assert!(info.contains("dcc-trace-col/1"), "{info}");
+        assert!(info.contains(&version), "{info}");
         assert!(info.contains("reviewers"), "{info}");
+        // `convert` prints the checksum of the file it wrote.
+        let written = read_trace_columnar(Path::new(&col)).unwrap().checksum();
+        let checksum = format!("{written:016x}");
+        assert!(out.contains(&format!("checksum {checksum}")), "{out}");
+        assert!(info.contains(&format!("checksum:  {checksum}")), "{info}");
 
         // Every TRACE-taking command accepts the columnar file, and the
         // designs from the two formats agree word for word.

@@ -18,7 +18,7 @@ pub enum TraceSource {
     Provided(TraceDataset),
     /// A CSV directory in the `dcc gen` layout.
     CsvDir(PathBuf),
-    /// A `dcc-trace-col/1` binary columnar file (see `docs/trace.md`).
+    /// A `dcc-trace-col/2` binary columnar file (see `docs/trace.md`).
     Columnar(PathBuf),
     /// Generate a synthetic trace.
     Synthetic(SyntheticConfig),

@@ -44,7 +44,7 @@ mod stats;
 
 pub use cmp::{approx_eq, exact_eq, exact_ne};
 pub use error::NumericsError;
-pub use fnv::{fnv1a, Fnv};
+pub use fnv::{fnv_words, Fnv};
 pub use json::{Json, JsonError};
 pub use linsolve::{solve_cholesky, solve_gaussian};
 pub use matrix::Matrix;

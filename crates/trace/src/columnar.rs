@@ -1,11 +1,12 @@
-//! The `dcc-trace-col/1` binary columnar trace format.
+//! The `dcc-trace-col/2` binary columnar trace format.
 //!
 //! Row-oriented CSV caps both ingest speed and memory layout well below
 //! the ROADMAP's million-worker target: every load re-parses text and
 //! materializes one struct per row. This module stores a trace as
 //! per-column contiguous little-endian sections behind a fixed,
-//! checksummed header, so loading is a single `fs::read` plus an O(1)
-//! header validation, and column access borrows directly from the loaded
+//! checksummed header, so loading is a single `fs::read`, a header
+//! validation and one word-wise checksum pass over the body (O(n), at
+//! memory speed), and column access borrows directly from the loaded
 //! byte buffer without re-parsing or per-row materialization.
 //!
 //! ## File layout
@@ -15,7 +16,7 @@
 //! | offset | bytes | field |
 //! |---|---|---|
 //! | 0  | 8 | magic `b"DCCTRCOL"` |
-//! | 8  | 4 | version (`1`) |
+//! | 8  | 4 | version (`2`) |
 //! | 12 | 4 | reserved (`0`) |
 //! | 16 | 8 | `n_products` |
 //! | 24 | 8 | `n_reviewers` |
@@ -23,7 +24,7 @@
 //! | 40 | 8 | `n_campaigns` |
 //! | 48 | 8 | `n_campaign_members` |
 //! | 56 | 8 | `n_campaign_targets` |
-//! | 64 | 8 | FNV-1a 64 checksum of every byte after the header |
+//! | 64 | 8 | [`fnv_words`] checksum of every byte after the header |
 //!
 //! The body is the following column sections, contiguous and in this
 //! order (`Option<usize>` campaign membership encodes `None` as
@@ -51,7 +52,7 @@ use crate::{
     Campaign, Product, ProductId, Review, Reviewer, ReviewerId, TraceDataset, TraceError,
     WorkerClass,
 };
-use dcc_numerics::fnv1a;
+use dcc_numerics::fnv_words;
 use std::fs;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -60,7 +61,7 @@ use std::path::Path;
 /// The 8-byte file magic.
 pub const COLUMNAR_MAGIC: [u8; 8] = *b"DCCTRCOL";
 /// The format version this module reads and writes.
-pub const COLUMNAR_VERSION: u32 = 1;
+pub const COLUMNAR_VERSION: u32 = 2;
 /// Sentinel for "no campaign" in the reviewer campaign column.
 const NO_CAMPAIGN: u64 = u64::MAX;
 /// Header length in bytes (see the module docs for the field layout).
@@ -118,6 +119,16 @@ fn read_u32_at(buf: &[u8], offset: usize) -> u32 {
     u32::from_le_bytes(b)
 }
 
+/// The `i`-th 8-byte word of `bytes`, or `None` past the end (an index
+/// whose byte offset overflows `usize` included).
+fn word_at(bytes: &[u8], i: usize) -> Option<[u8; 8]> {
+    let start = i.checked_mul(8)?;
+    let s = bytes.get(start..start.checked_add(8)?)?;
+    let mut b = [0u8; 8];
+    b.copy_from_slice(s);
+    Some(b)
+}
+
 fn usize_at(buf: &[u8], offset: usize, what: &str) -> Result<usize, TraceError> {
     usize::try_from(read_u64_at(buf, offset))
         .map_err(|_| corrupt(format!("{what} does not fit in usize")))
@@ -145,10 +156,7 @@ impl<'a> ColU64<'a> {
 
     /// Element `i`, if in bounds.
     pub fn get(&self, i: usize) -> Option<u64> {
-        let s = self.bytes.get(i * 8..i * 8 + 8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Some(u64::from_le_bytes(b))
+        word_at(self.bytes, i).map(u64::from_le_bytes)
     }
 
     /// Iterates the column in order.
@@ -181,10 +189,7 @@ impl<'a> ColF64<'a> {
 
     /// Element `i`, if in bounds.
     pub fn get(&self, i: usize) -> Option<f64> {
-        let s = self.bytes.get(i * 8..i * 8 + 8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Some(f64::from_le_bytes(b))
+        word_at(self.bytes, i).map(f64::from_le_bytes)
     }
 
     /// Iterates the column in order.
@@ -231,7 +236,7 @@ pub struct TraceColumns<'a> {
     pub campaign_targets: ColU64<'a>,
 }
 
-/// A loaded `dcc-trace-col/1` trace: the raw byte buffer plus its
+/// A loaded `dcc-trace-col/2` trace: the raw byte buffer plus its
 /// validated header. Column accessors borrow sections of the buffer
 /// directly (see [`TraceColumns`]); nothing is re-parsed after load.
 #[derive(Debug, Clone)]
@@ -246,7 +251,8 @@ impl ColumnarTrace {
     /// # Errors
     ///
     /// Returns [`TraceError::Corrupt`] on a short or oversized buffer,
-    /// bad magic, unsupported version, or checksum mismatch.
+    /// bad magic, any version but [`COLUMNAR_VERSION`], or checksum
+    /// mismatch.
     pub fn from_bytes(buf: Vec<u8>) -> Result<Self, TraceError> {
         if buf.len() < HEADER_LEN {
             return Err(corrupt(format!(
@@ -260,7 +266,9 @@ impl ColumnarTrace {
         let version = read_u32_at(&buf, 8);
         if version != COLUMNAR_VERSION {
             return Err(corrupt(format!(
-                "unsupported version {version}, this reader handles {COLUMNAR_VERSION}"
+                "unsupported version {version}: this reader handles version \
+                 {COLUMNAR_VERSION} only; convert the trace again from its CSV \
+                 directory with `dcc trace convert DIR FILE`"
             )));
         }
         let header = Header {
@@ -284,7 +292,7 @@ impl ColumnarTrace {
                 buf.len()
             )));
         }
-        let computed = fnv1a(&buf[HEADER_LEN..]);
+        let computed = fnv_words(&buf[HEADER_LEN..]);
         if computed != header.checksum {
             return Err(corrupt(format!(
                 "checksum mismatch: header says {:016x}, body hashes to {computed:016x}",
@@ -347,7 +355,7 @@ impl ColumnarTrace {
         self.header.n_campaigns
     }
 
-    /// The stored FNV-1a 64 body checksum (doubles as a content
+    /// The stored [`fnv_words`] body checksum (doubles as a content
     /// fingerprint for caching layers).
     pub fn checksum(&self) -> u64 {
         self.header.checksum
@@ -602,10 +610,7 @@ impl ColumnarBuilder {
     /// The quality of an already-pushed product (generators need to look
     /// back at the catalogue while emitting reviews).
     pub fn product_quality(&self, i: usize) -> Option<f64> {
-        let s = self.product_quality.get(i * 8..i * 8 + 8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Some(f64::from_le_bytes(b))
+        word_at(&self.product_quality, i).map(f64::from_le_bytes)
     }
 
     /// Number of products pushed so far.
@@ -726,7 +731,7 @@ impl ColumnarBuilder {
             drop(section); // free each column as soon as it is copied
         }
 
-        let checksum = fnv1a(&buf[HEADER_LEN..]);
+        let checksum = fnv_words(&buf[HEADER_LEN..]);
         buf[64..72].copy_from_slice(&checksum.to_le_bytes());
         ColumnarTrace {
             buf,
@@ -742,7 +747,7 @@ fn prepend(mut head: Vec<u8>, tail: Vec<u8>) -> Vec<u8> {
     head
 }
 
-/// Writes `trace` to `path` in `dcc-trace-col/1` form.
+/// Writes `trace` to `path` in `dcc-trace-col/2` form.
 ///
 /// # Errors
 ///
@@ -751,7 +756,7 @@ pub fn write_trace_columnar(trace: &TraceDataset, path: &Path) -> Result<(), Tra
     ColumnarTrace::from_dataset(trace).write_file(path)
 }
 
-/// Loads a `dcc-trace-col/1` file.
+/// Loads a `dcc-trace-col/2` file.
 ///
 /// # Errors
 ///
@@ -873,14 +878,135 @@ mod tests {
         assert!(err.to_string().contains("length mismatch"), "{err}");
     }
 
+    /// A 1,762-byte file whose 1,690-byte body ends in three leftover
+    /// words after its last 32-byte block and a 2-byte tail, so every
+    /// path of the checksum runs.
+    fn tiny_file() -> Vec<u8> {
+        let mut b = ColumnarBuilder::new();
+        for p in 0..12 {
+            b.push_product(1.0 + f64::from(p) / 3.0);
+        }
+        let (h, c) = (WorkerClass::Honest, WorkerClass::CollusiveMalicious);
+        for (class, campaign, expert) in [
+            (h, None, true),
+            (c, Some(0), false),
+            (h, None, false),
+            (c, Some(0), false),
+            (c, Some(1), false),
+        ] {
+            b.push_reviewer(class, campaign, expert);
+        }
+        for v in 0..30u32 {
+            let (stars, upvotes) = (f64::from(v % 5) + 1.0, f64::from(v) * 0.25);
+            let v = v as usize;
+            b.push_review(v % 5, v % 12, v / 10, stars, 40 + v, upvotes);
+        }
+        b.push_campaign([1, 3], [2, 5]);
+        b.push_campaign([4], [7, 9]);
+        let bytes = b.finish().as_bytes().to_vec();
+        assert_eq!(bytes.len(), HEADER_LEN + 1690);
+        bytes
+    }
+
+    /// Every single-bit flip is refused, except in the reserved header
+    /// field: no reader reads it, so a flip there decodes the same trace.
     #[test]
-    fn flipped_body_byte_fails_the_checksum() {
-        let col = ColumnarTrace::from_dataset(&small());
-        let mut bytes = col.as_bytes().to_vec();
-        let mid = HEADER_LEN + (bytes.len() - HEADER_LEN) / 2;
-        bytes[mid] ^= 0x01;
+    fn every_single_bit_flip_is_refused() {
+        let bytes = tiny_file();
+        let want = ColumnarTrace::from_bytes(bytes.clone())
+            .unwrap()
+            .to_dataset()
+            .unwrap();
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                let outcome = ColumnarTrace::from_bytes(flipped);
+                if (12..16).contains(&at) {
+                    assert_same(&outcome.unwrap().to_dataset().unwrap(), &want);
+                    continue;
+                }
+                let err = outcome.unwrap_err();
+                assert!(
+                    matches!(err, TraceError::Corrupt(_)),
+                    "byte {at} bit {bit}: {err}"
+                );
+                if at >= HEADER_LEN {
+                    assert!(err.to_string().contains("checksum"), "{err}");
+                }
+            }
+        }
+    }
+
+    /// How many pairs of body words, with bit 63 flipped in both, `hash`
+    /// maps to the unflipped body's hash.
+    fn top_bit_pairs_missed(body: &[u8], hash: fn(&[u8]) -> u64) -> (usize, usize) {
+        let want = hash(body);
+        let words = body.len() / 8;
+        let mut flipped = body.to_vec();
+        let (mut pairs, mut missed) = (0, 0);
+        for i in 0..words {
+            flipped[8 * i + 7] ^= 0x80;
+            for j in i + 1..words {
+                flipped[8 * j + 7] ^= 0x80;
+                pairs += 1;
+                missed += usize::from(hash(&flipped) == want);
+                flipped[8 * j + 7] ^= 0x80;
+            }
+            flipped[8 * i + 7] ^= 0x80;
+        }
+        (missed, pairs)
+    }
+
+    /// Plain FNV over 64-bit words: no xor-shift, so a difference in bit
+    /// 63 never leaves bit 63.
+    fn plain_word_fnv(bytes: &[u8]) -> u64 {
+        bytes.chunks(8).fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            let mut b = [0u8; 8];
+            b[..w.len()].copy_from_slice(w);
+            (h ^ u64::from_le_bytes(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn every_pair_of_top_bit_flips_changes_the_checksum() {
+        let bytes = tiny_file();
+        let body = &bytes[HEADER_LEN..];
+        assert_eq!(top_bit_pairs_missed(body, fnv_words), (0, 211 * 210 / 2));
+        // The control: without the xor-shift every such pair cancels.
+        assert_eq!(
+            top_bit_pairs_missed(body, plain_word_fnv),
+            (211 * 210 / 2, 211 * 210 / 2)
+        );
+    }
+
+    #[test]
+    fn version_1_files_are_refused_with_a_convert_hint() {
+        let mut bytes = ColumnarTrace::from_dataset(&small()).as_bytes().to_vec();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        // A `/1` file carries the byte-serial FNV-1a of its body.
+        let mut v1_checksum = dcc_numerics::Fnv::new();
+        v1_checksum.write_bytes(&bytes[HEADER_LEN..]);
+        bytes[64..72].copy_from_slice(&v1_checksum.finish().to_le_bytes());
         let err = ColumnarTrace::from_bytes(bytes).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
+        assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
+        let message = err.to_string();
+        assert!(message.contains("version 1"), "{message}");
+        assert!(message.contains("dcc trace convert"), "{message}");
+    }
+
+    #[test]
+    fn reads_far_past_the_end_are_none() {
+        let col = ColumnarTrace::from_dataset(&small());
+        let cols = col.columns();
+        let mut builder = ColumnarBuilder::new();
+        builder.push_product(2.5);
+        assert_eq!(builder.product_quality(0), Some(2.5));
+        for i in [1 << 61, usize::MAX] {
+            assert_eq!(cols.review_reviewer.get(i), None);
+            assert_eq!(cols.review_stars.get(i), None);
+            assert_eq!(builder.product_quality(i), None);
+        }
     }
 
     #[test]
@@ -897,7 +1023,7 @@ mod tests {
         let at = mo.start + 8;
         bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         // Fix the checksum so only the CSR is inconsistent.
-        let sum = fnv1a(&bytes[HEADER_LEN..]);
+        let sum = fnv_words(&bytes[HEADER_LEN..]);
         bytes[64..72].copy_from_slice(&sum.to_le_bytes());
         let poked = ColumnarTrace::from_bytes(bytes).unwrap();
         let err = poked.to_dataset().unwrap_err();

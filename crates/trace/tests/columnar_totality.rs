@@ -11,7 +11,7 @@
 
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use dcc_numerics::fnv1a;
+use dcc_numerics::fnv_words;
 use dcc_trace::{ColumnarTrace, SyntheticConfig, TraceError, COLUMNAR_MAGIC, COLUMNAR_VERSION};
 use proptest::collection;
 use proptest::prelude::*;
@@ -54,7 +54,7 @@ fn decode_is_total(bytes: Vec<u8>) -> Result<bool, TestCaseError> {
 }
 
 fn seal(bytes: &mut [u8]) {
-    let checksum = fnv1a(&bytes[HEADER_LEN..]);
+    let checksum = fnv_words(&bytes[HEADER_LEN..]);
     bytes[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&checksum.to_le_bytes());
 }
 
