@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the hot kernels: candidate construction, best
-//! response, contract evaluation, components, trace generation.
+//! response, contract evaluation, trace generation.
 
 // Benchmark harnesses are measurement code, not library surface;
 // panicking on a broken setup is the correct failure mode here.
@@ -7,7 +7,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcc_core::{best_response, build_candidate, Discretization, ModelParams};
-use dcc_graph::{connected_components, Graph};
 use dcc_numerics::Quadratic;
 use dcc_trace::SyntheticConfig;
 use std::hint::black_box;
@@ -36,22 +35,6 @@ fn bench_candidate(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_graph(c: &mut Criterion) {
-    let mut group = c.benchmark_group("micro_graph");
-    for n in [1_000usize, 100_000] {
-        let mut g = Graph::new(n);
-        for i in 0..n - 1 {
-            if i % 3 != 0 {
-                g.add_edge(i, i + 1).unwrap();
-            }
-        }
-        group.bench_with_input(BenchmarkId::new("components", n), &g, |b, g| {
-            b.iter(|| connected_components(black_box(g)));
-        });
-    }
-    group.finish();
-}
-
 fn bench_trace_gen(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro_trace");
     group.sample_size(10);
@@ -61,5 +44,5 @@ fn bench_trace_gen(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_candidate, bench_graph, bench_trace_gen);
+criterion_group!(benches, bench_candidate, bench_trace_gen);
 criterion_main!(benches);

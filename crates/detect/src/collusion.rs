@@ -1,12 +1,4 @@
-use dcc_graph::{connected_components, Bipartite};
 use dcc_trace::{ReviewerId, TraceDataset};
-use std::collections::BTreeMap;
-
-/// The Table II size buckets: `2, 3, 4, 5, 6, ≥10` (sizes 7–9 never occur
-/// in the paper's trace; they are folded into the `≥10` bucket here only
-/// if they appear, and reported separately by
-/// [`CollusionReport::size_histogram`]).
-pub const SIZE_BUCKETS: [usize; 6] = [2, 3, 4, 5, 6, 10];
 
 /// Result of clustering suspected malicious workers into collusive
 /// communities (§IV-A).
@@ -26,23 +18,9 @@ impl CollusionReport {
         self.communities.iter().map(Vec::len).sum()
     }
 
-    /// The number of collusion partners (`A_i` of Eq. 5) for every worker
-    /// in the input set: community size − 1, or 0 for singletons.
-    pub fn partner_counts(&self) -> BTreeMap<ReviewerId, usize> {
-        let mut map = BTreeMap::new();
-        for c in &self.communities {
-            for &m in c {
-                map.insert(m, c.len() - 1);
-            }
-        }
-        for &s in &self.singletons {
-            map.insert(s, 0);
-        }
-        map
-    }
-
-    /// [`CollusionReport::partner_counts`] as a dense table over reviewer
-    /// ids `0..workers`: `A_i` for every worker, 0 outside the report.
+    /// The number of collusion partners (`A_i` of Eq. 5) as a dense table
+    /// over reviewer ids `0..workers`: community size − 1 for a community
+    /// member, 0 for a singleton and for every worker outside the report.
     /// Ids at or above `workers` are dropped.
     pub fn partner_table(&self, workers: usize) -> Vec<usize> {
         let mut table = vec![0; workers];
@@ -53,7 +31,7 @@ impl CollusionReport {
                 }
             }
         }
-        // A worker listed as a singleton too reads 0, as in the map.
+        // A worker listed as a singleton too reads 0.
         for s in &self.singletons {
             if let Some(slot) = table.get_mut(s.index()) {
                 *slot = 0;
@@ -63,9 +41,9 @@ impl CollusionReport {
     }
 
     /// Community-size histogram over the Table II buckets, as
-    /// `(bucket label, count)`; the final bucket aggregates sizes ≥ 7
-    /// (displayed as "≥10" to match the paper, whose trace had no 7–9
-    /// sized communities).
+    /// `(bucket label, count)`. Sizes 2–6 each have a bucket; every size
+    /// ≥ 7 is counted in the last one, labelled `>=10` to match the paper,
+    /// whose trace had no community of 7–9 members.
     pub fn size_histogram(&self) -> Vec<(String, usize)> {
         let mut counts = [0usize; 6];
         for c in &self.communities {
@@ -105,40 +83,72 @@ impl CollusionReport {
 /// `suspected` is read as a set: a repeated id is one worker. An id
 /// outside the trace has no reviews, so it is a singleton.
 ///
-/// Implementation: restrict the worker↔product bipartite graph to the
-/// suspects, project onto workers, and take connected components via
-/// iterative DFS — linear in the number of suspect reviews.
+/// Implementation: an iterative DFS over the trace's own worker↔product
+/// index, started from each unplaced suspect in ascending id order. From
+/// a worker it steps to each product it reviewed (`reviews_by`), and from
+/// a product not yet expanded to the unplaced suspects among its
+/// reviewers (`reviews_for`). Each product is expanded once, so the walk
+/// is linear in the reviews of the products the suspects reviewed. A
+/// community's start is its smallest member, so the communities come out
+/// ordered by it, and the singletons ascending.
 pub fn cluster_collusive(trace: &TraceDataset, suspected: &[ReviewerId]) -> CollusionReport {
-    // Dense re-indexing of the suspect set: slot `s` is `members[s]`.
-    let mut members = suspected.to_vec();
-    members.sort_unstable();
-    members.dedup();
+    let mut suspects = suspected.to_vec();
+    suspects.sort_unstable();
+    suspects.dedup();
 
-    let mut bipartite = Bipartite::new(members.len(), trace.products().len());
-    for (slot, &worker) in members.iter().enumerate() {
-        for review in trace.reviews_by(worker) {
-            let in_range = bipartite.add_edge(slot, review.product.index());
-            debug_assert!(in_range.is_ok(), "slot and product are in range by construction");
+    // A worker is pending while it is a suspect not yet placed; a product
+    // is pending until its reviewers have been visited.
+    let mut pending_workers = vec![false; trace.reviewers().len()];
+    for s in &suspects {
+        if let Some(flag) = pending_workers.get_mut(s.index()) {
+            *flag = true;
         }
     }
+    let mut pending_products = vec![true; trace.products().len()];
 
     let mut communities = Vec::new();
     let mut singletons = Vec::new();
-    for component in connected_components(&bipartite.project_left()) {
-        let mut group: Vec<ReviewerId> = component.iter().map(|&s| members[s]).collect();
-        group.sort_unstable();
+    let mut stack = Vec::new();
+    for &start in &suspects {
+        if start.index() >= pending_workers.len() {
+            // Past the trace: no reviews, so no partner.
+            singletons.push(start);
+            continue;
+        }
+        if !take(&mut pending_workers, start.index()) {
+            continue; // placed with a smaller suspect
+        }
+        let mut group = vec![start];
+        stack.push(start);
+        while let Some(worker) = stack.pop() {
+            for review in trace.reviews_by(worker) {
+                if !take(&mut pending_products, review.product.index()) {
+                    continue;
+                }
+                for co in trace.reviews_for(review.product) {
+                    if take(&mut pending_workers, co.reviewer.index()) {
+                        group.push(co.reviewer);
+                        stack.push(co.reviewer);
+                    }
+                }
+            }
+        }
         if group.len() >= 2 {
+            group.sort_unstable();
             communities.push(group);
         } else {
             singletons.extend(group);
         }
     }
-    communities.sort_by_key(|c| c.first().copied());
-    singletons.sort_unstable();
     CollusionReport {
         communities,
         singletons,
     }
+}
+
+/// Clears flag `i`, returning whether it was set (`false` past the end).
+fn take(flags: &mut [bool], i: usize) -> bool {
+    flags.get_mut(i).is_some_and(std::mem::take)
 }
 
 #[cfg(test)]
@@ -188,7 +198,8 @@ mod tests {
         let report = cluster_collusive(&trace, &twice);
         assert_eq!(report, once);
         assert!(report.singletons.is_empty(), "{:?}", report.singletons);
-        assert_eq!(report.partner_counts()[&a], campaign.members.len() - 1);
+        let partners = report.partner_table(trace.reviewers().len());
+        assert_eq!(partners[a.index()], campaign.members.len() - 1);
 
         let ncm = trace.workers_of_class(WorkerClass::NonCollusiveMalicious)[0];
         let report = cluster_collusive(&trace, &[ncm, ncm]);
@@ -215,14 +226,14 @@ mod tests {
         let trace = SyntheticConfig::small(37).generate();
         let suspected = trace.workers_of_class(WorkerClass::CollusiveMalicious);
         let report = cluster_collusive(&trace, &suspected);
-        let partners = report.partner_counts();
+        let partners = report.partner_table(trace.reviewers().len());
         for c in &report.communities {
             for m in c {
-                assert_eq!(partners[m], c.len() - 1);
+                assert_eq!(partners[m.index()], c.len() - 1);
             }
         }
         for s in &report.singletons {
-            assert_eq!(partners[s], 0);
+            assert_eq!(partners[s.index()], 0);
         }
     }
 

@@ -12,7 +12,8 @@
 //!    cites as \[14\]\[15\]),
 //! 3. the number of collusion partners `A_i`, obtained by clustering
 //!    suspected malicious workers that target the same product into
-//!    communities ([`cluster_collusive`], §IV-A).
+//!    communities ([`cluster_collusive`], §IV-A): a DFS over the trace's
+//!    own worker↔product review index, with no graph copied out of it.
 //!
 //! [`FeedbackWeights`] combines the three into the requester's
 //! feedback weights `w_i = ρ/|l_i − l̄| − κ·e_mal − γ·A_i`.
@@ -40,7 +41,7 @@ mod malicious;
 mod pipeline;
 mod weights;
 
-pub use collusion::{cluster_collusive, CollusionReport, SIZE_BUCKETS};
+pub use collusion::{cluster_collusive, CollusionReport};
 pub use consensus::{ConsensusMap, SuspectMask};
 pub use malicious::{MaliciousDetector, MaliciousEstimates};
 pub use pipeline::{run_pipeline, DetectionResult, PipelineConfig, SuspectSource};

@@ -14,11 +14,9 @@
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
 use dcc_detect::{run_pipeline, ConsensusMap, PipelineConfig, SuspectSource};
-use dcc_graph::UnionFind;
 use dcc_trace::{Product, ProductId, Review, Reviewer, ReviewerId, TraceDataset, WorkerClass};
 use proptest::collection;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 /// Star values the generator picks from before falling back to a
 /// continuous draw: the extremity boundary and its neighbours, and the
@@ -252,27 +250,39 @@ fn e_mal(
     1.0 / (1.0 + (-z).exp())
 }
 
-/// `A_i` for every suspect: the size of its §IV-A community (suspects
-/// linked by a co-reviewed product, closed transitively) minus one,
-/// found with a union-find rather than the batch path's DFS.
-fn partner_counts(trace: &TraceDataset, suspected: &[ReviewerId]) -> BTreeMap<ReviewerId, usize> {
-    let mut uf = UnionFind::new(suspected.len());
+/// `A_i` for every worker: the size of its §IV-A community (suspects
+/// linked by a co-reviewed product, closed transitively) minus one, 0 for
+/// a worker outside `suspected`; found with a union-find over reviewer
+/// ids rather than the batch path's DFS.
+fn partner_table(trace: &TraceDataset, suspected: &[ReviewerId]) -> Vec<usize> {
+    fn root(parent: &mut [usize], mut w: usize) -> usize {
+        while parent[w] != w {
+            parent[w] = parent[parent[w]];
+            w = parent[w];
+        }
+        w
+    }
+    let mut parent: Vec<usize> = (0..trace.reviewers().len()).collect();
     for p in trace.products() {
-        let mut slots = trace
+        let mut linked = trace
             .reviews_for(p.id)
             .iter()
-            .filter_map(|r| suspected.iter().position(|&s| s == r.reviewer));
-        if let Some(first) = slots.next() {
-            for slot in slots {
-                uf.union(first, slot);
+            .map(|r| r.reviewer.index())
+            .filter(|&w| suspected.contains(&ReviewerId(w)));
+        if let Some(first) = linked.next() {
+            for w in linked {
+                let (a, b) = (root(&mut parent, first), root(&mut parent, w));
+                parent[a] = b;
             }
         }
     }
-    let mut partners = BTreeMap::new();
-    for component in uf.components() {
-        for &slot in &component {
-            partners.insert(suspected[slot], component.len() - 1);
-        }
+    let mut sizes = vec![0; parent.len()];
+    for s in suspected {
+        sizes[root(&mut parent, s.index())] += 1;
+    }
+    let mut partners = vec![0; parent.len()];
+    for s in suspected {
+        partners[s.index()] = sizes[root(&mut parent, s.index())] - 1;
     }
     partners
 }
@@ -301,7 +311,7 @@ struct Reference {
     raw: Vec<Consensus>,
     e_mal: Vec<f64>,
     suspected: Vec<ReviewerId>,
-    partners: BTreeMap<ReviewerId, usize>,
+    partners: Vec<usize>,
     refined: Vec<Consensus>,
     weights: Vec<f64>,
 }
@@ -322,14 +332,20 @@ fn reference(trace: &TraceDataset, config: PipelineConfig) -> Reference {
         })
         .map(|r| r.id)
         .collect();
-    let partners = partner_counts(trace, &suspected);
+    let partners = partner_table(trace, &suspected);
     let refined = consensus(trace, &suspected);
     let weights = trace
         .reviewers()
         .iter()
         .map(|r| {
-            let a_i = partners.get(&r.id).copied().unwrap_or(0);
-            eq5(trace, &refined, r.id, e_mal[r.id.index()], a_i, config)
+            eq5(
+                trace,
+                &refined,
+                r.id,
+                e_mal[r.id.index()],
+                partners[r.id.index()],
+                config,
+            )
         })
         .collect();
     Reference {
@@ -438,7 +454,10 @@ proptest! {
             same_map(&trace, &raw, &reference.raw, "raw")?;
             prop_assert_eq!(vec_bits(batch.estimates.as_slice()), vec_bits(&reference.e_mal));
             prop_assert_eq!(&batch.suspected, &reference.suspected);
-            prop_assert_eq!(batch.collusion.partner_counts(), reference.partners.clone());
+            prop_assert_eq!(
+                batch.collusion.partner_table(trace.reviewers().len()),
+                reference.partners.clone()
+            );
             same_map(&trace, &batch.consensus, &reference.refined, "refined")?;
             prop_assert_eq!(vec_bits(batch.weights.as_slice()), vec_bits(&reference.weights));
             prop_assert_eq!(bits(batch.estimates.e_mal(scaffold.idle)), bits(Some(0.5)));

@@ -8,10 +8,10 @@ use dcc_detect::{
     cluster_collusive, run_pipeline, ConsensusMap, FeedbackWeights, MaliciousDetector,
     PipelineConfig, SuspectSource, WeightParams,
 };
-use dcc_trace::{ReviewerId, SyntheticConfig};
+use dcc_trace::{Review, ReviewerId, SyntheticConfig, TraceDataset};
 use proptest::prelude::*;
 
-fn trace_for(seed: u64) -> dcc_trace::TraceDataset {
+fn trace_for(seed: u64) -> TraceDataset {
     let mut cfg = SyntheticConfig::small(seed);
     cfg.n_honest = 60;
     cfg.n_ncm = 12;
@@ -39,6 +39,13 @@ proptest! {
 
     /// Clustering partitions the suspect set: every suspect appears in
     /// exactly one community or as a singleton.
+    ///
+    /// It is also invariant under churn. The adversarial generator splits
+    /// and merges communities mid-trace, so the co-reviews behind a
+    /// partition arrive in adversary-controlled orders, with repeated
+    /// links. The same report must come back for the suspects in reverse
+    /// order with a repeated prefix, and for the trace rebuilt with its
+    /// reviews reversed and one co-review duplicated.
     #[test]
     fn clustering_partitions_suspects(seed in 0u64..40, frac in 0.1f64..1.0) {
         let trace = trace_for(seed);
@@ -61,6 +68,26 @@ proptest! {
         for c in &report.communities {
             prop_assert!(c.len() >= 2);
         }
+
+        let mut churned: Vec<ReviewerId> = suspected.iter().rev().copied().collect();
+        churned.splice(0..0, churned[..churned.len() / 2].to_vec());
+        prop_assert_eq!(&cluster_collusive(&trace, &churned), &report);
+
+        let mut reviews: Vec<Review> = trace.reviews().iter().rev().cloned().collect();
+        let co_review = reviews
+            .iter()
+            .find(|r| trace.reviews_for(r.product).len() >= 2)
+            .cloned()
+            .expect("a co-reviewed product");
+        reviews.push(co_review);
+        let rebuilt = TraceDataset::new(
+            trace.products().to_vec(),
+            trace.reviewers().to_vec(),
+            reviews,
+            trace.campaigns().to_vec(),
+        )
+        .unwrap();
+        prop_assert_eq!(&cluster_collusive(&rebuilt, &suspected), &report);
     }
 
     /// Weights respect the accuracy cap and respond monotonically to the

@@ -251,8 +251,8 @@ impl ColumnarTrace {
     /// # Errors
     ///
     /// Returns [`TraceError::Corrupt`] on a short or oversized buffer,
-    /// bad magic, any version but [`COLUMNAR_VERSION`], or checksum
-    /// mismatch.
+    /// bad magic, any version but [`COLUMNAR_VERSION`], a nonzero reserved
+    /// field, or checksum mismatch.
     pub fn from_bytes(buf: Vec<u8>) -> Result<Self, TraceError> {
         if buf.len() < HEADER_LEN {
             return Err(corrupt(format!(
@@ -269,6 +269,12 @@ impl ColumnarTrace {
                 "unsupported version {version}: this reader handles version \
                  {COLUMNAR_VERSION} only; convert the trace again from its CSV \
                  directory with `dcc trace convert DIR FILE`"
+            )));
+        }
+        let reserved = read_u32_at(&buf, 12);
+        if reserved != 0 {
+            return Err(corrupt(format!(
+                "reserved header field (bytes 12..16) is {reserved:#x}, must be 0"
             )));
         }
         let header = Header {
@@ -747,15 +753,6 @@ fn prepend(mut head: Vec<u8>, tail: Vec<u8>) -> Vec<u8> {
     head
 }
 
-/// Writes `trace` to `path` in `dcc-trace-col/2` form.
-///
-/// # Errors
-///
-/// Returns [`TraceError::Io`] on filesystem failures.
-pub fn write_trace_columnar(trace: &TraceDataset, path: &Path) -> Result<(), TraceError> {
-    ColumnarTrace::from_dataset(trace).write_file(path)
-}
-
 /// Loads a `dcc-trace-col/2` file.
 ///
 /// # Errors
@@ -799,7 +796,9 @@ mod tests {
     fn file_roundtrip_and_info_counts() {
         let trace = small();
         let path = std::env::temp_dir().join(format!("dcc_col_rt_{}.dcol", std::process::id()));
-        write_trace_columnar(&trace, &path).unwrap();
+        ColumnarTrace::from_dataset(&trace)
+            .write_file(&path)
+            .unwrap();
         let col = read_trace_columnar(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(col.n_products(), trace.products().len());
@@ -908,29 +907,24 @@ mod tests {
         bytes
     }
 
-    /// Every single-bit flip is refused, except in the reserved header
-    /// field: no reader reads it, so a flip there decodes the same trace.
+    /// Every single-bit flip is refused, the reserved header field's
+    /// included: it must be 0, so a later version can give it a meaning.
     #[test]
     fn every_single_bit_flip_is_refused() {
         let bytes = tiny_file();
-        let want = ColumnarTrace::from_bytes(bytes.clone())
-            .unwrap()
-            .to_dataset()
-            .unwrap();
+        assert!(ColumnarTrace::from_bytes(bytes.clone()).is_ok());
         for at in 0..bytes.len() {
             for bit in 0..8 {
                 let mut flipped = bytes.clone();
                 flipped[at] ^= 1 << bit;
-                let outcome = ColumnarTrace::from_bytes(flipped);
-                if (12..16).contains(&at) {
-                    assert_same(&outcome.unwrap().to_dataset().unwrap(), &want);
-                    continue;
-                }
-                let err = outcome.unwrap_err();
+                let err = ColumnarTrace::from_bytes(flipped).unwrap_err();
                 assert!(
                     matches!(err, TraceError::Corrupt(_)),
                     "byte {at} bit {bit}: {err}"
                 );
+                if (12..16).contains(&at) {
+                    assert!(err.to_string().contains("reserved"), "{err}");
+                }
                 if at >= HEADER_LEN {
                     assert!(err.to_string().contains("checksum"), "{err}");
                 }

@@ -52,8 +52,8 @@ pub use adversary::{
 };
 pub use campaign::{sample_community_size, Campaign, COMMUNITY_SIZE_DISTRIBUTION};
 pub use columnar::{
-    read_trace_columnar, write_trace_columnar, ColF64, ColU64, ColumnarBuilder, ColumnarTrace,
-    TraceColumns, COLUMNAR_MAGIC, COLUMNAR_VERSION,
+    read_trace_columnar, ColF64, ColU64, ColumnarBuilder, ColumnarTrace, TraceColumns,
+    COLUMNAR_MAGIC, COLUMNAR_VERSION,
 };
 pub use csv::{read_trace_csv, write_trace_csv};
 pub use dataset::{IndexedReviews, IndexedReviewsIter, TraceDataset};

@@ -136,15 +136,18 @@ proptest! {
         counts in collection::vec(0u64..64, 6),
     ) {
         let mut bytes = soup.clone();
-        // framing 0: raw soup; 1: magic and version in front; 2: also
-        // small counts, a body of soup as long as they imply, and a
-        // matching checksum.
+        // framing 0: raw soup; 1: magic and version in front, soup in the
+        // reserved field (refused unless it happens to be 0); 2: also a
+        // zero reserved field, small counts, a body of soup as long as
+        // they imply, and a matching checksum, so the bytes reach
+        // `to_dataset`.
         if framing >= 1 {
             bytes.resize(bytes.len().max(HEADER_LEN), 0);
             bytes[..8].copy_from_slice(&COLUMNAR_MAGIC);
             bytes[8..12].copy_from_slice(&COLUMNAR_VERSION.to_le_bytes());
         }
         if framing == 2 {
+            bytes[12..16].fill(0);
             for (field, &n) in counts.iter().enumerate() {
                 let at = COUNTS_AT + 8 * field;
                 bytes[at..at + 8].copy_from_slice(&n.to_le_bytes());

@@ -8,8 +8,6 @@
 //!
 //! - [`numerics`] — dense linear algebra, polynomial least squares,
 //!   piecewise-linear functions, statistics.
-//! - [`graph`] — undirected graphs, connected components, union-find,
-//!   bipartite projection.
 //! - [`trace`] — synthetic Amazon-like review traces with honest,
 //!   non-collusive malicious, and collusive malicious workers.
 //! - [`detect`] — expert consensus, malicious-probability estimation,
@@ -75,7 +73,6 @@ pub use dcc_detect as detect;
 pub use dcc_engine as engine;
 pub use dcc_experiments as experiments;
 pub use dcc_faults as faults;
-pub use dcc_graph as graph;
 pub use dcc_label as label;
 pub use dcc_numerics as numerics;
 pub use dcc_obs as obs;

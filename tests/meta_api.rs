@@ -28,16 +28,6 @@ fn numerics_surface() {
 }
 
 #[test]
-fn graph_surface() {
-    let mut g = dc::graph::Graph::new(3);
-    g.add_edge(0, 1).unwrap();
-    assert_eq!(dc::graph::connected_components(&g).len(), 2);
-    let mut uf = dc::graph::UnionFind::new(3);
-    uf.union(0, 2);
-    assert!(uf.connected(0, 2));
-}
-
-#[test]
 fn trace_detect_surface() {
     let trace = dc::trace::SyntheticConfig::small(99).generate();
     let summary = dc::trace::TraceSummary::of(&trace);
