@@ -47,28 +47,28 @@ pub fn select_within_budget(
         )));
     }
 
-    // Candidates worth funding at all.
-    let mut candidates: Vec<&SubproblemSolution> = solution
+    // Candidates worth funding at all, each with its ratio computed once;
+    // the sort is stable, so equal ratios keep their input order.
+    let mut candidates: Vec<(f64, &SubproblemSolution)> = solution
         .solutions
         .iter()
         .filter(|s| s.built.requester_utility() > 0.0)
-        .collect();
-    candidates.sort_by(|a, b| {
-        let ratio = |s: &SubproblemSolution| {
+        .map(|s| {
             let cost = s.built.compensation();
-            if cost <= 1e-12 {
+            let ratio = if cost <= 1e-12 {
                 f64::INFINITY
             } else {
                 s.built.requester_utility() / cost
-            }
-        };
-        ratio(b).partial_cmp(&ratio(a)).unwrap_or(std::cmp::Ordering::Equal)
-    });
+            };
+            (ratio, s)
+        })
+        .collect();
+    candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
 
     let mut funded = Vec::new();
     let mut spend = 0.0;
     let mut utility = 0.0;
-    for s in candidates {
+    for (_, s) in candidates {
         let cost = s.built.compensation();
         if spend + cost <= budget + 1e-12 {
             funded.push(s.id);

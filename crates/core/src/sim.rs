@@ -251,13 +251,16 @@ impl Simulation {
 
     /// Runs the repeated game with a fault model injected each round.
     ///
+    /// The hook is a type parameter, so under [`NoFaults`] the round
+    /// loop makes no dynamic call; a `&mut dyn RoundFaults` works too.
+    ///
     /// # Errors
     ///
     /// Same as [`Simulation::run`].
-    pub fn run_with_faults(
+    pub fn run_with_faults<F: RoundFaults + ?Sized>(
         &self,
         agents: &[AgentSpec],
-        faults: &mut dyn RoundFaults,
+        faults: &mut F,
     ) -> Result<SimulationOutcome, CoreError> {
         let mut state = self.start(agents)?;
         while self.step(agents, &mut state, faults) {}
@@ -337,11 +340,11 @@ impl Simulation {
     /// dropouts, feedback perturbation, and payment delays. Returns
     /// `false` (without touching the state) once all configured rounds
     /// are done.
-    fn step(
+    fn step<F: RoundFaults + ?Sized>(
         &self,
         agents: &[AgentSpec],
         state: &mut SimState,
-        faults: &mut dyn RoundFaults,
+        faults: &mut F,
     ) -> bool {
         if state.next_round >= self.config.rounds {
             return false;

@@ -11,10 +11,12 @@
 #![allow(clippy::float_cmp)]
 
 use dcc_core::{
-    best_response, bounds, build_candidate, first_best_utility, ContractBuilder, Discretization,
-    ModelParams,
+    best_response, bounds, build_candidate, first_best_utility, select_within_budget,
+    solve_subproblems, BipSolution, ContractBuilder, Discretization, FailurePolicy, ModelParams,
+    Subproblem, SubproblemSolution,
 };
 use dcc_numerics::Quadratic;
+use dcc_obs::Metrics;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -56,8 +58,101 @@ fn world(omega_max: f64) -> impl Strategy<Value = World> {
         )
 }
 
+/// The reference funding order of `select_within_budget`: the
+/// positive-utility solutions, stable-sorted by a closure that
+/// recomputes both ratios on every comparison.
+fn reference_order(solution: &BipSolution) -> Vec<&SubproblemSolution> {
+    let mut candidates: Vec<&SubproblemSolution> = solution
+        .solutions
+        .iter()
+        .filter(|s| s.built.requester_utility() > 0.0)
+        .collect();
+    candidates.sort_by(|a, b| {
+        let ratio = |s: &SubproblemSolution| {
+            let cost = s.built.compensation();
+            if cost <= 1e-12 {
+                f64::INFINITY
+            } else {
+                s.built.requester_utility() / cost
+            }
+        };
+        ratio(b)
+            .partial_cmp(&ratio(a))
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    candidates
+}
+
+/// The reference `select_within_budget`: the greedy pass over
+/// [`reference_order`], as `(funded, spend, utility)`.
+fn reference_select(solution: &BipSolution, budget: f64) -> (Vec<usize>, f64, f64) {
+    let mut funded = Vec::new();
+    let mut spend = 0.0;
+    let mut utility = 0.0;
+    for s in reference_order(solution) {
+        let cost = s.built.compensation();
+        if spend + cost <= budget + 1e-12 {
+            funded.push(s.id);
+            spend += cost;
+            utility += s.built.requester_utility();
+        }
+    }
+    (funded, spend, utility)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Ratios computed once and sorted stably fund what the reference
+    /// funds, in its order, with the same spend and utility bits. The
+    /// weights repeat, so equal ratios come in runs longer than the 20
+    /// elements an unstable small-sort keeps in order; negative weights
+    /// give utility <= 0, and small positive ones can make the zero
+    /// contract (cost 0, ratio +inf) the pick.
+    #[test]
+    fn budget_selection_matches_reference(
+        n in 64usize..160,
+        palette in proptest::collection::vec(-0.5f64..3.0, 2..6),
+        picks in proptest::collection::vec((any::<usize>(), any::<bool>()), 160),
+        r1 in 0.5f64..3.0,
+        r0 in 0.0f64..2.0,
+        fraction in 0.0f64..1.0,
+        prefix in any::<usize>(),
+    ) {
+        let disc = Discretization::covering(12, 7.0).unwrap();
+        let psis = [
+            Quadratic::new(-0.05 * r1, r1, r0),
+            Quadratic::new(-0.02 * r1, 0.8 * r1, r0 + 0.5),
+        ];
+        let subproblems: Vec<Subproblem> = picks[..n]
+            .iter()
+            .enumerate()
+            .map(|(id, &(pick, second))| Subproblem {
+                id,
+                members: vec![id].into(),
+                omega: 0.0,
+                weight: palette[pick % palette.len()],
+                psi: psis[usize::from(second)],
+                disc,
+            })
+            .collect();
+        let params = ModelParams { mu: 1.0, ..ModelParams::default() };
+        let (solution, _) =
+            solve_subproblems(&subproblems, &params, 1, FailurePolicy::Abort, &Metrics::noop())
+                .unwrap();
+
+        let order = reference_order(&solution);
+        let costs: Vec<f64> = order.iter().map(|s| s.built.compensation()).collect();
+        let total = costs.iter().fold(0.0, |sum, c| sum + c);
+        let prefix_sum = costs[..prefix % (costs.len() + 1)].iter().fold(0.0, |sum, c| sum + c);
+        for budget in [0.0, fraction * total, prefix_sum, total, 2.0 * total + 1.0] {
+            let got = select_within_budget(&solution, budget).unwrap();
+            let (funded, spend, utility) = reference_select(&solution, budget);
+            prop_assert_eq!(&got.funded, &funded, "budget {}", budget);
+            prop_assert_eq!(got.spend.to_bits(), spend.to_bits(), "budget {}", budget);
+            prop_assert_eq!(got.utility.to_bits(), utility.to_bits(), "budget {}", budget);
+        }
+    }
 
     /// The §IV-C incentive property: the best response to candidate
     /// ξ^(k) lands inside the target interval, for every k.

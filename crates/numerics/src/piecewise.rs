@@ -1,4 +1,4 @@
-use crate::NumericsError;
+use crate::{exact_eq, NumericsError};
 use std::fmt;
 
 /// A continuous piecewise-linear function defined by knots
@@ -118,13 +118,7 @@ impl PiecewiseLinear {
         if x >= self.xs[self.xs.len() - 1] {
             return self.vs[self.vs.len() - 1];
         }
-        // Binary search for the segment containing x. The knots are
-        // finite by construction and x is non-NaN here, so the
-        // comparison is total; `Equal` is an unreachable safe fallback.
-        let seg = match self
-            .xs
-            .binary_search_by(|probe| probe.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal))
-        {
+        let seg = match self.search(x) {
             Ok(i) => return self.vs[i],
             Err(i) => i - 1,
         };
@@ -138,18 +132,22 @@ impl PiecewiseLinear {
         if x.is_nan() || x < self.xs[0] || x >= self.xs[self.xs.len() - 1] {
             return None;
         }
-        match self
-            .xs
-            .binary_search_by(|probe| probe.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal))
-        {
-            Ok(i) => {
-                if i == self.xs.len() - 1 {
-                    None
-                } else {
-                    Some(i)
-                }
-            }
+        // x is below the last knot, so an exact hit starts a segment.
+        match self.search(x) {
+            Ok(i) => Some(i),
             Err(i) => Some(i - 1),
+        }
+    }
+
+    /// Locates a non-NaN `x` among the knots: `Ok(i)` if `x` equals knot
+    /// `i`, else `Err(i)` with `i` the first knot above `x`. The knots are
+    /// finite and strictly increasing, so this is the index a binary
+    /// search by `partial_cmp` returns, without a comparator to call.
+    fn search(&self, x: f64) -> Result<usize, usize> {
+        let i = self.xs.partition_point(|&k| k < x);
+        match self.xs.get(i) {
+            Some(&k) if exact_eq(k, x) => Ok(i),
+            _ => Err(i),
         }
     }
 

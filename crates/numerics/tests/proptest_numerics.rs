@@ -14,6 +14,56 @@ fn small_f64() -> impl Strategy<Value = f64> {
     (-100.0f64..100.0).prop_filter("finite", |v| v.is_finite())
 }
 
+/// The reference segment search: a binary search by `partial_cmp`,
+/// with `Equal` as the fallback for an incomparable pair.
+fn reference_search(xs: &[f64], x: f64) -> Result<usize, usize> {
+    xs.binary_search_by(|probe| probe.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal))
+}
+
+/// The reference `PiecewiseLinear::eval`, written on [`reference_search`].
+fn reference_eval(xs: &[f64], vs: &[f64], x: f64) -> f64 {
+    if x.is_nan() {
+        return f64::NAN;
+    }
+    if x <= xs[0] {
+        return vs[0];
+    }
+    if x >= xs[xs.len() - 1] {
+        return vs[vs.len() - 1];
+    }
+    let seg = match reference_search(xs, x) {
+        Ok(i) => return vs[i],
+        Err(i) => i - 1,
+    };
+    let t = (x - xs[seg]) / (xs[seg + 1] - xs[seg]);
+    vs[seg] + t * (vs[seg + 1] - vs[seg])
+}
+
+/// The reference `PiecewiseLinear::segment_of`, written on [`reference_search`].
+fn reference_segment_of(xs: &[f64], x: f64) -> Option<usize> {
+    if x.is_nan() || x < xs[0] || x >= xs[xs.len() - 1] {
+        return None;
+    }
+    match reference_search(xs, x) {
+        Ok(i) if i == xs.len() - 1 => None,
+        Ok(i) => Some(i),
+        Err(i) => Some(i - 1),
+    }
+}
+
+/// A finite value drawn by `kind`: any finite bit pattern (subnormals
+/// and extremes included), a moderate value, or a signed zero.
+fn finite_value(kind: u8, bits: u64, moderate: f64) -> f64 {
+    match kind {
+        0 => Some(f64::from_bits(bits))
+            .filter(|v| v.is_finite())
+            .unwrap_or(moderate),
+        1 => 0.0,
+        2 => -0.0,
+        _ => moderate,
+    }
+}
+
 proptest! {
     /// Gaussian elimination solves random diagonally-dominant systems.
     #[test]
@@ -108,6 +158,83 @@ proptest! {
         prop_assert!(v >= vs[0] - 1e-9 && v <= *vs.last().unwrap() + 1e-9);
         // Monotone in the argument as well.
         prop_assert!(f.eval(x) <= f.eval(x + 1.0) + 1e-9);
+    }
+
+    /// The knot search (`partition_point` plus an exact-hit test) picks
+    /// the segment the reference binary search picks: `eval` agrees by
+    /// bits and `segment_of` exactly, on 2–64 strictly increasing knots
+    /// whose first knot may be negative, ±0.0 or positive, at every
+    /// knot, its neighbours, the midpoints, both clamps, ±0.0, ±∞ and NaN.
+    #[test]
+    fn piecewise_lookup_matches_binary_search(
+        first in (0u8..4, 1.0f64..2.0, -40i32..40),
+        steps in proptest::collection::vec(
+            (0u8..4, 1.0f64..2.0, -40i32..40, 0u8..5, any::<u64>(), -1e3f64..1e3),
+            1..64,
+        ),
+        v0 in (0u8..5, any::<u64>(), -1e3f64..1e3),
+        inside in proptest::collection::vec(0.0f64..1.0, 4),
+    ) {
+        let (sign, mantissa, exp) = first;
+        let magnitude = mantissa * 2f64.powi(exp);
+        let mut xs = vec![match sign {
+            0 => -magnitude,
+            1 => 0.0,
+            2 => -0.0,
+            _ => magnitude,
+        }];
+        let mut vs = vec![finite_value(v0.0, v0.1, v0.2)];
+        for &(gap_kind, mantissa, exp, value_kind, bits, moderate) in &steps {
+            let prev = *xs.last().unwrap();
+            // Adjacent doubles, an interior knot at 0.0 (probed by -0.0
+            // too), or a gap of any scale; a gap too small to move `prev`
+            // falls back to the adjacent double.
+            let next = match gap_kind {
+                0 => prev.next_up(),
+                1 if prev < 0.0 => 0.0,
+                _ => (prev + mantissa * 2f64.powi(exp)).max(prev.next_up()),
+            };
+            xs.push(next);
+            vs.push(finite_value(value_kind, bits, moderate));
+        }
+        let f = PiecewiseLinear::new(xs.clone(), vs.clone()).unwrap();
+
+        let (lo, hi) = (xs[0], xs[xs.len() - 1]);
+        let mut probes = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            lo - 1.0,
+            hi + 1.0,
+            lo.next_down(),
+            hi.next_up(),
+        ];
+        for (i, &x) in xs.iter().enumerate() {
+            probes.extend([x, x.next_up(), x.next_down()]);
+            if let Some(&next) = xs.get(i + 1) {
+                probes.push(x + (next - x) / 2.0);
+            }
+        }
+        probes.extend(inside.iter().map(|u| lo + u * (hi - lo)));
+
+        for x in probes {
+            prop_assert_eq!(
+                f.eval(x).to_bits(),
+                reference_eval(&xs, &vs, x).to_bits(),
+                "eval({:?}) on knots {:?}",
+                x,
+                xs
+            );
+            prop_assert_eq!(
+                f.segment_of(x),
+                reference_segment_of(&xs, x),
+                "segment_of({:?}) on knots {:?}",
+                x,
+                xs
+            );
+        }
     }
 
     /// Quadratic inverse_derivative is a true inverse on concave quadratics.
